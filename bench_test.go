@@ -55,6 +55,7 @@ func BenchmarkConformanceCheck(b *testing.B) {
 	model := process.RollingUpgradeModel()
 	trace := happyTrace(4)
 	now := time.Now()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		checker := conformance.NewChecker(model)

@@ -20,8 +20,6 @@
 package conformance
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +33,13 @@ import (
 var (
 	mChecks = obs.Default.CounterVec("pod_conformance_checks_total",
 		"Log lines replayed against the process model, by verdict.", "verdict")
-	mNonConforming = obs.Default.Counter("pod_conformance_nonconforming_total",
+	// Resolved once: CounterVec.With costs a lock and a variadic
+	// allocation per call, which the per-line path cannot afford.
+	mChecksFit          = mChecks.With(string(VerdictFit))
+	mChecksUnfit        = mChecks.With(string(VerdictUnfit))
+	mChecksError        = mChecks.With(string(VerdictError))
+	mChecksUnclassified = mChecks.With(string(VerdictUnclassified))
+	mNonConforming      = obs.Default.Counter("pod_conformance_nonconforming_total",
 		"Replayed lines with an anomalous verdict (unfit, error, unclassified).")
 	mCheckLatency = obs.Default.Histogram("pod_conformance_check_seconds",
 		"Wall-clock token-replay latency per log line.", nil)
@@ -138,15 +142,23 @@ type Checker struct {
 	instances map[string]*instanceState
 }
 
-// instanceState is the replay state of one process instance.
+// instanceState is the replay state of one process instance: a pointer
+// into the model's compiled net plus counters, all fixed-size.
 type instanceState struct {
-	m         marking
+	m         *process.Marking
 	lastValid *process.Node
 	completed bool
-	fired     map[string]int // activity id -> times fired
+	fired     []int // times fired, by process.Node.Index
 	lastAt    time.Time
 	events    int // lines replayed
 	fit       int // lines that replayed fit
+}
+
+func (c *Checker) newInstance() *instanceState {
+	return &instanceState{
+		m:     c.model.Net().Initial(),
+		fired: make([]int, c.model.Net().Activities()),
+	}
 }
 
 // NewChecker returns a Checker for the given model.
@@ -179,7 +191,7 @@ func (c *Checker) Completed(instanceID string) bool {
 // Check replays one log line for the given process instance, creating the
 // instance on first sight.
 func (c *Checker) Check(instanceID, line string, at time.Time) Result {
-	return c.check(instanceID, line, at, false)
+	return c.CheckLossy(instanceID, line, at, false)
 }
 
 // CheckLossy is Check for streams known to be lossy: when resyncOK is
@@ -191,46 +203,49 @@ func (c *Checker) Check(instanceID, line string, at time.Time) Result {
 // error lines and unclassified lines keep their normal verdicts: event
 // loss cannot explain them.
 func (c *Checker) CheckLossy(instanceID, line string, at time.Time, resyncOK bool) Result {
-	return c.check(instanceID, line, at, resyncOK)
+	started := clock.Wall.Now()
+	node, isError := c.model.Match(line)
+	res := c.checkMatched(instanceID, node, isError, at, resyncOK)
+	switch res.Verdict {
+	case VerdictFit:
+		mChecksFit.Inc()
+	case VerdictUnfit:
+		mChecksUnfit.Inc()
+	case VerdictError:
+		mChecksError.Inc()
+	default:
+		mChecksUnclassified.Inc()
+	}
+	if res.Verdict.IsAnomalous() {
+		mNonConforming.Inc()
+	}
+	mCheckLatency.Observe(clock.Wall.Since(started).Seconds())
+	return res
 }
 
-func (c *Checker) check(instanceID, line string, at time.Time, resyncOK bool) Result {
-	started := clock.Wall.Now()
+// checkMatched replays an already classified line. The fit path is a
+// lookup in the model's compiled net and an in-place update of the
+// instance; error contexts, fast-forwards and path hypotheses are built
+// only for lines that do not fit.
+func (c *Checker) checkMatched(instanceID string, node *process.Node, isError bool, at time.Time, resyncOK bool) Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.instances[instanceID]
 	if !ok {
-		st = &instanceState{
-			m:     (&replayer{model: c.model}).initialMarking(),
-			fired: make(map[string]int),
-		}
+		st = c.newInstance()
 		c.instances[instanceID] = st
 	}
 	st.lastAt = at
 	st.events++
-	rp := &replayer{model: c.model}
 
 	res := Result{InstanceID: instanceID}
-	defer func() {
-		if res.Verdict == VerdictFit {
-			st.fit++
-		}
-		mChecks.With(string(res.Verdict)).Inc()
-		if res.Verdict.IsAnomalous() {
-			mNonConforming.Inc()
-		}
-		mCheckLatency.Observe(clock.Wall.Since(started).Seconds())
-	}()
-
 	// Known-error lines trump classification.
-	if c.model.IsErrorLine(line) {
+	if isError {
 		res.Verdict = VerdictError
 		res.Context = c.errorContext(st, nil)
 		return res
 	}
-
-	node, ok := c.model.Classify(line)
-	if !ok {
+	if node == nil {
 		res.Verdict = VerdictUnclassified
 		res.Context = c.errorContext(st, nil)
 		return res
@@ -239,52 +254,39 @@ func (c *Checker) check(instanceID, line string, at time.Time, resyncOK bool) Re
 	res.ActivityName = node.Name
 	res.StepID = node.StepID
 
-	if node.Recurring {
+	switch {
+	case node.Recurring:
 		// Periodic activities replay as fit while the instance is live.
-		res.Verdict = VerdictFit
-		res.Completed = st.completed
-		return res
-	}
-
-	if node.MultiLine && rp.inProgress(st.m, node.ID) {
+	case node.MultiLine && st.m.InProgress(node):
 		// Another log line of the activity the token already occupies:
 		// the step is in progress (steps may log start, progress and
 		// end lines), so the event fits without moving the token.
 		st.lastValid = node
-		res.Verdict = VerdictFit
-		res.Completed = st.completed
-		return res
-	}
-
-	if next, ok := rp.fireActivity(st.m, node.ID); ok {
-		st.m = next
-		st.lastValid = node
-		st.fired[node.ID]++
-		st.completed = rp.canComplete(st.m)
-		res.Verdict = VerdictFit
-		res.Completed = st.completed
-		return res
-	}
-
-	if resyncOK {
-		if next, skipped, ok := c.fastForward(rp, st, node); ok {
-			st.m = next
-			st.lastValid = node
-			for _, id := range skipped {
-				st.fired[id]++
+	default:
+		next, fired := st.m.Fire(node)
+		if !fired && resyncOK {
+			var skipped []string
+			if next, skipped, fired = c.fastForward(st, node); fired {
+				for _, id := range skipped {
+					st.fired[c.model.Node(id).Index()]++
+				}
+				res.Resynced = true
+				mResyncs.Inc()
 			}
-			st.fired[node.ID]++
-			st.completed = rp.canComplete(st.m)
-			res.Verdict = VerdictFit
-			res.Resynced = true
-			res.Completed = st.completed
-			mResyncs.Inc()
+		}
+		if !fired {
+			res.Verdict = VerdictUnfit
+			res.Context = c.errorContext(st, node)
 			return res
 		}
+		st.m = next
+		st.lastValid = node
+		st.fired[node.Index()]++
+		st.completed = next.CanComplete()
 	}
-
-	res.Verdict = VerdictUnfit
-	res.Context = c.errorContext(st, node)
+	st.fit++
+	res.Verdict = VerdictFit
+	res.Completed = st.completed
 	return res
 }
 
@@ -293,30 +295,23 @@ func (c *Checker) check(instanceID, line string, at time.Time, resyncOK bool) Re
 // presumably lost — and then the node itself. It returns the advanced
 // marking and the skipped activity ids, or ok=false when no forward path
 // explains the deviation (leaving the unfit verdict to stand).
-func (c *Checker) fastForward(rp *replayer, st *instanceState, node *process.Node) (marking, []string, bool) {
-	for _, anchor := range c.markingAnchors(st) {
-		skipped, ok := c.activitiesOnPath(anchor, node.ID)
+func (c *Checker) fastForward(st *instanceState, node *process.Node) (*process.Marking, []string, bool) {
+	for _, anchor := range st.m.Anchors() {
+		skipped, ok := c.model.PathActivities(anchor, node.ID)
 		if !ok {
 			continue
 		}
-		m := st.m
-		replayable := true
-		for _, act := range skipped {
-			next, fired := rp.fireActivity(m, act)
-			if !fired {
-				replayable = false
+		m, fired := st.m, true
+		for _, id := range skipped {
+			if m, fired = m.Fire(c.model.Node(id)); !fired {
 				break
 			}
-			m = next
 		}
-		if !replayable {
-			continue
+		if fired {
+			if m, fired = m.Fire(node); fired {
+				return m, skipped, true
+			}
 		}
-		next, fired := rp.fireActivity(m, node.ID)
-		if !fired {
-			continue
-		}
-		return next, skipped, true
 	}
 	return nil, nil, false
 }
@@ -329,17 +324,17 @@ func (c *Checker) errorContext(st *instanceState, unfit *process.Node) *ErrorCon
 		ctx.LastValidActivity = st.lastValid.ID
 		ctx.LastValidStep = st.lastValid.StepID
 	}
-	ctx.Marking = st.m.places()
+	ctx.Marking = st.m.Places()
 	if unfit == nil {
 		return ctx
 	}
 	// The skipped/undone hypothesis works on the node graph: anchor the
 	// search at the nodes the marked places touch.
-	anchors := c.markingAnchors(st)
+	anchors := st.m.Anchors()
 	// Forward deviation: activities on a path from the marking to the
 	// unfit activity were skipped.
 	for _, anchor := range anchors {
-		if skipped, ok := c.activitiesOnPath(anchor, unfit.ID); ok {
+		if skipped, ok := c.model.PathActivities(anchor, unfit.ID); ok {
 			ctx.Direction = DirectionForward
 			ctx.Skipped = skipped
 			return ctx
@@ -348,68 +343,13 @@ func (c *Checker) errorContext(st *instanceState, unfit *process.Node) *ErrorCon
 	// Backward deviation: the unfit activity precedes the marking; the
 	// activities between it and the marking would have been undone.
 	for _, anchor := range anchors {
-		if undone, ok := c.activitiesOnPath(unfit.ID, anchor); ok {
+		if undone, ok := c.model.PathActivities(unfit.ID, anchor); ok {
 			ctx.Direction = DirectionBackward
 			ctx.Skipped = undone
 			return ctx
 		}
 	}
 	return ctx
-}
-
-// markingAnchors maps the marked places to node ids for hypothesis
-// search: an activity output place anchors at the activity, a flow place
-// anchors at its source node.
-func (c *Checker) markingAnchors(st *instanceState) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for p := range st.m {
-		var node string
-		if strings.HasPrefix(p, outPrefix) {
-			node = strings.TrimPrefix(p, outPrefix)
-		} else if parts := strings.SplitN(p, edgeSep, 2); len(parts) == 2 {
-			node = parts[0]
-		}
-		if node != "" && !seen[node] {
-			seen[node] = true
-			out = append(out, node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// activitiesOnPath finds a shortest path src→dst (both exclusive) through
-// any node kinds and returns the activities along it.
-func (c *Checker) activitiesOnPath(src, dst string) ([]string, bool) {
-	type hop struct {
-		id   string
-		prev *hop
-	}
-	seen := map[string]bool{src: true}
-	queue := []*hop{{id: src}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range c.model.Outgoing(cur.id) {
-			if seen[next] {
-				continue
-			}
-			h := &hop{id: next, prev: cur}
-			if next == dst {
-				var acts []string
-				for p := cur; p != nil && p.id != src; p = p.prev {
-					if n := c.model.Node(p.id); n != nil && n.Kind == process.KindActivity {
-						acts = append([]string{p.id}, acts...)
-					}
-				}
-				return acts, true
-			}
-			seen[next] = true
-			queue = append(queue, h)
-		}
-	}
-	return nil, false
 }
 
 // Stats summarizes one instance's replay.

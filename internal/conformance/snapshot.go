@@ -7,9 +7,10 @@ import (
 
 // InstanceSnapshot is the portable replay state of one process
 // instance: everything the checker needs to resume token replay on
-// another manager mid-operation. The marking serializes place ids
-// directly (sequence-flow and virtual-output place encodings are
-// stable properties of the model, not of the checker instance); the
+// another manager mid-operation. The marking serializes place names
+// ("from\x1fto" for a sequence flow, "\x1eA" for an activity's virtual
+// output place — stable properties of the model, frozen on the wire, not
+// the compiled net's integers); the
 // last valid activity is carried by node id and re-resolved against
 // the adopting checker's model on import.
 type InstanceSnapshot struct {
@@ -28,22 +29,22 @@ type InstanceSnapshot struct {
 func (c *Checker) Export() []InstanceSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	activities := c.model.Activities()
 	out := make([]InstanceSnapshot, 0, len(c.instances))
 	for id, st := range c.instances {
 		snap := InstanceSnapshot{
 			InstanceID: id,
-			Marking:    make(map[string]int, len(st.m)),
+			Marking:    st.m.Export(),
 			Completed:  st.completed,
-			Fired:      make(map[string]int, len(st.fired)),
+			Fired:      make(map[string]int),
 			LastAt:     st.lastAt,
 			Events:     st.events,
 			Fit:        st.fit,
 		}
-		for p, n := range st.m {
-			snap.Marking[p] = n
-		}
-		for a, n := range st.fired {
-			snap.Fired[a] = n
+		for i, n := range st.fired {
+			if n > 0 {
+				snap.Fired[activities[i].ID] = n
+			}
 		}
 		if st.lastValid != nil {
 			snap.LastValid = st.lastValid.ID
@@ -55,33 +56,29 @@ func (c *Checker) Export() []InstanceSnapshot {
 }
 
 // Import installs exported replay states, replacing any same-named
-// instances. Unknown last-valid node ids (a model mismatch between the
-// exporting and importing managers) degrade to a nil last-valid
-// activity rather than failing the restore: the next fit line
-// re-anchors it.
+// instances. What the adopting checker's model does not know (a model
+// mismatch between the exporting and importing managers) degrades rather
+// than failing the restore: an unknown last-valid node id to a nil
+// last-valid activity, which the next fit line re-anchors; unknown places
+// and fired activities are dropped, and a marking left empty restarts at
+// the initial one.
 func (c *Checker) Import(snaps []InstanceSnapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, snap := range snaps {
-		st := &instanceState{
-			m:         make(marking, len(snap.Marking)),
-			completed: snap.Completed,
-			fired:     make(map[string]int, len(snap.Fired)),
-			lastAt:    snap.LastAt,
-			events:    snap.Events,
-			fit:       snap.Fit,
-		}
-		for p, n := range snap.Marking {
-			st.m[p] = n
-		}
+		st := c.newInstance()
+		st.m = c.model.Net().Import(snap.Marking)
+		st.completed = snap.Completed
+		st.lastAt = snap.LastAt
+		st.events = snap.Events
+		st.fit = snap.Fit
 		for a, n := range snap.Fired {
-			st.fired[a] = n
+			if node := c.model.Node(a); node != nil && node.Index() >= 0 {
+				st.fired[node.Index()] = n
+			}
 		}
 		if snap.LastValid != "" {
 			st.lastValid = c.model.Node(snap.LastValid)
-		}
-		if len(st.m) == 0 {
-			st.m = (&replayer{model: c.model}).initialMarking()
 		}
 		c.instances[snap.InstanceID] = st
 	}

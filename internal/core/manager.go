@@ -41,6 +41,9 @@ var (
 		"Recorded detections by operation (session id).", "operation")
 	mRouted = obs.Default.CounterVec("pod_manager_routed_total",
 		"Annotated events routed to sessions by outcome.", "outcome")
+	// The per-line outcome, resolved once (CounterVec.With locks and
+	// allocates per call).
+	mRoutedSession = mRouted.With("session")
 	mDrainStranded = obs.Default.Counter("pod_manager_drain_stranded_total",
 		"Backlog items (buffered events plus queued and in-flight work) still outstanding when a Drain timed out.")
 )
@@ -628,7 +631,7 @@ func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 			mRouted.With("ended").Inc()
 			return nil
 		}
-		mRouted.With("session").Inc()
+		mRoutedSession.Inc()
 		return s
 	}
 
@@ -888,21 +891,33 @@ func (m *Manager) QueueDepth() ManagerQueue {
 	return q
 }
 
+// verdictTags are the tag slices of published verdict events, one per
+// verdict and shared by every event that carries it. Full to capacity, so
+// a subscriber appending a tag gets its own copy.
+var verdictTags = map[conformance.Verdict][]string{
+	conformance.VerdictFit:          {conformance.VerdictFit.Tag()},
+	conformance.VerdictUnfit:        {conformance.VerdictUnfit.Tag()},
+	conformance.VerdictError:        {conformance.VerdictError.Tag()},
+	conformance.VerdictUnclassified: {conformance.VerdictUnclassified.Tag()},
+}
+
 // publishConformance logs the verdict to the bus (merged into central
-// storage like the paper's conformance service results).
+// storage like the paper's conformance service results). It runs once per
+// routed line: the message is one concatenation, the tags are shared.
 func (m *Manager) publishConformance(instanceID string, res conformance.Result, ev logging.Event) {
+	verdict := string(res.Verdict)
 	m.cfg.Bus.Publish(logging.Event{
 		Timestamp:  ev.Timestamp,
 		Source:     "conformance.log",
 		SourceHost: "pod-conformance",
 		Type:       logging.TypeConformance,
-		Tags:       []string{res.Verdict.Tag()},
+		Tags:       verdictTags[res.Verdict],
 		Fields: map[string]string{
 			"taskid":  instanceID,
 			"stepid":  res.StepID,
-			"verdict": string(res.Verdict),
+			"verdict": verdict,
 		},
-		Message: fmt.Sprintf("[conformance] [%s] [%s] verdict=%s activity=%s",
-			instanceID, res.StepID, res.Verdict, res.ActivityID),
+		Message: "[conformance] [" + instanceID + "] [" + res.StepID + "] verdict=" + verdict +
+			" activity=" + res.ActivityID,
 	})
 }

@@ -104,6 +104,7 @@ const (
 	RuleModelNoPatterns    = "PM005"
 	RuleModelShadowed      = "PM006"
 	RuleModelStructure     = "PM007"
+	RuleModelClosure       = "PM008"
 
 	RuleSpecUnknownCheck     = "AS001"
 	RuleSpecUnknownStep      = "AS002"
@@ -168,6 +169,7 @@ var ruleTable = map[string]RuleInfo{
 	RuleModelNoPatterns:    {RuleModelNoPatterns, SevWarning, "model", "activity has no log patterns and can never be observed"},
 	RuleModelShadowed:      {RuleModelShadowed, SevWarning, "model", "identical log pattern on two activities (ambiguous classification)"},
 	RuleModelStructure:     {RuleModelStructure, SevError, "model", "structural defect: duplicate node id, missing start/end, or edge to unknown node"},
+	RuleModelClosure:       {RuleModelClosure, SevError, "model", "a marking's silent closure exceeds the replay cap (gateways mint tokens without a log line)"},
 
 	RuleSpecUnknownCheck:     {RuleSpecUnknownCheck, SevError, "model", "assertion binding references a check the registry does not know"},
 	RuleSpecUnknownStep:      {RuleSpecUnknownStep, SevError, "model", "assertion binding references a step the process model does not define"},

@@ -118,6 +118,39 @@ func TestLintModelDocSeedsEveryPMRule(t *testing.T) {
 	}
 }
 
+// silentMintDoc is sound by every graph rule, but its parallel gateway
+// feeds itself through a merge: one token becomes any number without a
+// log line, and the closure search has no end.
+const silentMintDoc = `{
+  "id": "silent-mint",
+  "nodes": [
+    {"id": "s", "kind": 1},
+    {"id": "go", "name": "Go", "kind": 2, "stepId": "step1", "patterns": ["^go"]},
+    {"id": "merge", "kind": 3},
+    {"id": "fork", "kind": 5},
+    {"id": "stop", "name": "Stop", "kind": 2, "stepId": "step2", "patterns": ["^stop"]},
+    {"id": "e", "kind": 4}
+  ],
+  "edges": [
+    {"from": "s", "to": "go"},
+    {"from": "go", "to": "merge"},
+    {"from": "merge", "to": "fork"},
+    {"from": "fork", "to": "merge"},
+    {"from": "fork", "to": "stop"},
+    {"from": "stop", "to": "e"}
+  ]
+}`
+
+func TestLintModelDocReportsClosureOverCap(t *testing.T) {
+	fs := LintModelDoc("mint", []byte(silentMintDoc))
+	if len(fs) != 1 || fs[0].Rule != RuleModelClosure || fs[0].Severity != SevError {
+		t.Fatalf("want one PM008 error, got:\n%s", render(fs))
+	}
+	if !strings.Contains(fs[0].Pos, "silent-mint") {
+		t.Errorf("finding does not name the model: %s", fs[0])
+	}
+}
+
 func TestLintModelDocRejectsGarbage(t *testing.T) {
 	fs := LintModelDoc("junk", []byte("{nope"))
 	if len(fs) != 1 || fs[0].Rule != RuleModelStructure {
@@ -543,6 +576,7 @@ func TestBuiltinRemediationClean(t *testing.T) {
 func TestEveryRuleHasCoverage(t *testing.T) {
 	var all []Finding
 	all = append(all, LintModelDoc("broken", []byte(brokenModelDoc))...)
+	all = append(all, LintModelDoc("mint", []byte(silentMintDoc))...)
 
 	spec, err := assertspec.Parse("on step1 assert known\non step1 assert known\non step99 assert known\non step1 assert missing", nil)
 	if err != nil {

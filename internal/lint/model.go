@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"regexp"
 
@@ -40,7 +41,9 @@ type modelDoc struct {
 // process.UnmarshalModel it does not stop at the first defect: every
 // violated rule is reported, including structural defects (PM007),
 // non-compiling patterns (PM003) and unreachable nodes (PM001) that the
-// builder would reject outright. The name labels findings when the
+// builder would reject outright. A document with none of those defects is
+// also compiled, which is where a token-replay net whose silent closures
+// outgrow the replay cap shows (PM008). The name labels findings when the
 // document carries no id.
 func LintModelDoc(name string, data []byte) []Finding {
 	var doc modelDoc
@@ -104,7 +107,13 @@ func LintModelDoc(name string, data []byte) []Finding {
 		g.out[e.From] = append(g.out[e.From], e.To)
 		g.in[e.To] = append(g.in[e.To], e.From)
 	}
-	return append(fs, g.lint()...)
+	fs = append(fs, g.lint()...)
+	if CountErrors(fs) == 0 {
+		if _, err := process.UnmarshalModel(data); errors.Is(err, process.ErrClosureTooLarge) {
+			fs = append(fs, finding(RuleModelClosure, modelPos(name, ""), "%v", err))
+		}
+	}
+	return fs
 }
 
 // modelGraph is the common shape the model rules run over, built from

@@ -214,35 +214,42 @@ func (p *Processor) Snapshot() Stats {
 	return p.stats.snapshot()
 }
 
-// Field-extraction patterns applied to every annotated line.
-var (
-	reInstanceID = regexp.MustCompile(`\b(i-[0-9a-f]+)\b`)
-	reAMIID      = regexp.MustCompile(`\b(ami-[0-9a-zA-Z-]+)\b`)
-	reProgress   = regexp.MustCompile(`\b(\d+) of (\d+) instances?\b`)
-	reSorted     = regexp.MustCompile(`Sorted (\d+) instances`)
-	reGroup      = regexp.MustCompile(`group (\S+)`)
-)
+// extractor is a field-extraction pattern guarded by a literal every
+// match of it contains — the regexp runs only on lines that carry it —
+// with the field each capture group fills.
+type extractor struct {
+	guard  string
+	re     *regexp.Regexp
+	fields []string
+}
 
-// fieldPatterns are the single-capture extractions applied per annotated
-// line, hoisted so Process allocates no per-call pattern table.
-var fieldPatterns = []struct {
-	field string
-	re    *regexp.Regexp
-}{
-	{"instanceid", reInstanceID},
-	{"amiid", reAMIID},
-	{"asgid", reGroup},
+func (x *extractor) find(body string) []string {
+	if !strings.Contains(body, x.guard) {
+		return nil
+	}
+	return x.re.FindStringSubmatch(body)
+}
+
+// extractors are applied to every annotated line; later entries overwrite
+// earlier ones ("total"). One table walked by one loop, so Process has one
+// SetField site for all of them and allocates no per-call pattern table.
+var extractors = []extractor{
+	{"i-", regexp.MustCompile(`\b(i-[0-9a-f]+)\b`), []string{"instanceid"}},
+	{"ami-", regexp.MustCompile(`\b(ami-[0-9a-zA-Z-]+)\b`), []string{"amiid"}},
+	{"group ", regexp.MustCompile(`group (\S+)`), []string{"asgid"}},
+	{" of ", regexp.MustCompile(`\b(\d+) of (\d+) instances?\b`), []string{"num", "total"}},
+	{"Sorted ", regexp.MustCompile(`Sorted (\d+) instances`), []string{"total"}},
 }
 
 // Process runs one event through the pipeline, returning the annotated
 // event and whether it was forwarded to central storage.
 //
 // Budget note: 2 sites are the Clone's tag/field copies (the one
-// per-event copy the pipeline pays); the other 7 are the statically
+// per-event copy the pipeline pays); the other 4 are the statically
 // inlined lazy-map make of SetField at each call site, of which at most
 // one executes per event.
 //
-//podlint:hotpath budget=9
+//podlint:hotpath budget=6
 func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	p.stats.seen.Add(1)
 	mEvSeen.Inc()
@@ -262,8 +269,8 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	}
 
 	instanceID := ev.Field("taskid")
-	node, classified := p.model.Classify(body)
-	isError := p.model.IsErrorLine(body)
+	node, isError := p.model.Match(body)
+	classified := node != nil
 
 	// Noise filter: drop lines that neither classify, nor err, nor carry
 	// a known process instance.
@@ -292,17 +299,13 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	if isError {
 		out.AddTag("error")
 	}
-	for _, fp := range fieldPatterns {
-		if m := fp.re.FindStringSubmatch(body); m != nil {
-			out.SetField(fp.field, m[1])
+	for i := range extractors {
+		x := &extractors[i]
+		if m := x.find(body); m != nil {
+			for g, field := range x.fields {
+				out.SetField(field, m[g+1])
+			}
 		}
-	}
-	if m := reProgress.FindStringSubmatch(body); m != nil {
-		out.SetField("num", m[1])
-		out.SetField("total", m[2])
-	}
-	if m := reSorted.FindStringSubmatch(body); m != nil {
-		out.SetField("total", m[1])
 	}
 
 	// Resolve the handler: the static Triggers adapter, or the router

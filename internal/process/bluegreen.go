@@ -1,6 +1,9 @@
 package process
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Canonical node and step ids of the blue/green deploy process model.
 // Blue/green is the third sporadic operation in the library: instead of
@@ -35,7 +38,14 @@ const (
 // to come in service (the whole fleet boots in parallel, so the joins
 // loop), shift the load balancer to the green set, retire the blue group,
 // and complete.
-func BlueGreenModel() *Model {
+//
+// The model is built and compiled once per process and shared: a built
+// Model is immutable, and its callers must leave its nodes as they are.
+func BlueGreenModel() *Model { return blueGreenModel() }
+
+var blueGreenModel = sync.OnceValue(buildBlueGreenModel)
+
+func buildBlueGreenModel() *Model {
 	b := NewBuilder(BlueGreenModelID, "Blue/Green Deploy")
 	b.Start("start")
 	b.End("end")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"sort"
 	"time"
 )
 
@@ -138,10 +139,13 @@ func (b *Builder) addNode(n *Node) {
 	b.order = append(b.order, n.ID)
 }
 
-// Build validates the model and compiles its patterns. The model must have
-// exactly one start node, at least one end node, edges referencing known
-// nodes, every node reachable from the start, and valid regular
-// expressions.
+// Build validates the model and compiles it. The model must have exactly
+// one start node, at least one end node, edges referencing known nodes,
+// every node reachable from the start, valid regular expressions, and a
+// token-replay net whose silent closures stay under the replay cap
+// (ErrClosureTooLarge otherwise). Compilation — the literal-guarded line
+// matcher and the integer net — happens here, once per model, so the
+// checkers and processors that share the model share it too.
 func (b *Builder) Build() (*Model, error) {
 	errs := append([]error(nil), b.errs...)
 	m := &Model{
@@ -157,6 +161,7 @@ func (b *Builder) Build() (*Model, error) {
 	for _, id := range b.order {
 		n := b.nodes[id]
 		m.nodes[id] = n
+		m.sorted = append(m.sorted, n)
 		switch n.Kind {
 		case KindStart:
 			if m.start != "" {
@@ -166,13 +171,27 @@ func (b *Builder) Build() (*Model, error) {
 		case KindEnd:
 			m.ends = append(m.ends, id)
 		}
+	}
+	sort.Slice(m.sorted, func(i, j int) bool { return m.sorted[i].ID < m.sorted[j].ID })
+	var activities, errorTemplates []template
+	nActivities := 0
+	for _, n := range m.sorted {
+		n.index = -1
+		if n.Kind == KindActivity {
+			n.index = nActivities
+			nActivities++
+		}
 		for _, p := range n.Patterns {
 			re, err := regexp.Compile(p)
 			if err != nil {
-				errs = append(errs, fmt.Errorf("activity %q pattern %q: %w", id, p, err))
+				errs = append(errs, fmt.Errorf("activity %q pattern %q: %w", n.ID, p, err))
 				continue
 			}
-			n.compiled = append(n.compiled, re)
+			// Only activities are observed in the log; a pattern on any
+			// other node kind is validated and otherwise ignored.
+			if n.Kind == KindActivity {
+				activities = append(activities, newTemplate(re, n))
+			}
 		}
 	}
 	if m.start == "" {
@@ -199,13 +218,21 @@ func (b *Builder) Build() (*Model, error) {
 			errs = append(errs, fmt.Errorf("error pattern %q: %w", p, err))
 			continue
 		}
-		m.errorPatterns = append(m.errorPatterns, re)
+		errorTemplates = append(errorTemplates, newTemplate(re, nil))
 		m.errorSources = append(m.errorSources, p)
 	}
 	if m.start != "" {
 		if unreachable := m.unreachableFrom(m.start); len(unreachable) > 0 {
 			errs = append(errs, fmt.Errorf("nodes unreachable from start: %v", unreachable))
 		}
+	}
+	if len(errs) == 0 {
+		m.matcher = newMatcher(activities, errorTemplates)
+		net, err := compileNet(m)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		m.net = net
 	}
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("process: invalid model %q: %w", b.id, errors.Join(errs...))
@@ -229,9 +256,9 @@ func (m *Model) unreachableFrom(start string) []string {
 		}
 	}
 	var missing []string
-	for _, id := range m.sortedNodeIDs() {
-		if !seen[id] && !m.nodes[id].Recurring {
-			missing = append(missing, id)
+	for _, n := range m.sorted {
+		if !seen[n.ID] && !n.Recurring {
+			missing = append(missing, n.ID)
 		}
 	}
 	return missing

@@ -41,12 +41,11 @@ func (m *Model) DOT() string {
 			fmt.Fprintf(&b, "  %q [shape=box, style=%q, label=%q];\n", n.ID, style, label)
 		}
 	}
-	ids := m.sortedNodeIDs()
-	for _, from := range ids {
-		tos := append([]string(nil), m.out[from]...)
+	for _, from := range m.sorted {
+		tos := append([]string(nil), m.out[from.ID]...)
 		sort.Strings(tos)
 		for _, to := range tos {
-			fmt.Fprintf(&b, "  %q -> %q;\n", from, to)
+			fmt.Fprintf(&b, "  %q -> %q;\n", from.ID, to)
 		}
 	}
 	b.WriteString("}\n")

@@ -12,8 +12,6 @@ package process
 import (
 	"encoding/json"
 	"fmt"
-	"regexp"
-	"sort"
 	"time"
 )
 
@@ -76,8 +74,16 @@ type Node struct {
 	// they replay as fit without consuming a token.
 	Recurring bool `json:"recurring,omitempty"`
 
-	compiled []*regexp.Regexp
+	// index is the node's position among its model's activities in id
+	// order, set by Build; -1 for other kinds.
+	index int
 }
+
+// Index returns the node's position among its model's activities in id
+// order (the order of Model.Activities), or -1 for a node of another
+// kind. Build sets it; consumers keep per-activity state in slices indexed
+// by it.
+func (n *Node) Index() int { return n.index }
 
 // Edge is a directed sequence flow between two nodes.
 type Edge struct {
@@ -88,16 +94,20 @@ type Edge struct {
 
 // Model is a validated process model.
 type Model struct {
-	id    string
-	name  string
-	nodes map[string]*Node
-	out   map[string][]string
-	in    map[string][]string
-	start string
-	ends  []string
-	// errorPatterns classify lines as known errors ([conformance:error]).
-	errorPatterns []*regexp.Regexp
-	errorSources  []string
+	id     string
+	name   string
+	nodes  map[string]*Node
+	sorted []*Node // every node, by id
+	out    map[string][]string
+	in     map[string][]string
+	start  string
+	ends   []string
+	// errorSources are the known-error patterns ([conformance:error]).
+	errorSources []string
+
+	// Compiled once by Build: the line matcher and the token-replay net.
+	matcher *matcher
+	net     *Net
 }
 
 // ID returns the model id.
@@ -112,7 +122,9 @@ func (m *Model) Node(id string) *Node { return m.nodes[id] }
 // Start returns the id of the start node.
 func (m *Model) Start() string { return m.start }
 
-// Ends returns the ids of the end nodes.
+// Ends returns the ids of the end nodes. Like Outgoing and Incoming it
+// returns a copy the caller may keep or change; code inside this package
+// reads m.ends, m.out and m.in directly.
 func (m *Model) Ends() []string { return append([]string(nil), m.ends...) }
 
 // Outgoing returns the successor node ids of id.
@@ -126,25 +138,21 @@ func (m *Model) Incoming(id string) []string {
 }
 
 // Nodes returns all nodes sorted by id.
-func (m *Model) Nodes() []*Node {
-	out := make([]*Node, 0, len(m.nodes))
-	for _, n := range m.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (m *Model) Nodes() []*Node { return append([]*Node(nil), m.sorted...) }
 
 // Activities returns all activity nodes sorted by id.
 func (m *Model) Activities() []*Node {
 	var out []*Node
-	for _, n := range m.Nodes() {
+	for _, n := range m.sorted {
 		if n.Kind == KindActivity {
 			out = append(out, n)
 		}
 	}
 	return out
 }
+
+// Net returns the model's compiled token-replay net.
+func (m *Model) Net() *Net { return m.net }
 
 // ActivityByStep returns the activity with the given step id, or nil.
 func (m *Model) ActivityByStep(stepID string) *Node {
@@ -159,43 +167,21 @@ func (m *Model) ActivityByStep(stepID string) *Node {
 // Classify maps a raw log line to the activity whose pattern matches.
 // It returns the activity node and true, or nil and false when no pattern
 // matches. When several activities match, the one with the longest
-// matching pattern wins (most specific rule).
+// matching pattern wins (most specific rule). See Match.
 func (m *Model) Classify(line string) (*Node, bool) {
-	var best *Node
-	bestLen := -1
-	for _, id := range m.sortedNodeIDs() {
-		n := m.nodes[id]
-		for _, re := range n.compiled {
-			if re.MatchString(line) && len(re.String()) > bestLen {
-				best, bestLen = n, len(re.String())
-			}
-		}
-	}
-	return best, best != nil
+	n, _ := m.Match(line)
+	return n, n != nil
 }
 
 // IsErrorLine reports whether the line matches a known-error pattern.
 func (m *Model) IsErrorLine(line string) bool {
-	for _, re := range m.errorPatterns {
-		if re.MatchString(line) {
-			return true
-		}
-	}
-	return false
+	_, isError := m.Match(line)
+	return isError
 }
 
 // ErrorPatterns returns the model's known-error pattern sources.
 func (m *Model) ErrorPatterns() []string {
 	return append([]string(nil), m.errorSources...)
-}
-
-func (m *Model) sortedNodeIDs() []string {
-	ids := make([]string, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // modelJSON is the serialized form of a Model.
@@ -210,9 +196,9 @@ type modelJSON struct {
 // MarshalJSON implements json.Marshaler.
 func (m *Model) MarshalJSON() ([]byte, error) {
 	doc := modelJSON{ID: m.id, Name: m.name, Nodes: m.Nodes(), ErrorPatterns: m.errorSources}
-	for _, from := range m.sortedNodeIDs() {
-		for _, to := range m.out[from] {
-			doc.Edges = append(doc.Edges, Edge{From: from, To: to})
+	for _, from := range m.sorted {
+		for _, to := range m.out[from.ID] {
+			doc.Edges = append(doc.Edges, Edge{From: from.ID, To: to})
 		}
 	}
 	return json.Marshal(doc)

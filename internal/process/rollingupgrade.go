@@ -1,6 +1,9 @@
 package process
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Canonical node ids and step ids of the rolling-upgrade process model
 // (paper Figure 2). The upgrade orchestrator emits log lines matching the
@@ -34,7 +37,14 @@ const (
 // ready) executed once per old instance, and a completion activity. The
 // recurring "Status info" activity may appear at any point. Mean durations
 // reflect the historical timing profile used to set timer timeouts.
-func RollingUpgradeModel() *Model {
+//
+// The model is built and compiled once per process and shared: a built
+// Model is immutable, and its callers must leave its nodes as they are.
+func RollingUpgradeModel() *Model { return rollingUpgradeModel() }
+
+var rollingUpgradeModel = sync.OnceValue(buildRollingUpgradeModel)
+
+func buildRollingUpgradeModel() *Model {
 	b := NewBuilder(RollingUpgradeModelID, "Rolling Upgrade (Asgard)")
 	start := b.Start("start")
 	end := b.End("end")

@@ -1,6 +1,9 @@
 package process
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Canonical node and step ids of the scale-out process model. Scale-out is
 // the second sporadic operation shipped with the library, demonstrating
@@ -28,7 +31,14 @@ const (
 // ScaleOutModel returns the process model of an ASG scale-out: request the
 // new capacity, then loop waiting for each new instance to come in service
 // and register, and complete.
-func ScaleOutModel() *Model {
+//
+// The model is built and compiled once per process and shared: a built
+// Model is immutable, and its callers must leave its nodes as they are.
+func ScaleOutModel() *Model { return scaleOutModel() }
+
+var scaleOutModel = sync.OnceValue(buildScaleOutModel)
+
+func buildScaleOutModel() *Model {
 	b := NewBuilder(ScaleOutModelID, "Scale-Out (ASG)")
 	b.Start("start")
 	b.End("end")

@@ -1,6 +1,9 @@
 package process
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Canonical node and step ids of the spot-rebalance process model. The
 // operation watches a group running on interruptible (spot) capacity:
@@ -30,7 +33,14 @@ const (
 // capacity, wait for the replacement to join) repeats zero or more times
 // — the bypass flow keeps an interruption-free watch conformant — then
 // capacity is declared restored and the watch completes.
-func SpotRebalanceModel() *Model {
+//
+// The model is built and compiled once per process and shared: a built
+// Model is immutable, and its callers must leave its nodes as they are.
+func SpotRebalanceModel() *Model { return spotRebalanceModel() }
+
+var spotRebalanceModel = sync.OnceValue(buildSpotRebalanceModel)
+
+func buildSpotRebalanceModel() *Model {
 	b := NewBuilder(SpotRebalanceModelID, "Spot Rebalance")
 	b.Start("start")
 	b.End("end")
