@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("upgrade completed: %d instances replaced in %s (operation time)\n",
 		len(report.Replaced), report.Finished.Sub(report.Started).Round(time.Second))
 	fmt.Printf("conformance: process completed = %v\n", mon.Checker().Completed(spec.TaskID))
-	fmt.Printf("assertions evaluated: %d\n", len(mon.Evaluator().History()))
+	fmt.Printf("assertions evaluated: %d\n", mon.Evaluator().Count())
 	fmt.Printf("detections: %d (a clean run should have none, or only timer transients)\n", len(mon.Detections()))
 	for _, d := range mon.Detections() {
 		fmt.Printf("  %s via %s: %s\n", d.Source, d.TriggerID, d.Message)

@@ -79,9 +79,13 @@ func (p Params) Clone() Params {
 	return out
 }
 
-// Merge returns a copy of p with overrides applied.
+// Merge returns a copy of p with overrides applied. The copy is sized for
+// both, so it is the call's only allocation.
 func (p Params) Merge(overrides Params) Params {
-	out := p.Clone()
+	out := make(Params, len(p)+len(overrides))
+	for k, v := range p {
+		out[k] = v
+	}
 	for k, v := range overrides {
 		out[k] = v
 	}

@@ -417,3 +417,33 @@ func TestHighLevelFlagOnLibrary(t *testing.T) {
 	}
 	_ = strconv.Itoa(0) // keep strconv imported via test usage symmetry
 }
+
+// The evaluator retains a bounded window of results: a long-lived manager
+// must not pin every parameter map it ever evaluated.
+func TestEvaluatorHistoryBounded(t *testing.T) {
+	clk := clock.NewScaled(1000, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
+	client := consistentapi.New(simaws.New(clk, simaws.FastProfile()), consistentapi.Config{})
+	reg := NewRegistry()
+	n := 0
+	reg.Register(Check{ID: "counting", Eval: func(_ context.Context, _ *consistentapi.Client, p Params) Result {
+		n++
+		return Result{CheckID: "counting", Status: StatusPass, Params: p, Message: strconv.Itoa(n)}
+	}})
+	eval := NewEvaluator(client, reg, nil)
+	const total = 5000
+	for i := 0; i < total; i++ {
+		eval.Evaluate(context.Background(), "counting", Params{"i": strconv.Itoa(i)}, Trigger{})
+	}
+	h := eval.History()
+	if len(h) != historyCap || historyCap != 1024 {
+		t.Fatalf("len(History()) = %d, want 1024", len(h))
+	}
+	for i, r := range h {
+		if want := strconv.Itoa(total - historyCap + 1 + i); r.Message != want {
+			t.Fatalf("History()[%d] = %s, want %s (oldest first, newest last)", i, r.Message, want)
+		}
+	}
+	if got := eval.Count(); got != total {
+		t.Fatalf("Count() = %d, want %d", got, total)
+	}
+}

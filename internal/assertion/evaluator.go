@@ -43,11 +43,16 @@ type Trigger struct {
 	StepID string `json:"stepId,omitempty"`
 }
 
+// historyCap bounds the results an Evaluator retains: one Evaluator serves
+// a Manager for its whole life, and every Result pins its parameter map.
+const historyCap = 1024
+
 // Evaluator runs checks from a registry through the consistent API layer,
-// publishing each result as an assertion log event and retaining history.
-// It is safe for concurrent use — parallel fault-tree walks evaluate
-// diagnosis tests on it simultaneously: the registry locks internally,
-// history is guarded by mu, and the client and bus are concurrency-safe.
+// publishing each result as an assertion log event and retaining the most
+// recent historyCap of them. It is safe for concurrent use — parallel
+// fault-tree walks evaluate diagnosis tests on it simultaneously: the
+// registry locks internally, history is guarded by mu, and the client and
+// bus are concurrency-safe.
 type Evaluator struct {
 	client   *consistentapi.Client
 	registry *Registry
@@ -55,7 +60,8 @@ type Evaluator struct {
 	host     string
 
 	mu      sync.Mutex
-	history []Result
+	history []Result // ring once full: the oldest result is at count % historyCap
+	count   int      // evaluations ever recorded
 }
 
 // NewEvaluator returns an Evaluator. The bus may be nil.
@@ -97,20 +103,38 @@ func (e *Evaluator) Evaluate(ctx context.Context, checkID string, p Params, trig
 	span.End()
 
 	e.mu.Lock()
-	e.history = append(e.history, res)
+	if len(e.history) < historyCap {
+		e.history = append(e.history, res)
+	} else {
+		e.history[e.count%historyCap] = res
+	}
+	e.count++
 	e.mu.Unlock()
 
 	e.publish(res, trig)
 	return res
 }
 
-// History returns a copy of all recorded results.
+// History returns a copy of the retained results — the most recent
+// historyCap evaluations — oldest first.
 func (e *Evaluator) History() []Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Result, len(e.history))
-	copy(out, e.history)
-	return out
+	oldest := 0
+	if len(e.history) == historyCap {
+		oldest = e.count % historyCap
+	}
+	out := make([]Result, 0, len(e.history))
+	out = append(out, e.history[oldest:]...)
+	return append(out, e.history[:oldest]...)
+}
+
+// Count returns how many evaluations the Evaluator has recorded in total,
+// including those History no longer retains.
+func (e *Evaluator) Count() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.count
 }
 
 // publish emits the result in the paper's assertion log format.

@@ -1,25 +1,24 @@
 // Package diagnosis implements the paper's Error Diagnosis component
 // (§III.B.4): when an assertion fails, a process non-conformance is
 // detected, or another monitor reports a failure, the engine selects the
-// diagnosis plan(s) for the triggering assertion, instantiates their
-// variables from the runtime request, prunes nodes that do not match the
-// process context, and visits the remaining DAG entry-down, running
-// on-demand diagnosis tests (assertion evaluations) to confirm or exclude
-// potential faults. Plans generalize the paper's fault trees: collector
-// nodes may feed several tester sub-graphs and shared sub-graphs fan in
-// from several parents, each visited at most once per run. Test results
-// are cached and reused across nodes — and, through a shared single-
-// flight cache bounded by the simulated cloud's eventual-consistency
-// window, across concurrent runs; sibling visits are ordered by per-edge
-// prior fault probability and may proceed in parallel on a bounded worker
-// pool while committing results in that same order.
+// diagnosis plan(s) for the triggering assertion — in the form the catalog
+// compiled at registration, already pruned for every process context —
+// binds the runtime request's variables to them, and visits the DAG
+// entry-down, running on-demand diagnosis tests (assertion evaluations) to
+// confirm or exclude potential faults. Plans generalize the paper's fault
+// trees: collector nodes may feed several tester sub-graphs and shared
+// sub-graphs fan in from several parents, each visited at most once per
+// run. Test results are cached and reused across nodes — and, through a
+// shared single-flight cache bounded by the simulated cloud's eventual-
+// consistency window, across concurrent runs; sibling visits are ordered by
+// per-edge prior fault probability and may proceed in parallel on a bounded
+// worker pool while committing results in that same order.
 package diagnosis
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -258,10 +257,9 @@ type Engine struct {
 	cache *SharedCache  // nil when disabled
 	resil *resilience.Executor
 
-	// testHookInstantiate, when set, observes every plan instantiation
-	// (regression hook: each selected plan is instantiated exactly once
-	// per run).
-	testHookInstantiate func(planID string)
+	// testHookBind, when set, observes every plan a run binds (regression
+	// hook: each selected plan is bound exactly once per run).
+	testHookBind func(planID string)
 }
 
 // NewEngine returns an Engine over the given diagnosis plan catalog and
@@ -312,17 +310,14 @@ func (e *Engine) Resilience() *resilience.Executor { return e.resil }
 // Catalog returns the plan catalog the engine diagnoses from.
 func (e *Engine) Catalog() *diagplan.Catalog { return e.cat }
 
-// target is one (plan, node) visit unit: the walk needs the owning plan
-// for edge ordering and cause enumeration.
-type target struct {
-	p *diagplan.Plan
-	n *diagplan.Node
-}
-
-// run carries the mutable state of one diagnosis. It is shared across the
-// walk goroutines of that one diagnosis: the budget is atomic, the
-// per-run cache, claim set, and TestsRun are guarded by mu, and
-// everything else is read-only after construction.
+// run carries the mutable state of one diagnosis: the binding of the
+// request to the compiled plans it walks. The plans themselves (views) are
+// immutable and shared with every other run; what a run owns is the
+// request parameters rendered into them on demand, the set of nodes it has
+// claimed, its test results and its budget. It is shared across the walk
+// goroutines of that one diagnosis: the budget is atomic, the per-run
+// cache, claim set, and TestsRun are guarded by mu, and everything else is
+// read-only after construction.
 type run struct {
 	req   Request
 	diag  *Diagnosis
@@ -333,59 +328,103 @@ type run struct {
 	// both are read-only after construction.
 	op        *flight.Op
 	diagEntry uint64
-	// plans are the instantiated, pruned plans the walk visits, kept so
-	// confirmed causes can cite their entry-to-node path and fan-in
-	// parents.
-	plans []*diagplan.Plan
+	// views are the selected plans, compiled for the request's step
+	// context, kept so confirmed causes can cite their entry-to-node path
+	// and fan-in parents.
+	views []*diagplan.View
 
-	mu        sync.Mutex
-	local     map[string]assertion.Result // per-run result cache; guards diag.TestsRun too
-	testEntry map[string]uint64           // node id -> diagnosis.test evidence entry
-	// claimed marks plan nodes (by instantiated-node pointer, so distinct
-	// plans never collide) that some branch has already visited. Fan-in
-	// makes a node reachable from several parents; the first visitor
-	// claims it and later routes skip it, mirroring the DAG's "shared
-	// sub-graph, evaluated once" semantics. A node excluded by a passing
-	// parent test is NOT claimed — it stays reachable through its other
-	// parents.
-	claimed map[*diagplan.Node]bool
+	mu sync.Mutex
+	// testKeys[i] is the cache key of diag.TestsRun[i]; the two slices
+	// together are the per-run result cache.
+	testKeys []string
+	// tested remembers each tested node's first diagnosis.test evidence
+	// entry, by node id.
+	tested []testedNode
+	// claimed marks plan nodes (by catalog-wide index, so distinct plans
+	// never collide) that some branch has already visited. Fan-in makes a
+	// node reachable from several parents; the first visitor claims it and
+	// later routes skip it, mirroring the DAG's "shared sub-graph,
+	// evaluated once" semantics. A node excluded by a passing parent test
+	// is NOT claimed — it stays reachable through its other parents.
+	claimed bitset
 
 	testsLeft atomic.Int64
 }
 
+// testedNode links a node id to the evidence entry of its first test.
+type testedNode struct {
+	id    string
+	entry uint64
+}
+
+// bitset is a fixed-size set of small integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+
+func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
+
 // claim marks the node visited, reporting whether this caller won the
 // claim (false: another branch already visited it).
-func (r *run) claim(n *diagplan.Node) bool {
+func (r *run) claim(n *diagplan.VNode) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.claimed[n] {
+	if r.claimed.has(n.Index) {
 		return false
 	}
-	r.claimed[n] = true
+	r.claimed.set(n.Index)
 	return true
+}
+
+// cached answers from the per-run result cache. Caller must hold mu.
+func (r *run) cached(key string) (assertion.Result, bool) {
+	for i, k := range r.testKeys {
+		if k == key {
+			return r.diag.TestsRun[i], true
+		}
+	}
+	return assertion.Result{}, false
 }
 
 // recordTest records one diagnosis-test evidence entry, chained to the
 // run's diagnosis entry, and remembers the node's first entry as the
-// parent link for a later cause record.
-func (r *run) recordTest(n *diagplan.Node, status string, attrs map[string]string) {
+// parent link for a later cause record. The entry is annotated with
+// key=value and, when the test ran under the resilience executor, its
+// outcome labels.
+func (r *run) recordTest(n *diagplan.VNode, status, key, value string, out *resilience.Outcome) {
 	if r.op == nil {
 		return
 	}
-	attrs["check"] = n.CheckID
-	attrs["node"] = n.ID
-	attrs["status"] = status
+	attrs := map[string]string{key: value, "check": n.CheckID, "node": n.ID, "status": status}
+	if out != nil {
+		for k, v := range out.Labels() {
+			attrs[k] = v
+		}
+	}
 	id := r.op.Record(flight.Entry{
 		Kind:    flight.KindTest,
 		Parents: parentsOf(r.diagEntry),
-		Message: fmt.Sprintf("test %s on %s: %s", n.CheckID, n.ID, status),
+		Message: "test " + n.CheckID + " on " + n.ID + ": " + status,
 		Attrs:   attrs,
 	})
 	r.mu.Lock()
-	if _, ok := r.testEntry[n.ID]; !ok {
-		r.testEntry[n.ID] = id
+	defer r.mu.Unlock()
+	if r.testEntry(n.ID) == 0 {
+		r.tested = append(r.tested, testedNode{id: n.ID, entry: id})
 	}
-	r.mu.Unlock()
+}
+
+// testEntry returns the evidence entry of the node's first test, 0 when it
+// has none. Caller must hold mu.
+func (r *run) testEntry(nodeID string) uint64 {
+	for _, t := range r.tested {
+		if t.id == nodeID {
+			return t.entry
+		}
+	}
+	return 0
 }
 
 // parentsOf builds a parent-id list from the non-zero entry ids.
@@ -405,11 +444,9 @@ func parentsOf(ids ...uint64) []uint64 {
 // regardless of execution interleaving — and so causes shared by several
 // excluded parents (fan-in) are counted once.
 type exclusion struct {
-	node   *diagplan.Node
-	planID string
-	causes []string // cause node ids under node, in visit order
-	res    assertion.Result
-	fresh  bool
+	node  *diagplan.VNode // its CausesUnder are what the pass rules out
+	res   assertion.Result
+	fresh bool
 }
 
 // branch accumulates the outcome of one sub-graph visit. Sibling branches
@@ -425,12 +462,12 @@ type branch struct {
 	confirmed bool
 }
 
-func (b *branch) confirm(n *diagplan.Node) {
-	b.causes = append(b.causes, Cause{NodeID: n.ID, Description: n.Description, Confirmed: true})
+func (b *branch) confirm(r *run, n *diagplan.VNode) {
+	b.causes = append(b.causes, Cause{NodeID: n.ID, Description: n.Description(r.req.Params), Confirmed: true})
 }
 
-func (b *branch) suspect(n *diagplan.Node) {
-	b.suspects = append(b.suspects, Cause{NodeID: n.ID, Description: n.Description})
+func (b *branch) suspect(r *run, n *diagplan.VNode) {
+	b.suspects = append(b.suspects, Cause{NodeID: n.ID, Description: n.Description(r.req.Params)})
 }
 
 func (b *branch) absorb(c *branch) {
@@ -466,11 +503,9 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	}
 	r := &run{
 		req: req, diag: d,
-		latch:     !e.opts.ContinueAfterConfirm,
-		op:        flight.FromContext(ctx),
-		local:     make(map[string]assertion.Result),
-		testEntry: make(map[string]uint64),
-		claimed:   make(map[*diagplan.Node]bool),
+		latch:   !e.opts.ContinueAfterConfirm,
+		op:      flight.FromContext(ctx),
+		claimed: newBitset(e.cat.NodeCount()),
 	}
 	r.testsLeft.Store(int64(e.opts.MaxTests))
 	if r.op != nil {
@@ -480,21 +515,21 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		span.SetAttr("op", r.op.Operation())
 	}
 
-	// Instantiate and prune each selected plan exactly once; the same
-	// instance serves both the potential-fault count and the walk.
-	var entries []target
-	for _, p := range e.selectPlans(req) {
-		if e.testHookInstantiate != nil {
-			e.testHookInstantiate(p.ID)
+	// Bind each selected plan exactly once: pick the view compiled for the
+	// request's step context. Nothing is copied; the request's parameters
+	// are rendered into a node only when it is tested or reported.
+	plans := e.cat.Compiled(req.AssertionID)
+	r.views = make([]*diagplan.View, len(plans))
+	entries := make([]*diagplan.VNode, 0, len(plans))
+	for i, p := range plans {
+		if e.testHookBind != nil {
+			e.testHookBind(p.Plan.ID)
 		}
-		inst := p.Instantiate(req.Params)
-		if !e.opts.DisablePruning {
-			inst = inst.Prune(req.StepID)
-		}
-		d.PotentialFaults += len(inst.PotentialRootCauses())
-		r.plans = append(r.plans, inst)
-		if entry := inst.EntryNode(); entry != nil {
-			entries = append(entries, target{p: inst, n: entry})
+		v := p.View(req.StepID, !e.opts.DisablePruning)
+		d.PotentialFaults += v.PotentialFaults
+		r.views[i] = v
+		if v.Entry != nil {
+			entries = append(entries, v.Entry)
 		}
 	}
 
@@ -514,14 +549,14 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 			At:      started,
 			Parents: parentsOf(flight.ParentFrom(ctx)),
 			SpanID:  span.ID(),
-			Message: fmt.Sprintf("diagnosis plan walk: %d potential faults", d.PotentialFaults),
+			Message: "diagnosis plan walk: " + strconv.Itoa(d.PotentialFaults) + " potential faults",
 			Attrs:   attrs,
 		})
 		r.diagEntry = d.EvidenceID
 	}
 
-	e.log(req, "Performing on demand assertion checking: %s. %d potential faults in total...",
-		req.Detail, d.PotentialFaults)
+	e.log(req, "Performing on demand assertion checking: ", req.Detail, ". ",
+		strconv.Itoa(d.PotentialFaults), " potential faults in total...")
 
 	top := &branch{}
 	e.walkInto(ctx, r, top, entries)
@@ -531,13 +566,13 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	case len(d.RootCauses) > 0:
 		d.Conclusion = ConclusionIdentified
 		if len(d.RootCauses) == 1 {
-			e.log(req, "One root cause is identified: %s", d.RootCauses[0].Description)
+			e.log(req, "One root cause is identified: ", d.RootCauses[0].Description)
 		} else {
-			e.log(req, "%d root causes are identified", len(d.RootCauses))
+			e.log(req, strconv.Itoa(len(d.RootCauses)), " root causes are identified")
 		}
 	case len(d.Suspected) > 0:
 		d.Conclusion = ConclusionSuspected
-		e.log(req, "Diagnosis inconclusive: %d possible root causes suspected but not confirmed", len(d.Suspected))
+		e.log(req, "Diagnosis inconclusive: ", strconv.Itoa(len(d.Suspected)), " possible root causes suspected but not confirmed")
 	default:
 		d.Conclusion = ConclusionNone
 		e.log(req, "No root cause identified")
@@ -547,20 +582,10 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	mWalkDuration.Observe(clock.Wall.Since(wallStart).Seconds())
 	mCausesFound.Add(float64(len(d.RootCauses)))
 	span.SetAttr("conclusion", string(d.Conclusion))
-	span.SetAttr("tests", fmt.Sprintf("%d", len(d.TestsRun)))
+	span.SetAttr("tests", strconv.Itoa(len(d.TestsRun)))
 	span.SetAttr("simDuration", d.Duration.String())
 	span.End()
 	return d
-}
-
-// selectPlans picks the diagnosis plans for the request.
-func (e *Engine) selectPlans(req Request) []*diagplan.Plan {
-	if req.AssertionID != "" {
-		return e.cat.Select(req.AssertionID)
-	}
-	// All() is sorted by plan id: deterministic order for reproducible
-	// diagnoses.
-	return e.cat.All()
 }
 
 // walkInto visits the preference-ordered targets and merges the resulting
@@ -572,7 +597,7 @@ func (e *Engine) selectPlans(req Request) []*diagplan.Plan {
 // confirmed branch. Probability order is thus a preference in both
 // modes, and the committed result is identical; parallel walks merely
 // spend speculative tests (visible in TestsRun) to cut latency.
-func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []target) {
+func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []*diagplan.VNode) {
 	if br.confirmed || len(targets) == 0 {
 		return
 	}
@@ -599,7 +624,7 @@ func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []tar
 		}
 		sub := &branch{}
 		subs[i] = sub
-		visit := func(i int, t target, sub *branch) {
+		visit := func(i int, t *diagplan.VNode, sub *branch) {
 			e.visit(ctx, r, sub, t)
 			if sub.confirmed {
 				for {
@@ -613,7 +638,7 @@ func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []tar
 		select {
 		case e.sem <- struct{}{}:
 			wg.Add(1)
-			go func(i int, t target, sub *branch) {
+			go func(i int, t *diagplan.VNode, sub *branch) {
 				defer wg.Done()
 				defer func() { <-e.sem }()
 				visit(i, t, sub)
@@ -634,11 +659,10 @@ func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []tar
 	}
 }
 
-// visit walks one (instantiated, pruned) plan node entry-down into br. A
-// node already claimed by another branch — a fan-in target whose shared
-// sub-graph was evaluated first through a different parent — is skipped.
-func (e *Engine) visit(ctx context.Context, r *run, br *branch, t target) {
-	p, n := t.p, t.n
+// visit walks one plan node entry-down into br. A node already claimed by
+// another branch — a fan-in target whose shared sub-graph was evaluated
+// first through a different parent — is skipped.
+func (e *Engine) visit(ctx context.Context, r *run, br *branch, n *diagplan.VNode) {
 	if !r.claim(n) {
 		return
 	}
@@ -649,44 +673,37 @@ func (e *Engine) visit(ctx context.Context, r *run, br *branch, t target) {
 			// Error not present: exclude every cause reachable under this
 			// node. Tallying and the n/m exclusion log are deferred to
 			// commit, where fan-in shared causes are deduplicated.
-			br.exclusions = append(br.exclusions, exclusion{
-				node: n, planID: p.ID, causes: p.CausesUnder(n.ID), res: res, fresh: fresh,
-			})
+			br.exclusions = append(br.exclusions, exclusion{node: n, res: res, fresh: fresh})
 			return
 		case assertion.StatusError:
 			// Inconclusive: this node cannot be checked. A sink becomes a
 			// suspect; an interior node is still descended into, since
 			// its children's tests may be independently runnable.
 			if fresh {
-				e.log(r.req, "Could not verify %s: %s", n.ID, res.Err)
+				e.log(r.req, "Could not verify ", n.ID, ": ", res.Err)
 			}
-			if n.Leaf() {
-				br.suspect(n)
+			if len(n.Children) == 0 {
+				br.suspect(r, n)
 				return
 			}
 		case assertion.StatusFail:
 			if fresh {
-				e.log(r.req, "Failed verification of %s: %s", n.ID, res.Message)
+				e.log(r.req, "Failed verification of ", n.ID, ": ", res.Message)
 			}
-			if n.IsCause() {
-				br.confirm(n)
+			if n.Cause {
+				br.confirm(r, n)
 				if r.latch {
 					br.confirmed = true
 				}
 				return
 			}
 		}
-	} else if n.IsCause() {
+	} else if n.Cause {
 		// Untestable cause under a present error: suspected only.
-		br.suspect(n)
+		br.suspect(r, n)
 		return
 	}
-	kids := p.Children(n)
-	next := make([]target, len(kids))
-	for i, c := range kids {
-		next[i] = target{p: p, n: c}
-	}
-	e.walkInto(ctx, r, br, next)
+	e.walkInto(ctx, r, br, n.Children)
 }
 
 // commit folds the merged top-level branch into the Diagnosis on the
@@ -697,18 +714,20 @@ func (e *Engine) visit(ctx context.Context, r *run, br *branch, t target) {
 // suffixes, so identity is by node id or by instantiated description.
 func (e *Engine) commit(r *run, br *branch) {
 	d := r.diag
-	excluded := make(map[string]bool)
+	var excluded bitset
 	for _, ex := range br.exclusions {
-		for _, id := range ex.causes {
-			key := ex.planID + ":" + id
-			if !excluded[key] {
-				excluded[key] = true
+		if excluded == nil {
+			excluded = newBitset(e.cat.NodeCount())
+		}
+		for _, c := range ex.node.CausesUnder {
+			if !excluded.has(c.Index) {
+				excluded.set(c.Index)
 				d.Excluded++
 			}
 		}
 		if ex.fresh {
-			e.log(r.req, "Verified %s: %s %d/%d faults are excluded",
-				ex.node.ID, ex.res.Message, d.Excluded, d.PotentialFaults)
+			e.log(r.req, "Verified ", ex.node.ID, ": ", ex.res.Message, " ",
+				strconv.Itoa(d.Excluded), "/", strconv.Itoa(d.PotentialFaults), " faults are excluded")
 		}
 	}
 	for _, c := range br.causes {
@@ -734,20 +753,19 @@ func (e *Engine) commit(r *run, br *branch) {
 // confirmation are discarded, and speculative causes must not leave
 // evidence behind.
 func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string) {
-	for _, p := range r.plans {
-		if !p.Has(c.NodeID) {
-			continue
+	// The citing plan is the first selected one that has a node of that id.
+	var n *diagplan.VNode
+	for _, v := range r.views {
+		if n = v.Node(c.NodeID); n != nil {
+			path = n.Path
+			break
 		}
-		if pt := p.PathTo(c.NodeID); pt != "" {
-			path = p.ID + ":" + pt
-		}
-		break
 	}
 	if r.op == nil {
 		return 0, path
 	}
 	r.mu.Lock()
-	te := r.testEntry[c.NodeID]
+	te := r.testEntry(c.NodeID)
 	r.mu.Unlock()
 	attrs := map[string]string{
 		"node":      c.NodeID,
@@ -756,14 +774,8 @@ func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string)
 	if path != "" {
 		attrs["path"] = path
 	}
-	for _, p := range r.plans {
-		if !p.Has(c.NodeID) {
-			continue
-		}
-		if parents := p.Parents(c.NodeID); len(parents) > 0 {
-			attrs["parents"] = strings.Join(parents, ",")
-		}
-		break
+	if n != nil && n.Parents != "" {
+		attrs["parents"] = n.Parents
 	}
 	msg := "confirmed cause: " + c.Description
 	if !confirmed {
@@ -799,11 +811,11 @@ func hasCause(list []Cause, c Cause) bool {
 // only, never from the plan or node the test was reached through: a tree-
 // compiled plan and a native DAG plan running the same check share cache
 // entries.
-func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.Result, bool) {
-	params := r.req.Params.Merge(n.CheckParams)
+func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion.Result, bool) {
+	params := n.TestParams(r.req.Params)
 	key := cacheKey(n.CheckID, params)
 	r.mu.Lock()
-	res, ok := r.local[key]
+	res, ok := r.cached(key)
 	r.mu.Unlock()
 	if ok {
 		mCacheHits.Inc()
@@ -812,7 +824,7 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.
 	if e.resil.Open(n.CheckID) {
 		// Breaker open: skip before touching the budget or the shared
 		// cache, so an unknown never displaces or poisons a real answer.
-		r.recordTest(n, "error", map[string]string{"breaker": "open"})
+		r.recordTest(n, "error", "breaker", "open", nil)
 		return unknownResult(n.CheckID, params), false
 	}
 
@@ -839,7 +851,7 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.
 		if r.op != nil {
 			span.SetAttr("op", r.op.Operation())
 		}
-		e.log(r.req, "Verifying %s", strings.TrimSuffix(n.Description, "."))
+		e.log(r.req, "Verifying ", strings.TrimSuffix(n.Description(r.req.Params), "."))
 		var res assertion.Result
 		out := e.resil.Do(ctx, n.CheckID, func(ctx context.Context) resilience.Verdict {
 			tctx, cancel := clock.ContextWithTimeout(ctx, e.clk, e.opts.TestTimeout)
@@ -881,7 +893,7 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.
 	}
 	if outcome == OutcomeRejected {
 		mBudgetExhausted.Inc()
-		r.recordTest(n, "error", map[string]string{"budget": "exhausted"})
+		r.recordTest(n, "error", "budget", "exhausted", nil)
 		// Not recorded in TestsRun and not logged: no test actually ran.
 		return budgetExhaustedResult(n.CheckID, params), false
 	}
@@ -890,67 +902,101 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.
 	}
 
 	r.mu.Lock()
-	if prior, ok := r.local[key]; ok {
+	if prior, ok := r.cached(key); ok {
 		// Another goroutine of this run recorded the answer first.
 		r.mu.Unlock()
 		return prior, false
 	}
-	r.local[key] = res
+	r.testKeys = append(r.testKeys, key)
 	r.diag.TestsRun = append(r.diag.TestsRun, res)
 	r.mu.Unlock()
-	attrs := map[string]string{"cached": strconv.FormatBool(res.Cached)}
+	var labels *resilience.Outcome
 	if outcome == OutcomeEvaluated {
-		for k, v := range resOut.Labels() {
-			attrs[k] = v
-		}
+		labels = &resOut
 	}
-	r.recordTest(n, res.Status.String(), attrs)
+	r.recordTest(n, res.Status.String(), "cached", strconv.FormatBool(res.Cached), labels)
 	return res, outcome == OutcomeEvaluated
 }
 
 // cacheKey builds an injective key from the check id and parameters:
 // every field is length-prefixed, so no delimiter bytes inside ids, keys
-// or values can make two distinct inputs collide.
+// or values can make two distinct inputs collide. Parameters are written in
+// key order.
 func cacheKey(checkID string, p assertion.Params) string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
+	var buf [16]string // the standard parameter set fits without allocating
+	keys := buf[:0]
+	size := lenPrefixed(checkID)
+	for k, v := range p {
 		keys = append(keys, k)
+		size += lenPrefixed(k) + lenPrefixed(v)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
-	b.WriteString(strconv.Itoa(len(checkID)))
-	b.WriteByte(':')
-	b.WriteString(checkID)
+	b.Grow(size)
+	writePrefixed(&b, checkID)
 	for _, k := range keys {
-		v := p[k]
-		b.WriteString(strconv.Itoa(len(k)))
-		b.WriteByte(':')
-		b.WriteString(k)
-		b.WriteString(strconv.Itoa(len(v)))
-		b.WriteByte(':')
-		b.WriteString(v)
+		writePrefixed(&b, k)
+		writePrefixed(&b, p[k])
 	}
 	return b.String()
 }
 
-// log emits a diagnosis log event in the paper's format.
-func (e *Engine) log(req Request, format string, args ...any) {
+// lenPrefixed is the length of s as writePrefixed writes it.
+func lenPrefixed(s string) int {
+	digits := 1
+	for n := len(s); n >= 10; n /= 10 {
+		digits++
+	}
+	return digits + 1 + len(s)
+}
+
+// writePrefixed writes len(s), a colon, and s.
+func writePrefixed(b *strings.Builder, s string) {
+	var digits [20]byte
+	b.Write(strconv.AppendInt(digits[:0], int64(len(s)), 10))
+	b.WriteByte(':')
+	b.WriteString(s)
+}
+
+// logTags is shared by every diagnosis log event; subscribers treat event
+// tags as read-only.
+var logTags = []string{"diagnosis"}
+
+// log emits a diagnosis log event in the paper's format; the message is the
+// concatenation of parts.
+func (e *Engine) log(req Request, parts ...string) {
 	if e.bus == nil {
 		return
 	}
 	ts := e.clk.Now()
-	msg := fmt.Sprintf(format, args...)
+	var stamp [len(logging.TimestampLayout) + 8]byte
+	when := ts.AppendFormat(stamp[:0], logging.TimestampLayout)
+	size := len("[] [diagnosis] [] [] ") + len(when) + len(req.ProcessInstanceID) + len(req.StepID)
+	for _, p := range parts {
+		size += len(p)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteByte('[')
+	b.Write(when)
+	b.WriteString("] [diagnosis] [")
+	b.WriteString(req.ProcessInstanceID)
+	b.WriteString("] [")
+	b.WriteString(req.StepID)
+	b.WriteString("] ")
+	for _, p := range parts {
+		b.WriteString(p)
+	}
 	e.bus.Publish(logging.Event{
 		Timestamp:  ts,
 		Source:     "diagnosis.log",
 		SourceHost: "pod-diagnosis",
 		Type:       logging.TypeDiagnosis,
-		Tags:       []string{"diagnosis"},
+		Tags:       logTags,
 		Fields: map[string]string{
 			"taskid": req.ProcessInstanceID,
 			"stepid": req.StepID,
 		},
-		Message: fmt.Sprintf("[%s] [diagnosis] [%s] [%s] %s",
-			ts.Format(logging.TimestampLayout), req.ProcessInstanceID, req.StepID, msg),
+		Message: b.String(),
 	})
 }

@@ -56,18 +56,19 @@ func passCheck(id string) assertion.Check {
 
 // Regression for the double-instantiation bug: Diagnose used to build and
 // prune every selected tree twice (once to count potential faults, once
-// to walk).
+// to walk). Plans are no longer copied at all; what happens once per run is
+// the bind step that picks each plan's compiled view.
 func TestTreesInstantiatedOncePerRun(t *testing.T) {
 	e := newDiagEnv(t, 1, Options{})
 	counts := make(map[string]int)
-	e.engine.testHookInstantiate = func(treeID string) { counts[treeID]++ }
+	e.engine.testHookBind = func(planID string) { counts[planID]++ }
 	e.engine.Diagnose(e.ctx, e.request(process.StepNewReady))
 	if len(counts) == 0 {
-		t.Fatal("no trees instantiated")
+		t.Fatal("no plans bound")
 	}
 	for id, n := range counts {
 		if n != 1 {
-			t.Errorf("tree %s instantiated %d times, want 1", id, n)
+			t.Errorf("plan %s bound %d times, want 1", id, n)
 		}
 	}
 }

@@ -10,21 +10,26 @@ import (
 // Catalog holds diagnosis plans, keyed by plan id and by assertion id —
 // the plan-shaped successor of the fault-tree Repository. Several plans
 // may serve one assertion; the diagnosis engine consults them all.
+//
+// Registering a plan compiles it (see Compiled), so a registered plan must
+// not be modified afterwards.
 type Catalog struct {
 	byID        map[string]*Plan
-	byAssertion map[string][]*Plan
-	order       []*Plan // registration order, for stable All() before sorting
+	byAssertion map[string][]*Compiled // in registration order
+	sorted      []*Compiled            // every plan, by plan id
+	nodes       int                    // nodes across all plans: the next VNode.Index
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
 		byID:        make(map[string]*Plan),
-		byAssertion: make(map[string][]*Plan),
+		byAssertion: make(map[string][]*Compiled),
 	}
 }
 
-// Register adds a plan. Plan ids are the catalog key and must be unique.
+// Register adds a plan and compiles its walk form. Plan ids are the
+// catalog key and must be unique, as must node ids within the plan.
 func (c *Catalog) Register(p *Plan) error {
 	if p == nil || p.ID == "" {
 		return fmt.Errorf("diagplan: cannot register a plan without an id")
@@ -32,9 +37,17 @@ func (c *Catalog) Register(p *Plan) error {
 	if _, dup := c.byID[p.ID]; dup {
 		return fmt.Errorf("diagplan: duplicate plan id %q", p.ID)
 	}
+	if err := p.reindex(); err != nil {
+		return err
+	}
+	cp := compile(p, c.nodes)
+	c.nodes += len(p.Nodes)
 	c.byID[p.ID] = p
-	c.byAssertion[p.AssertionID] = append(c.byAssertion[p.AssertionID], p)
-	c.order = append(c.order, p)
+	c.byAssertion[p.AssertionID] = append(c.byAssertion[p.AssertionID], cp)
+	at := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i].Plan.ID > p.ID })
+	c.sorted = append(c.sorted, nil)
+	copy(c.sorted[at+1:], c.sorted[at:])
+	c.sorted[at] = cp
 	return nil
 }
 
@@ -51,16 +64,35 @@ func (c *Catalog) Get(id string) *Plan { return c.byID[id] }
 
 // Select returns the plans for the given assertion id.
 func (c *Catalog) Select(assertionID string) []*Plan {
-	return append([]*Plan(nil), c.byAssertion[assertionID]...)
+	return plansOf(c.byAssertion[assertionID])
 }
+
+func plansOf(cs []*Compiled) []*Plan {
+	var out []*Plan
+	for _, c := range cs {
+		out = append(out, c.Plan)
+	}
+	return out
+}
+
+// Compiled returns the walk forms of the plans a diagnosis triggered by
+// assertionID consults: those Select returns, in the same order, or — for
+// an empty assertionID — every plan, sorted by plan id like All. NodeCount
+// bounds the VNode.Index values found in them. The slice is shared; callers
+// must not modify it.
+func (c *Catalog) Compiled(assertionID string) []*Compiled {
+	if assertionID == "" {
+		return c.sorted
+	}
+	return c.byAssertion[assertionID]
+}
+
+// NodeCount returns the number of nodes across all registered plans.
+func (c *Catalog) NodeCount() int { return c.nodes }
 
 // All returns every registered plan, sorted by plan id for deterministic
 // unscoped diagnoses.
-func (c *Catalog) All() []*Plan {
-	out := append([]*Plan(nil), c.order...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (c *Catalog) All() []*Plan { return plansOf(c.sorted) }
 
 // Validate validates every plan in the catalog against the registry.
 func (c *Catalog) Validate(reg *assertion.Registry) error {

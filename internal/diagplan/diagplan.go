@@ -474,13 +474,11 @@ func (p *Plan) CausesUnder(nodeID string) []string {
 	return out
 }
 
-// substitute replaces {key} placeholders with values from params.
+// substitute replaces {key} placeholders with values from params, in one
+// left-to-right pass (see template).
 func substitute(s string, params assertion.Params) string {
 	if !strings.Contains(s, "{") {
 		return s
 	}
-	for k, v := range params {
-		s = strings.ReplaceAll(s, "{"+k+"}", v)
-	}
-	return s
+	return parseTemplate(s).render(params)
 }

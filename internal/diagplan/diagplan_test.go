@@ -251,3 +251,51 @@ func TestDOTRender(t *testing.T) {
 		}
 	}
 }
+
+// Substitution is one left-to-right pass: a parameter value that itself
+// looks like a placeholder is never substituted again, so the answer does
+// not depend on map iteration order (ranging over the parameters and
+// replacing key by key, it did).
+func TestInstantiateSubstitutesInOnePass(t *testing.T) {
+	params := assertion.Params{"a": "{b}", "b": "x"}
+	p := &Plan{ID: "p", Entry: "e", Nodes: []*Node{
+		{ID: "e", Kind: KindEntry, Description: "{a} then {b}", CheckParams: assertion.Params{"k": "{a}/{b}/{c}"}},
+	}}
+	for i := 0; i < 100; i++ {
+		n := p.Instantiate(params).Node("e")
+		if n.Description != "{b} then x" || n.CheckParams["k"] != "{b}/x/{c}" {
+			t.Fatalf("run %d: description %q, check param %q", i, n.Description, n.CheckParams["k"])
+		}
+	}
+}
+
+func TestSubstituteEdgeCases(t *testing.T) {
+	params := assertion.Params{"a": "A", "b": "", "": "empty"}
+	for in, want := range map[string]string{
+		"":              "",
+		"plain":         "plain",
+		"{a}":           "A",
+		"x{a}y{a}z":     "xAyAz",
+		"{a}{b}{a}":     "AA",
+		"{unknown} {a}": "{unknown} A",
+		"{":             "{",
+		"}{a":           "}{a",
+		"{a":            "{a",
+		"a}":            "a}",
+		"{}":            "empty",
+		"{{a}}":         "{A}",
+		"{x{a}y}":       "{xAy}",
+		"{a}}{":         "A}{",
+		"{ a }":         "{ a }",
+	} {
+		if got := substitute(in, params); got != want {
+			t.Errorf("substitute(%q) = %q, want %q", in, got, want)
+		}
+		if got := parseTemplate(in).render(params); got != want {
+			t.Errorf("render(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if got := substitute("{a}", nil); got != "{a}" {
+		t.Errorf("substitute with no params = %q", got)
+	}
+}

@@ -34,5 +34,8 @@ func FuzzParse(f *testing.F) {
 		_ = p.PotentialRootCauses()
 		_ = p.Prune("step1")
 		_ = p.Instantiate(nil)
+		if err := NewCatalog().Register(p); err != nil {
+			t.Fatalf("valid plan refused by Register: %v", err)
+		}
 	})
 }

@@ -60,13 +60,12 @@ func (c *Cloud) DescribeLaunchConfiguration(ctx context.Context, name string) (L
 		return LaunchConfig{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	lc, ok := v.lcs[name]
+	defer c.mu.Unlock()
+	lc, ok := c.view().lcs[name]
 	if !ok {
 		return LaunchConfig{}, newErr(op, ErrCodeLaunchConfigNotFound, "launch configuration %q not found", name)
 	}
-	return lc, nil
+	return copyLC(lc), nil
 }
 
 // CreateAutoScalingGroup creates an ASG. The reconciler will launch
@@ -130,13 +129,12 @@ func (c *Cloud) DescribeAutoScalingGroup(ctx context.Context, name string) (ASG,
 		return ASG{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	asg, ok := v.asgs[name]
+	defer c.mu.Unlock()
+	asg, ok := c.view().asgs[name]
 	if !ok {
 		return ASG{}, newErr(op, ErrCodeASGNotFound, "auto scaling group %q not found", name)
 	}
-	return asg, nil
+	return copyASG(asg), nil
 }
 
 // UpdateAutoScalingGroup changes the launch configuration and/or capacity
@@ -236,13 +234,12 @@ func (c *Cloud) DescribeScalingActivities(ctx context.Context, name string) ([]A
 		return nil, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	asg, ok := v.asgs[name]
+	defer c.mu.Unlock()
+	asg, ok := c.view().asgs[name]
 	if !ok {
 		return nil, newErr(op, ErrCodeASGNotFound, "auto scaling group %q not found", name)
 	}
-	return asg.Activities, nil
+	return append([]Activity(nil), asg.Activities...), nil
 }
 
 // addActivity prepends a scaling activity and publishes a cloud log line.

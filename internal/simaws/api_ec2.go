@@ -52,13 +52,12 @@ func (c *Cloud) DescribeImage(ctx context.Context, id string) (Image, error) {
 		return Image{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	img, ok := v.images[id]
+	defer c.mu.Unlock()
+	img, ok := c.view().images[id]
 	if !ok {
 		return Image{}, newErr(op, ErrCodeInvalidAMINotFound, "the image id %q does not exist", id)
 	}
-	return img, nil
+	return copyImage(img), nil
 }
 
 // ImportKeyPair registers a key pair under the given name.
@@ -104,13 +103,12 @@ func (c *Cloud) DescribeKeyPair(ctx context.Context, name string) (KeyPair, erro
 		return KeyPair{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	kp, ok := v.keyPairs[name]
+	defer c.mu.Unlock()
+	kp, ok := c.view().keyPairs[name]
 	if !ok {
 		return KeyPair{}, newErr(op, ErrCodeInvalidKeyPair, "the key pair %q does not exist", name)
 	}
-	return kp, nil
+	return *kp, nil
 }
 
 // CreateSecurityGroup creates a named security group with the given open
@@ -158,13 +156,12 @@ func (c *Cloud) DescribeSecurityGroup(ctx context.Context, name string) (Securit
 		return SecurityGroup{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	sg, ok := v.sgs[name]
+	defer c.mu.Unlock()
+	sg, ok := c.view().sgs[name]
 	if !ok {
 		return SecurityGroup{}, newErr(op, ErrCodeInvalidGroupNotFound, "the security group %q does not exist", name)
 	}
-	return sg, nil
+	return copySG(sg), nil
 }
 
 // DescribeInstance returns one instance by id.
@@ -174,13 +171,12 @@ func (c *Cloud) DescribeInstance(ctx context.Context, id string) (Instance, erro
 		return Instance{}, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	inst, ok := v.instances[id]
+	defer c.mu.Unlock()
+	inst, ok := c.view().instances[id]
 	if !ok {
 		return Instance{}, newErr(op, ErrCodeInvalidInstance, "the instance id %q does not exist", id)
 	}
-	return inst, nil
+	return copyInstance(inst), nil
 }
 
 // DescribeInstances returns all instances, sorted by id. Terminated
@@ -191,12 +187,12 @@ func (c *Cloud) DescribeInstances(ctx context.Context) ([]Instance, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	v := c.view()
-	c.mu.Unlock()
-	out := make([]Instance, 0, len(v.instances))
-	for _, inst := range v.instances {
-		out = append(out, inst)
+	instances := c.view().instances
+	out := make([]Instance, 0, len(instances))
+	for _, inst := range instances {
+		out = append(out, copyInstance(inst))
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }

@@ -55,17 +55,16 @@ func (c *Cloud) DescribeLoadBalancer(ctx context.Context, name string) (LoadBala
 		return LoadBalancer{}, err
 	}
 	c.mu.Lock()
-	guardErr := c.elbGuard(op)
-	v := c.view()
-	c.mu.Unlock()
-	if guardErr != nil {
-		return LoadBalancer{}, guardErr
+	defer c.mu.Unlock()
+	v := c.view() // drawn before the guard answers, so a disruption does not shift the seeded sequence
+	if err := c.elbGuard(op); err != nil {
+		return LoadBalancer{}, err
 	}
 	elb, ok := v.elbs[name]
 	if !ok {
 		return LoadBalancer{}, newErr(op, ErrCodeLoadBalancerNotFound, "load balancer %q not found", name)
 	}
-	return elb, nil
+	return copyELB(elb), nil
 }
 
 // RegisterInstancesWithLoadBalancer adds instances to an ELB.
@@ -125,11 +124,10 @@ func (c *Cloud) DescribeInstanceHealth(ctx context.Context, name string) ([]Inst
 		return nil, err
 	}
 	c.mu.Lock()
-	guardErr := c.elbGuard(op)
-	v := c.view()
-	c.mu.Unlock()
-	if guardErr != nil {
-		return nil, guardErr
+	defer c.mu.Unlock()
+	v := c.view() // drawn before the guard answers, as in DescribeLoadBalancer
+	if err := c.elbGuard(op); err != nil {
+		return nil, err
 	}
 	elb, ok := v.elbs[name]
 	if !ok {

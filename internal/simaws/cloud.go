@@ -20,15 +20,9 @@ type Cloud struct {
 	bus     *logging.Bus  // may be nil
 	inject  FaultInjector // may be nil
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	images    map[string]*Image
-	keyPairs  map[string]*KeyPair
-	sgs       map[string]*SecurityGroup // by name
-	lcs       map[string]*LaunchConfig
-	asgs      map[string]*ASG
-	elbs      map[string]*LoadBalancer
-	instances map[string]*Instance
+	mu  sync.Mutex
+	rng *rand.Rand
+	resources
 
 	elbDisrupted  bool
 	externalUsage int // live instances held by the co-tenant team
@@ -94,16 +88,18 @@ func WithFaultInjector(f FaultInjector) Option {
 // not running until Start is called.
 func New(clk clock.Clock, profile Profile, opts ...Option) *Cloud {
 	c := &Cloud{
-		clk:           clk,
-		profile:       profile,
-		rng:           rand.New(rand.NewSource(1)),
-		images:        make(map[string]*Image),
-		keyPairs:      make(map[string]*KeyPair),
-		sgs:           make(map[string]*SecurityGroup),
-		lcs:           make(map[string]*LaunchConfig),
-		asgs:          make(map[string]*ASG),
-		elbs:          make(map[string]*LoadBalancer),
-		instances:     make(map[string]*Instance),
+		clk:     clk,
+		profile: profile,
+		rng:     rand.New(rand.NewSource(1)),
+		resources: resources{
+			images:    make(map[string]*Image),
+			keyPairs:  make(map[string]*KeyPair),
+			sgs:       make(map[string]*SecurityGroup),
+			lcs:       make(map[string]*LaunchConfig),
+			asgs:      make(map[string]*ASG),
+			elbs:      make(map[string]*LoadBalancer),
+			instances: make(map[string]*Instance),
+		},
 		launchBackoff: make(map[string]time.Time),
 		stop:          make(chan struct{}),
 	}

@@ -2,23 +2,32 @@ package simaws
 
 import "time"
 
-// Eventual consistency model: the reconciler records a full deep-copy
-// snapshot of account state every tick. Describe* calls are served either
-// from live state or — with probability Profile.StaleProb — from the most
-// recent snapshot older than a sampled lag. This reproduces the behaviour
-// the paper's "consistent AWS API layer" (§IV) exists to mask: reads that
-// do not yet reflect a recently acknowledged mutation.
+// Eventual consistency model: while the profile can serve stale reads
+// (StaleProb > 0) the reconciler records a deep-copy snapshot of account
+// state every tick. Describe* calls read either live state or — with
+// probability Profile.StaleProb — the most recent snapshot older than a
+// sampled lag, and copy out only the resource(s) they return. This
+// reproduces the behaviour the paper's "consistent AWS API layer" (§IV)
+// exists to mask: reads that do not yet reflect a recently acknowledged
+// mutation.
+
+// resources is the account's describable state: the cloud's live maps, and
+// the shape of every recorded snapshot, so a describe call reads either
+// through the same code.
+type resources struct {
+	images    map[string]*Image
+	keyPairs  map[string]*KeyPair
+	sgs       map[string]*SecurityGroup // by name
+	lcs       map[string]*LaunchConfig
+	asgs      map[string]*ASG
+	elbs      map[string]*LoadBalancer
+	instances map[string]*Instance
+}
 
 // snapshot is an immutable deep copy of the whole account at one instant.
 type snapshot struct {
-	at        time.Time
-	images    map[string]Image
-	keyPairs  map[string]KeyPair
-	sgs       map[string]SecurityGroup
-	lcs       map[string]LaunchConfig
-	asgs      map[string]ASG
-	elbs      map[string]LoadBalancer
-	instances map[string]Instance
+	at time.Time
+	resources
 }
 
 // maxSnapshotAge bounds the retained history.
@@ -26,43 +35,34 @@ const maxSnapshotAge = 30 * time.Second
 
 // captureSnapshot deep-copies current state. Caller must hold mu.
 func (c *Cloud) captureSnapshot() snapshot {
-	s := snapshot{
-		at:        c.now(),
-		images:    make(map[string]Image, len(c.images)),
-		keyPairs:  make(map[string]KeyPair, len(c.keyPairs)),
-		sgs:       make(map[string]SecurityGroup, len(c.sgs)),
-		lcs:       make(map[string]LaunchConfig, len(c.lcs)),
-		asgs:      make(map[string]ASG, len(c.asgs)),
-		elbs:      make(map[string]LoadBalancer, len(c.elbs)),
-		instances: make(map[string]Instance, len(c.instances)),
-	}
-	for id, v := range c.images {
-		s.images[id] = copyImage(v)
-	}
-	for id, v := range c.keyPairs {
-		s.keyPairs[id] = *v
-	}
-	for id, v := range c.sgs {
-		s.sgs[id] = copySG(v)
-	}
-	for id, v := range c.lcs {
-		s.lcs[id] = copyLC(v)
-	}
-	for id, v := range c.asgs {
-		s.asgs[id] = copyASG(v)
-	}
-	for id, v := range c.elbs {
-		s.elbs[id] = copyELB(v)
-	}
-	for id, v := range c.instances {
-		s.instances[id] = copyInstance(v)
-	}
-	return s
+	return snapshot{at: c.now(), resources: resources{
+		images:    copyAll(c.images, copyImage),
+		keyPairs:  copyAll(c.keyPairs, func(v *KeyPair) KeyPair { return *v }),
+		sgs:       copyAll(c.sgs, copySG),
+		lcs:       copyAll(c.lcs, copyLC),
+		asgs:      copyAll(c.asgs, copyASG),
+		elbs:      copyAll(c.elbs, copyELB),
+		instances: copyAll(c.instances, copyInstance),
+	}}
 }
 
-// recordSnapshot appends a snapshot and prunes old history. Caller must
-// hold mu.
+// copyAll deep-copies one resource map.
+func copyAll[T any](src map[string]*T, deepCopy func(*T) T) map[string]*T {
+	out := make(map[string]*T, len(src))
+	for id, v := range src {
+		cp := deepCopy(v)
+		out[id] = &cp
+	}
+	return out
+}
+
+// recordSnapshot appends a snapshot and prunes old history. A profile that
+// never serves stale reads records nothing: no read could select it. Caller
+// must hold mu.
 func (c *Cloud) recordSnapshot() {
+	if c.profile.StaleProb <= 0 {
+		return
+	}
 	s := c.captureSnapshot()
 	c.snapshots = append(c.snapshots, s)
 	cutoff := s.at.Add(-maxSnapshotAge)
@@ -76,23 +76,24 @@ func (c *Cloud) recordSnapshot() {
 }
 
 // view returns the state a describe call observes: usually live state,
-// sometimes a stale snapshot. Caller must hold mu; the returned snapshot
-// is safe to read after releasing mu.
-func (c *Cloud) view() snapshot {
+// sometimes a stale snapshot. Caller must hold mu while reading the view and
+// must copy whatever it returns to its own caller — the live maps change
+// under mu and snapshots are shared between reads.
+func (c *Cloud) view() *resources {
 	if c.profile.StaleProb > 0 && len(c.snapshots) > 0 && c.rng.Float64() < c.profile.StaleProb {
 		mStaleReads.Inc()
 		lag := c.profile.StaleLag.Sample(c.rng)
 		target := c.now().Add(-lag)
 		// Newest snapshot at or before target; fall back to oldest.
-		best := c.snapshots[0]
-		for _, s := range c.snapshots {
-			if !s.at.After(target) {
-				best = s
+		best := &c.snapshots[0]
+		for i := range c.snapshots {
+			if !c.snapshots[i].at.After(target) {
+				best = &c.snapshots[i]
 			}
 		}
-		return best
+		return &best.resources
 	}
-	return c.captureSnapshot()
+	return &c.resources
 }
 
 func copyImage(v *Image) Image {

@@ -2,6 +2,8 @@ package simaws
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +65,8 @@ func TestSnapshotHistoryBounded(t *testing.T) {
 	clk := clock.NewScaled(5000, time.Unix(0, 0))
 	profile := FastProfile()
 	profile.TickInterval = 50 * time.Millisecond
+	profile.StaleProb = 0.05 // snapshots are recorded only while a read could be served one
+	profile.StaleLag = clock.Fixed(time.Second)
 	c := New(clk, profile, WithSeed(1))
 	c.Start()
 	defer c.Stop()
@@ -81,31 +85,108 @@ func TestSnapshotHistoryBounded(t *testing.T) {
 	}
 }
 
+// TestNoSnapshotsWithoutStaleReads: a profile that can never serve a stale
+// read retains no account copies, however long the reconciler runs.
+func TestNoSnapshotsWithoutStaleReads(t *testing.T) {
+	c, _, _ := steppedCloud(t, FastProfile(), 2)
+	for i := 0; i < 100; i++ {
+		c.tick()
+	}
+	if n := len(c.snapshots); n != 0 {
+		t.Fatalf("FastProfile cloud retains %d snapshots, want 0", n)
+	}
+}
+
 // TestDescribeReturnsCopies: mutating a describe result must not affect
-// cloud state.
+// cloud state — live state, or the recorded snapshots stale reads share.
 func TestDescribeReturnsCopies(t *testing.T) {
-	clk := clock.NewScaled(1000, time.Unix(0, 0))
-	c := New(clk, FastProfile(), WithSeed(1))
-	c.Start()
-	defer c.Stop()
-	ctx := context.Background()
-	ami, err := c.RegisterImage(ctx, "x", "v1", []string{"svc"})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		staleProb float64
+	}{{"live", 0}, {"stale", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			profile := FastProfile()
+			profile.StaleProb = tc.staleProb
+			c, clk, f := steppedCloud(t, profile, 2)
+			ctx := f.ctx
+			for i := 0; i < 3; i++ { // launch, boot, register with the ELB
+				clk.Advance(time.Second)
+				c.tick()
+			}
+			ids := c.asgs[f.asgName].Instances
+			if len(ids) != 2 || len(c.asgs[f.asgName].Activities) == 0 || len(c.elbs[f.elbName].Instances) != 2 {
+				t.Fatalf("fixture not settled: %+v", c.asgs[f.asgName])
+			}
+			// Each read is taken twice; scribbling over every slice and field of
+			// the first result must leave the second identical to a pristine one.
+			reads := map[string]func() (any, error){
+				"DescribeImage":               func() (any, error) { return c.DescribeImage(ctx, f.amiV1) },
+				"DescribeKeyPair":             func() (any, error) { return c.DescribeKeyPair(ctx, f.keyName) },
+				"DescribeSecurityGroup":       func() (any, error) { return c.DescribeSecurityGroup(ctx, f.sgName) },
+				"DescribeLaunchConfiguration": func() (any, error) { return c.DescribeLaunchConfiguration(ctx, f.lcName) },
+				"DescribeAutoScalingGroup":    func() (any, error) { return c.DescribeAutoScalingGroup(ctx, f.asgName) },
+				"DescribeScalingActivities":   func() (any, error) { return c.DescribeScalingActivities(ctx, f.asgName) },
+				"DescribeInstance":            func() (any, error) { return c.DescribeInstance(ctx, ids[0]) },
+				"DescribeInstances":           func() (any, error) { return c.DescribeInstances(ctx) },
+				"DescribeLoadBalancer":        func() (any, error) { return c.DescribeLoadBalancer(ctx, f.elbName) },
+				"DescribeInstanceHealth":      func() (any, error) { return c.DescribeInstanceHealth(ctx, f.elbName) },
+			}
+			for name, read := range reads {
+				first, err := read()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := fmt.Sprintf("%#v", first)
+				if n := scribble(reflect.ValueOf(&first).Elem()); n == 0 {
+					t.Fatalf("%s: nothing to mutate in %s", name, want)
+				}
+				again, err := read()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := fmt.Sprintf("%#v", again); got != want {
+					t.Errorf("%s leaked internal state:\n got %s\nwant %s", name, got, want)
+				}
+			}
+		})
 	}
-	img, err := c.DescribeImage(ctx, ami)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// scribble overwrites every string and int reachable from v — through
+// interfaces, structs and slice elements — and reports how many it changed.
+func scribble(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Interface:
+		// An interface's dynamic value is not addressable: mutate a copy's
+		// slices (they alias the original's backing arrays, which is the leak
+		// under test) and ignore its scalar fields.
+		cp := reflect.New(v.Elem().Type()).Elem()
+		cp.Set(v.Elem())
+		return scribble(cp)
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += scribble(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += scribble(v.Index(i))
+		}
+		return n
+	case reflect.String:
+		if v.CanSet() {
+			v.SetString("mutated")
+			return 1
+		}
+	case reflect.Int:
+		if v.CanSet() {
+			v.SetInt(-1)
+			return 1
+		}
 	}
-	img.Services[0] = "mutated"
-	img.Version = "hacked"
-	again, err := c.DescribeImage(ctx, ami)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Services[0] != "svc" || again.Version != "v1" {
-		t.Fatal("describe leaked internal state")
-	}
+	return 0
 }
 
 // TestActivityHistoryCapped: the scaling activity log stays bounded even
@@ -136,4 +217,37 @@ func TestActivityHistoryCapped(t *testing.T) {
 	if len(acts) == 0 {
 		t.Fatal("no failure activities recorded")
 	}
+}
+
+// TestDescribeCostIndependentOfAccountSize: a live single-resource read
+// copies that resource, not the account, so it allocates the same on a
+// 2-instance and a 200-instance account.
+func TestDescribeCostIndependentOfAccountSize(t *testing.T) {
+	measure := func(size int) (asg, lc float64) {
+		c, clk, f := steppedCloud(t, FastProfile(), size)
+		for i := 0; i < 3; i++ {
+			clk.Advance(time.Second)
+			c.tick()
+		}
+		if got := len(c.instances); got != size {
+			t.Fatalf("account has %d instances, want %d", got, size)
+		}
+		asg = testing.AllocsPerRun(100, func() {
+			if _, err := c.DescribeAutoScalingGroup(f.ctx, f.asgName); err != nil {
+				t.Fatal(err)
+			}
+		})
+		lc = testing.AllocsPerRun(100, func() {
+			if _, err := c.DescribeLaunchConfiguration(f.ctx, f.lcName); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return asg, lc
+	}
+	smallASG, smallLC := measure(2)
+	largeASG, largeLC := measure(200)
+	if smallASG != largeASG || smallLC != largeLC {
+		t.Fatalf("allocs per describe grow with the account: ASG %v -> %v, LC %v -> %v", smallASG, largeASG, smallLC, largeLC)
+	}
+	t.Logf("allocs per read: DescribeAutoScalingGroup %v, DescribeLaunchConfiguration %v", largeASG, largeLC)
 }

@@ -30,6 +30,12 @@ func newFixture(t *testing.T, n int, profile Profile) *fixture {
 	c := New(clk, profile, WithSeed(42))
 	c.Start()
 	t.Cleanup(c.Stop)
+	return populate(t, c, n)
+}
+
+// populate registers the canonical fixture on c.
+func populate(t *testing.T, c *Cloud, n int) *fixture {
+	t.Helper()
 	ctx := context.Background()
 	f := &fixture{
 		cloud: c, ctx: ctx,
