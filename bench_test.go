@@ -17,9 +17,9 @@ import (
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/experiment"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/mining"
 	"poddiagnosis/internal/pipeline"
@@ -192,7 +192,7 @@ func BenchmarkDiagnosisTime(b *testing.B) {
 	_ = cloud.UpdateAutoScalingGroup(ctx, cluster.ASGName, "rogue-lc", -1, -1, -1)
 
 	eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-	engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, diagnosis.Options{})
+	engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, diagnosis.Options{})
 	req := diagnosis.Request{
 		AssertionID:       assertion.CheckASGVersionCount,
 		Source:            diagnosis.SourceAssertion,
@@ -230,7 +230,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			profile := simaws.FastProfile()
 			_, cluster, client := benchCloud(b, profile, 1000)
 			eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-			engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, tc.opts)
+			engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, tc.opts)
 			req := diagnosis.Request{
 				AssertionID: assertion.CheckASGVersionCount,
 				StepID:      process.StepUpdateLC,
@@ -427,23 +427,6 @@ func BenchmarkAblationTriggers(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultTreeOps measures pure tree instantiation + pruning.
-func BenchmarkFaultTreeOps(b *testing.B) {
-	repo := faulttree.DefaultRepository()
-	tree := repo.Select(assertion.CheckASGVersionCount)[0]
-	params := assertion.Params{
-		assertion.ParamASG: "pm--asg", assertion.ParamWant: "4",
-		assertion.ParamVersion: "v2", assertion.ParamAMI: "ami-1",
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst := tree.Instantiate(params).Prune(process.StepNewReady)
-		if len(inst.PotentialRootCauses()) == 0 {
-			b.Fatal("pruned everything")
-		}
-	}
-}
-
 // BenchmarkConformanceService measures the end-to-end conformance service
 // call over HTTP — the quantity the paper reports as "responded on average
 // in about 10 ms" when called locally (E2).
@@ -508,7 +491,7 @@ func BenchmarkAblationCloudTrail(b *testing.B) {
 					MaxBackoff: time.Second, CallTimeout: 20 * time.Second,
 				})
 				eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-				engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, diagnosis.Options{})
+				engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, diagnosis.Options{})
 				d := engine.Diagnose(ctx, diagnosis.Request{
 					AssertionID: assertion.CheckASGInstanceCount,
 					Source:      diagnosis.SourceAssertion,

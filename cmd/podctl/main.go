@@ -34,7 +34,6 @@ import (
 	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs"
 	"poddiagnosis/internal/obs/flight"
@@ -304,7 +303,7 @@ func printOperationSpans(op string) {
 
 // listPlans prints the full diagnosis-plan catalog, one line per plan.
 func listPlans() {
-	for _, p := range faulttree.FullCatalog().All() {
+	for _, p := range diagplan.FullCatalog().All() {
 		fmt.Printf("  %-24s assertion=%-20s nodes=%2d causes=%2d  %s\n",
 			p.ID, p.AssertionID, len(p.Nodes), len(p.PotentialRootCauses()), p.Description)
 	}
@@ -314,7 +313,7 @@ func listPlans() {
 // order first. Fan-in nodes are expanded once; later visits print a
 // shared-node reference instead of repeating the sub-graph.
 func printPlan(id string) int {
-	p := faulttree.FullCatalog().Get(id)
+	p := diagplan.FullCatalog().Get(id)
 	if p == nil {
 		fmt.Fprintf(os.Stderr, "unknown plan %q (see -plans)\n", id)
 		return 2

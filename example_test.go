@@ -60,13 +60,13 @@ every 60s assert asg-instance-count want={min}
 	// periodic -> asg-instance-count
 }
 
-// ExampleDefaultFaultTrees lists the fault trees of the knowledge base —
-// one per assertion, per the paper's §III.B.4.
-func ExampleDefaultFaultTrees() {
-	repo := pod.DefaultFaultTrees()
-	trees := repo.Select("asg-version-count")
-	fmt.Println(len(trees))
-	fmt.Println(trees[0].ID)
+// ExampleDefaultDiagnosisPlans selects the plans of the rolling-upgrade
+// knowledge base that diagnose one assertion — one plan per assertion, per
+// the paper's §III.B.4.
+func ExampleDefaultDiagnosisPlans() {
+	plans := pod.DefaultDiagnosisPlans().Select("asg-version-count")
+	fmt.Println(len(plans))
+	fmt.Println(plans[0].ID)
 	// Output:
 	// 1
 	// ft-version-count

@@ -26,7 +26,6 @@ import (
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/logstore"
 	"poddiagnosis/internal/obs"
@@ -113,12 +112,9 @@ type Config struct {
 	Model *process.Model
 	// Registry is the assertion library. Defaults to the built-in one.
 	Registry *assertion.Registry
-	// Plans is the diagnosis plan catalog. Takes precedence over Trees;
-	// defaults to compiling Trees (or the built-in compiled catalog).
+	// Plans is the diagnosis plan catalog. Defaults to the shipped
+	// rolling-upgrade catalog (diagplan.DefaultCatalog).
 	Plans *diagplan.Catalog
-	// Trees is the legacy fault-tree knowledge base, compiled into plans
-	// when Plans is nil.
-	Trees *faulttree.Repository
 	// API tunes the consistent API layer.
 	API consistentapi.Config
 	// Expect is the desired end state of the watched operation.
@@ -203,7 +199,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Model:              cfg.Model,
 		Registry:           cfg.Registry,
 		Plans:              cfg.Plans,
-		Trees:              cfg.Trees,
 		API:                cfg.API,
 		AssertionSpec:      cfg.AssertionSpec,
 		PeriodicInterval:   cfg.PeriodicInterval,

@@ -18,7 +18,6 @@ import (
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/logstore"
 	"poddiagnosis/internal/obs"
@@ -66,13 +65,9 @@ type ManagerConfig struct {
 	Model *process.Model
 	// Registry is the assertion library. Defaults to the built-in one.
 	Registry *assertion.Registry
-	// Plans is the diagnosis plan catalog the engine walks. Takes
-	// precedence over Trees. Defaults to compiling Trees (or, when both
-	// are nil, to the built-in compiled rolling-upgrade catalog).
+	// Plans is the diagnosis plan catalog the engine walks. Defaults to
+	// the shipped rolling-upgrade catalog (diagplan.DefaultCatalog).
 	Plans *diagplan.Catalog
-	// Trees is the legacy fault-tree knowledge base; when Plans is nil it
-	// is compiled into the plan catalog the engine walks.
-	Trees *faulttree.Repository
 	// API tunes the consistent API layer.
 	API consistentapi.Config
 	// AssertionSpec is the default assertion specification for sessions
@@ -209,15 +204,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg.Registry = assertion.DefaultRegistry()
 	}
 	if cfg.Plans == nil {
-		if cfg.Trees != nil {
-			cat, err := cfg.Trees.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			cfg.Plans = cat
-		} else {
-			cfg.Plans = faulttree.DefaultCatalog()
-		}
+		cfg.Plans = diagplan.DefaultCatalog()
 	}
 	if cfg.PeriodicInterval <= 0 {
 		cfg.PeriodicInterval = time.Minute

@@ -8,7 +8,7 @@ import (
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/process"
@@ -101,7 +101,7 @@ func TestDiagnoseAllocationBudget(t *testing.T) {
 			defer bus.Close()
 			client := consistentapi.New(cloud, consistentapi.Config{MaxAttempts: 1})
 			eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), bus)
-			engine := NewEngine(faulttree.DefaultCatalog(), eval, bus, Options{Workers: tc.workers})
+			engine := NewEngine(diagplan.DefaultCatalog(), eval, bus, Options{Workers: tc.workers})
 			ring := flight.NewRecorder(clk, 0).Op("op")
 			anchor := ring.Record(flight.Entry{Kind: flight.KindLogEvent, Message: "trigger"})
 			dctx := flight.WithParent(flight.NewContext(ctx, ring), anchor)

@@ -9,7 +9,7 @@ import (
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/simaws"
 )
 
@@ -18,32 +18,31 @@ import (
 // walk time differences dominate the measurement.
 const benchScale = 100
 
-// benchWorkload builds a wide multi-tree workload: trees× leaves
+// benchWorkload builds a wide multi-plan workload: plans× leaves
 // root-cause candidates, each guarded by a slow passing check with
 // distinct params (so no two tests share a cache key).
-func benchWorkload(trees, leaves int) []*faulttree.Tree {
-	out := make([]*faulttree.Tree, trees)
-	for ti := 0; ti < trees; ti++ {
-		children := make([]*faulttree.Node, leaves)
+func benchWorkload(plans, leaves int) []*diagplan.Plan {
+	out := make([]*diagplan.Plan, plans)
+	for ti := 0; ti < plans; ti++ {
+		top := &diagplan.Node{ID: fmt.Sprintf("bench-%d-top", ti), Kind: diagplan.KindEntry, Description: "top"}
+		p := &diagplan.Plan{ID: fmt.Sprintf("bench-%d", ti), AssertionID: "bench-assert", Description: "top", Entry: top.ID, Nodes: []*diagplan.Node{top}}
 		for li := 0; li < leaves; li++ {
-			children[li] = &faulttree.Node{
-				ID:          fmt.Sprintf("t%d-leaf-%d", ti, li),
-				Description: fmt.Sprintf("candidate fault %d of tree %d", li, ti),
+			id := fmt.Sprintf("t%d-leaf-%d", ti, li)
+			top.Edges = append(top.Edges, diagplan.Edge{To: id, Prob: float64(leaves - li)})
+			p.Nodes = append(p.Nodes, &diagplan.Node{
+				ID:          id,
+				Kind:        diagplan.KindCause,
+				Description: fmt.Sprintf("candidate fault %d of plan %d", li, ti),
 				CheckID:     "slow-pass",
 				CheckParams: assertion.Params{"which": fmt.Sprintf("t%d-l%d", ti, li)},
-				RootCause:   true,
-				Prob:        float64(leaves - li),
-			}
+			})
 		}
-		out[ti] = &faulttree.Tree{
-			ID: fmt.Sprintf("bench-%d", ti), AssertionID: "bench-assert",
-			Root: &faulttree.Node{ID: fmt.Sprintf("bench-%d-top", ti), Description: "top", Children: children},
-		}
+		out[ti] = p
 	}
 	return out
 }
 
-func newBenchEngine(b *testing.B, opts Options, profile simaws.Profile, trees []*faulttree.Tree) *Engine {
+func newBenchEngine(b *testing.B, opts Options, profile simaws.Profile, plans []*diagplan.Plan) *Engine {
 	b.Helper()
 	clk := clock.NewScaled(benchScale, time.Date(2013, 11, 19, 11, 48, 0, 0, time.UTC))
 	cloud := simaws.New(clk, profile, simaws.WithSeed(7))
@@ -56,13 +55,9 @@ func newBenchEngine(b *testing.B, opts Options, profile simaws.Profile, trees []
 			return assertion.Result{CheckID: "slow-pass", Status: assertion.StatusPass, Params: p, Message: "ok"}
 		},
 	})
-	repo := faulttree.NewRepository()
-	for _, t := range trees {
-		repo.Register(t)
-	}
-	cat, err := repo.Compile()
-	if err != nil {
-		b.Fatal(err)
+	cat := diagplan.NewCatalog()
+	for _, p := range plans {
+		cat.MustRegister(p)
 	}
 	return NewEngine(cat, assertion.NewEvaluator(client, reg, nil), nil, opts)
 }

@@ -263,8 +263,7 @@ type Engine struct {
 }
 
 // NewEngine returns an Engine over the given diagnosis plan catalog and
-// evaluator. Legacy fault trees reach here compiled into plans (see
-// faulttree.Tree.Compile); the engine itself only walks plans.
+// evaluator.
 func NewEngine(cat *diagplan.Catalog, eval *assertion.Evaluator, bus *logging.Bus, opts Options) *Engine {
 	if opts.MaxTests <= 0 {
 		opts.MaxTests = 64

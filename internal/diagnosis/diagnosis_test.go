@@ -8,7 +8,7 @@ import (
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/simaws"
@@ -62,7 +62,7 @@ func newDiagEnv(t *testing.T, size int, opts Options) *diagEnv {
 		CallTimeout:    20 * time.Second,
 	})
 	eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), bus)
-	engine := NewEngine(faulttree.DefaultCatalog(), eval, bus, opts)
+	engine := NewEngine(diagplan.DefaultCatalog(), eval, bus, opts)
 	return &diagEnv{cloud: cloud, cluster: cluster, engine: engine, eval: eval, bus: bus, sink: sink, ctx: ctx}
 }
 
@@ -329,7 +329,7 @@ func TestPruningAblationRunsMoreTests(t *testing.T) {
 	e := newDiagEnv(t, 1, Options{ContinueAfterConfirm: true})
 	dPruned := e.engine.Diagnose(e.ctx, e.request(process.StepUpdateLC))
 
-	eNoPrune := NewEngine(faulttree.DefaultCatalog(), e.eval, nil,
+	eNoPrune := NewEngine(diagplan.DefaultCatalog(), e.eval, nil,
 		Options{DisablePruning: true, ContinueAfterConfirm: true})
 	dFull := eNoPrune.Diagnose(e.ctx, e.request(process.StepUpdateLC))
 

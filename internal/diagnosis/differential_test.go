@@ -13,7 +13,6 @@ import (
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/resilience"
@@ -34,7 +33,7 @@ func (walkClock) After(time.Duration) <-chan time.Time { return make(chan time.T
 // carry placeholders.
 func differentialCatalog(t *testing.T) *diagplan.Catalog {
 	t.Helper()
-	cat := faulttree.FullCatalog()
+	cat := diagplan.FullCatalog()
 	cat.MustRegister(&diagplan.Plan{
 		ID: "plan-fanin", AssertionID: "fanin-assert", Entry: "entry",
 		Nodes: []*diagplan.Node{

@@ -10,15 +10,15 @@ import (
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/simaws"
 )
 
-// newSyntheticEngine builds an engine over hand-made trees and checks
+// newSyntheticEngine builds an engine over hand-made plans and checks
 // (the cloud exists only to satisfy the evaluator plumbing; synthetic
 // checks never call it).
-func newSyntheticEngine(t *testing.T, opts Options, trees []*faulttree.Tree, checks ...assertion.Check) *Engine {
+func newSyntheticEngine(t *testing.T, opts Options, plans []*diagplan.Plan, checks ...assertion.Check) *Engine {
 	t.Helper()
 	clk := clock.NewScaled(1000, time.Date(2013, 11, 19, 11, 48, 0, 0, time.UTC))
 	cloud := simaws.New(clk, simaws.FastProfile(), simaws.WithSeed(7))
@@ -27,16 +27,12 @@ func newSyntheticEngine(t *testing.T, opts Options, trees []*faulttree.Tree, che
 	for _, c := range checks {
 		reg.Register(c)
 	}
-	repo := faulttree.NewRepository()
-	for _, tr := range trees {
-		if err := tr.Validate(reg); err != nil {
+	cat := diagplan.NewCatalog()
+	for _, p := range plans {
+		if err := p.Validate(reg); err != nil {
 			t.Fatal(err)
 		}
-		repo.Register(tr)
-	}
-	cat, err := repo.Compile()
-	if err != nil {
-		t.Fatal(err)
+		cat.MustRegister(p)
 	}
 	eval := assertion.NewEvaluator(client, reg, nil)
 	return NewEngine(cat, eval, nil, opts)
@@ -77,22 +73,19 @@ func TestTreesInstantiatedOncePerRun(t *testing.T) {
 // fault trees (same instantiated description, suffixed node ids) used to
 // yield the same confirmed root cause once per tree.
 func TestConfirmDedupAcrossSharedSubtrees(t *testing.T) {
-	mkTree := func(treeID, nodeSuffix string) *faulttree.Tree {
-		return &faulttree.Tree{
-			ID: treeID, AssertionID: "shared-assert",
-			Root: &faulttree.Node{
-				ID: treeID + "-top", Description: "top event",
-				Children: []*faulttree.Node{{
-					ID:          "shared-fault-" + nodeSuffix,
-					Description: "shared catalog fault on {asg}",
-					CheckID:     "always-fail",
-					RootCause:   true,
-				}},
+	mkPlan := func(planID, nodeSuffix string) *diagplan.Plan {
+		return &diagplan.Plan{
+			ID: planID, AssertionID: "shared-assert", Description: "top event", Entry: planID + "-top",
+			Nodes: []*diagplan.Node{
+				{ID: planID + "-top", Kind: diagplan.KindEntry, Description: "top event",
+					Edges: []diagplan.Edge{{To: "shared-fault-" + nodeSuffix}}},
+				{ID: "shared-fault-" + nodeSuffix, Kind: diagplan.KindCause,
+					Description: "shared catalog fault on {asg}", CheckID: "always-fail"},
 			},
 		}
 	}
 	e := newSyntheticEngine(t, Options{ContinueAfterConfirm: true},
-		[]*faulttree.Tree{mkTree("t1", "a"), mkTree("t2", "b")},
+		[]*diagplan.Plan{mkPlan("t1", "a"), mkPlan("t2", "b")},
 		failCheck("always-fail"))
 	d := e.Diagnose(context.Background(), Request{
 		AssertionID: "shared-assert", Source: SourceAssertion,
@@ -110,23 +103,21 @@ func TestConfirmDedupAcrossSharedSubtrees(t *testing.T) {
 // StatusError results now carry the ErrBudgetExhausted sentinel and bump
 // a dedicated counter; genuine test errors do not match.
 func TestBudgetExhaustedSentinel(t *testing.T) {
-	leaves := make([]*faulttree.Node, 3)
-	for i := range leaves {
-		leaves[i] = &faulttree.Node{
-			ID:          fmt.Sprintf("leaf-%d", i),
+	top := &diagplan.Node{ID: "top", Kind: diagplan.KindEntry, Description: "top"}
+	plan := &diagplan.Plan{ID: "budget", AssertionID: "budget-assert", Description: "top", Entry: "top", Nodes: []*diagplan.Node{top}}
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("leaf-%d", i)
+		top.Edges = append(top.Edges, diagplan.Edge{To: id, Prob: float64(3 - i)})
+		plan.Nodes = append(plan.Nodes, &diagplan.Node{
+			ID:          id,
+			Kind:        diagplan.KindCause,
 			Description: fmt.Sprintf("fault %d", i),
 			CheckID:     "always-pass",
 			CheckParams: assertion.Params{"which": fmt.Sprintf("%d", i)},
-			RootCause:   true,
-			Prob:        float64(3 - i),
-		}
-	}
-	tree := &faulttree.Tree{
-		ID: "budget", AssertionID: "budget-assert",
-		Root: &faulttree.Node{ID: "top", Description: "top", Children: leaves},
+		})
 	}
 	e := newSyntheticEngine(t, Options{MaxTests: 1, ContinueAfterConfirm: true},
-		[]*faulttree.Tree{tree}, passCheck("always-pass"))
+		[]*diagplan.Plan{plan}, passCheck("always-pass"))
 
 	before := mBudgetExhausted.Value()
 	d := e.Diagnose(context.Background(), Request{AssertionID: "budget-assert", Source: SourceAssertion})
@@ -163,7 +154,7 @@ func TestParallelWalkMatchesSequential(t *testing.T) {
 	_ = e.cloud.UpdateAutoScalingGroup(e.ctx, e.cluster.ASGName, "rogue-lc", -1, -1, -1)
 
 	seq := e.engine.Diagnose(e.ctx, e.request(process.StepNewReady))
-	par := NewEngine(faulttree.DefaultCatalog(), e.eval, e.bus, Options{Workers: 8}).
+	par := NewEngine(diagplan.DefaultCatalog(), e.eval, e.bus, Options{Workers: 8}).
 		Diagnose(e.ctx, e.request(process.StepNewReady))
 
 	if par.Conclusion != seq.Conclusion {
@@ -209,6 +200,41 @@ func TestConcurrentParallelDiagnoses(t *testing.T) {
 	for i, d := range results {
 		if d == nil {
 			t.Fatalf("diagnosis %d missing", i)
+		}
+		if !d.HasCause("elb-unreachable") {
+			t.Errorf("diagnosis %d: causes %+v, want elb-unreachable", i, d.RootCauses)
+		}
+	}
+}
+
+// The shipped plans are parsed once and shared by every catalog: building
+// and validating catalogs and diagnosing on them concurrently, as
+// concurrent Manager constructions do, must only read the plans (run with
+// -race).
+func TestConcurrentCatalogsSharePlans(t *testing.T) {
+	e := newDiagEnv(t, 1, Options{})
+	e.cloud.SetELBServiceDisruption(true)
+	reg := assertion.DefaultRegistry()
+
+	const n = 8
+	var wg sync.WaitGroup
+	results := make([]*Diagnosis, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cat := diagplan.DefaultCatalog()
+			if errs[i] = cat.Validate(reg); errs[i] != nil {
+				return
+			}
+			results[i] = NewEngine(cat, e.eval, nil, Options{}).Diagnose(e.ctx, e.request(process.StepDeregister))
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range results {
+		if errs[i] != nil {
+			t.Fatalf("catalog %d: %v", i, errs[i])
 		}
 		if !d.HasCause("elb-unreachable") {
 			t.Errorf("diagnosis %d: causes %+v, want elb-unreachable", i, d.RootCauses)

@@ -10,7 +10,6 @@ import (
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/simaws"
 )
@@ -171,26 +170,20 @@ func TestCauseEvidenceCarriesFanInParents(t *testing.T) {
 	}
 }
 
-// Satellite: diagnosis-test cache keys derive from the canonicalized
-// check id and params only — a tree-compiled plan and an equivalent
-// native plan share SharedCache entries, so a second run through the
-// other plan answers every test from cache.
+// Diagnosis-test cache keys derive from the canonicalized check id and
+// params only — two plans with different ids and node ids that test the
+// same check share SharedCache entries, so a second run through the other
+// plan answers every test from cache.
 func TestCompiledAndNativePlansShareCacheEntries(t *testing.T) {
 	params := assertion.Params{"which": "x"}
-	tree := &faulttree.Tree{
-		ID: "tree-shape", AssertionID: "tree-assert",
-		Root: &faulttree.Node{
-			ID: "tree-top", Description: "top",
-			Children: []*faulttree.Node{{
-				ID: "tree-fault", Description: "the fault",
-				CheckID: "shared-check", CheckParams: params.Clone(),
-				RootCause: true, Prob: 0.5,
-			}},
+	tree := &diagplan.Plan{
+		ID: "tree-shape", AssertionID: "tree-assert", Description: "top", Entry: "tree-top",
+		Nodes: []*diagplan.Node{
+			{ID: "tree-top", Kind: diagplan.KindEntry, Description: "top",
+				Edges: []diagplan.Edge{{To: "tree-fault", Prob: 0.5}}},
+			{ID: "tree-fault", Kind: diagplan.KindCause, Description: "the fault",
+				CheckID: "shared-check", CheckParams: params.Clone()},
 		},
-	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
 	}
 	native := &diagplan.Plan{
 		ID: "native-shape", AssertionID: "native-assert", Entry: "native-top",
@@ -202,7 +195,7 @@ func TestCompiledAndNativePlansShareCacheEntries(t *testing.T) {
 		},
 	}
 	cat := diagplan.NewCatalog()
-	cat.MustRegister(compiled)
+	cat.MustRegister(tree)
 	cat.MustRegister(native)
 	e := newPlanEngine(t, Options{ContinueAfterConfirm: true}, cat,
 		statusCheck("shared-check", assertion.StatusPass))

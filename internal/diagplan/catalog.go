@@ -7,12 +7,11 @@ import (
 	"poddiagnosis/internal/assertion"
 )
 
-// Catalog holds diagnosis plans, keyed by plan id and by assertion id —
-// the plan-shaped successor of the fault-tree Repository. Several plans
-// may serve one assertion; the diagnosis engine consults them all.
-//
-// Registering a plan compiles it (see Compiled), so a registered plan must
-// not be modified afterwards.
+// Catalog holds diagnosis plans, keyed by plan id and by assertion id.
+// Several plans may serve one assertion; the diagnosis engine consults them
+// all, in registration order. Registering a plan compiles it (see Compiled)
+// without writing to it: a registered plan must not be modified afterwards,
+// and may be registered in many catalogs concurrently.
 type Catalog struct {
 	byID        map[string]*Plan
 	byAssertion map[string][]*Compiled // in registration order

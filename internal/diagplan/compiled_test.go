@@ -8,7 +8,6 @@ import (
 
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 )
 
 // oddPlans are documents Validate would reject but Register accepts: the
@@ -37,7 +36,7 @@ func oddPlans() []*diagplan.Plan {
 // pruned for that step: the registration-time tables are those methods'
 // results, no more.
 func TestCompiledViewsMatchPlanMethods(t *testing.T) {
-	cat := faulttree.FullCatalog()
+	cat := diagplan.FullCatalog()
 	for _, p := range oddPlans() {
 		cat.MustRegister(p)
 	}
@@ -137,7 +136,7 @@ func TestCompiledViewsMatchPlanMethods(t *testing.T) {
 
 // Compiled follows Select for a named assertion and All for none.
 func TestCatalogCompiledSelection(t *testing.T) {
-	cat := faulttree.FullCatalog()
+	cat := diagplan.FullCatalog()
 	planIDs := func(cs []*diagplan.Compiled) []string {
 		var out []string
 		for _, c := range cs {
@@ -186,7 +185,7 @@ func TestRegisterRejectsUnindexablePlans(t *testing.T) {
 // Views are tabulated on first use; concurrent first uses must agree on one
 // View per step context (run with -race).
 func TestViewsBuiltOnceUnderConcurrency(t *testing.T) {
-	cat := faulttree.FullCatalog()
+	cat := diagplan.FullCatalog()
 	const workers = 8
 	got := make([][]*diagplan.View, workers)
 	var wg sync.WaitGroup

@@ -151,8 +151,12 @@ type Plan struct {
 	index map[string]*Node // built by reindex; nil until then
 }
 
-// reindex (re)builds the id index. It reports duplicate or empty ids.
+// reindex (re)builds the id index unless it is current, so a shared plan is
+// only read. It reports duplicate or empty ids.
 func (p *Plan) reindex() error {
+	if p.indexed() {
+		return nil
+	}
 	idx := make(map[string]*Node, len(p.Nodes))
 	for _, n := range p.Nodes {
 		if n == nil {
@@ -168,6 +172,16 @@ func (p *Plan) reindex() error {
 	}
 	p.index = idx
 	return nil
+}
+
+// indexed reports whether the id index maps exactly the plan's nodes.
+func (p *Plan) indexed() bool {
+	for _, n := range p.Nodes {
+		if n == nil || p.index[n.ID] != n {
+			return false
+		}
+	}
+	return p.index != nil && len(p.index) == len(p.Nodes)
 }
 
 // Node returns the node with the given id, or nil.

@@ -165,11 +165,33 @@ func TestChildrenOrderedByProbability(t *testing.T) {
 	}
 }
 
-// Satellite 3: shipped plan documents round-trip byte-stable through
+// Equal priors keep document order, and ordering leaves the edges alone.
+func TestChildrenStableOnTies(t *testing.T) {
+	ties := &Plan{ID: "ties", Entry: "e", Nodes: []*Node{
+		{ID: "e", Kind: KindEntry, Edges: []Edge{{To: "a", Prob: 0.2}, {To: "b", Prob: 0.5}, {To: "c", Prob: 0.2}, {To: "d", Prob: 0.9}}},
+		{ID: "a", Kind: KindCause}, {ID: "b", Kind: KindCause}, {ID: "c", Kind: KindCause}, {ID: "d", Kind: KindCause},
+	}}
+	var order []string
+	for _, n := range ties.Children(ties.EntryNode()) {
+		order = append(order, n.ID)
+	}
+	if got := strings.Join(order, ","); got != "d,b,a,c" {
+		t.Fatalf("Children with tied priors = %s, want d,b,a,c", got)
+	}
+	if ties.EntryNode().Edges[0].To != "a" {
+		t.Fatal("Children reordered the plan's edges")
+	}
+}
+
+// Shipped plan documents round-trip byte-stable through
 // load -> validate -> render -> reload.
 func TestGoldenRoundTrip(t *testing.T) {
 	reg := assertion.DefaultRegistry()
-	for name, data := range ScenarioPlanSources() {
+	sources := Sources()
+	if len(sources) != 14 {
+		t.Errorf("%d shipped plan documents, want 14", len(sources))
+	}
+	for name, data := range sources {
 		t.Run(name, func(t *testing.T) {
 			p, err := Parse(data)
 			if err != nil {
@@ -201,7 +223,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 }
 
 func TestScenarioPlansLoad(t *testing.T) {
-	plans := ScenarioPlans()
+	plans := shipped().scenarios
 	if len(plans) != 4 {
 		t.Fatalf("expected 4 scenario plans, got %d", len(plans))
 	}
@@ -226,10 +248,10 @@ func TestScenarioPlansLoad(t *testing.T) {
 
 func TestCatalog(t *testing.T) {
 	c := NewCatalog()
-	for _, p := range ScenarioPlans() {
+	for _, p := range shipped().scenarios {
 		c.MustRegister(p)
 	}
-	if err := c.Register(ScenarioPlans()[0]); err == nil {
+	if err := c.Register(shipped().scenarios[0]); err == nil {
 		t.Fatal("duplicate plan id should be rejected")
 	}
 	if got := len(c.Select("asg-version-count")); got != 1 {
@@ -249,6 +271,16 @@ func TestDOTRender(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, dot)
 		}
+	}
+}
+
+func TestInstantiateLeavesUnknownPlaceholders(t *testing.T) {
+	p := &Plan{ID: "p", Entry: "r", Nodes: []*Node{
+		{ID: "r", Kind: KindEntry, Description: "fault in {mystery}", CheckParams: assertion.Params{"k": "{mystery}"}},
+	}}
+	n := p.Instantiate(assertion.Params{"other": "x"}).Node("r")
+	if n.Description != "fault in {mystery}" || n.CheckParams["k"] != "{mystery}" {
+		t.Errorf("description %q, check param %q", n.Description, n.CheckParams["k"])
 	}
 }
 

@@ -2,10 +2,10 @@ package diagplan
 
 import "testing"
 
-// Satellite 3: malformed, truncated, or cyclic plan documents must never
+// Malformed, truncated, or cyclic plan documents must never
 // panic the loader — Parse either returns a valid plan or an error.
 func FuzzParse(f *testing.F) {
-	for _, src := range ScenarioPlanSources() {
+	for _, src := range Sources() {
 		f.Add(src)
 	}
 	f.Add([]byte(`{}`))

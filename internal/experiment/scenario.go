@@ -1,9 +1,9 @@
 // Scenario lanes: evaluation runs for the operations beyond rolling
 // upgrade. Each lane builds a Manager wired for its scenario — the
 // scenario's process model, its assertion specification, and the full
-// plan catalog (compiled fault trees plus the declarative scenario
-// plans) — and drives the corresponding orchestrator from
-// internal/upgrade while injecting the scenario's ground truth.
+// plan catalog (the rolling-upgrade plans plus the scenario plans) — and
+// drives the corresponding orchestrator from internal/upgrade while
+// injecting the scenario's ground truth.
 package experiment
 
 import (
@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"poddiagnosis/internal/core"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/upgrade"
 )
@@ -22,13 +22,13 @@ import (
 // scenarioManager returns a ManagerConfig mutator selecting the
 // scenario's model and spec, and widening the plan catalog to the full
 // one. Step-context pruning keeps the catalogs from bleeding into each
-// other: compiled rolling-upgrade trees scope their collectors to
+// other: the rolling-upgrade plans scope their collectors to
 // step2..step8, the scenario plans to bgstepN/ssstepN.
 func scenarioManager(model *process.Model, specText string) func(*core.ManagerConfig) {
 	return func(mc *core.ManagerConfig) {
 		mc.Model = model
 		mc.AssertionSpec = specText
-		mc.Plans = faulttree.FullCatalog()
+		mc.Plans = diagplan.FullCatalog()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/assertspec"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/process"
 )
 
@@ -121,12 +120,12 @@ func LintBundles(bundles ...Bundle) []Finding {
 
 // Builtins returns the bundles every shipped binary deploys: the built-in
 // operations over the default registry and the full diagnosis-plan catalog
-// (the compiled fault-tree knowledge base plus the scenario plans).
+// (the rolling-upgrade plans plus the scenario plans).
 // cmd/podlint lints these by default, and the regression tests pin them to
 // zero errors.
 func Builtins() ([]Bundle, error) {
 	reg := assertion.DefaultRegistry()
-	cat := faulttree.FullCatalog()
+	cat := diagplan.FullCatalog()
 	soSpec, err := assertspec.Parse(process.ScaleOutSpecText, reg)
 	if err != nil {
 		return nil, fmt.Errorf("lint: parse scale-out spec: %w", err)

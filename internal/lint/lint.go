@@ -187,8 +187,8 @@ var ruleTable = map[string]RuleInfo{
 	RulePlanShape:           {RulePlanShape, SevError, "model", "structural defect: duplicate id, missing/checked entry, cause with edges, dangling or duplicate edge, unknown kind"},
 
 	RuleCoverageStepNoAssertion:  {RuleCoverageStepNoAssertion, SevWarning, "model", "process step has no assertion bound (trigger chain gap)"},
-	RuleCoverageAssertionNoTree:  {RuleCoverageAssertionNoTree, SevError, "model", "spec-bound assertion has no fault tree — its failure cannot be diagnosed"},
-	RuleCoverageTreeNeverTrigger: {RuleCoverageTreeNeverTrigger, SevWarning, "model", "fault tree's assertion is bound by no specification (tree never fires)"},
+	RuleCoverageAssertionNoTree:  {RuleCoverageAssertionNoTree, SevError, "model", "spec-bound assertion has no diagnosis plan — its failure cannot be diagnosed"},
+	RuleCoverageTreeNeverTrigger: {RuleCoverageTreeNeverTrigger, SevWarning, "model", "diagnosis plan's assertion is bound by no specification (plan never fires)"},
 
 	RuleRemediateDanglingCause: {RuleRemediateDanglingCause, SevError, "model", "auto-mode remediation action binds a cause no diagnosis plan defines (action can never fire)"},
 	RuleRemediateUncovered:     {RuleRemediateUncovered, SevError, "model", "rolling-upgrade plan cause neither binds a remediation action nor carries an explicit manual marker"},

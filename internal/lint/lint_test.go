@@ -265,10 +265,11 @@ func TestLintPlanDocRejectsGarbage(t *testing.T) {
 	}
 }
 
-// The embedded scenario plan documents must lint clean through the raw-doc
-// path podlint uses for examples/ (registry-independent rules only).
+// The embedded plan documents — rolling-upgrade and scenario plans alike —
+// must lint clean through the raw-doc path podlint uses for examples/
+// (registry-independent rules only).
 func TestScenarioPlanDocsLintClean(t *testing.T) {
-	for name, data := range diagplan.ScenarioPlanSources() {
+	for name, data := range diagplan.Sources() {
 		if fs := LintPlanDoc(name, data); len(fs) != 0 {
 			t.Errorf("plan doc %s: unexpected findings:\n%s", name, render(fs))
 		}
@@ -304,7 +305,7 @@ func TestLintBundlesSeedsEveryXCRule(t *testing.T) {
 }
 
 // TestBuiltinsLintClean is the shipped-artifact regression gate: the
-// built-in models, specifications and the full fault-tree catalog must
+// built-in models, specifications and the full diagnosis-plan catalog must
 // produce zero error-severity findings. Warnings are tolerated but pinned,
 // so a new coverage gap shows up as a diff here.
 func TestBuiltinsLintClean(t *testing.T) {

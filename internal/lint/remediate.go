@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/remediate"
 )
 
@@ -105,16 +104,13 @@ func remediatePos(action, cause string) string {
 // BuiltinRemediation lints the shipped remediation surface: the default
 // action catalog under the most permissive suggested policy (auto base —
 // so RM001 covers every class that could ever run unattended) against the
-// full diagnosis-plan catalog, with the compiled rolling-upgrade fault
-// trees ("ft-" plans) as the coverage set. cmd/podlint runs this with the
-// builtin bundles, and the regression tests pin it to zero findings.
+// full diagnosis-plan catalog, with the rolling-upgrade plans
+// (diagplan.DefaultCatalog) as the coverage set. cmd/podlint runs this with
+// the builtin bundles, and the regression tests pin it to zero findings.
 func BuiltinRemediation() []Finding {
-	plans := faulttree.FullCatalog()
 	var cover []string
-	for _, p := range plans.All() {
-		if len(p.ID) > 3 && p.ID[:3] == "ft-" {
-			cover = append(cover, p.ID)
-		}
+	for _, p := range diagplan.DefaultCatalog().All() {
+		cover = append(cover, p.ID)
 	}
-	return LintRemediation(remediate.DefaultCatalog(), remediate.SuggestedPolicy(remediate.ModeAuto), plans, cover)
+	return LintRemediation(remediate.DefaultCatalog(), remediate.SuggestedPolicy(remediate.ModeAuto), diagplan.FullCatalog(), cover)
 }

@@ -33,6 +33,9 @@ func newOpsEnv(t *testing.T) *opsEnv {
 	clk := clock.NewScaled(1200, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
 	bus := logging.NewBus()
 	profile := simaws.FastProfile()
+	// Instances boot slowly enough that a fault injected 10s into an
+	// upgrade strikes mid-flight, before the last step's assertions run.
+	profile.BootTime = clock.Fixed(30 * time.Second)
 	profile.TickInterval = time.Second
 	cloud := simaws.New(clk, profile, simaws.WithSeed(17), simaws.WithBus(bus))
 	cloud.Start()

@@ -14,7 +14,7 @@ import (
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/simaws"
 	"poddiagnosis/internal/upgrade"
@@ -53,7 +53,7 @@ func newRESTEnv(t *testing.T) *restEnv {
 	})
 	eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
 	checker := conformance.NewChecker(process.RollingUpgradeModel())
-	diag := diagnosis.NewEngine(faulttree.FullCatalog(), eval, nil, diagnosis.Options{})
+	diag := diagnosis.NewEngine(diagplan.FullCatalog(), eval, nil, diagnosis.Options{})
 	srv := httptest.NewServer(NewServer(checker, eval, diag))
 	t.Cleanup(srv.Close)
 	return &restEnv{

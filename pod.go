@@ -11,9 +11,10 @@
 //     model detects unknown, erroneous and out-of-order events;
 //   - assertion evaluation: pre-defined checks of cloud-resource state run
 //     after each step, on one-off and periodic timers, and on demand;
-//   - error diagnosis: fault trees — one per assertion — are instantiated
-//     with the runtime request, pruned by process context, and visited
-//     top-down, running diagnosis tests to confirm or exclude root causes.
+//   - error diagnosis: diagnosis plans — the paper's fault trees, one per
+//     assertion, shipped as JSON documents — are instantiated with the
+//     runtime request, pruned by process context, and visited top-down,
+//     running diagnosis tests to confirm or exclude root causes.
 //
 // The library ships a complete simulated AWS substrate (EC2, ASG, ELB,
 // launch configurations, eventual consistency, throttling), an
@@ -46,7 +47,6 @@ import (
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/mining"
 	"poddiagnosis/internal/offline"
@@ -144,8 +144,6 @@ type (
 	AssertionRegistry = assertion.Registry
 	// AssertionParams parameterize evaluations.
 	AssertionParams = assertion.Params
-	// FaultTreeRepository is the root-cause knowledge base.
-	FaultTreeRepository = faulttree.Repository
 	// Diagnosis is the result of one root-cause analysis.
 	Diagnosis = diagnosis.Diagnosis
 	// Cluster records a deployed application's cloud resources.
@@ -245,20 +243,17 @@ type (
 )
 
 // DefaultDiagnosisPlans returns the rolling-upgrade plan catalog: the
-// fault-tree knowledge base of DefaultFaultTrees compiled to DAG plans.
-func DefaultDiagnosisPlans() *DiagnosisPlanCatalog { return faulttree.DefaultCatalog() }
+// root-cause knowledge base of the paper's Figure 5, one plan per
+// assertion.
+func DefaultDiagnosisPlans() *DiagnosisPlanCatalog { return diagplan.DefaultCatalog() }
 
-// FullDiagnosisPlans returns the complete shipped catalog: the compiled
-// fault trees plus the declarative scenario plans (blue/green deploy,
+// FullDiagnosisPlans returns the complete shipped catalog: the
+// rolling-upgrade plans plus the scenario plans (blue/green deploy,
 // spot-interruption storms).
-func FullDiagnosisPlans() *DiagnosisPlanCatalog { return faulttree.FullCatalog() }
+func FullDiagnosisPlans() *DiagnosisPlanCatalog { return diagplan.FullCatalog() }
 
 // DefaultAssertions returns the pre-defined assertion library.
 func DefaultAssertions() *AssertionRegistry { return assertion.DefaultRegistry() }
-
-// DefaultFaultTrees returns the fault-tree knowledge base for the rolling
-// upgrade operation (paper Figure 5).
-func DefaultFaultTrees() *FaultTreeRepository { return faulttree.DefaultRepository() }
 
 // Deploy provisions a complete application cluster (AMI, key pair,
 // security group, launch configuration, ELB, ASG) on the simulated cloud.

@@ -87,8 +87,8 @@ func TestFacadeConstructors(t *testing.T) {
 	if DefaultAssertions() == nil || len(DefaultAssertions().IDs()) < 15 {
 		t.Error("assertion library incomplete")
 	}
-	if DefaultFaultTrees() == nil || len(DefaultFaultTrees().All()) < 6 {
-		t.Error("fault trees incomplete")
+	if DefaultDiagnosisPlans() == nil || len(DefaultDiagnosisPlans().All()) < 6 {
+		t.Error("diagnosis plans incomplete")
 	}
 	bus := NewLogBus()
 	defer bus.Close()
