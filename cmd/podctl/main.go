@@ -303,9 +303,10 @@ func printOperationSpans(op string) {
 
 // listPlans prints the full diagnosis-plan catalog, one line per plan.
 func listPlans() {
-	for _, p := range diagplan.FullCatalog().All() {
+	for _, c := range diagplan.FullCatalog().Compiled("") {
+		p := c.Plan
 		fmt.Printf("  %-24s assertion=%-20s nodes=%2d causes=%2d  %s\n",
-			p.ID, p.AssertionID, len(p.Nodes), len(p.PotentialRootCauses()), p.Description)
+			p.ID, p.AssertionID, len(p.Nodes), c.View("", false).PotentialFaults, p.Description)
 	}
 }
 
@@ -313,38 +314,42 @@ func listPlans() {
 // order first. Fan-in nodes are expanded once; later visits print a
 // shared-node reference instead of repeating the sub-graph.
 func printPlan(id string) int {
-	p := diagplan.FullCatalog().Get(id)
-	if p == nil {
+	c := diagplan.FullCatalog().Get(id)
+	if c == nil {
 		fmt.Fprintf(os.Stderr, "unknown plan %q (see -plans)\n", id)
 		return 2
 	}
+	p := c.Plan
 	fmt.Printf("Diagnosis plan %s — diagnoses assertion %q\n", p.ID, p.AssertionID)
 	seen := make(map[string]bool)
-	var walk func(n *diagplan.Node, depth int)
-	walk = func(n *diagplan.Node, depth int) {
+	var walk func(vn *diagplan.VNode, depth int)
+	walk = func(vn *diagplan.VNode, depth int) {
 		indent := strings.Repeat("  ", depth)
 		marker := "▸"
-		if n.IsCause() {
+		if vn.Cause {
 			marker = "●"
 		}
-		if seen[n.ID] {
-			fmt.Printf("%s%s %s ↩ (shared sub-graph, expanded above)\n", indent, marker, n.ID)
+		if seen[vn.ID] {
+			fmt.Printf("%s%s %s ↩ (shared sub-graph, expanded above)\n", indent, marker, vn.ID)
 			return
 		}
-		seen[n.ID] = true
+		seen[vn.ID] = true
 		check := ""
-		if n.CheckID != "" {
-			check = " [test: " + n.CheckID + "]"
+		if vn.CheckID != "" {
+			check = " [test: " + vn.CheckID + "]"
 		}
+		n := p.Node(vn.ID)
 		steps := ""
 		if len(n.Steps) > 0 {
 			steps = fmt.Sprintf(" (steps %v)", n.Steps)
 		}
 		fmt.Printf("%s%s %s%s%s\n", indent, marker, n.Description, check, steps)
-		for _, c := range p.Children(n) {
-			walk(c, depth+1)
+		for _, child := range vn.Children {
+			walk(child, depth+1)
 		}
 	}
-	walk(p.EntryNode(), 0)
+	if entry := c.View("", false).Entry; entry != nil {
+		walk(entry, 0)
+	}
 	return 0
 }

@@ -282,7 +282,7 @@ func TestCompiledWalkMatchesReference(t *testing.T) {
 				steps[p.AssertionID][s] = true
 				steps[""][s] = true
 			}
-			if len(p.Parents(n.ID)) > 1 {
+			if len(refParents(p, n.ID)) > 1 {
 				fanIn[p.AssertionID], fanIn[""] = true, true
 			}
 		}

@@ -2,10 +2,12 @@ package diagnosis
 
 // The plan walker as it was before plans were compiled at registration,
 // kept as the reference the differential test drives the engine against:
-// every run clones the selected plans (Instantiate, Prune), re-sorts edges
-// per visit (Children) and re-walks the clone for the causes under a node,
+// every run clones the selected plans (Instantiate, refPrune), re-sorts edges
+// per visit (refChildren) and re-walks the clone for the causes under a node,
 // the path to it and its parents. It shares the engine's evaluator, shared
-// cache, resilience executor, bus and clock, and nothing of its walk.
+// cache, resilience executor, bus and clock, and nothing of its walk — the
+// graph reads at the end of this file are those Plan offered before Compiled
+// became the only way to read a plan.
 
 import (
 	"context"
@@ -197,11 +199,11 @@ func (e refEngine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		}
 		inst := p.Instantiate(req.Params)
 		if !e.opts.DisablePruning {
-			inst = inst.Prune(req.StepID)
+			inst = refPrune(inst, req.StepID)
 		}
-		d.PotentialFaults += len(inst.PotentialRootCauses())
+		d.PotentialFaults += len(refPotentialRootCauses(inst))
 		r.plans = append(r.plans, inst)
-		if entry := inst.EntryNode(); entry != nil {
+		if entry := refEntryNode(inst); entry != nil {
 			entries = append(entries, refTarget{p: inst, n: entry})
 		}
 	}
@@ -358,7 +360,7 @@ func (e refEngine) visit(ctx context.Context, r *refRun, br *refBranch, t refTar
 			// node. Tallying and the n/m exclusion log are deferred to
 			// commit, where fan-in shared causes are deduplicated.
 			br.exclusions = append(br.exclusions, refExclusion{
-				node: n, planID: p.ID, causes: p.CausesUnder(n.ID), res: res, fresh: fresh,
+				node: n, planID: p.ID, causes: refCausesUnder(p, n.ID), res: res, fresh: fresh,
 			})
 			return
 		case assertion.StatusError:
@@ -368,7 +370,7 @@ func (e refEngine) visit(ctx context.Context, r *refRun, br *refBranch, t refTar
 			if fresh {
 				e.log(r.req, "Could not verify %s: %s", n.ID, res.Err)
 			}
-			if n.Leaf() {
+			if len(n.Edges) == 0 {
 				br.suspect(n)
 				return
 			}
@@ -389,7 +391,7 @@ func (e refEngine) visit(ctx context.Context, r *refRun, br *refBranch, t refTar
 		br.suspect(n)
 		return
 	}
-	kids := p.Children(n)
+	kids := refChildren(p, n)
 	next := make([]refTarget, len(kids))
 	for i, c := range kids {
 		next[i] = refTarget{p: p, n: c}
@@ -443,10 +445,10 @@ func (e refEngine) commit(r *refRun, br *refBranch) {
 // evidence behind.
 func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path string) {
 	for _, p := range r.plans {
-		if !p.Has(c.NodeID) {
+		if !refHas(p, c.NodeID) {
 			continue
 		}
-		if pt := p.PathTo(c.NodeID); pt != "" {
+		if pt := refPathTo(p, c.NodeID); pt != "" {
 			path = p.ID + ":" + pt
 		}
 		break
@@ -465,10 +467,10 @@ func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path stri
 		attrs["path"] = path
 	}
 	for _, p := range r.plans {
-		if !p.Has(c.NodeID) {
+		if !refHas(p, c.NodeID) {
 			continue
 		}
-		if parents := p.Parents(c.NodeID); len(parents) > 0 {
+		if parents := refParents(p, c.NodeID); len(parents) > 0 {
 			attrs["parents"] = strings.Join(parents, ",")
 		}
 		break
@@ -650,4 +652,167 @@ func (e refEngine) log(req Request, format string, args ...any) {
 		Message: fmt.Sprintf("[%s] [diagnosis] [%s] [%s] %s",
 			ts.Format(logging.TimestampLayout), req.ProcessInstanceID, req.StepID, msg),
 	})
+}
+
+// refEntryNode returns the entry node, or nil for an invalid plan.
+func refEntryNode(p *diagplan.Plan) *diagplan.Node { return p.Node(p.Entry) }
+
+// refHas reports whether the plan contains a node with the given id.
+func refHas(p *diagplan.Plan, id string) bool { return p.Node(id) != nil }
+
+// refChildren returns the node's edge targets ordered by descending edge
+// probability (stable for ties, preserving document order).
+func refChildren(p *diagplan.Plan, n *diagplan.Node) []*diagplan.Node {
+	edges := append([]diagplan.Edge(nil), n.Edges...)
+	for i := 1; i < len(edges); i++ {
+		for j := i; j > 0 && edges[j].Prob > edges[j-1].Prob; j-- {
+			edges[j], edges[j-1] = edges[j-1], edges[j]
+		}
+	}
+	out := make([]*diagplan.Node, 0, len(edges))
+	for _, e := range edges {
+		if t := p.Node(e.To); t != nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// refParents returns the ids of every node with an edge into nodeID, sorted.
+// Fan-in causes cite all of them on the evidence timeline.
+func refParents(p *diagplan.Plan, nodeID string) []string {
+	var out []string
+	for _, n := range p.Nodes {
+		for _, e := range n.Edges {
+			if e.To == nodeID {
+				out = append(out, n.ID)
+				break
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// refPathTo returns one canonical entry-to-node path as "/"-joined ids — the
+// probability-preferred route a sequential walk would take — or "" when
+// the node is unreachable from the entry. Fan-in nodes have several
+// routes; refParents lists the others.
+func refPathTo(p *diagplan.Plan, nodeID string) string {
+	entry := refEntryNode(p)
+	if entry == nil {
+		return ""
+	}
+	visited := make(map[string]bool)
+	var find func(n *diagplan.Node, trail []string) string
+	find = func(n *diagplan.Node, trail []string) string {
+		if visited[n.ID] {
+			return ""
+		}
+		visited[n.ID] = true
+		trail = append(trail, n.ID)
+		if n.ID == nodeID {
+			return strings.Join(trail, "/")
+		}
+		for _, c := range refChildren(p, n) {
+			if path := find(c, trail); path != "" {
+				return path
+			}
+		}
+		return ""
+	}
+	return find(entry, nil)
+}
+
+// refPrune returns a deep copy retaining only the nodes reachable from the
+// entry through step-relevant targets. The entry is always kept. A shared
+// node stays alive as long as ANY relevant parent still reaches it.
+func refPrune(p *diagplan.Plan, stepID string) *diagplan.Plan {
+	src := p.Clone()
+	keep := map[string]bool{src.Entry: true}
+	queue := []string{src.Entry}
+	for len(queue) > 0 {
+		n := src.Node(queue[0])
+		queue = queue[1:]
+		if n == nil {
+			continue
+		}
+		for _, e := range n.Edges {
+			t := src.Node(e.To)
+			if t == nil || !t.RelevantTo(stepID) || keep[t.ID] {
+				continue
+			}
+			keep[t.ID] = true
+			queue = append(queue, t.ID)
+		}
+	}
+	out := &diagplan.Plan{ID: src.ID, AssertionID: src.AssertionID, Description: src.Description, Entry: src.Entry}
+	for _, n := range src.Nodes {
+		if !keep[n.ID] {
+			continue
+		}
+		kept := n.Edges[:0]
+		for _, e := range n.Edges {
+			if keep[e.To] {
+				kept = append(kept, e)
+			}
+		}
+		n.Edges = kept
+		out.Nodes = append(out.Nodes, n)
+	}
+	return out
+}
+
+// refPotentialRootCauses returns the distinct cause nodes reachable from the
+// entry, in visit order (probability-ordered depth-first, each shared
+// node counted once).
+func refPotentialRootCauses(p *diagplan.Plan) []*diagplan.Node {
+	entry := refEntryNode(p)
+	if entry == nil {
+		return nil
+	}
+	var out []*diagplan.Node
+	visited := make(map[string]bool)
+	var walk func(n *diagplan.Node)
+	walk = func(n *diagplan.Node) {
+		if visited[n.ID] {
+			return
+		}
+		visited[n.ID] = true
+		if n.IsCause() {
+			out = append(out, n)
+		}
+		for _, c := range refChildren(p, n) {
+			walk(c)
+		}
+	}
+	walk(entry)
+	return out
+}
+
+// refCausesUnder returns the ids of the distinct cause nodes reachable from
+// (and including) nodeID, in visit order. A passing diagnosis test on the
+// node excludes exactly these faults.
+func refCausesUnder(p *diagplan.Plan, nodeID string) []string {
+	start := p.Node(nodeID)
+	if start == nil {
+		return nil
+	}
+	var out []string
+	visited := make(map[string]bool)
+	var walk func(n *diagplan.Node)
+	walk = func(n *diagplan.Node) {
+		if visited[n.ID] {
+			return
+		}
+		visited[n.ID] = true
+		if n.IsCause() {
+			out = append(out, n.ID)
+		}
+		for _, c := range refChildren(p, n) {
+			walk(c)
+		}
+	}
+	walk(start)
+	return out
 }

@@ -13,7 +13,7 @@ import (
 // without writing to it: a registered plan must not be modified afterwards,
 // and may be registered in many catalogs concurrently.
 type Catalog struct {
-	byID        map[string]*Plan
+	byID        map[string]*Compiled
 	byAssertion map[string][]*Compiled // in registration order
 	sorted      []*Compiled            // every plan, by plan id
 	nodes       int                    // nodes across all plans: the next VNode.Index
@@ -22,13 +22,14 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		byID:        make(map[string]*Plan),
+		byID:        make(map[string]*Compiled),
 		byAssertion: make(map[string][]*Compiled),
 	}
 }
 
 // Register adds a plan and compiles its walk form. Plan ids are the
-// catalog key and must be unique, as must node ids within the plan.
+// catalog key and must be unique; node ids within the plan must be non-empty
+// and unique, or the plan cannot be compiled.
 func (c *Catalog) Register(p *Plan) error {
 	if p == nil || p.ID == "" {
 		return fmt.Errorf("diagplan: cannot register a plan without an id")
@@ -36,12 +37,12 @@ func (c *Catalog) Register(p *Plan) error {
 	if _, dup := c.byID[p.ID]; dup {
 		return fmt.Errorf("diagplan: duplicate plan id %q", p.ID)
 	}
-	if err := p.reindex(); err != nil {
+	cp, err := compile(p, c.nodes)
+	if err != nil {
 		return err
 	}
-	cp := compile(p, c.nodes)
 	c.nodes += len(p.Nodes)
-	c.byID[p.ID] = p
+	c.byID[p.ID] = cp
 	c.byAssertion[p.AssertionID] = append(c.byAssertion[p.AssertionID], cp)
 	at := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i].Plan.ID > p.ID })
 	c.sorted = append(c.sorted, nil)
@@ -58,8 +59,8 @@ func (c *Catalog) MustRegister(p *Plan) {
 	}
 }
 
-// Get returns the plan with the given id, or nil.
-func (c *Catalog) Get(id string) *Plan { return c.byID[id] }
+// Get returns the compiled plan with the given id, or nil.
+func (c *Catalog) Get(id string) *Compiled { return c.byID[id] }
 
 // Select returns the plans for the given assertion id.
 func (c *Catalog) Select(assertionID string) []*Plan {
@@ -93,10 +94,11 @@ func (c *Catalog) NodeCount() int { return c.nodes }
 // unscoped diagnoses.
 func (c *Catalog) All() []*Plan { return plansOf(c.sorted) }
 
-// Validate validates every plan in the catalog against the registry.
+// Validate validates every plan in the catalog against the registry, in
+// plan id order, on the id index its compilation built.
 func (c *Catalog) Validate(reg *assertion.Registry) error {
-	for _, p := range c.All() {
-		if err := p.Validate(reg); err != nil {
+	for _, cp := range c.sorted {
+		if err := cp.Plan.validate(cp.shape.index, reg); err != nil {
 			return err
 		}
 	}

@@ -40,9 +40,10 @@ type lazyView struct {
 	view     *View
 }
 
-// View returns the plan as pruned for the step context (see Plan.Prune), or
-// unpruned when prune is false. Step ids no node of the plan is scoped to
-// all prune alike and share one view. It is safe for concurrent use.
+// View returns the plan as pruned for the step context — the entry and every
+// node reachable from it through step-relevant targets — or unpruned when
+// prune is false. Step ids no node of the plan is scoped to all prune alike
+// and share one view. It is safe for concurrent use.
 func (c *Compiled) View(stepID string, prune bool) *View {
 	l := &c.other
 	if !prune {
@@ -60,7 +61,7 @@ type View struct {
 	// does not resolve.
 	Entry *VNode
 	// PotentialFaults is the number of distinct causes reachable from the
-	// entry (len(Plan.PotentialRootCauses()) of the pruned plan).
+	// entry (len(Entry.CausesUnder)); 0 when Entry is nil.
 	PotentialFaults int
 
 	index map[string]int // node id -> position in nodes; shared by the plan's views
@@ -94,11 +95,12 @@ type VNode struct {
 	// this node, in visit order: what a passing test here excludes.
 	CausesUnder []*VNode
 	// Path is the plan-qualified preferred route from the entry,
-	// "planID:entry/…/id" (Plan.PathTo); empty when the entry does not
+	// "planID:entry/…/id": the first route a depth-first walk over
+	// preference-ordered children finds; empty when the entry does not
 	// reach the node.
 	Path string
 	// Parents are the sorted, comma-joined ids of the surviving nodes with
-	// an edge into this one (Plan.Parents); empty for none.
+	// an edge into this one; empty for none.
 	Parents string
 
 	description template
@@ -210,10 +212,13 @@ func (t template) render(params assertion.Params) string {
 // compile builds the walk form of p. base is the catalog-wide index of
 // p's first node. The plan need not have passed Validate — edges to unknown
 // nodes are ignored and an unresolvable entry yields views with nothing to
-// walk, exactly as the Plan methods treat them — but its node ids must
-// index (reindex succeeded).
-func compile(p *Plan, base int) *Compiled {
-	c := &Compiled{Plan: p, shape: newShape(p, base), steps: make(map[string]*lazyView)}
+// walk — but its node ids must index (indexNodes).
+func compile(p *Plan, base int) (*Compiled, error) {
+	s, err := newShape(p, base)
+	if err != nil {
+		return nil, err
+	}
+	c := &Compiled{Plan: p, shape: s, steps: make(map[string]*lazyView)}
 	c.steps[""] = &lazyView{relevant: func(*Node) bool { return true }}
 	for _, n := range p.Nodes {
 		for _, step := range n.Steps {
@@ -224,7 +229,7 @@ func compile(p *Plan, base int) *Compiled {
 		}
 	}
 	c.other.relevant = func(n *Node) bool { return len(n.Steps) == 0 }
-	return c
+	return c, nil
 }
 
 // shape is the step-independent part of a compilation: integer node ids in
@@ -233,19 +238,20 @@ func compile(p *Plan, base int) *Compiled {
 type shape struct {
 	p       *Plan
 	base    int
-	index   map[string]int // node id -> position in p.Nodes
+	index   map[string]int // node id -> position in p.Nodes (indexNodes)
 	entry   int            // -1 when the entry does not resolve
 	targets [][]int        // per node: edge targets by descending probability, stable
 	protos  []VNode        // per node: the fields that do not depend on the view
 }
 
-func newShape(p *Plan, base int) *shape {
-	s := &shape{
-		p: p, base: base, index: make(map[string]int, len(p.Nodes)), entry: -1,
-		targets: make([][]int, len(p.Nodes)), protos: make([]VNode, len(p.Nodes)),
+func newShape(p *Plan, base int) (*shape, error) {
+	index, err := indexNodes(p)
+	if err != nil {
+		return nil, err
 	}
-	for i, n := range p.Nodes {
-		s.index[n.ID] = i
+	s := &shape{
+		p: p, base: base, index: index, entry: -1,
+		targets: make([][]int, len(p.Nodes)), protos: make([]VNode, len(p.Nodes)),
 	}
 	if i, ok := s.index[p.Entry]; ok {
 		s.entry = i
@@ -267,7 +273,7 @@ func newShape(p *Plan, base int) *shape {
 		}
 		s.protos[i] = proto
 	}
-	return s
+	return s, nil
 }
 
 // view builds the plan as pruned by relevant: the entry plus every node

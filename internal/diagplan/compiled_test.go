@@ -11,7 +11,7 @@ import (
 )
 
 // oddPlans are documents Validate would reject but Register accepts: the
-// compiled views must treat them exactly as the Plan methods do.
+// compiled views must treat them exactly as the reference reads do.
 func oddPlans() []*diagplan.Plan {
 	return []*diagplan.Plan{
 		{ID: "odd-dangling", AssertionID: "odd", Entry: "e", Nodes: []*diagplan.Node{
@@ -32,9 +32,9 @@ func oddPlans() []*diagplan.Plan {
 	}
 }
 
-// Every compiled view answers as the Plan methods answer on the plan
-// pruned for that step: the registration-time tables are those methods'
-// results, no more.
+// Every compiled view answers as the reference reads (reference_test.go)
+// answer on the plan pruned for that step: the registration-time tables are
+// those reads' results, no more.
 func TestCompiledViewsMatchPlanMethods(t *testing.T) {
 	cat := diagplan.FullCatalog()
 	for _, p := range oddPlans() {
@@ -70,22 +70,22 @@ func TestCompiledViewsMatchPlanMethods(t *testing.T) {
 			for _, prune := range []bool{true, false} {
 				want := p
 				if prune {
-					want = p.Prune(step)
+					want = diagplan.RefPrune(p, step)
 				}
 				inst := want.Instantiate(params)
 				v := c.View(step, prune)
 				views++
-				if got := len(want.PotentialRootCauses()); v.PotentialFaults != got {
+				if got := len(diagplan.RefPotentialRootCauses(want)); v.PotentialFaults != got {
 					t.Errorf("%s step %q prune=%t: PotentialFaults = %d, want %d", p.ID, step, prune, v.PotentialFaults, got)
 				}
-				if (v.Entry == nil) != (want.EntryNode() == nil) || (v.Entry != nil && v.Entry.ID != p.Entry) {
+				if (v.Entry == nil) != (diagplan.RefEntryNode(want) == nil) || (v.Entry != nil && v.Entry.ID != p.Entry) {
 					t.Errorf("%s step %q prune=%t: entry %v", p.ID, step, prune, v.Entry)
 				}
 				for _, n := range p.Nodes {
 					at := p.ID + "/" + n.ID + " step " + step
 					vn := v.Node(n.ID)
-					if (vn != nil) != want.Has(n.ID) {
-						t.Errorf("%s prune=%t: in view %t, in pruned plan %t", at, prune, vn != nil, want.Has(n.ID))
+					if (vn != nil) != diagplan.RefHas(want, n.ID) {
+						t.Errorf("%s prune=%t: in view %t, in pruned plan %t", at, prune, vn != nil, diagplan.RefHas(want, n.ID))
 					}
 					if vn == nil {
 						continue
@@ -94,20 +94,20 @@ func TestCompiledViewsMatchPlanMethods(t *testing.T) {
 					if vn.ID != n.ID || vn.CheckID != n.CheckID || vn.TestClass != n.TestClass || vn.Cause != n.IsCause() {
 						t.Errorf("%s: node fields %+v", at, vn)
 					}
-					if got, w := vids(vn.Children), ids(want.Children(wn)); !reflect.DeepEqual(got, w) {
+					if got, w := vids(vn.Children), ids(diagplan.RefChildren(want, wn)); !reflect.DeepEqual(got, w) {
 						t.Errorf("%s prune=%t: children %v, want %v", at, prune, got, w)
 					}
-					if got, w := vids(vn.CausesUnder), want.CausesUnder(n.ID); !reflect.DeepEqual(got, w) {
+					if got, w := vids(vn.CausesUnder), diagplan.RefCausesUnder(want, n.ID); !reflect.DeepEqual(got, w) {
 						t.Errorf("%s prune=%t: causes under %v, want %v", at, prune, got, w)
 					}
 					wantPath := ""
-					if pt := want.PathTo(n.ID); pt != "" {
+					if pt := diagplan.RefPathTo(want, n.ID); pt != "" {
 						wantPath = p.ID + ":" + pt
 					}
 					if vn.Path != wantPath {
 						t.Errorf("%s prune=%t: path %q, want %q", at, prune, vn.Path, wantPath)
 					}
-					if w := strings.Join(want.Parents(n.ID), ","); vn.Parents != w {
+					if w := strings.Join(diagplan.RefParents(want, n.ID), ","); vn.Parents != w {
 						t.Errorf("%s prune=%t: parents %q, want %q", at, prune, vn.Parents, w)
 					}
 					in := inst.Node(n.ID)
@@ -132,6 +132,28 @@ func TestCompiledViewsMatchPlanMethods(t *testing.T) {
 		t.Errorf("%d distinct node indexes for %d nodes", len(indexOwner), cat.NodeCount())
 	}
 	t.Logf("%d views over %d plans, %d nodes", views, len(cat.All()), cat.NodeCount())
+}
+
+// Prune keeps what the step's compiled view keeps, which is what the
+// breadth-first prune it replaced kept: the same nodes and edges, in
+// document order.
+func TestPruneMatchesReference(t *testing.T) {
+	cat := diagplan.FullCatalog()
+	for _, p := range oddPlans() {
+		cat.MustRegister(p)
+	}
+	for _, c := range cat.Compiled("") {
+		p := c.Plan
+		steps := []string{"", "a-step-nobody-names"}
+		for _, n := range p.Nodes {
+			steps = append(steps, n.Steps...)
+		}
+		for _, step := range steps {
+			if got, want := p.Prune(step), diagplan.RefPrune(p, step); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s step %q: Prune kept %+v, want %+v", p.ID, step, got.Nodes, want.Nodes)
+			}
+		}
+	}
 }
 
 // Compiled follows Select for a named assertion and All for none.

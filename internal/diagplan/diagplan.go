@@ -6,15 +6,18 @@
 // shared sub-graphs are expressed once and referenced by many parents
 // (fan-in), and cycles are rejected at load time.
 //
-// At diagnosis time a plan is selected by the failing assertion's id,
-// instantiated with the runtime request's parameters ({var}
-// placeholders), pruned by the process context (step id), and visited
-// entry-down by the diagnosis engine in per-edge probability order.
+// A Plan is the document: parsed, validated, rendered. Registering it in a
+// Catalog compiles it, and the Compiled form is the only way to read the
+// graph: per process context (step id) a View keeps the entry and the
+// step-relevant nodes reachable from it. At diagnosis time the failing
+// assertion's id selects the plans, the step picks each plan's view, and
+// the diagnosis engine visits it entry-down in per-edge probability order,
+// rendering {var} placeholders from the request's parameters.
 package diagplan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"poddiagnosis/internal/assertion"
@@ -44,15 +47,6 @@ const (
 	// check confirms the fault.
 	KindCause Kind = "cause"
 )
-
-// knownKind reports whether k is a registered node kind.
-func knownKind(k Kind) bool {
-	switch k {
-	case KindEntry, KindCollector, KindTest, KindCause:
-		return true
-	}
-	return false
-}
 
 // Test classifications for Node.TestClass.
 const (
@@ -117,9 +111,6 @@ func (n *Node) Clone() *Node {
 // IsCause reports whether the node is a diagnosable root cause.
 func (n *Node) IsCause() bool { return n.Kind == KindCause }
 
-// Leaf reports whether the node has no outgoing edges.
-func (n *Node) Leaf() bool { return len(n.Edges) == 0 }
-
 // RelevantTo reports whether the node applies in the given step context.
 // An empty stepID (context unknown, e.g. purely timer-triggered
 // diagnosis) keeps every node; an unscoped node is always relevant.
@@ -147,58 +138,37 @@ type Plan struct {
 	Entry string `json:"entry"`
 	// Nodes is the adjacency-list document body.
 	Nodes []*Node `json:"nodes"`
-
-	index map[string]*Node // built by reindex; nil until then
 }
 
-// reindex (re)builds the id index unless it is current, so a shared plan is
-// only read. It reports duplicate or empty ids.
-func (p *Plan) reindex() error {
-	if p.indexed() {
-		return nil
-	}
-	idx := make(map[string]*Node, len(p.Nodes))
+// Node returns the first node with the given id, or nil. It scans: plans
+// are small, and walks read the compiled views instead (Catalog.Get).
+func (p *Plan) Node(id string) *Node {
 	for _, n := range p.Nodes {
-		if n == nil {
-			return fmt.Errorf("diagplan %s: nil node", p.ID)
+		if n != nil && n.ID == id {
+			return n
 		}
-		if n.ID == "" {
-			return fmt.Errorf("diagplan %s: node with empty id", p.ID)
-		}
-		if _, dup := idx[n.ID]; dup {
-			return fmt.Errorf("diagplan %s: duplicate node id %q", p.ID, n.ID)
-		}
-		idx[n.ID] = n
 	}
-	p.index = idx
 	return nil
 }
 
-// indexed reports whether the id index maps exactly the plan's nodes.
-func (p *Plan) indexed() bool {
-	for _, n := range p.Nodes {
-		if n == nil || p.index[n.ID] != n {
-			return false
+// indexNodes maps each node id to its position in p.Nodes. It refuses a nil
+// node and an empty or duplicate id.
+func indexNodes(p *Plan) (map[string]int, error) {
+	idx := make(map[string]int, len(p.Nodes))
+	for i, n := range p.Nodes {
+		if n == nil {
+			return nil, fmt.Errorf("diagplan %s: nil node", p.ID)
 		}
-	}
-	return p.index != nil && len(p.index) == len(p.Nodes)
-}
-
-// Node returns the node with the given id, or nil.
-func (p *Plan) Node(id string) *Node {
-	if p.index == nil {
-		if p.reindex() != nil {
-			return nil
+		if n.ID == "" {
+			return nil, fmt.Errorf("diagplan %s: node with empty id", p.ID)
 		}
+		if _, dup := idx[n.ID]; dup {
+			return nil, fmt.Errorf("diagplan %s: duplicate node id %q", p.ID, n.ID)
+		}
+		idx[n.ID] = i
 	}
-	return p.index[id]
+	return idx, nil
 }
-
-// Has reports whether the plan contains a node with the given id.
-func (p *Plan) Has(id string) bool { return p.Node(id) != nil }
-
-// EntryNode returns the entry node, or nil for an invalid plan.
-func (p *Plan) EntryNode() *Node { return p.Node(p.Entry) }
 
 // Validate checks structural invariants: a resolvable entry without a
 // check or incoming edges, unique node ids, edges resolving to known
@@ -209,34 +179,39 @@ func (p *Plan) Validate(reg *assertion.Registry) error {
 	if p.ID == "" {
 		return fmt.Errorf("diagplan: plan with empty id")
 	}
-	if err := p.reindex(); err != nil {
+	idx, err := indexNodes(p)
+	if err != nil {
 		return err
 	}
-	entry := p.index[p.Entry]
-	if p.Entry == "" || entry == nil {
+	return p.validate(idx, reg)
+}
+
+// validate is Validate on the plan's id index (indexNodes).
+func (p *Plan) validate(idx map[string]int, reg *assertion.Registry) error {
+	ei, ok := idx[p.Entry]
+	if !ok {
 		return fmt.Errorf("diagplan %s: entry %q is not a node", p.ID, p.Entry)
 	}
-	if entry.CheckID != "" {
+	if entry := p.Nodes[ei]; entry.CheckID != "" {
 		return fmt.Errorf("diagplan %s: entry %q carries a check (%s) — the failing assertion already fired", p.ID, p.Entry, entry.CheckID)
 	}
 	for _, n := range p.Nodes {
-		if !knownKind(n.Kind) {
+		switch n.Kind {
+		case KindEntry, KindCollector, KindTest, KindCause:
+		default:
 			return fmt.Errorf("diagplan %s: node %q has unknown kind %q", p.ID, n.ID, n.Kind)
 		}
-		if n.IsCause() && !n.Leaf() {
+		if n.IsCause() && len(n.Edges) > 0 {
 			return fmt.Errorf("diagplan %s: cause %q has outgoing edges", p.ID, n.ID)
 		}
-		seen := make(map[string]bool, len(n.Edges))
-		for _, e := range n.Edges {
-			t := p.index[e.To]
-			if t == nil {
+		for i, e := range n.Edges {
+			if _, ok := idx[e.To]; !ok {
 				return fmt.Errorf("diagplan %s: node %q has an edge to unknown node %q", p.ID, n.ID, e.To)
 			}
-			if seen[e.To] {
+			if slices.ContainsFunc(n.Edges[:i], func(d Edge) bool { return d.To == e.To }) {
 				return fmt.Errorf("diagplan %s: node %q has duplicate edges to %q", p.ID, n.ID, e.To)
 			}
-			seen[e.To] = true
-			if t.ID == p.Entry {
+			if e.To == p.Entry {
 				return fmt.Errorf("diagplan %s: node %q has an edge into the entry %q", p.ID, n.ID, e.To)
 			}
 		}
@@ -246,7 +221,7 @@ func (p *Plan) Validate(reg *assertion.Registry) error {
 			}
 		}
 	}
-	if cyc := p.findCycle(); len(cyc) > 0 {
+	if cyc := p.findCycle(idx); len(cyc) > 0 {
 		return fmt.Errorf("diagplan %s: cycle %s", p.ID, strings.Join(cyc, " -> "))
 	}
 	return nil
@@ -255,26 +230,26 @@ func (p *Plan) Validate(reg *assertion.Registry) error {
 // findCycle returns one cycle as a node-id path (closing node repeated),
 // or nil when the plan is acyclic. It scans every node, not just those
 // reachable from the entry, so orphan sub-graphs cannot smuggle cycles.
-func (p *Plan) findCycle() []string {
+// Every edge must resolve in idx.
+func (p *Plan) findCycle(idx map[string]int) []string {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make(map[string]int, len(p.Nodes))
+	color := make([]byte, len(p.Nodes))
 	var path []string
-	var dfs func(n *Node) []string
-	dfs = func(n *Node) []string {
-		color[n.ID] = grey
-		path = append(path, n.ID)
-		for _, e := range n.Edges {
-			t := p.index[e.To]
-			switch color[t.ID] {
+	var dfs func(i int) []string
+	dfs = func(i int) []string {
+		color[i] = grey
+		path = append(path, p.Nodes[i].ID)
+		for _, e := range p.Nodes[i].Edges {
+			switch t := idx[e.To]; color[t] {
 			case grey:
 				// Close the cycle at its first occurrence on the path.
-				for i, id := range path {
-					if id == t.ID {
-						return append(append([]string(nil), path[i:]...), t.ID)
+				for j, id := range path {
+					if id == e.To {
+						return append(append([]string(nil), path[j:]...), e.To)
 					}
 				}
 			case white:
@@ -283,14 +258,14 @@ func (p *Plan) findCycle() []string {
 				}
 			}
 		}
-		color[n.ID] = black
+		color[i] = black
 		path = path[:len(path)-1]
 		return nil
 	}
-	for _, n := range p.Nodes {
-		if color[n.ID] == white {
+	for i := range p.Nodes {
+		if color[i] == white {
 			path = path[:0]
-			if cyc := dfs(n); cyc != nil {
+			if cyc := dfs(i); cyc != nil {
 				return cyc
 			}
 		}
@@ -308,19 +283,6 @@ func (p *Plan) Clone() *Plan {
 	return out
 }
 
-// Children returns the node's edge targets ordered by descending edge
-// probability (stable for ties, preserving document order).
-func (p *Plan) Children(n *Node) []*Node {
-	edges := sortedEdges(n.Edges)
-	out := make([]*Node, 0, len(edges))
-	for _, e := range edges {
-		if t := p.Node(e.To); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // sortedEdges orders edges by descending probability; insertion sort keeps
 // ties stable and edge lists are tiny.
 func sortedEdges(edges []Edge) []Edge {
@@ -333,52 +295,6 @@ func sortedEdges(edges []Edge) []Edge {
 	return out
 }
 
-// Parents returns the ids of every node with an edge into nodeID, sorted.
-// Fan-in causes cite all of them on the evidence timeline.
-func (p *Plan) Parents(nodeID string) []string {
-	var out []string
-	for _, n := range p.Nodes {
-		for _, e := range n.Edges {
-			if e.To == nodeID {
-				out = append(out, n.ID)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PathTo returns one canonical entry-to-node path as "/"-joined ids — the
-// probability-preferred route a sequential walk would take — or "" when
-// the node is unreachable from the entry. Fan-in nodes have several
-// routes; Parents lists the others.
-func (p *Plan) PathTo(nodeID string) string {
-	entry := p.EntryNode()
-	if entry == nil {
-		return ""
-	}
-	visited := make(map[string]bool)
-	var find func(n *Node, trail []string) string
-	find = func(n *Node, trail []string) string {
-		if visited[n.ID] {
-			return ""
-		}
-		visited[n.ID] = true
-		trail = append(trail, n.ID)
-		if n.ID == nodeID {
-			return strings.Join(trail, "/")
-		}
-		for _, c := range p.Children(n) {
-			if path := find(c, trail); path != "" {
-				return path
-			}
-		}
-		return ""
-	}
-	return find(entry, nil)
-}
-
 // Instantiate returns a deep copy with every {param} placeholder in
 // descriptions and check parameters substituted from params. Unknown
 // placeholders are left intact so partially-instantiated plans remain
@@ -386,113 +302,31 @@ func (p *Plan) PathTo(nodeID string) string {
 func (p *Plan) Instantiate(params assertion.Params) *Plan {
 	out := p.Clone()
 	for _, n := range out.Nodes {
-		n.Description = substitute(n.Description, params)
+		n.Description = parseTemplate(n.Description).render(params)
 		for k, v := range n.CheckParams {
-			n.CheckParams[k] = substitute(v, params)
+			n.CheckParams[k] = parseTemplate(v).render(params)
 		}
 	}
 	return out
 }
 
-// Prune returns a deep copy retaining only the nodes reachable from the
-// entry through step-relevant targets. The entry is always kept. Unlike
-// the old tree pruning, a shared node stays alive as long as ANY relevant
-// parent still reaches it.
+// Prune returns a deep copy keeping the nodes and edges the plan's compiled
+// view for stepID keeps (Compiled.View): the entry and every node reachable
+// from it through step-relevant targets. A plan whose node ids do not index
+// keeps nothing.
 func (p *Plan) Prune(stepID string) *Plan {
-	src := p.Clone()
-	keep := map[string]bool{src.Entry: true}
-	queue := []string{src.Entry}
-	for len(queue) > 0 {
-		n := src.Node(queue[0])
-		queue = queue[1:]
-		if n == nil {
-			continue
-		}
-		for _, e := range n.Edges {
-			t := src.Node(e.To)
-			if t == nil || !t.RelevantTo(stepID) || keep[t.ID] {
-				continue
-			}
-			keep[t.ID] = true
-			queue = append(queue, t.ID)
-		}
+	out := &Plan{ID: p.ID, AssertionID: p.AssertionID, Description: p.Description, Entry: p.Entry}
+	c, err := compile(p, 0)
+	if err != nil {
+		return out
 	}
-	out := &Plan{ID: src.ID, AssertionID: src.AssertionID, Description: src.Description, Entry: src.Entry}
-	for _, n := range src.Nodes {
-		if !keep[n.ID] {
-			continue
+	v := c.View(stepID, true)
+	for _, n := range p.Nodes {
+		if v.Node(n.ID) != nil {
+			n = n.Clone()
+			n.Edges = slices.DeleteFunc(n.Edges, func(e Edge) bool { return v.Node(e.To) == nil })
+			out.Nodes = append(out.Nodes, n)
 		}
-		kept := n.Edges[:0]
-		for _, e := range n.Edges {
-			if keep[e.To] {
-				kept = append(kept, e)
-			}
-		}
-		n.Edges = kept
-		out.Nodes = append(out.Nodes, n)
 	}
 	return out
-}
-
-// PotentialRootCauses returns the distinct cause nodes reachable from the
-// entry, in visit order (probability-ordered depth-first, each shared
-// node counted once).
-func (p *Plan) PotentialRootCauses() []*Node {
-	entry := p.EntryNode()
-	if entry == nil {
-		return nil
-	}
-	var out []*Node
-	visited := make(map[string]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if visited[n.ID] {
-			return
-		}
-		visited[n.ID] = true
-		if n.IsCause() {
-			out = append(out, n)
-		}
-		for _, c := range p.Children(n) {
-			walk(c)
-		}
-	}
-	walk(entry)
-	return out
-}
-
-// CausesUnder returns the ids of the distinct cause nodes reachable from
-// (and including) nodeID, in visit order. A passing diagnosis test on the
-// node excludes exactly these faults.
-func (p *Plan) CausesUnder(nodeID string) []string {
-	start := p.Node(nodeID)
-	if start == nil {
-		return nil
-	}
-	var out []string
-	visited := make(map[string]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if visited[n.ID] {
-			return
-		}
-		visited[n.ID] = true
-		if n.IsCause() {
-			out = append(out, n.ID)
-		}
-		for _, c := range p.Children(n) {
-			walk(c)
-		}
-	}
-	walk(start)
-	return out
-}
-
-// substitute replaces {key} placeholders with values from params, in one
-// left-to-right pass (see template).
-func substitute(s string, params assertion.Params) string {
-	if !strings.Contains(s, "{") {
-		return s
-	}
-	return parseTemplate(s).render(params)
 }

@@ -90,15 +90,15 @@ func TestValidateUnknownCheck(t *testing.T) {
 
 func TestParentsAndCausesUnder(t *testing.T) {
 	p := fanInPlan(t)
-	got := p.Parents("cause-x")
+	got := RefParents(p, "cause-x")
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Parents(cause-x) = %v, want [a b]", got)
 	}
-	causes := p.CausesUnder("b")
+	causes := RefCausesUnder(p, "b")
 	if len(causes) != 2 || causes[0] != "cause-x" || causes[1] != "cause-y" {
 		t.Fatalf("CausesUnder(b) = %v", causes)
 	}
-	all := p.PotentialRootCauses()
+	all := RefPotentialRootCauses(p)
 	if len(all) != 2 {
 		t.Fatalf("PotentialRootCauses = %v, want 2 unique causes", all)
 	}
@@ -108,10 +108,10 @@ func TestPathToPrefersProbability(t *testing.T) {
 	p := fanInPlan(t)
 	// cause-x is reachable via a (0.6*0.9) and b (0.4*0.5); the preferred
 	// path walks highest-probability edges first.
-	if got := p.PathTo("cause-x"); got != "entry/a/cause-x" {
+	if got := RefPathTo(p, "cause-x"); got != "entry/a/cause-x" {
 		t.Fatalf("PathTo(cause-x) = %q", got)
 	}
-	if got := p.PathTo("cause-y"); got != "entry/b/cause-y" {
+	if got := RefPathTo(p, "cause-y"); got != "entry/b/cause-y" {
 		t.Fatalf("PathTo(cause-y) = %q", got)
 	}
 }
@@ -121,11 +121,11 @@ func TestPruneKeepsSharedReachable(t *testing.T) {
 	pruned := p.Prune("step2")
 	// Only branch b is relevant to step2; a is dropped, but cause-x stays
 	// reachable through b.
-	if pruned.Has("a") {
+	if RefHas(pruned, "a") {
 		t.Fatal("a should be pruned for step2")
 	}
 	for _, id := range []string{"entry", "b", "cause-x", "cause-y"} {
-		if !pruned.Has(id) {
+		if !RefHas(pruned, id) {
 			t.Fatalf("%s should survive prune", id)
 		}
 	}
@@ -133,7 +133,7 @@ func TestPruneKeepsSharedReachable(t *testing.T) {
 		t.Fatalf("pruned plan invalid: %v", err)
 	}
 	// Original untouched.
-	if !p.Has("a") {
+	if !RefHas(p, "a") {
 		t.Fatal("prune mutated the original plan")
 	}
 }
@@ -159,7 +159,7 @@ func TestInstantiate(t *testing.T) {
 
 func TestChildrenOrderedByProbability(t *testing.T) {
 	p := fanInPlan(t)
-	kids := p.Children(p.Node("entry"))
+	kids := RefChildren(p, p.Node("entry"))
 	if len(kids) != 2 || kids[0].ID != "a" || kids[1].ID != "b" {
 		t.Fatalf("Children(entry) order wrong: %+v", kids)
 	}
@@ -172,13 +172,13 @@ func TestChildrenStableOnTies(t *testing.T) {
 		{ID: "a", Kind: KindCause}, {ID: "b", Kind: KindCause}, {ID: "c", Kind: KindCause}, {ID: "d", Kind: KindCause},
 	}}
 	var order []string
-	for _, n := range ties.Children(ties.EntryNode()) {
+	for _, n := range RefChildren(ties, RefEntryNode(ties)) {
 		order = append(order, n.ID)
 	}
 	if got := strings.Join(order, ","); got != "d,b,a,c" {
 		t.Fatalf("Children with tied priors = %s, want d,b,a,c", got)
 	}
-	if ties.EntryNode().Edges[0].To != "a" {
+	if RefEntryNode(ties).Edges[0].To != "a" {
 		t.Fatal("Children reordered the plan's edges")
 	}
 }
@@ -237,11 +237,11 @@ func TestScenarioPlansLoad(t *testing.T) {
 	// launch-failure causes appear under multiple plans and, inside
 	// plan-bluegreen, under multiple parents (fan-in).
 	bg := plans[0]
-	if got := bg.Parents("launch-ami-unavailable"); len(got) < 2 {
+	if got := RefParents(bg, "launch-ami-unavailable"); len(got) < 2 {
 		t.Fatalf("launch-ami-unavailable should have fan-in parents, got %v", got)
 	}
 	spot := plans[3]
-	if got := spot.Parents("account-limit-reached"); len(got) != 2 {
+	if got := RefParents(spot, "account-limit-reached"); len(got) != 2 {
 		t.Fatalf("spot account-limit-reached parents = %v", got)
 	}
 }
@@ -320,14 +320,11 @@ func TestSubstituteEdgeCases(t *testing.T) {
 		"{a}}{":         "A}{",
 		"{ a }":         "{ a }",
 	} {
-		if got := substitute(in, params); got != want {
-			t.Errorf("substitute(%q) = %q, want %q", in, got, want)
-		}
 		if got := parseTemplate(in).render(params); got != want {
 			t.Errorf("render(%q) = %q, want %q", in, got, want)
 		}
 	}
-	if got := substitute("{a}", nil); got != "{a}" {
-		t.Errorf("substitute with no params = %q", got)
+	if got := parseTemplate("{a}").render(nil); got != "{a}" {
+		t.Errorf("render with no params = %q", got)
 	}
 }

@@ -52,7 +52,7 @@ func TestInstantiateSubstitutesParams(t *testing.T) {
 		assertion.ParamASG: "ASG-dsn", assertion.ParamWant: "4",
 		assertion.ParamVersion: "v2", assertion.ParamAMI: "ami-750c9e4f",
 	})
-	if got := inst.EntryNode().Description; !strings.Contains(got, "4 instances with version v2") {
+	if got := RefEntryNode(inst).Description; !strings.Contains(got, "4 instances with version v2") {
 		t.Errorf("entry description = %q", got)
 	}
 	var found bool
@@ -67,14 +67,14 @@ func TestInstantiateSubstitutesParams(t *testing.T) {
 	if !found {
 		t.Error("asg name not substituted anywhere")
 	}
-	if !strings.Contains(p.EntryNode().Description, "{want}") {
+	if !strings.Contains(RefEntryNode(p).Description, "{want}") {
 		t.Error("Instantiate mutated the shipped plan")
 	}
 }
 
 func entryChildIDs(p *Plan) []string {
 	var out []string
-	for _, c := range p.Children(p.EntryNode()) {
+	for _, c := range RefChildren(p, RefEntryNode(p)) {
 		out = append(out, c.ID)
 	}
 	return out
@@ -104,13 +104,13 @@ func TestPruneByStepContext(t *testing.T) {
 	if got := len(entryChildIDs(p.Prune(""))); got != 5 {
 		t.Errorf("empty-step prune kept %d children, want 5", got)
 	}
-	if got := len(p.EntryNode().Edges); got != 5 {
+	if got := len(RefEntryNode(p).Edges); got != 5 {
 		t.Errorf("shipped plan mutated: %d entry edges", got)
 	}
 }
 
 func TestPotentialRootCausesOrdering(t *testing.T) {
-	causes := versionCountPlan(t).PotentialRootCauses()
+	causes := RefPotentialRootCauses(versionCountPlan(t))
 	if len(causes) < 10 {
 		t.Fatalf("only %d potential root causes", len(causes))
 	}
@@ -184,7 +184,7 @@ func TestTerminationLeafUsesAuditTrailCheck(t *testing.T) {
 
 func TestAccountLimitCauseExists(t *testing.T) {
 	// The §VI.A amendment: account-limit-reached must be diagnosable.
-	for _, c := range versionCountPlan(t).PotentialRootCauses() {
+	for _, c := range RefPotentialRootCauses(versionCountPlan(t)) {
 		if c.ID == "account-limit-reached" {
 			if c.CheckID != assertion.CheckNoLimitExceeded {
 				t.Error("account-limit cause has wrong check")
@@ -216,7 +216,7 @@ func TestFullCatalogAddsScenarios(t *testing.T) {
 		{"bgstep4", "plan-bluegreen", "ft-version-count"},
 	} {
 		for _, p := range cat.Select(assertion.CheckASGVersionCount) {
-			causes := len(p.Prune(tc.step).PotentialRootCauses())
+			causes := len(RefPotentialRootCauses(p.Prune(tc.step)))
 			if p.ID == tc.live && causes == 0 {
 				t.Errorf("%s lost its causes under %s", p.ID, tc.step)
 			}

@@ -26,8 +26,8 @@ func LintRemediation(cat *remediate.Catalog, policy remediate.Policy, plans *dia
 
 	// Every concrete cause node id across the whole plan catalog.
 	allCauses := make(map[string]bool)
-	for _, p := range plans.All() {
-		for _, n := range p.PotentialRootCauses() {
+	for _, c := range plans.Compiled("") {
+		for _, n := range planCauses(c) {
 			allCauses[n.ID] = true
 		}
 	}
@@ -61,18 +61,18 @@ func LintRemediation(cat *remediate.Catalog, policy remediate.Policy, plans *dia
 	for _, id := range coverPlanIDs {
 		cover[id] = true
 	}
-	for _, p := range plans.All() {
-		if !cover[p.ID] {
+	for _, c := range plans.Compiled("") {
+		if !cover[c.Plan.ID] {
 			continue
 		}
-		for _, n := range p.PotentialRootCauses() {
+		for _, n := range planCauses(c) {
 			if len(cat.BindingsFor(n.ID)) > 0 {
 				continue
 			}
 			if _, ok := cat.ManualReason(n.ID); ok {
 				continue
 			}
-			fs = append(fs, finding(RuleRemediateUncovered, planPos(p.ID, n.ID),
+			fs = append(fs, finding(RuleRemediateUncovered, planPos(c.Plan.ID, n.ID),
 				"cause %q binds no remediation action and carries no manual marker", n.ID))
 		}
 	}
@@ -94,6 +94,15 @@ func LintRemediation(cat *remediate.Catalog, policy remediate.Policy, plans *dia
 
 	Sort(fs)
 	return fs
+}
+
+// planCauses returns the distinct causes the plan's entry reaches, unpruned,
+// in visit order.
+func planCauses(c *diagplan.Compiled) []*diagplan.VNode {
+	if entry := c.View("", false).Entry; entry != nil {
+		return entry.CausesUnder
+	}
+	return nil
 }
 
 // remediatePos renders the locus of a remediation finding.

@@ -412,13 +412,13 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := []PlanSummary{}
-	for _, p := range s.diag.Catalog().All() {
+	for _, c := range s.diag.Catalog().Compiled("") {
 		out = append(out, PlanSummary{
-			ID:          p.ID,
-			AssertionID: p.AssertionID,
-			Description: p.Description,
-			Nodes:       len(p.Nodes),
-			Causes:      len(p.PotentialRootCauses()),
+			ID:          c.Plan.ID,
+			AssertionID: c.Plan.AssertionID,
+			Description: c.Plan.Description,
+			Nodes:       len(c.Plan.Nodes),
+			Causes:      c.View("", false).PotentialFaults,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -429,11 +429,12 @@ func (s *Server) handlePlanGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("diagnosis not configured"))
 		return
 	}
-	p := s.diag.Catalog().Get(r.PathValue("id"))
-	if p == nil {
+	c := s.diag.Catalog().Get(r.PathValue("id"))
+	if c == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such plan: %s", r.PathValue("id")))
 		return
 	}
+	p := c.Plan
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		data, err := p.Render()
