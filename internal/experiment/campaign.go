@@ -160,7 +160,7 @@ func RunSpecs(ctx context.Context, specs []RunSpec, cfg Config) (*Report, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, err := newLane(cfg, cfg.Seed+int64(w+1)*104729)
+			l, err := newLane(cfg, cfg.Seed+int64(w+1)*104729, RollingUpgrade)
 			if err != nil {
 				for j := range jobs {
 					errs[j.i] = err
@@ -169,7 +169,7 @@ func RunSpecs(ctx context.Context, specs []RunSpec, cfg Config) (*Report, error)
 			}
 			defer l.close()
 			for j := range jobs {
-				results[j.i], errs[j.i] = l.runOne(ctx, j.spec, fmt.Sprintf("pm%d", j.spec.ID))
+				results[j.i], errs[j.i] = l.run(ctx, RollingUpgrade, j.spec, fmt.Sprintf("pm%d", j.spec.ID))
 			}
 		}()
 	}

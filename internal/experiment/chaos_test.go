@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,6 +45,69 @@ func sloCounts() (detection, diagnosisLat uint64) {
 	return detection, diagnosisLat
 }
 
+// retryUninformative runs a lane up to three times, rerunning while why
+// explains that the result carries no information about the plane under
+// test ("" for an informative run). Such a run restates the box's
+// scheduling, not the plane's ability; a genuine regression reproduces on
+// every attempt, so the last result is judged as-is.
+func retryUninformative(t *testing.T, run func() (*RunResult, error), why func(*RunResult) string) *RunResult {
+	t.Helper()
+	var res *RunResult
+	for attempt := 1; attempt <= 3; attempt++ {
+		var err error
+		if res, err = run(); err != nil {
+			t.Fatal(err)
+		}
+		reason := why(res)
+		if reason == "" {
+			break
+		}
+		t.Logf("attempt %d: %s; rerunning", attempt, reason)
+	}
+	return res
+}
+
+// noSoundConfirmation is the chaos diagnosis gates' uninformative-run
+// predicate: the injected anomaly produced no detections at all (it lost
+// its scheduling race) or no sound confirmation (only degraded-evidence
+// conclusions from a starved diagnosis plane).
+func noSoundConfirmation(of string) func(*RunResult) string {
+	return func(res *RunResult) string {
+		if len(res.Detections) > 0 && (res.FaultDiagnosed || !onlyDegradedConfirmations(res)) {
+			return ""
+		}
+		return fmt.Sprintf("no sound confirmation of %s (%d detections)", of, len(res.Detections))
+	}
+}
+
+// assertChaosDiagnosis is the chaos diagnosis gates' shared verdict on a
+// run whose SLO counts were snapshotted before it started.
+func assertChaosDiagnosis(t *testing.T, res *RunResult, detBefore, diagBefore uint64) {
+	t.Helper()
+	for _, d := range res.Detections {
+		// Chaos may degrade a diagnosis, never forge a confident wrong one.
+		if d.Attribution == "unattributed" && d.Conclusion == diagnosis.ConclusionIdentified && !d.Degraded {
+			t.Errorf("non-degraded wrong diagnosis under chaos: %+v", d)
+		}
+	}
+	// Evidence acceptance: every confirmed cause must chain back through
+	// its timeline parents to a raw log event, even with the log pipeline
+	// dropping and duplicating under it.
+	if res.BrokenEvidenceChains != 0 {
+		t.Errorf("%d confirmed cause(s) with broken evidence chains under chaos", res.BrokenEvidenceChains)
+	}
+	// SLO acceptance: the run must have observed event->detection latency,
+	// and — when a cause was confirmed — detection->cause latency, under
+	// the chaos-profile label.
+	detAfter, diagAfter := sloCounts()
+	if detAfter <= detBefore {
+		t.Errorf("pod_slo_detection_latency_seconds did not grow (before=%d after=%d)", detBefore, detAfter)
+	}
+	if res.FaultDiagnosed && diagAfter <= diagBefore {
+		t.Errorf("pod_slo_diagnosis_latency_seconds did not grow (before=%d after=%d)", diagBefore, diagAfter)
+	}
+}
+
 // TestChaosAllFaultKindsStillDiagnosed is the chaos acceptance gate (run
 // by the CI chaos smoke job with -race): with the log pipeline lossy and
 // the monitoring plane's API reads stormed, every one of the paper's 8
@@ -55,65 +119,26 @@ func TestChaosAllFaultKindsStillDiagnosed(t *testing.T) {
 		t.Skip("chaos acceptance campaign is slow")
 	}
 	for i, kind := range faultinject.AllKinds() {
-		kind := kind
 		spec := RunSpec{
 			ID: i, Fault: kind, ClusterSize: 2,
 			Seed:        int64(100 + 7*i),
 			InjectDelay: time.Second,
 		}
 		t.Run(kind.String(), func(t *testing.T) {
-			// Same uninformative-run retry as the heal gate: a run where the
-			// injected fault produced no detections at all (the flip lost its
-			// scheduling race) or no sound confirmation (only
-			// degraded-evidence conclusions from a starved diagnosis plane)
-			// restates the box's scheduling, not the plane's ability; rerun
-			// it. A genuine regression reproduces on every attempt.
-			var res *RunResult
-			var err error
 			var detBefore, diagBefore uint64
-			for attempt := 0; attempt < 3; attempt++ {
+			res := retryUninformative(t, func() (*RunResult, error) {
 				detBefore, diagBefore = sloCounts()
-				res, err = RunOne(context.Background(), spec, chaosCfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Detections) > 0 && (res.FaultDiagnosed || !onlyDegradedConfirmations(res)) {
-					break
-				}
-				t.Logf("attempt %d: no sound confirmation of the injected cause (%d detections); rerunning",
-					attempt+1, len(res.Detections))
-			}
+				return RunOne(context.Background(), RollingUpgrade, spec, chaosCfg())
+			}, noSoundConfirmation("the injected cause"))
 			if !res.FaultDetected {
 				t.Fatalf("fault undetected under chaos; detections: %+v", res.Detections)
 			}
 			if !res.FaultDiagnosed {
 				t.Errorf("fault detected but root cause not identified under chaos; detections: %+v", res.Detections)
 			}
-			for _, d := range res.Detections {
-				// The CI gate: chaos may degrade a diagnosis, never forge a
-				// confident wrong one.
-				if d.Attribution == "unattributed" && d.Conclusion == diagnosis.ConclusionIdentified && !d.Degraded {
-					t.Errorf("non-degraded wrong diagnosis under chaos: %+v", d)
-				}
-			}
-			// Evidence acceptance: every confirmed cause must chain back
-			// through its timeline parents to a raw log event, even with
-			// the log pipeline dropping and duplicating under it.
-			if res.BrokenEvidenceChains != 0 {
-				t.Errorf("%d confirmed cause(s) with broken evidence chains under chaos", res.BrokenEvidenceChains)
-			}
+			assertChaosDiagnosis(t, res, detBefore, diagBefore)
 			if res.FaultDiagnosed && res.ConfirmedCauseChains == 0 {
 				t.Errorf("fault diagnosed but no confirmed-cause evidence chain reaches a log event")
-			}
-			// SLO acceptance: the run must have observed event->detection
-			// latency, and — when a cause was confirmed — detection->cause
-			// latency, under the chaos-profile label.
-			detAfter, diagAfter := sloCounts()
-			if detAfter <= detBefore {
-				t.Errorf("pod_slo_detection_latency_seconds did not grow (before=%d after=%d)", detBefore, detAfter)
-			}
-			if res.FaultDiagnosed && diagAfter <= diagBefore {
-				t.Errorf("pod_slo_diagnosis_latency_seconds did not grow (before=%d after=%d)", diagBefore, diagAfter)
 			}
 		})
 	}
@@ -132,16 +157,11 @@ func TestChaosCleanRunNoConfidentFalsePositive(t *testing.T) {
 	// of its scheduled window into a moment where the probed condition
 	// transiently and genuinely holds (a replacement mid-boot is not yet
 	// registered with the ELB), which then confirms at full confidence.
-	// Such a run restates the box's scheduling, not the plane's honesty;
-	// retry it. A monitoring plane that actually lies on clean runs does
-	// so on every attempt and still fails the gate.
-	var res *RunResult
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err = RunOne(context.Background(), RunSpec{ID: 90, ClusterSize: 2, Seed: 907}, chaosCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Such a run is retried; a monitoring plane that actually lies on
+	// clean runs does so on every attempt and still fails the gate.
+	res := retryUninformative(t, func() (*RunResult, error) {
+		return RunOne(context.Background(), RollingUpgrade, RunSpec{ID: 90, ClusterSize: 2, Seed: 907}, chaosCfg())
+	}, func(res *RunResult) string {
 		if res.UpgradeErr != "" {
 			t.Fatalf("chaos leaked into the operation plane: %s", res.UpgradeErr)
 		}
@@ -152,10 +172,10 @@ func TestChaosCleanRunNoConfidentFalsePositive(t *testing.T) {
 			}
 		}
 		if !confident {
-			break
+			return ""
 		}
-		t.Logf("attempt %d: confident diagnosis on a clean run (%d detections); rerunning", attempt+1, len(res.Detections))
-	}
+		return fmt.Sprintf("confident diagnosis on a clean run (%d detections)", len(res.Detections))
+	})
 	for _, d := range res.Detections {
 		if d.Conclusion == diagnosis.ConclusionIdentified && !d.Degraded {
 			t.Errorf("non-degraded identified diagnosis on clean chaotic run: %+v", d)

@@ -1,6 +1,11 @@
 // Package experiment implements the paper's evaluation (§V): fault
 // injection campaigns over rolling upgrades on the simulated cloud, with
-// the POD engine watching. It reproduces:
+// the POD engine watching. One runner executes every run: deploy, watch,
+// inject, drive the orchestrator, verify, tear down. What differs between
+// evaluation lanes is Scenario data: RollingUpgrade (the paper's runs),
+// Heal (closed-loop remediation), BlueGreen and SpotStorm (the scenario
+// library's operations) and MemberKill (failover in a federation). It
+// reproduces:
 //
 //   - Table I / headline metrics: precision and recall of detection and
 //     the accuracy rate of diagnosis, with the paper's formulas;
@@ -12,23 +17,16 @@
 package experiment
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"poddiagnosis/internal/chaos"
-	"poddiagnosis/internal/clock"
-	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/remediate"
 	"poddiagnosis/internal/simaws"
-	"poddiagnosis/internal/upgrade"
 )
 
 // Config tunes a campaign. The zero value is filled with paper defaults.
@@ -180,13 +178,13 @@ type RunResult struct {
 	// SimDuration is the simulated length of the run.
 	SimDuration time.Duration `json:"simDuration"`
 
-	// Healed reports that a heal-lane run ended with the upgrade task
+	// Healed reports that a closed-loop run ended with the upgrade task
 	// completed and the cluster converged onto the intended launch
-	// configuration after closed-loop remediation (RunHealOne only).
+	// configuration after remediation (Heal and MemberKill only).
 	Healed bool `json:"healed,omitempty"`
 	// HealErr explains a failed heal (empty when Healed).
 	HealErr string `json:"healErr,omitempty"`
-	// Remediations is the remediation audit trail of a heal-lane run.
+	// Remediations is the run's remediation audit trail.
 	Remediations []remediate.Remediation `json:"remediations,omitempty"`
 	// RemediationChains counts executed remediations whose outcome entry
 	// chains through the flight recorder back to a raw log event;
@@ -194,9 +192,9 @@ type RunResult struct {
 	RemediationChains       int `json:"remediationChains,omitempty"`
 	BrokenRemediationChains int `json:"brokenRemediationChains,omitempty"`
 
-	// KilledMember / AdoptedBy record a member-kill run's federation
-	// verdict: the member that crashed mid-upgrade and the survivor the
-	// front handed the operation to (RunMemberKillOne only).
+	// KilledMember / AdoptedBy record a federated run's verdict: the
+	// member that crashed mid-upgrade and the survivor the front handed
+	// the operation to (MemberKill only).
 	KilledMember string `json:"killedMember,omitempty"`
 	AdoptedBy    string `json:"adoptedBy,omitempty"`
 	// Handoffs counts federation.handoff entries on the adopted
@@ -207,19 +205,6 @@ type RunResult struct {
 	// snapshot-replicated copy of one execution is not a duplicate; two
 	// independent firings of the same key are. Must be zero.
 	DuplicateRemediations int `json:"duplicateRemediations,omitempty"`
-}
-
-// lane is one execution slot of a campaign: a simulated cloud with a
-// single POD Manager that is reused across the lane's sequential runs —
-// each run registers its own monitoring session instead of rebuilding the
-// whole engine stack (the paper's shared-services deployment, §IV).
-type lane struct {
-	cfg     Config
-	clk     *clock.Scaled
-	bus     *logging.Bus
-	cloud   *simaws.Cloud
-	mgr     *core.Manager
-	profile simaws.Profile
 }
 
 // replacementBudget derives the orchestrator's wait deadline from the
@@ -251,188 +236,18 @@ func teardownBudget(p simaws.Profile) time.Duration {
 	return 5 * time.Minute
 }
 
-// newLane builds the lane's cloud and Manager. seed drives the cloud's
-// randomness. mutate hooks, when given, adjust the ManagerConfig before
-// the Manager is built — scenario lanes use them to swap in their own
-// process model, assertion specification and plan catalog.
-func newLane(cfg Config, seed int64, mutate ...func(*core.ManagerConfig)) (*lane, error) {
-	cfg = cfg.withDefaults()
-	clk := clock.NewScaled(cfg.Scale, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
-	bus := logging.NewBus()
-	profile := calibratedProfile()
-	if cfg.Profile != nil {
-		profile = *cfg.Profile
-	}
-	cloudOpts := []simaws.Option{simaws.WithSeed(seed), simaws.WithBus(bus)}
-	var logTap func(<-chan logging.Event) <-chan logging.Event
-	chaosLabel := ""
-	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
-		cp := *cfg.Chaos
-		if cp.Seed == 0 {
-			cp.Seed = seed
-		}
-		if inj := cp.FaultInjector(clk); inj != nil {
-			cloudOpts = append(cloudOpts, simaws.WithFaultInjector(inj))
-		}
-		logTap = cp.LogTap(clk)
-		chaosLabel = cp.Name
-	}
-	cloud := simaws.New(clk, profile, cloudOpts...)
-	cloud.Start()
-	mgrCfg := core.ManagerConfig{
-		Cloud:      cloud,
-		Bus:        bus,
-		LogTap:     logTap,
-		ChaosLabel: chaosLabel,
-		// Evaluation runs verify end-to-end evidence chains, so the
-		// per-operation ring must hold a whole run: a chaos-duplicated
-		// upgrade stays well under this, and rings are retired with the
-		// run's session.
-		FlightCapacity: 2048,
-		API: consistentapi.Config{
-			// Stale reads are masked by resampling (staleness is an 8%
-			// per-read event), so a short budget suffices; a tight budget
-			// also keeps failing diagnosis tests — which always burn the
-			// full budget — within the paper's seconds-scale envelope.
-			MaxAttempts:    3,
-			InitialBackoff: 250 * time.Millisecond,
-			MaxBackoff:     time.Second,
-			CallTimeout:    20 * time.Second,
-		},
-		PeriodicInterval:   cfg.PeriodicInterval,
-		StepTimeoutSlack:   cfg.StepTimeoutSlack,
-		DisableConformance: cfg.DisableConformance,
-		DisableAssertions:  cfg.DisableAssertions,
-	}
-	for _, m := range mutate {
-		m(&mgrCfg)
-	}
-	mgr, err := core.NewManager(mgrCfg)
-	if err != nil {
-		cloud.Stop()
-		bus.Close()
-		return nil, err
-	}
-	mgr.Start()
-	return &lane{cfg: cfg, clk: clk, bus: bus, cloud: cloud, mgr: mgr, profile: profile}, nil
-}
-
-// close tears the lane down.
-func (l *lane) close() {
-	l.mgr.Stop()
-	l.cloud.Stop()
-	l.bus.Close()
-}
-
-// runOne executes one evaluation run on the lane: deploy a cluster named
-// appName, register a session, upgrade, inject, drain, classify, then
-// tear the cluster down so the account limit is free for the next run.
-func (l *lane) runOne(ctx context.Context, spec RunSpec, appName string) (*RunResult, error) {
-	runStart := l.clk.Now()
-	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
-
-	cluster, err := upgrade.Deploy(ctx, l.cloud, appName, spec.ClusterSize, "v1")
-	if err != nil {
-		return nil, fmt.Errorf("experiment: run %d: %w", spec.ID, err)
-	}
-	if err := cluster.WaitReady(ctx, l.cloud, 10*time.Minute); err != nil {
-		return nil, fmt.Errorf("experiment: run %d: %w", spec.ID, err)
-	}
-	newAMI, err := l.cloud.RegisterImage(ctx, appName+"-v2", "v2", upgrade.AppServices)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: run %d: %w", spec.ID, err)
-	}
-
-	taskID := fmt.Sprintf("pushing %s run-%d", cluster.ASGName, spec.ID)
-	upSpec := cluster.UpgradeSpec(taskID, newAMI)
-	upSpec.NewLCName = fmt.Sprintf("%s-lc-%s", cluster.ASGName, newAMI)
-	upSpec.WaitTimeout = replacementBudget(l.profile)
-	upSpec.PollInterval = 5 * time.Second
-
-	sess, err := l.mgr.Watch(core.Expectation{
-		ASGName:      cluster.ASGName,
-		ELBName:      cluster.ELBName,
-		NewImageID:   newAMI,
-		NewVersion:   "v2",
-		NewLCName:    upSpec.NewLCName,
-		KeyName:      cluster.KeyName,
-		SGName:       cluster.SGName,
-		InstanceType: "m1.small",
-		ClusterSize:  spec.ClusterSize,
-	}, core.BindInstance(taskID), core.WithSessionID(fmt.Sprintf("run-%d", spec.ID)))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: run %d: %w", spec.ID, err)
-	}
-
-	// Inject the fault at a random point during the upgrade (anchored to
-	// the creation of the new launch configuration) and the interferences
-	// at independent random times.
-	injector := faultinject.NewInjector(l.cloud, cluster, spec.Seed^0xfa17)
-	injectDone := make(chan struct{})
-	go func() {
-		defer close(injectDone)
-		if spec.Fault != 0 {
-			delay := spec.InjectDelay
-			if delay <= 0 {
-				delay = time.Duration(10+rng.Intn(80)) * time.Second
-			}
-			_ = injector.Inject(ctx, spec.Fault, delay, upSpec.NewLCName, newAMI)
-		}
-	}()
-	interfDone := make(chan struct{})
-	go func() {
-		defer close(interfDone)
-		for _, i := range spec.Interferences {
-			delay := time.Duration(20+rng.Intn(120)) * time.Second
-			_ = injector.Interfere(ctx, i, delay)
-		}
-	}()
-
-	up := upgrade.NewUpgrader(l.cloud, l.bus)
-	rep := up.Run(ctx, upSpec)
-	<-injectDone
-	<-interfDone
-
-	// Grace period: let timer-driven evaluations and in-flight diagnoses
-	// finish, then wait (in simulated time) for the manager to go quiet.
-	_ = l.clk.Sleep(ctx, 30*time.Second)
-	l.mgr.Drain(ctx, 10*time.Minute)
-
-	res := &RunResult{Spec: spec, SimDuration: l.clk.Since(runStart)}
-	if rep.Err != nil {
-		res.UpgradeErr = rep.Err.Error()
-	}
-	classify(res, sess.Detections())
-	verifyEvidenceChains(res, sess.Timeline())
-
-	// Retire the session and the cluster: heal injected faults, delete the
-	// ASG and wait for its instances to die so the account-wide instance
-	// limit is available to the lane's next run.
-	l.mgr.Remove(sess.ID())
-	injector.Heal()
-	_ = l.cloud.DeleteAutoScalingGroup(ctx, cluster.ASGName)
-	l.awaitTeardown(ctx)
-	return res, nil
-}
-
-// RunOne executes a single evaluation run on a fresh, seeded lane: deploy,
-// upgrade, inject, watch, classify. Campaigns use RunSpecs, which reuses
-// one Manager per lane across runs.
-func RunOne(ctx context.Context, spec RunSpec, cfg Config) (*RunResult, error) {
-	l, err := newLane(cfg, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: run %d: %w", spec.ID, err)
-	}
-	defer l.close()
-	return l.runOne(ctx, spec, "pm")
-}
-
-// verifyEvidenceChains walks every confirmed-cause entry of the run's
-// flight-recorder timeline back through its parents, counting chains
-// that bottom out at a raw log event versus broken ones. Must run
-// before the session is removed — removal retires the timeline ring.
-func verifyEvidenceChains(res *RunResult, tl flight.Timeline) {
+// verifyChains walks the run's flight-recorder timeline: every
+// confirmed-cause entry and every executed remediation's outcome entry
+// (outcome → action → confirmed cause → detection) back through its
+// parents, counting chains that bottom out at a raw log event versus
+// broken ones, and counts handoff entries. A remediation that executed but
+// cannot show that chain is unaccountable. Must run before the session is
+// removed — removal retires the timeline ring.
+func verifyChains(res *RunResult, tl flight.Timeline) {
 	for _, e := range tl.Entries {
+		if e.Kind == flight.KindHandoff {
+			res.Handoffs++
+		}
 		if e.Kind != flight.KindCause || e.Attrs["confirmed"] != "true" {
 			continue
 		}
@@ -440,6 +255,16 @@ func verifyEvidenceChains(res *RunResult, tl flight.Timeline) {
 			res.ConfirmedCauseChains++
 		} else {
 			res.BrokenEvidenceChains++
+		}
+	}
+	for _, r := range res.Remediations {
+		if r.State != remediate.StateExecuted || r.OutcomeEntry == 0 {
+			continue
+		}
+		if _, ok := flight.ChainToLog(tl.Entries, r.OutcomeEntry); ok {
+			res.RemediationChains++
+		} else {
+			res.BrokenRemediationChains++
 		}
 	}
 }

@@ -21,7 +21,7 @@ func fastCfg() Config {
 }
 
 func TestRunOneCleanRun(t *testing.T) {
-	res, err := RunOne(context.Background(), RunSpec{ID: 0, ClusterSize: 2, Seed: 7}, fastCfg())
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{ID: 0, ClusterSize: 2, Seed: 7}, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunOneCleanRun(t *testing.T) {
 }
 
 func TestRunOneDetectsConfigurationFault(t *testing.T) {
-	res, err := RunOne(context.Background(), RunSpec{
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{
 		ID: 1, Fault: faultinject.KindAMIChanged, ClusterSize: 4, Seed: 11,
 		InjectDelay: time.Second,
 	}, fastCfg())
@@ -60,7 +60,7 @@ func TestRunOneDetectsConfigurationFault(t *testing.T) {
 func TestRunOneDetectsResourceFault(t *testing.T) {
 	// Pin the injection right after the launch configuration appears so
 	// the fault always strikes mid-upgrade regardless of scheduler noise.
-	res, err := RunOne(context.Background(), RunSpec{
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{
 		ID: 2, Fault: faultinject.KindAMIUnavailable, ClusterSize: 2, Seed: 13,
 		InjectDelay: time.Second,
 	}, fastCfg())
@@ -76,7 +76,7 @@ func TestRunOneDetectsResourceFault(t *testing.T) {
 }
 
 func TestRunOneDetectsELBFault(t *testing.T) {
-	res, err := RunOne(context.Background(), RunSpec{
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{
 		ID: 3, Fault: faultinject.KindELBUnavailable, ClusterSize: 2, Seed: 17,
 		InjectDelay: time.Second,
 	}, fastCfg())
@@ -88,6 +88,28 @@ func TestRunOneDetectsELBFault(t *testing.T) {
 	}
 	if !res.FaultDiagnosed {
 		t.Errorf("ELB fault not diagnosed; detections: %+v", res.Detections)
+	}
+}
+
+// TestRunOneDrawsDelaysBeforeInjecting runs a fault at a drawn injection
+// time beside two interferences, the shape Specs produces. The delays are
+// drawn before the injection goroutines start; under -race a shared draw
+// from both goroutines reports a data race.
+func TestRunOneDrawsDelaysBeforeInjecting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lane run is slow")
+	}
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{
+		ID: 4, Fault: faultinject.KindSGChanged, ClusterSize: 2, Seed: 29,
+		Interferences: []faultinject.Interference{
+			faultinject.InterferenceScaleIn, faultinject.InterferenceRandomTermination,
+		},
+	}, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Spec.Interferences) != 2 {
+		t.Errorf("result spec lost its interferences: %+v", res.Spec)
 	}
 }
 

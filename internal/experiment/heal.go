@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"poddiagnosis/internal/core"
-	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/obs/flight"
-	"poddiagnosis/internal/remediate"
 	"poddiagnosis/internal/simaws"
 	"poddiagnosis/internal/upgrade"
 )
@@ -21,22 +18,16 @@ import (
 // held for approval, so a recorded abort in a heal run is itself a
 // finding.
 type healController struct {
-	retry chan string
+	retry chan struct{}
 
 	mu     sync.Mutex
 	aborts []string
 }
 
-func newHealController() *healController {
-	// One slot per distinct confirmed cause base is plenty; extra signals
-	// coalesce (the lane re-runs the task once per drain).
-	return &healController{retry: make(chan string, 16)}
-}
-
 // RetryStep implements remediate.OperationController.
 func (h *healController) RetryStep(ctx context.Context, stepID string) error {
 	select {
-	case h.retry <- stepID:
+	case h.retry <- struct{}{}:
 	default: // a retry is already queued; one re-run covers both
 	}
 	return nil
@@ -57,119 +48,27 @@ func (h *healController) Aborts() []string {
 	return append([]string(nil), h.aborts...)
 }
 
-// RunHealOne executes one closed-loop evaluation run: deploy, upgrade,
-// inject the fault — and let the remediation engine repair it. The lane
-// runs the manager with the default action catalog under the suggested
-// auto policy (config/traffic/operation repairs unattended, escalations
-// held), attaches itself as the operation controller, and when the
-// retry-failed-step action fires, re-runs the upgrade task. The run is
-// Healed when the task ends successfully and the cluster converges onto
-// the intended launch configuration; the remediation audit trail and its
-// flight-recorder chains are returned on the result for the acceptance
-// gate.
-func RunHealOne(ctx context.Context, spec RunSpec, cfg Config) (*RunResult, error) {
-	l, err := newLane(cfg, spec.Seed, func(mc *core.ManagerConfig) {
-		mc.Remediation = remediate.SuggestedPolicy(remediate.ModeAuto)
-		mc.RemediationCatalog = remediate.DefaultCatalog()
-		// A healed run outlives the default retention: the first (wrong)
-		// task completion ends the session, and the retry + convergence
-		// wait can run long past the sweep — which would retire the
-		// flight ring and drop the remediation audit before the run reads
-		// them. Sessions are removed explicitly at the end of the run.
-		mc.Retention = 24 * time.Hour
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: heal run %d: %w", spec.ID, err)
+// closeLoop drives the closed loop after the first attempt: the
+// diagnosis→remediation chain runs asynchronously off the log stream and
+// the step timers, so give it one replacement budget to confirm the cause
+// and signal a retry, then re-drive the operation (the task re-runs from
+// the top; completed steps are idempotent). More signals can arrive while
+// the re-run executes (a second plan confirming a suffixed cause
+// variant); each wait coalesces them. The run is Healed when the task
+// completed and the cluster converged onto the intended launch
+// configuration. holder is the Manager holding the session, nil when a
+// federated operation never failed over. It returns the last report.
+func (l *lane) closeLoop(ctx context.Context, sc Scenario, up *upgrade.Upgrader, o *operation,
+	holder *core.Manager, rep *upgrade.Report, res *RunResult) *upgrade.Report {
+	if holder == nil {
+		res.HealErr = "operation never failed over to a survivor"
+		return rep
 	}
-	defer l.close()
-	return l.runHealOne(ctx, spec, "pm")
-}
-
-// runHealOne is runOne's closed-loop variant. The structural differences:
-// the session carries the pre-upgrade launch configuration (the rollback
-// action's fallback) and the lane's controller; after the first upgrade
-// attempt the lane waits for a retry signal and re-drives the task; and
-// the result carries the heal verdict plus the remediation audit trail.
-func (l *lane) runHealOne(ctx context.Context, spec RunSpec, appName string) (*RunResult, error) {
-	runStart := l.clk.Now()
-
-	cluster, err := upgrade.Deploy(ctx, l.cloud, appName, spec.ClusterSize, "v1")
-	if err != nil {
-		return nil, fmt.Errorf("experiment: heal run %d: %w", spec.ID, err)
+	ctl := l.controller(o.id)
+	for retries := 0; retries < 3 && l.awaitRetrySignal(ctx, ctl, o.budget); retries++ {
+		rep = sc.drive(ctx, up, o)
 	}
-	if err := cluster.WaitReady(ctx, l.cloud, 10*time.Minute); err != nil {
-		return nil, fmt.Errorf("experiment: heal run %d: %w", spec.ID, err)
-	}
-	newAMI, err := l.cloud.RegisterImage(ctx, appName+"-v2", "v2", upgrade.AppServices)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: heal run %d: %w", spec.ID, err)
-	}
-
-	taskID := fmt.Sprintf("pushing %s heal-%d", cluster.ASGName, spec.ID)
-	upSpec := cluster.UpgradeSpec(taskID, newAMI)
-	upSpec.NewLCName = fmt.Sprintf("%s-lc-%s", cluster.ASGName, newAMI)
-	upSpec.WaitTimeout = replacementBudget(l.profile)
-	upSpec.PollInterval = 5 * time.Second
-
-	ctl := newHealController()
-	sess, err := l.mgr.Watch(core.Expectation{
-		ASGName:      cluster.ASGName,
-		ELBName:      cluster.ELBName,
-		NewImageID:   newAMI,
-		NewVersion:   "v2",
-		NewLCName:    upSpec.NewLCName,
-		OldLCName:    cluster.LCName,
-		KeyName:      cluster.KeyName,
-		SGName:       cluster.SGName,
-		InstanceType: "m1.small",
-		ClusterSize:  spec.ClusterSize,
-	}, core.BindInstance(taskID), core.WithSessionID(fmt.Sprintf("heal-%d", spec.ID)),
-		core.WithRemediationController(ctl))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: heal run %d: %w", spec.ID, err)
-	}
-
-	injector := faultinject.NewInjector(l.cloud, cluster, spec.Seed^0xfa17)
-	injectDone := make(chan struct{})
-	go func() {
-		defer close(injectDone)
-		if spec.Fault != 0 {
-			delay := spec.InjectDelay
-			if delay <= 0 {
-				delay = time.Second
-			}
-			_ = injector.Inject(ctx, spec.Fault, delay, upSpec.NewLCName, newAMI)
-		}
-	}()
-
-	up := upgrade.NewUpgrader(l.cloud, l.bus)
-	rep := up.Run(ctx, upSpec)
-	<-injectDone
-
-	// The diagnosis→remediation chain runs asynchronously off the log
-	// stream and the step timers; give it one replacement budget to
-	// confirm the cause and signal a retry, then re-drive the task. More
-	// signals can arrive while the re-run executes (a second plan
-	// confirming a suffixed cause variant); each drain coalesces them.
-	const maxRetries = 3
-	retries := 0
-	for retries < maxRetries {
-		stepID, ok := l.awaitRetrySignal(ctx, ctl, replacementBudget(l.profile))
-		if !ok {
-			break
-		}
-		retries++
-		_ = stepID // the upgrade task re-runs from the top; completed steps are idempotent
-		rep = up.Run(ctx, upSpec)
-	}
-
-	res := &RunResult{Spec: spec, SimDuration: l.clk.Since(runStart)}
-	if rep.Err != nil {
-		res.UpgradeErr = rep.Err.Error()
-	}
-
-	convergeErr := l.awaitConverged(ctx, cluster, upSpec.NewLCName, spec.ClusterSize, replacementBudget(l.profile))
-	switch {
+	switch convergeErr := l.awaitConverged(ctx, o.watched, o.budget); {
 	case rep.Err != nil:
 		res.HealErr = "upgrade task did not complete: " + rep.Err.Error()
 	case convergeErr != nil:
@@ -179,61 +78,43 @@ func (l *lane) runHealOne(ctx context.Context, spec RunSpec, appName string) (*R
 	default:
 		res.Healed = true
 	}
-
-	_ = l.clk.Sleep(ctx, 30*time.Second)
-	l.mgr.Drain(ctx, 10*time.Minute)
-
-	classify(res, sess.Detections())
-	tl := sess.Timeline()
-	verifyEvidenceChains(res, tl)
-	if eng := l.mgr.Remediator(); eng != nil {
-		res.Remediations = eng.List(sess.ID())
-	}
-	verifyRemediationChains(res, tl)
-
-	l.mgr.Remove(sess.ID())
-	injector.Heal()
-	_ = l.cloud.DeleteAutoScalingGroup(ctx, cluster.ASGName)
-	l.awaitTeardown(ctx)
-	return res, nil
+	return rep
 }
 
 // awaitRetrySignal waits (in simulated time) for the remediation engine's
 // retry-failed-step signal, returning false when none arrives within the
 // budget.
-func (l *lane) awaitRetrySignal(ctx context.Context, ctl *healController, budget time.Duration) (string, bool) {
+func (l *lane) awaitRetrySignal(ctx context.Context, ctl *healController, budget time.Duration) bool {
 	deadline := l.clk.Now().Add(budget)
 	for {
 		select {
-		case stepID := <-ctl.retry:
-			return stepID, true
+		case <-ctl.retry:
+			return true
 		default:
 		}
 		if l.clk.Now().After(deadline) || ctx.Err() != nil {
-			return "", false
+			return false
 		}
 		_ = l.clk.Sleep(ctx, time.Second)
 	}
 }
 
 // awaitConverged polls until the cluster is in the intended end state of
-// the upgrade: the ASG points at the intended launch configuration, every
+// the upgrade: the ASG points at the cluster's launch configuration, every
 // live member was launched from it, the group is at full strength, and
 // every in-service member is registered and InService with the ELB.
-func (l *lane) awaitConverged(ctx context.Context, cluster *upgrade.Cluster, lcName string, size int, budget time.Duration) error {
+func (l *lane) awaitConverged(ctx context.Context, cluster *upgrade.Cluster, budget time.Duration) error {
 	deadline := l.clk.Now().Add(budget)
-	var lastErr error
 	for {
-		ok, err := l.converged(ctx, cluster, lcName, size)
+		ok, err := l.converged(ctx, cluster)
 		if err == nil && ok {
 			return nil
 		}
-		lastErr = err
 		if l.clk.Now().After(deadline) || ctx.Err() != nil {
-			if lastErr != nil {
-				return fmt.Errorf("cluster did not converge onto %s within %v: %w", lcName, budget, lastErr)
+			if err != nil {
+				return fmt.Errorf("cluster did not converge onto %s within %v: %w", cluster.LCName, budget, err)
 			}
-			return fmt.Errorf("cluster did not converge onto %s within %v", lcName, budget)
+			return fmt.Errorf("cluster did not converge onto %s within %v", cluster.LCName, budget)
 		}
 		if serr := l.clk.Sleep(ctx, 2*time.Second); serr != nil {
 			return serr
@@ -241,12 +122,12 @@ func (l *lane) awaitConverged(ctx context.Context, cluster *upgrade.Cluster, lcN
 	}
 }
 
-func (l *lane) converged(ctx context.Context, cluster *upgrade.Cluster, lcName string, size int) (bool, error) {
+func (l *lane) converged(ctx context.Context, cluster *upgrade.Cluster) (bool, error) {
 	asg, err := l.cloud.DescribeAutoScalingGroup(ctx, cluster.ASGName)
 	if err != nil {
 		return false, err
 	}
-	if asg.LaunchConfigName != lcName {
+	if asg.LaunchConfigName != cluster.LCName {
 		return false, nil
 	}
 	health, err := l.cloud.DescribeInstanceHealth(ctx, cluster.ELBName)
@@ -269,7 +150,7 @@ func (l *lane) converged(ctx context.Context, cluster *upgrade.Cluster, lcName s
 		if !inst.Live() {
 			continue
 		}
-		if inst.LaunchConfigName != lcName {
+		if inst.LaunchConfigName != cluster.LCName {
 			return false, nil
 		}
 		if inst.State != simaws.StateInService {
@@ -280,23 +161,5 @@ func (l *lane) converged(ctx context.Context, cluster *upgrade.Cluster, lcName s
 		}
 		inService++
 	}
-	return inService == size, nil
-}
-
-// verifyRemediationChains walks every executed remediation's outcome
-// entry back through its flight-recorder parents: outcome → action →
-// confirmed cause → detection → raw log event. A remediation that
-// executed but cannot show that chain is unaccountable, and the heal
-// acceptance gate requires zero of those.
-func verifyRemediationChains(res *RunResult, tl flight.Timeline) {
-	for _, r := range res.Remediations {
-		if r.State != remediate.StateExecuted || r.OutcomeEntry == 0 {
-			continue
-		}
-		if _, ok := flight.ChainToLog(tl.Entries, r.OutcomeEntry); ok {
-			res.RemediationChains++
-		} else {
-			res.BrokenRemediationChains++
-		}
-	}
+	return inService == cluster.Size, nil
 }

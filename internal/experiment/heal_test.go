@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,29 @@ func executedCleanly(res *RunResult) bool {
 	return executed > 0
 }
 
+// assertRemediationAudit is the closed-loop gates' audit verdict: a
+// healed run executed at least one remediation, and every executed
+// action's outcome chains through the confirmed cause back to a raw log
+// event.
+func assertRemediationAudit(t *testing.T, res *RunResult) {
+	t.Helper()
+	executed := 0
+	for _, r := range res.Remediations {
+		if r.State == remediate.StateExecuted {
+			executed++
+		}
+	}
+	if executed == 0 {
+		t.Fatalf("healed with no executed remediation; audit: %+v", res.Remediations)
+	}
+	if res.BrokenRemediationChains != 0 {
+		t.Errorf("%d executed remediation(s) with broken audit chains", res.BrokenRemediationChains)
+	}
+	if res.RemediationChains == 0 {
+		t.Errorf("no remediation outcome chains to a log event")
+	}
+}
+
 // TestChaosInjectedFaultsHealed is the heal acceptance gate (run by the
 // CI chaos heal job with -race): under the acceptance chaos regime, every
 // configuration fault must end with the operation healed — the upgrade
@@ -72,7 +96,6 @@ func TestChaosInjectedFaultsHealed(t *testing.T) {
 	// assertion below is meaningful.
 	seeds := []int64{500, 511, 522, 531}
 	for i, kind := range healKinds() {
-		kind := kind
 		spec := RunSpec{
 			ID: 200 + i, Fault: kind, ClusterSize: 2,
 			Seed:        seeds[i],
@@ -98,24 +121,20 @@ func TestChaosInjectedFaultsHealed(t *testing.T) {
 			// while an API storm raged. A genuine detection or remediation
 			// regression reproduces on every attempt and still fails the
 			// gate; any other shape is judged as-is.
-			var res *RunResult
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				res, err = RunHealOne(context.Background(), spec, chaosCfg())
-				if err != nil {
-					t.Fatal(err)
-				}
+			res := retryUninformative(t, func() (*RunResult, error) {
+				return RunOne(context.Background(), Heal, spec, chaosCfg())
+			}, func(res *RunResult) string {
 				noConfirmation := res.UpgradeErr == "" && !res.FaultDiagnosed &&
 					onlyDegradedConfirmations(res)
 				timedOut := strings.Contains(res.UpgradeErr, "timed out") ||
 					strings.Contains(res.HealErr, "did not converge")
 				starvedCloud := !res.Healed && timedOut && res.FaultDiagnosed && executedCleanly(res)
 				if !noConfirmation && !starvedCloud {
-					break
+					return ""
 				}
-				t.Logf("attempt %d: uninformative run (healed=%v, faultDiagnosed=%v, %d detections, %d remediation records, healErr=%q); rerunning",
-					attempt+1, res.Healed, res.FaultDiagnosed, len(res.Detections), len(res.Remediations), res.HealErr)
-			}
+				return fmt.Sprintf("uninformative run (healed=%v, faultDiagnosed=%v, %d detections, %d remediation records, healErr=%q)",
+					res.Healed, res.FaultDiagnosed, len(res.Detections), len(res.Remediations), res.HealErr)
+			})
 			if !res.Healed {
 				t.Fatalf("fault not healed: %s (upgradeErr=%q, remediations=%+v)",
 					res.HealErr, res.UpgradeErr, res.Remediations)
@@ -125,34 +144,23 @@ func TestChaosInjectedFaultsHealed(t *testing.T) {
 			}
 
 			// The audit trail must show an executed action bound to the
-			// fault's expected cause...
-			executed := 0
+			// fault's expected cause, and every executed action's outcome
+			// must chain through the confirmed cause back to a raw log event.
+			assertRemediationAudit(t, res)
 			matched := false
 			for _, r := range res.Remediations {
 				if r.State != remediate.StateExecuted {
 					continue
 				}
-				executed++
 				for _, base := range kind.ExpectedRootCauses() {
 					if r.CauseNode == base || strings.HasPrefix(r.CauseNode, base+"-") {
 						matched = true
 					}
 				}
 			}
-			if executed == 0 {
-				t.Fatalf("healed with no executed remediation; audit: %+v", res.Remediations)
-			}
 			if !matched {
 				t.Errorf("no executed remediation cites a cause of %v; audit: %+v",
 					kind.ExpectedRootCauses(), res.Remediations)
-			}
-			// ...and every executed action's outcome must chain through the
-			// confirmed cause back to a raw log event.
-			if res.BrokenRemediationChains != 0 {
-				t.Errorf("%d executed remediation(s) with broken audit chains", res.BrokenRemediationChains)
-			}
-			if res.RemediationChains == 0 {
-				t.Errorf("no remediation outcome chains to a log event")
 			}
 			if res.BrokenEvidenceChains != 0 {
 				t.Errorf("%d confirmed cause(s) with broken evidence chains", res.BrokenEvidenceChains)
@@ -161,17 +169,16 @@ func TestChaosInjectedFaultsHealed(t *testing.T) {
 	}
 }
 
-// TestHealRunRecordsDryRunWithoutMutation pins the dry-run posture at the
-// lane level: with the policy forced to dry-run, the engine records what
-// it would have done but the cluster stays broken (the upgrade is NOT
-// healed), proving the mode boundary holds end to end.
+// TestHealRunDoesNotFireUnderZeroPolicy pins the zero-policy posture at
+// the lane level: RollingUpgrade's Manager has no remediation policy, so
+// a fault run whose causes confirm must leave no remediation records and
+// must not report Healed. The runner reads every scenario's remediation
+// ledger, so a policy leaking into the lane fails this test.
 func TestHealRunDoesNotFireUnderZeroPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lane run is slow")
 	}
-	// RunOne's lane has no remediation wired at all; a fault run must not
-	// produce any remediation records even though the causes confirm.
-	res, err := RunOne(context.Background(), RunSpec{
+	res, err := RunOne(context.Background(), RollingUpgrade, RunSpec{
 		ID: 210, Fault: faultinject.KindAMIChanged, ClusterSize: 2,
 		Seed: 533, InjectDelay: time.Second,
 	}, fastCfg())

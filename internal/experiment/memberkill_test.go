@@ -2,15 +2,13 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/federate"
-	"poddiagnosis/internal/remediate"
 	"poddiagnosis/internal/upgrade"
 )
 
@@ -46,23 +44,19 @@ func TestChaosMemberKill(t *testing.T) {
 	// — restates the box's scheduling and is rerun. A genuine federation
 	// regression (no failover, a lost ledger, a duplicate execution)
 	// reproduces on every attempt and still fails the gate.
-	var res *RunResult
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err = RunMemberKillOne(context.Background(), spec, chaosCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
+	res := retryUninformative(t, func() (*RunResult, error) {
+		return RunOne(context.Background(), MemberKill, spec, chaosCfg())
+	}, func(res *RunResult) string {
 		noConfirmation := !res.FaultDiagnosed && len(res.Remediations) == 0
 		timedOut := strings.Contains(res.UpgradeErr, "timed out") ||
 			strings.Contains(res.HealErr, "did not converge")
 		starvedCloud := !res.Healed && timedOut && res.FaultDiagnosed && executedCleanly(res)
 		if res.AdoptedBy != "" && !noConfirmation && !starvedCloud {
-			break
+			return ""
 		}
-		t.Logf("attempt %d: uninformative run (adoptedBy=%q, healed=%v, faultDiagnosed=%v, %d detections, %d remediation records, healErr=%q); rerunning",
-			attempt+1, res.AdoptedBy, res.Healed, res.FaultDiagnosed, len(res.Detections), len(res.Remediations), res.HealErr)
-	}
+		return fmt.Sprintf("uninformative run (adoptedBy=%q, healed=%v, faultDiagnosed=%v, %d detections, %d remediation records, healErr=%q)",
+			res.AdoptedBy, res.Healed, res.FaultDiagnosed, len(res.Detections), len(res.Remediations), res.HealErr)
+	})
 
 	if res.AdoptedBy == "" {
 		t.Fatalf("operation never failed over: healErr=%q", res.HealErr)
@@ -90,21 +84,7 @@ func TestChaosMemberKill(t *testing.T) {
 	if res.FaultDiagnosed && res.ConfirmedCauseChains == 0 {
 		t.Errorf("fault diagnosed but no confirmed-cause evidence chain reaches a log event")
 	}
-	executed := 0
-	for _, r := range res.Remediations {
-		if r.State == remediate.StateExecuted {
-			executed++
-		}
-	}
-	if executed == 0 {
-		t.Fatalf("healed with no executed remediation; audit: %+v", res.Remediations)
-	}
-	if res.BrokenRemediationChains != 0 {
-		t.Errorf("%d executed remediation(s) with broken audit chains", res.BrokenRemediationChains)
-	}
-	if res.RemediationChains == 0 {
-		t.Errorf("no remediation outcome chains to a log event")
-	}
+	assertRemediationAudit(t, res)
 	if res.DuplicateRemediations != 0 {
 		t.Errorf("%d duplicate remediation execution(s) across the federation (idempotency keys must hold across handoff)",
 			res.DuplicateRemediations)
@@ -122,84 +102,51 @@ func TestFederationSoakConcurrentUpgrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("federation soak is slow")
 	}
-	fl, err := newFedLane(fastCfg(), 777, []string{"sk-a", "sk-b", "sk-c"})
+	l, err := newLane(fastCfg(), 777, MemberKill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.close()
+	defer l.close()
 	ctx := context.Background()
-	for _, m := range fl.members {
+	for _, m := range l.members {
 		m.StartHeartbeats(5 * time.Second)
 	}
-	fl.front.Start()
+	l.front.Start()
 
 	const nOps = 4
 	faults := []faultinject.Kind{0, faultinject.KindKeyPairChanged, 0, faultinject.KindAMIChanged}
-	opIDs := make([]string, nOps)
-	upSpecs := make([]upgrade.Spec, nOps)
-	injectors := make([]*faultinject.Injector, nOps)
+	ops := make([]*operation, nOps)
 	var injectWG sync.WaitGroup
-	for i := 0; i < nOps; i++ {
-		app := []string{"ska", "skb", "skc", "skd"}[i]
-		cluster, err := upgrade.Deploy(ctx, fl.cloud, app, 2, "v1")
+	for i := range ops {
+		o, err := l.prepare(ctx, MemberKill, RunSpec{ID: i, ClusterSize: 2}, []string{"ska", "skb", "skc", "skd"}[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cluster.WaitReady(ctx, fl.cloud, 10*time.Minute); err != nil {
-			t.Fatal(err)
-		}
-		newAMI, err := fl.cloud.RegisterImage(ctx, app+"-v2", "v2", upgrade.AppServices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		taskID := "pushing " + cluster.ASGName + " soak"
-		upSpecs[i] = cluster.UpgradeSpec(taskID, newAMI)
-		upSpecs[i].NewLCName = cluster.ASGName + "-lc-" + newAMI
-		upSpecs[i].WaitTimeout = replacementBudget(fl.profile)
-		upSpecs[i].PollInterval = 5 * time.Second
-		opIDs[i] = "soak-op-" + app
-		if _, _, err := fl.front.Watch(ctx, federate.WatchRequest{
-			ID: opIDs[i],
-			Expect: core.Expectation{
-				ASGName:      cluster.ASGName,
-				ELBName:      cluster.ELBName,
-				NewImageID:   newAMI,
-				NewVersion:   "v2",
-				NewLCName:    upSpecs[i].NewLCName,
-				OldLCName:    cluster.LCName,
-				KeyName:      cluster.KeyName,
-				SGName:       cluster.SGName,
-				InstanceType: "m1.small",
-				ClusterSize:  2,
-			},
-			InstanceIDs: []string{taskID},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		injectors[i] = faultinject.NewInjector(fl.cloud, cluster, 777+int64(i))
+		ops[i] = o
 		if faults[i] != 0 {
+			injector := faultinject.NewInjector(l.cloud, o.watched, 777+int64(i))
 			injectWG.Add(1)
 			go func(i int) {
 				defer injectWG.Done()
-				_ = injectors[i].Inject(ctx, faults[i], 40*time.Second, upSpecs[i].NewLCName, newAMI)
+				_ = injector.Inject(ctx, faults[i], 40*time.Second, o.watched.LCName, o.newAMI)
 			}(i)
 		}
 	}
 
-	up := upgrade.NewUpgrader(fl.cloud, fl.bus)
+	up := upgrade.NewUpgrader(l.cloud, l.bus)
 	var upWG sync.WaitGroup
-	for i := 0; i < nOps; i++ {
+	for _, o := range ops {
 		upWG.Add(1)
-		go func(i int) {
+		go func() {
 			defer upWG.Done()
-			_ = up.Run(ctx, upSpecs[i])
-		}(i)
+			_ = MemberKill.drive(ctx, up, o)
+		}()
 	}
 
 	// Mid-run: count what the victim holds, replicate exactly that state
 	// with a last heartbeat, and crash it.
-	_ = fl.clk.Sleep(ctx, 20*time.Second)
-	victim := fl.members[0]
+	_ = l.clk.Sleep(ctx, 20*time.Second)
+	victim := l.members[0]
 	preKill := map[string]int{}
 	if mgr := victim.Manager(); mgr != nil {
 		for _, s := range mgr.Sessions() {
@@ -207,55 +154,61 @@ func TestFederationSoakConcurrentUpgrades(t *testing.T) {
 		}
 	}
 	victim.HeartbeatNow()
-	fl.kill(victim)
+	victim.Kill()
+	l.dead[victim.ID()] = true
 
 	// Wait for every operation the victim held to fail over (the running
 	// lease monitor and survivor heartbeats do the work).
 	for i := 0; i < 80; i++ {
 		moved := true
 		for opID := range preKill {
-			if owner, _, ok := fl.front.Owner(opID); ok && owner == victim.ID() {
+			if owner, _, ok := l.front.Owner(opID); ok && owner == victim.ID() {
 				moved = false
 			}
 		}
 		if moved {
 			break
 		}
-		if fl.clk.Sleep(ctx, 5*time.Second) != nil {
+		if l.clk.Sleep(ctx, 5*time.Second) != nil {
 			t.Fatal(ctx.Err())
 		}
 	}
 	for opID := range preKill {
-		if owner, _, ok := fl.front.Owner(opID); ok && owner == victim.ID() {
+		if owner, _, ok := l.front.Owner(opID); ok && owner == victim.ID() {
 			t.Fatalf("operation %s never failed over off the killed member", opID)
 		}
 	}
 
 	// Rejoin the victim with a fresh Manager and epoch; the join's
 	// bounded rebalance may legitimately move operations back onto it.
-	if err := fl.restart(victim); err != nil {
+	if err := victim.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	l.dead[victim.ID()] = false
+	if err := victim.JoinFront(l.front); err != nil {
 		t.Fatal(err)
 	}
 	victim.StartHeartbeats(5 * time.Second)
 
 	upWG.Wait()
 	injectWG.Wait()
-	_ = fl.clk.Sleep(ctx, 30*time.Second)
-	for _, m := range fl.members {
-		if mgr := m.Manager(); mgr != nil && !fl.dead[m.ID()] {
+	_ = l.clk.Sleep(ctx, 30*time.Second)
+	for _, m := range l.members {
+		if mgr := m.Manager(); mgr != nil && !l.dead[m.ID()] {
 			mgr.Drain(ctx, 10*time.Minute)
 		}
 	}
 
-	for _, opID := range opIDs {
-		owner, _, ok := fl.front.Owner(opID)
+	for _, o := range ops {
+		opID := o.id
+		owner, _, ok := l.front.Owner(opID)
 		if !ok {
 			t.Fatalf("operation %s lost its route", opID)
 		}
 		holders := 0
 		ownerHolds := false
 		detections := -1
-		for _, m := range fl.members {
+		for _, m := range l.members {
 			mgr := m.Manager()
 			if mgr == nil {
 				continue
@@ -279,7 +232,7 @@ func TestFederationSoakConcurrentUpgrades(t *testing.T) {
 		if n, hadIt := preKill[opID]; hadIt && detections >= 0 && detections < n {
 			t.Errorf("operation %s lost detections across the handoff: %d before kill, %d after", opID, n, detections)
 		}
-		if d := fl.duplicateExecutions(opID); d != 0 {
+		if d := l.duplicateExecutions(opID); d != 0 {
 			t.Errorf("operation %s: %d duplicate remediation execution(s)", opID, d)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/faultinject"
 )
 
@@ -36,55 +35,26 @@ func TestChaosBlueGreenFaultsStillDiagnosed(t *testing.T) {
 		t.Skip("chaos acceptance campaign is slow")
 	}
 	for i, kind := range bgChaosKinds() {
-		kind := kind
 		spec := RunSpec{
 			ID: 300 + i, Fault: kind, ClusterSize: 2,
 			Seed:        int64(300 + 11*i),
 			InjectDelay: time.Second,
 		}
 		t.Run(kind.String(), func(t *testing.T) {
-			// Same uninformative-run retry as the acceptance gates: zero
-			// detections or nothing but degraded-evidence conclusions means
-			// the box's scheduling starved the run of meaning; rerun it. A
-			// genuine regression reproduces on every attempt.
-			var res *RunResult
-			var err error
 			var detBefore, diagBefore uint64
-			for attempt := 0; attempt < 3; attempt++ {
+			res := retryUninformative(t, func() (*RunResult, error) {
 				detBefore, diagBefore = sloCounts()
-				res, err = RunBlueGreenOne(context.Background(), spec, chaosCfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Detections) > 0 && (res.FaultDiagnosed || !onlyDegradedConfirmations(res)) {
-					break
-				}
-				t.Logf("attempt %d: no sound confirmation of the injected cause (%d detections); rerunning",
-					attempt+1, len(res.Detections))
-			}
+				return RunOne(context.Background(), BlueGreen, spec, chaosCfg())
+			}, noSoundConfirmation("the injected cause"))
 			if !res.FaultDetected {
 				t.Fatalf("fault undetected under chaos; detections: %+v", res.Detections)
 			}
 			if !res.FaultDiagnosed {
 				t.Errorf("fault detected but root cause not identified under chaos; detections: %+v", res.Detections)
 			}
-			for _, d := range res.Detections {
-				if d.Attribution == "unattributed" && d.Conclusion == diagnosis.ConclusionIdentified && !d.Degraded {
-					t.Errorf("non-degraded wrong diagnosis under chaos: %+v", d)
-				}
-			}
-			if res.BrokenEvidenceChains != 0 {
-				t.Errorf("%d confirmed cause(s) with broken evidence chains under chaos", res.BrokenEvidenceChains)
-			}
+			assertChaosDiagnosis(t, res, detBefore, diagBefore)
 			if res.FaultDiagnosed && res.ConfirmedCauseChains == 0 {
 				t.Errorf("fault diagnosed but no confirmed-cause evidence chain reaches a log event")
-			}
-			detAfter, diagAfter := sloCounts()
-			if detAfter <= detBefore {
-				t.Errorf("pod_slo_detection_latency_seconds did not grow (before=%d after=%d)", detBefore, detAfter)
-			}
-			if res.FaultDiagnosed && diagAfter <= diagBefore {
-				t.Errorf("pod_slo_diagnosis_latency_seconds did not grow (before=%d after=%d)", diagBefore, diagAfter)
 			}
 		})
 	}
@@ -98,45 +68,20 @@ func TestChaosSpotStormStillDiagnosed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos acceptance campaign is slow")
 	}
-	// Same uninformative-run retry as the acceptance gates: a storm that
-	// reclaimed its instances outside the watch window leaves nothing to
-	// diagnose; rerun it. A genuine regression reproduces on every attempt.
-	var res *RunResult
-	var err error
+	// A storm that reclaimed its instances outside the watch window leaves
+	// nothing to diagnose; such a run is retried.
 	var detBefore, diagBefore uint64
-	for attempt := 0; attempt < 3; attempt++ {
+	res := retryUninformative(t, func() (*RunResult, error) {
 		detBefore, diagBefore = sloCounts()
-		res, err = RunSpotStormOne(context.Background(), RunSpec{
+		return RunOne(context.Background(), SpotStorm, RunSpec{
 			ID: 320, ClusterSize: 3, Seed: 331, InjectDelay: 15 * time.Second,
 		}, chaosCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Detections) > 0 && (res.FaultDiagnosed || !onlyDegradedConfirmations(res)) {
-			break
-		}
-		t.Logf("attempt %d: no sound confirmation of the storm (%d detections); rerunning",
-			attempt+1, len(res.Detections))
-	}
+	}, noSoundConfirmation("the storm"))
 	if !res.FaultDetected {
 		t.Fatalf("storm undetected under chaos; detections: %+v", res.Detections)
 	}
 	if !res.FaultDiagnosed {
 		t.Errorf("storm not diagnosed as unexpected-termination under chaos; detections: %+v", res.Detections)
 	}
-	for _, d := range res.Detections {
-		if d.Attribution == "unattributed" && d.Conclusion == diagnosis.ConclusionIdentified && !d.Degraded {
-			t.Errorf("non-degraded wrong diagnosis under chaos: %+v", d)
-		}
-	}
-	if res.BrokenEvidenceChains != 0 {
-		t.Errorf("%d confirmed cause(s) with broken evidence chains under chaos", res.BrokenEvidenceChains)
-	}
-	detAfter, diagAfter := sloCounts()
-	if detAfter <= detBefore {
-		t.Errorf("pod_slo_detection_latency_seconds did not grow (before=%d after=%d)", detBefore, detAfter)
-	}
-	if res.FaultDiagnosed && diagAfter <= diagBefore {
-		t.Errorf("pod_slo_diagnosis_latency_seconds did not grow (before=%d after=%d)", diagBefore, diagAfter)
-	}
+	assertChaosDiagnosis(t, res, detBefore, diagBefore)
 }
