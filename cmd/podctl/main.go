@@ -154,28 +154,32 @@ func run() int {
 	spec := cluster.UpgradeSpec("pushing pm--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := core.NewEngine(core.Config{
-		Cloud: cloud,
-		Bus:   bus,
-		Expect: core.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  *size,
-			OldLCName:    cluster.LCName,
-		},
+	mgr, err := core.NewManager(core.ManagerConfig{
+		Cloud:       cloud,
+		Bus:         bus,
 		Remediation: remediate.SuggestedPolicy(mode),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	mon.Start()
+	sess, err := mgr.Watch(core.Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  *size,
+		OldLCName:    cluster.LCName,
+	}, core.MatchAnyInstance())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	mgr.Start()
 
 	injector := faultinject.NewInjector(cloud, cluster, *seed)
 	defer injector.Heal()
@@ -201,10 +205,10 @@ func run() int {
 	fmt.Printf("starting rolling upgrade of %s to %s...\n", cluster.ASGName, newAMI)
 	rep := upgrade.NewUpgrader(cloud, bus).Run(ctx, spec)
 	_ = clk.Sleep(ctx, 30*time.Second)
-	mon.Drain(ctx, 5*time.Minute)
-	rem := mon.Manager().Remediator()
+	mgr.Drain(ctx, 5*time.Minute)
+	rem := mgr.Remediator()
 	if rem != nil && *approve {
-		for _, rm := range rem.List(mon.Session().ID()) {
+		for _, rm := range rem.List(sess.ID()) {
 			if rm.State != remediate.StatePending {
 				continue
 			}
@@ -216,7 +220,7 @@ func run() int {
 			fmt.Printf("approved %s: %s -> %s\n", res.ID, res.Action, res.State)
 		}
 	}
-	mon.Stop()
+	mgr.Stop()
 
 	if rep.Err != nil {
 		fmt.Printf("upgrade FAILED: %v\n", rep.Err)
@@ -225,14 +229,14 @@ func run() int {
 			len(rep.Replaced), rep.Finished.Sub(rep.Started).Round(time.Second))
 	}
 	if *dumpPath != "" {
-		if err := mon.Store().SaveFile(*dumpPath); err != nil {
+		if err := mgr.Store().SaveFile(*dumpPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Printf("central log store written to %s (%d events)\n", *dumpPath, mon.Store().Len())
+		fmt.Printf("central log store written to %s (%d events)\n", *dumpPath, mgr.Store().Len())
 	}
 	if *postmort {
-		rep, err := offline.Analyze(mon.Store(), process.RollingUpgradeModel())
+		rep, err := offline.Analyze(mgr.Store(), process.RollingUpgradeModel())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -241,7 +245,7 @@ func run() int {
 		fmt.Print(rep.Render())
 	}
 
-	dets := mon.Detections()
+	dets := sess.Detections()
 	fmt.Printf("\n%d detection(s):\n", len(dets))
 	for i, d := range dets {
 		fmt.Printf("  [%d] source=%s trigger=%s step=%s\n      %s\n", i+1, d.Source, d.TriggerID, d.StepID, d.Message)
@@ -258,7 +262,7 @@ func run() int {
 		}
 	}
 	if *remList && rem != nil {
-		rms := rem.List(mon.Session().ID())
+		rms := rem.List(sess.ID())
 		fmt.Printf("\n%d remediation(s):\n", len(rms))
 		for _, rm := range rms {
 			fmt.Printf("  %-6s %-24s mode=%-8s state=%-9s cause=%s\n",
@@ -273,10 +277,10 @@ func run() int {
 	}
 	if *timeline {
 		fmt.Println()
-		flight.Render(os.Stdout, mon.Session().Timeline(kinds...))
+		flight.Render(os.Stdout, sess.Timeline(kinds...))
 	}
 	if *spans {
-		printOperationSpans(mon.Session().ID())
+		printOperationSpans(sess.ID())
 	}
 	return 0
 }

@@ -237,7 +237,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "joined front %s as %s (advertising %s), epoch %d\n",
 			*joinURL, *memberID, base, agent.Epoch())
 		watchOp = func(app string, x core.Expectation, taskID string) error {
-			_, err := frontCl.CreateOperation(ctx, rest.OperationRequest{
+			_, err := frontCl.CreateOperation(ctx, federate.WatchRequest{
 				ID: app, Expect: x, InstanceIDs: []string{taskID},
 			})
 			return err

@@ -42,26 +42,29 @@ func main() {
 	spec := cluster.UpgradeSpec("pushing pm--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := pod.NewMonitor(pod.Config{
-		Cloud: cloud,
-		Bus:   bus,
-		Expect: pod.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  4,
-		},
+	mgr, err := pod.NewManager(pod.ManagerConfig{
+		Cloud:            cloud,
+		Bus:              bus,
 		PeriodicInterval: 45 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(pod.Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  4,
+	}, pod.MatchAnyInstance())
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr.Start()
 
 	injector := pod.NewInjector(cloud, cluster, 23)
 	defer injector.Heal()
@@ -81,12 +84,12 @@ func main() {
 	fmt.Println("rolling upgrade to v2 starting amid simultaneous operations...")
 	report := pod.NewUpgrader(cloud, bus).Run(ctx, spec)
 	_ = clk.Sleep(ctx, time.Minute) // let the periodic assertion observe the aftermath
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 
 	fmt.Printf("\nupgrade finished (err=%v)\n", report.Err)
-	fmt.Printf("POD-Diagnosis detections (%d):\n", len(mon.Detections()))
-	for _, d := range mon.Detections() {
+	fmt.Printf("POD-Diagnosis detections (%d):\n", len(sess.Detections()))
+	for _, d := range sess.Detections() {
 		fmt.Printf("\n  %s via %s: %s\n", d.Source, d.TriggerID, d.Message)
 		if d.Diagnosis == nil {
 			continue

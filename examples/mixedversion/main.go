@@ -41,25 +41,28 @@ func main() {
 	spec := cluster.UpgradeSpec("pushing dsn--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := pod.NewMonitor(pod.Config{
+	mgr, err := pod.NewManager(pod.ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
-		Expect: pod.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  4,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(pod.Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  4,
+	}, pod.MatchAnyInstance())
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr.Start()
 
 	// The concurrent independent upgrade: injected 30 seconds (operation
 	// time) after our upgrade's launch configuration appears.
@@ -74,12 +77,12 @@ func main() {
 
 	fmt.Println("rolling upgrade to v2 starting (a rival release will race it)...")
 	report := pod.NewUpgrader(cloud, bus).Run(ctx, spec)
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 
 	fmt.Printf("\nupgrade finished (err=%v); POD-Diagnosis recorded %d detections:\n",
-		report.Err, len(mon.Detections()))
-	for _, d := range mon.Detections() {
+		report.Err, len(sess.Detections()))
+	for _, d := range sess.Detections() {
 		if d.Diagnosis == nil {
 			continue
 		}

@@ -48,40 +48,43 @@ func main() {
 	// from the bus, replays them against the rolling-upgrade process
 	// model, evaluates assertions after each step, and diagnoses any
 	// failure through the fault trees.
-	mon, err := pod.NewMonitor(pod.Config{
+	mgr, err := pod.NewManager(pod.ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
-		Expect: pod.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  4,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(pod.Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  4,
+	}, pod.MatchAnyInstance())
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr.Start()
 
 	fmt.Println("rolling upgrade to v2 starting...")
 	report := pod.NewUpgrader(cloud, bus).Run(ctx, spec)
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 
 	if report.Err != nil {
 		log.Fatalf("upgrade failed: %v", report.Err)
 	}
 	fmt.Printf("upgrade completed: %d instances replaced in %s (operation time)\n",
 		len(report.Replaced), report.Finished.Sub(report.Started).Round(time.Second))
-	fmt.Printf("conformance: process completed = %v\n", mon.Checker().Completed(spec.TaskID))
-	fmt.Printf("assertions evaluated: %d\n", mon.Evaluator().Count())
-	fmt.Printf("detections: %d (a clean run should have none, or only timer transients)\n", len(mon.Detections()))
-	for _, d := range mon.Detections() {
+	fmt.Printf("conformance: process completed = %v\n", sess.Checker().Completed(spec.TaskID))
+	fmt.Printf("assertions evaluated: %d\n", mgr.Evaluator().Count())
+	fmt.Printf("detections: %d (a clean run should have none, or only timer transients)\n", len(sess.Detections()))
+	for _, d := range sess.Detections() {
 		fmt.Printf("  %s via %s: %s\n", d.Source, d.TriggerID, d.Message)
 	}
 }

@@ -50,28 +50,31 @@ func main() {
 
 	// Attach the monitor — scale-out model, scale-out assertion spec,
 	// everything else reused.
-	mon, err := pod.NewMonitor(pod.Config{
+	mgr, err := pod.NewManager(pod.ManagerConfig{
 		Cloud:         cloud,
 		Bus:           bus,
 		Model:         pod.ScaleOutModel(),
 		AssertionSpec: pod.ScaleOutAssertionSpecText,
-		Expect: pod.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   cluster.ImageID,
-			NewVersion:   "v1",
-			NewLCName:    cluster.LCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  6, // the scale-out target
-			MinInService: 3,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(pod.Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   cluster.ImageID,
+		NewVersion:   "v1",
+		NewLCName:    cluster.LCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  6, // the scale-out target
+		MinInService: 3,
+	}, pod.MatchAnyInstance())
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr.Start()
 
 	fmt.Println("scaling group from 3 to 6 instances...")
 	rep := pod.NewUpgrader(cloud, bus).RunScaleOut(ctx, pod.ScaleOutSpec{
@@ -82,16 +85,16 @@ func main() {
 		WaitTimeout: 4 * time.Minute,
 	})
 	_ = clk.Sleep(ctx, 30*time.Second)
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 
 	if rep.Err != nil {
 		fmt.Printf("\nscale-out FAILED (as expected): %v\n", rep.Err)
 	} else {
 		fmt.Printf("\nscale-out completed: %d instances joined\n", len(rep.NewInstances))
 	}
-	fmt.Printf("POD-Diagnosis detections (%d):\n", len(mon.Detections()))
-	for _, d := range mon.Detections() {
+	fmt.Printf("POD-Diagnosis detections (%d):\n", len(sess.Detections()))
+	for _, d := range sess.Detections() {
 		fmt.Printf("\n  %s via %s: %s\n", d.Source, d.TriggerID, d.Message)
 		if d.Diagnosis == nil {
 			continue

@@ -8,9 +8,15 @@
 // substrate — bus subscriptions, central log storage, the consistent API
 // client, the assertion evaluator, the diagnosis engine and one worker
 // pool — and routes annotated events to per-operation Sessions sharded by
-// process-instance id. Engine remains as a thin single-session
-// compatibility wrapper (one Manager, one Session adopting every
-// instance).
+// process-instance id. A Session is one watched operation: its
+// expectation, assertion specification, conformance context and
+// detections. Watching a single operation is NewManager followed by one
+// Watch with MatchAnyInstance:
+//
+//	mgr, err := NewManager(ManagerConfig{Cloud: cloud, Bus: bus})
+//	sess, err := mgr.Watch(expect, MatchAnyInstance())
+//	mgr.Start()
+//	// ... run the operation, mgr.Drain, mgr.Stop; read sess.Detections().
 //
 // The engine is non-intrusive: it only consumes the operation node's log
 // events from the bus and queries the cloud through the consistent API
@@ -18,20 +24,11 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"poddiagnosis/internal/assertion"
-	"poddiagnosis/internal/conformance"
-	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
-	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/logging"
-	"poddiagnosis/internal/logstore"
 	"poddiagnosis/internal/obs"
-	"poddiagnosis/internal/process"
-	"poddiagnosis/internal/remediate"
-	"poddiagnosis/internal/simaws"
 )
 
 // Engine metrics: what the paper's §V counts (detections and their
@@ -101,55 +98,6 @@ func (x Expectation) params() assertion.Params {
 	}
 }
 
-// Config assembles an Engine: a Manager watching a single operation.
-type Config struct {
-	// Cloud is the simulated AWS account.
-	Cloud *simaws.Cloud
-	// Bus carries log events between components.
-	Bus *logging.Bus
-	// Model is the operation's process model. Defaults to the rolling
-	// upgrade model of Figure 2.
-	Model *process.Model
-	// Registry is the assertion library. Defaults to the built-in one.
-	Registry *assertion.Registry
-	// Plans is the diagnosis plan catalog. Defaults to the shipped
-	// rolling-upgrade catalog (diagplan.DefaultCatalog).
-	Plans *diagplan.Catalog
-	// API tunes the consistent API layer.
-	API consistentapi.Config
-	// Expect is the desired end state of the watched operation.
-	Expect Expectation
-	// AssertionSpec is the assertion specification (see the assertspec
-	// package). Empty means assertspec.DefaultSpecText, which reproduces
-	// the paper's experiment setup.
-	AssertionSpec string
-	// PeriodicInterval is the cadence of the periodic capacity assertion
-	// started/stopped with the process (§III.B.3). Defaults to 60s.
-	PeriodicInterval time.Duration
-	// StepTimeoutSlack scales historical step durations into one-off
-	// timer deadlines. Defaults to 1.6 (the p95-ish margin the paper
-	// derives from timing profiles).
-	StepTimeoutSlack float64
-	// DisableConformance turns off conformance checking (ablation A2).
-	DisableConformance bool
-	// DisableAssertions turns off assertion triggering (ablation A2).
-	DisableAssertions bool
-	// Diagnosis tunes the diagnosis engine.
-	Diagnosis diagnosis.Options
-	// MaxDetections caps recorded detections per session. Zero means 64.
-	MaxDetections int
-	// Workers sizes the shared worker pool. Defaults to
-	// runtime.GOMAXPROCS(0), minimum 2.
-	Workers int
-	// Remediation is the closed-loop remediation policy (zero = off).
-	Remediation remediate.Policy
-	// RemediationCatalog overrides the action↔cause catalog.
-	RemediationCatalog *remediate.Catalog
-	// RemediationController steers the operation during remediation
-	// (retry step, abort); optional.
-	RemediationController remediate.OperationController
-}
-
 // Detection is one detected anomaly with its diagnosis.
 type Detection struct {
 	// At is the detection time.
@@ -180,120 +128,4 @@ type Detection struct {
 	// (0 when the recorder is disabled): the anchor tying the detection
 	// into the operation's causal evidence chain.
 	EvidenceID uint64 `json:"evidenceId,omitempty"`
-}
-
-// Engine is the single-operation compatibility wrapper: one Manager with
-// one Session that adopts every process instance on the bus.
-type Engine struct {
-	cfg  Config
-	mgr  *Manager
-	sess *Session
-}
-
-// NewEngine validates the config and builds a one-session deployment.
-// Call Start to begin processing and Stop to shut down.
-func NewEngine(cfg Config) (*Engine, error) {
-	mgr, err := NewManager(ManagerConfig{
-		Cloud:              cfg.Cloud,
-		Bus:                cfg.Bus,
-		Model:              cfg.Model,
-		Registry:           cfg.Registry,
-		Plans:              cfg.Plans,
-		API:                cfg.API,
-		AssertionSpec:      cfg.AssertionSpec,
-		PeriodicInterval:   cfg.PeriodicInterval,
-		StepTimeoutSlack:   cfg.StepTimeoutSlack,
-		DisableConformance: cfg.DisableConformance,
-		DisableAssertions:  cfg.DisableAssertions,
-		Diagnosis:          cfg.Diagnosis,
-		MaxDetections:      cfg.MaxDetections,
-		Workers:            cfg.Workers,
-		Remediation:        cfg.Remediation,
-		RemediationCatalog: cfg.RemediationCatalog,
-	})
-	if err != nil {
-		return nil, err
-	}
-	watchOpts := []WatchOption{MatchAnyInstance()}
-	if cfg.RemediationController != nil {
-		watchOpts = append(watchOpts, WithRemediationController(cfg.RemediationController))
-	}
-	sess, err := mgr.Watch(cfg.Expect, watchOpts...)
-	if err != nil {
-		return nil, err
-	}
-	// Reflect the manager's applied defaults back into the wrapper config.
-	cfg.Expect = sess.Expect()
-	cfg.PeriodicInterval = mgr.cfg.PeriodicInterval
-	cfg.StepTimeoutSlack = mgr.cfg.StepTimeoutSlack
-	cfg.MaxDetections = mgr.cfg.MaxDetections
-	cfg.Workers = mgr.cfg.Workers
-	return &Engine{cfg: cfg, mgr: mgr, sess: sess}, nil
-}
-
-// Start begins consuming log events and evaluating triggers.
-func (e *Engine) Start() { e.mgr.Start() }
-
-// Stop shuts down the underlying manager: timers, pipeline, workers.
-// Pending queued work is discarded; in-flight work completes.
-func (e *Engine) Stop() { e.mgr.Stop() }
-
-// Drain waits until the log subscriptions and the work queue have been
-// quiescent for a few consecutive polls of the injected clock, or until
-// the (simulated-time) timeout elapses or ctx is cancelled. It reports
-// whether quiescence was reached.
-func (e *Engine) Drain(ctx context.Context, timeout time.Duration) bool {
-	return e.mgr.Drain(ctx, timeout)
-}
-
-// Manager returns the underlying manager.
-func (e *Engine) Manager() *Manager { return e.mgr }
-
-// Session returns the engine's single monitoring session.
-func (e *Engine) Session() *Session { return e.sess }
-
-// Store returns the central log storage.
-func (e *Engine) Store() *logstore.Store { return e.mgr.Store() }
-
-// Evaluator returns the assertion evaluator (exposed for on-demand use).
-func (e *Engine) Evaluator() *assertion.Evaluator { return e.mgr.Evaluator() }
-
-// Checker returns the session's conformance checker.
-func (e *Engine) Checker() *conformance.Checker { return e.sess.Checker() }
-
-// Diagnoser returns the diagnosis engine (exposed for on-demand use,
-// e.g. the POST /diagnosis REST endpoint).
-func (e *Engine) Diagnoser() *diagnosis.Engine { return e.mgr.Diagnoser() }
-
-// Detections returns a copy of all recorded detections.
-func (e *Engine) Detections() []Detection { return e.sess.Detections() }
-
-// Queue reports the engine's current backlog: queued background work and
-// pending events on the two log subscriptions. Zero across the board
-// means the engine is drained; serving surfaces (GET /readyz) report it.
-type Queue struct {
-	// Work is the number of queued assertion evaluations and diagnoses.
-	Work int `json:"work"`
-	// OpEvents is the operation-log subscription backlog.
-	OpEvents int `json:"opEvents"`
-	// CentralEvents is the central-merge subscription backlog.
-	CentralEvents int `json:"centralEvents"`
-}
-
-// Depth is the total backlog.
-func (q Queue) Depth() int { return q.Work + q.OpEvents + q.CentralEvents }
-
-// QueueDepth snapshots the engine's backlog. Safe to call only between
-// Start and Stop.
-func (e *Engine) QueueDepth() Queue {
-	mq := e.mgr.QueueDepth()
-	work := mq.Work
-	if p := e.sess.Pending(); p > work {
-		work = p
-	}
-	return Queue{
-		Work:          work,
-		OpEvents:      mq.OpEvents,
-		CentralEvents: mq.CentralEvents,
-	}
 }

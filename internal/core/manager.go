@@ -38,6 +38,9 @@ var (
 		"Queued plus in-flight work items by process-instance shard.", "shard")
 	mOpDetections = obs.Default.CounterVec("pod_manager_detections_total",
 		"Recorded detections by operation (session id).", "operation")
+	// mRouted outcomes: "session" (owned instance), "adopted" (unknown
+	// instance claimed by a matching session), "ended" (owner already
+	// ended) and "dropped" (no session claims it).
 	mRouted = obs.Default.CounterVec("pod_manager_routed_total",
 		"Annotated events routed to sessions by outcome.", "outcome")
 	// The per-line outcome, resolved once (CounterVec.With locks and
@@ -47,6 +50,10 @@ var (
 		"Backlog items (buffered events plus queued and in-flight work) still outstanding when a Drain timed out.")
 )
 
+// reorderMaxPending bounds the events the reorder buffer holds per source
+// stream while waiting for their predecessors.
+const reorderMaxPending = 256
+
 // numShards is the number of process-instance shards the manager routes
 // across. Sharding bounds lock contention between concurrently monitored
 // operations and gives the backlog gauges a stable label set.
@@ -54,7 +61,7 @@ const numShards = 16
 
 // ManagerConfig assembles a Manager: the substrate shared by every
 // monitoring session. Per-operation knobs (expectation, assertion spec,
-// timer cadence) live on Watch options instead.
+// detection cap) live on Watch options instead.
 type ManagerConfig struct {
 	// Cloud is the simulated AWS account.
 	Cloud *simaws.Cloud
@@ -73,8 +80,9 @@ type ManagerConfig struct {
 	// AssertionSpec is the default assertion specification for sessions
 	// that don't override it. Empty means assertspec.DefaultSpecText.
 	AssertionSpec string
-	// PeriodicInterval is the default cadence of the periodic capacity
-	// assertion (§III.B.3). Defaults to 60s.
+	// PeriodicInterval, when non-zero, overrides the cadence of every
+	// periodic assertion (§III.B.3) for all sessions. Zero keeps each
+	// spec binding's own "every" cadence.
 	PeriodicInterval time.Duration
 	// StepTimeoutSlack scales historical step durations into one-off
 	// timer deadlines. Defaults to 1.6.
@@ -93,18 +101,10 @@ type ManagerConfig struct {
 	// Retention is how long (simulated time) an ended session stays
 	// queryable before garbage collection. Defaults to 10 minutes.
 	Retention time.Duration
-	// OnUnknownInstance, when set, is consulted for process instance ids
-	// no session claims. Returning a non-nil Expectation lazily registers
-	// a session bound to that instance; returning nil drops the event's
-	// triggers (it still reaches central storage).
-	OnUnknownInstance func(instanceID string, ev logging.Event) *Expectation
 	// ReorderWindow is how long the lossy-pipeline reorder buffer holds an
 	// out-of-order operation event for its predecessors before declaring
 	// them lost. Defaults to 3s.
 	ReorderWindow time.Duration
-	// ReorderMaxPending bounds held events per source stream. Defaults to
-	// 256.
-	ReorderMaxPending int
 	// DegradedHold is how long (simulated time) sessions stay in degraded
 	// mode after a sequence gap is declared. Defaults to 30s.
 	DegradedHold time.Duration
@@ -136,8 +136,7 @@ type ManagerConfig struct {
 // local log processor, central log storage, the consistent API client, the
 // assertion evaluator, the diagnosis engine, the timer wheel and one
 // worker pool — and routes annotated events to per-operation Sessions
-// sharded by process-instance id. It is the multi-tenant refactor of the
-// original single-operation Engine (§IV deploys conformance, assertion and
+// sharded by process-instance id (§IV deploys conformance, assertion and
 // diagnosis as shared services that many operation instances post into).
 type Manager struct {
 	cfg         ManagerConfig
@@ -206,9 +205,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Plans == nil {
 		cfg.Plans = diagplan.DefaultCatalog()
 	}
-	if cfg.PeriodicInterval <= 0 {
-		cfg.PeriodicInterval = time.Minute
-	}
 	if cfg.StepTimeoutSlack <= 0 {
 		cfg.StepTimeoutSlack = 1.6
 	}
@@ -226,9 +222,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	}
 	if cfg.ReorderWindow <= 0 {
 		cfg.ReorderWindow = 3 * time.Second
-	}
-	if cfg.ReorderMaxPending <= 0 {
-		cfg.ReorderMaxPending = 256
 	}
 	if cfg.DegradedHold <= 0 {
 		cfg.DegradedHold = 30 * time.Second
@@ -292,7 +285,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	// active session into degraded mode before processing resumes.
 	m.reorder = pipeline.NewReorderBuffer(m.clk, pipeline.ReorderOptions{
 		Window:     cfg.ReorderWindow,
-		MaxPending: cfg.ReorderMaxPending,
+		MaxPending: reorderMaxPending,
 		Schedule:   func(d time.Duration, f func()) func() { return m.timers.After(d, f) },
 	}, func(d pipeline.Delivery) {
 		if d.GapBefore {
@@ -420,15 +413,13 @@ func (m *Manager) Stop() {
 type WatchOption func(*watchOptions)
 
 type watchOptions struct {
-	id               string
-	bind             []string
-	matchASG         bool
-	matchAny         bool
-	specText         string
-	periodicInterval time.Duration
-	stepSlack        float64
-	maxDetections    int
-	remCtl           remediate.OperationController
+	id            string
+	bind          []string
+	matchASG      bool
+	matchAny      bool
+	specText      string
+	maxDetections int
+	remCtl        remediate.OperationController
 }
 
 // WithSessionID names the session; default ids are op-1, op-2, ...
@@ -446,25 +437,14 @@ func BindInstance(ids ...string) WatchOption {
 // instance id embedding the ASG name).
 func MatchASGInstances() WatchOption { return func(o *watchOptions) { o.matchASG = true } }
 
-// MatchAnyInstance adopts every unclaimed process instance. This is the
-// single-operation compatibility mode used by NewEngine.
+// MatchAnyInstance adopts every unclaimed process instance: the mode for a
+// Manager that watches a single operation.
 func MatchAnyInstance() WatchOption { return func(o *watchOptions) { o.matchAny = true } }
 
 // WithAssertionSpec overrides the manager's default assertion spec for
 // this session.
 func WithAssertionSpec(text string) WatchOption {
 	return func(o *watchOptions) { o.specText = text }
-}
-
-// WithPeriodicInterval overrides the periodic assertion cadence for this
-// session.
-func WithPeriodicInterval(d time.Duration) WatchOption {
-	return func(o *watchOptions) { o.periodicInterval = d }
-}
-
-// WithStepTimeoutSlack overrides the step-timer slack for this session.
-func WithStepTimeoutSlack(slack float64) WatchOption {
-	return func(o *watchOptions) { o.stepSlack = slack }
 }
 
 // WithMaxDetections overrides the per-session detection cap.
@@ -505,39 +485,31 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 		}
 		spec = parsed
 	}
-	if o.periodicInterval <= 0 {
-		o.periodicInterval = m.cfg.PeriodicInterval
-	}
-	if o.stepSlack <= 0 {
-		o.stepSlack = m.cfg.StepTimeoutSlack
-	}
 	if o.maxDetections <= 0 {
 		o.maxDetections = m.cfg.MaxDetections
 	}
 
 	s := &Session{
-		mgr:              m,
-		expect:           x,
-		spec:             spec,
-		specText:         o.specText,
-		checker:          conformance.NewChecker(m.cfg.Model),
-		periodicInterval: o.periodicInterval,
-		stepSlack:        o.stepSlack,
-		maxDetections:    o.maxDetections,
-		remCtl:           o.remCtl,
-		matchAny:         o.matchAny,
-		matchASG:         o.matchASG,
-		state:            SessionActive,
-		bound:            make(map[string]bool),
-		instances:        make(map[string]bool),
-		completed:        make(map[string]bool),
-		seen:             make(map[string]int),
-		identified:       make(map[string]bool),
-		progress:         make(map[string]int),
-		total:            make(map[string]int),
-		stepCancel:       make(map[string]func()),
-		perioCancel:      make(map[string]func()),
-		lastEntry:        make(map[string]uint64),
+		mgr:           m,
+		expect:        x,
+		spec:          spec,
+		specText:      o.specText,
+		checker:       conformance.NewChecker(m.cfg.Model),
+		maxDetections: o.maxDetections,
+		remCtl:        o.remCtl,
+		matchAny:      o.matchAny,
+		matchASG:      o.matchASG,
+		state:         SessionActive,
+		bound:         make(map[string]bool),
+		instances:     make(map[string]bool),
+		completed:     make(map[string]bool),
+		seen:          make(map[string]int),
+		identified:    make(map[string]bool),
+		progress:      make(map[string]int),
+		total:         make(map[string]int),
+		stepCancel:    make(map[string]func()),
+		perioCancel:   make(map[string]func()),
+		lastEntry:     make(map[string]uint64),
 	}
 
 	m.mu.Lock()
@@ -605,9 +577,8 @@ func (m *Manager) bind(instanceID string, s *Session, explicit bool) {
 }
 
 // route resolves the session for an annotated event; it is the pipeline's
-// Router. Unknown instances are offered to active matching sessions, then
-// to the lazy-registration callback, and otherwise dropped (their lines
-// still reach central storage).
+// Router. Unknown instances are offered to active matching sessions and
+// otherwise dropped (their lines still reach central storage).
 func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 	sh := &m.shards[shardOf(instanceID)]
 	sh.mu.RLock()
@@ -641,17 +612,6 @@ func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 		m.bind(instanceID, s, false)
 		mRouted.With("adopted").Inc()
 		return s
-	}
-
-	// Lazy registration: ask the callback (outside m.mu — it may Watch).
-	if m.cfg.OnUnknownInstance != nil {
-		if x := m.cfg.OnUnknownInstance(instanceID, ev); x != nil {
-			reg, err := m.Watch(*x, BindInstance(instanceID))
-			if err == nil {
-				mRouted.With("registered").Inc()
-				return reg
-			}
-		}
 	}
 	mRouted.With("dropped").Inc()
 	return nil

@@ -26,15 +26,27 @@ type multiRig struct {
 	ctx   context.Context
 }
 
-func newMultiRig(t *testing.T, mutate func(*ManagerConfig)) *multiRig {
+// newSimCloud starts a simulated cloud on a 1200x clock, publishing to a
+// fresh bus; tune adjusts the fast profile before the cloud is built.
+// Cleanup stops the cloud and closes the bus.
+func newSimCloud(t *testing.T, seed int64, tune func(*simaws.Profile)) (*clock.Scaled, *logging.Bus, *simaws.Cloud) {
 	t.Helper()
 	clk := clock.NewScaled(1200, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
 	bus := logging.NewBus()
 	profile := simaws.FastProfile()
 	profile.TickInterval = time.Second
-	cloud := simaws.New(clk, profile, simaws.WithSeed(33), simaws.WithBus(bus))
+	if tune != nil {
+		tune(&profile)
+	}
+	cloud := simaws.New(clk, profile, simaws.WithSeed(seed), simaws.WithBus(bus))
 	cloud.Start()
-	cfg := ManagerConfig{
+	t.Cleanup(func() { cloud.Stop(); bus.Close() })
+	return clk, bus, cloud
+}
+
+// testManagerConfig is the manager configuration every rig starts from.
+func testManagerConfig(cloud *simaws.Cloud, bus *logging.Bus) ManagerConfig {
+	return ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
 		API: consistentapi.Config{
@@ -44,6 +56,45 @@ func newMultiRig(t *testing.T, mutate func(*ManagerConfig)) *multiRig {
 			CallTimeout:    30 * time.Second,
 		},
 	}
+}
+
+// deployForUpgrade deploys a size-n v1 cluster named app, registers a v2
+// AMI, and returns the upcoming upgrade's spec and the expectation a
+// session watching it declares.
+func deployForUpgrade(t *testing.T, ctx context.Context, cloud *simaws.Cloud, app string, n int) (*upgrade.Cluster, upgrade.Spec, Expectation) {
+	t.Helper()
+	cluster, err := upgrade.Deploy(ctx, cloud, app, n, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.WaitReady(ctx, cloud, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	newAMI, err := cloud.RegisterImage(ctx, app+"-v2", "v2", upgrade.AppServices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cluster.UpgradeSpec("pushing "+cluster.ASGName, newAMI)
+	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
+	spec.WaitTimeout = 5 * time.Minute
+	spec.PollInterval = 5 * time.Second
+	return cluster, spec, Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  n,
+	}
+}
+
+func newMultiRig(t *testing.T, mutate func(*ManagerConfig)) *multiRig {
+	t.Helper()
+	clk, bus, cloud := newSimCloud(t, 33, nil)
+	cfg := testManagerConfig(cloud, bus)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -52,7 +103,7 @@ func newMultiRig(t *testing.T, mutate func(*ManagerConfig)) *multiRig {
 		t.Fatal(err)
 	}
 	mgr.Start()
-	t.Cleanup(func() { mgr.Stop(); cloud.Stop(); bus.Close() })
+	t.Cleanup(mgr.Stop)
 	return &multiRig{clk: clk, bus: bus, cloud: cloud, mgr: mgr, ctx: context.Background()}
 }
 
@@ -69,37 +120,12 @@ type op struct {
 // bound to the upcoming upgrade task.
 func (r *multiRig) addOp(t *testing.T, app string, size int) *op {
 	t.Helper()
-	cluster, err := upgrade.Deploy(r.ctx, r.cloud, app, size, "v1")
+	cluster, spec, x := deployForUpgrade(t, r.ctx, r.cloud, app, size)
+	sess, err := r.mgr.Watch(x, BindInstance(spec.TaskID), WithSessionID(app))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.WaitReady(r.ctx, r.cloud, 5*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	newAMI, err := r.cloud.RegisterImage(r.ctx, app+"-v2", "v2", upgrade.AppServices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	taskID := "pushing " + cluster.ASGName
-	spec := cluster.UpgradeSpec(taskID, newAMI)
-	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
-	spec.WaitTimeout = 5 * time.Minute
-	spec.PollInterval = 5 * time.Second
-	sess, err := r.mgr.Watch(Expectation{
-		ASGName:      cluster.ASGName,
-		ELBName:      cluster.ELBName,
-		NewImageID:   newAMI,
-		NewVersion:   "v2",
-		NewLCName:    spec.NewLCName,
-		KeyName:      cluster.KeyName,
-		SGName:       cluster.SGName,
-		InstanceType: "m1.small",
-		ClusterSize:  size,
-	}, BindInstance(taskID), WithSessionID(app))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &op{cluster: cluster, sess: sess, taskID: taskID, spec: spec, newAMI: newAMI}
+	return &op{cluster: cluster, sess: sess, taskID: spec.TaskID, spec: spec, newAMI: x.NewImageID}
 }
 
 // runAll executes every op's upgrade concurrently and drains the manager.
@@ -333,41 +359,32 @@ func TestRetentionSweepTickerRepeats(t *testing.T) {
 	}
 }
 
-// TestLazyRegistrationCallback exercises OnUnknownInstance: an unclaimed
-// process instance triggers session creation bound to that instance.
-func TestLazyRegistrationCallback(t *testing.T) {
-	r := newMultiRig(t, func(c *ManagerConfig) {
-		c.OnUnknownInstance = func(instanceID string, ev logging.Event) *Expectation {
-			return &Expectation{ASGName: "lazy--asg", ClusterSize: 2}
-		}
-	})
+// TestSpecCadenceWithoutConfigOverride: with no manager-level
+// PeriodicInterval, a periodic binding fires at its spec's own "every"
+// cadence — 5s here, so about twelve evaluations per simulated minute,
+// not the one a 60s default would allow.
+func TestSpecCadenceWithoutConfigOverride(t *testing.T) {
+	r := newMultiRig(t, nil)
+	_, spec, x := deployForUpgrade(t, r.ctx, r.cloud, "cad", 2)
+	sess, err := r.mgr.Watch(x, BindInstance(spec.TaskID),
+		WithAssertionSpec("every 5s assert asg-instance-count want={n}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := r.clk.Now()
-	r.bus.Publish(logging.Event{
-		Timestamp: now,
-		Source:    "asgard.log",
-		Type:      logging.TypeOperation,
-		Fields:    map[string]string{"taskid": "lazy-task"},
-		Message:   logging.FormatOperationLine(now, "lazy-task", "Starting rolling upgrade of group lazy--asg to image ami-x"),
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	var found *Session
-	for time.Now().Before(deadline) && found == nil {
-		for _, s := range r.mgr.Sessions() {
-			for _, id := range s.Instances() {
-				if id == "lazy-task" {
-					found = s
-				}
-			}
+	r.bus.Publish(opEvent(now, spec.TaskID, "Starting rolling upgrade of group "+x.ASGName+" to image "+x.NewImageID))
+	if err := r.clk.Sleep(r.ctx, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sess.End()
+	r.mgr.Drain(r.ctx, time.Minute)
+	fires := 0
+	for _, res := range r.mgr.Evaluator().History() {
+		if res.CheckID == "asg-instance-count" {
+			fires++
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	if found == nil {
-		t.Fatal("unknown instance did not register a session")
-	}
-	if found.Expect().ASGName != "lazy--asg" {
-		t.Errorf("expectation = %+v", found.Expect())
-	}
-	if found.Expect().MinInService != 1 {
-		t.Errorf("MinInService = %d, want normalized 1", found.Expect().MinInService)
+	if fires < 6 || fires > 13 {
+		t.Fatalf("periodic evaluations in one simulated minute = %d, want about 12 (every 5s)", fires)
 	}
 }

@@ -52,11 +52,9 @@ type Session struct {
 	// manager's recorder is disabled. Immutable after Watch.
 	flight *flight.Op
 
-	periodicInterval time.Duration
-	stepSlack        float64
-	maxDetections    int
-	matchAny         bool
-	matchASG         bool
+	maxDetections int
+	matchAny      bool
+	matchASG      bool
 	// remCtl steers the operation itself during remediation (retry step,
 	// abort); nil when the harness attached none. Immutable after Watch.
 	remCtl remediate.OperationController
@@ -492,10 +490,10 @@ func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
 			continue
 		}
 		interval := pb.Every
-		if s.periodicInterval > 0 {
-			// The session-level interval overrides the spec's default, so
-			// experiments can tune the cadence without editing the spec.
-			interval = s.periodicInterval
+		if d := s.mgr.cfg.PeriodicInterval; d > 0 {
+			// A manager-level cadence overrides the spec's, so experiments
+			// can tune it without editing the spec.
+			interval = d
 		}
 		checkID := pb.CheckID
 		cancels = append(cancels, s.mgr.timers.Every(interval, func() {
@@ -694,7 +692,7 @@ func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 	if mean <= 0 {
 		mean = 30 * time.Second
 	}
-	deadline := time.Duration(float64(mean) * s.stepSlack)
+	deadline := time.Duration(float64(mean) * s.mgr.cfg.StepTimeoutSlack)
 	s.mu.Unlock()
 
 	if s.mgr.cfg.DisableAssertions {

@@ -29,12 +29,10 @@ type SessionSnapshot struct {
 	Expect Expectation `json:"expect"`
 	// SpecText is the session's assertion-spec override; empty means
 	// the adopting manager's default spec.
-	SpecText         string        `json:"specText,omitempty"`
-	PeriodicInterval time.Duration `json:"periodicInterval,omitempty"`
-	StepSlack        float64       `json:"stepSlack,omitempty"`
-	MaxDetections    int           `json:"maxDetections,omitempty"`
-	MatchAny         bool          `json:"matchAny,omitempty"`
-	MatchASG         bool          `json:"matchAsg,omitempty"`
+	SpecText      string `json:"specText,omitempty"`
+	MaxDetections int    `json:"maxDetections,omitempty"`
+	MatchAny      bool   `json:"matchAny,omitempty"`
+	MatchASG      bool   `json:"matchAsg,omitempty"`
 
 	State   SessionState `json:"state"`
 	EndedAt time.Time    `json:"endedAt,omitempty"`
@@ -87,15 +85,13 @@ func (m *Manager) ExportSession(id string) (*SessionSnapshot, error) {
 // snapshot exports the session's full state.
 func (s *Session) snapshot() *SessionSnapshot {
 	snap := &SessionSnapshot{
-		ID:               s.id,
-		Expect:           s.expect,
-		SpecText:         s.specText,
-		PeriodicInterval: s.periodicInterval,
-		StepSlack:        s.stepSlack,
-		MaxDetections:    s.maxDetections,
-		MatchAny:         s.matchAny,
-		MatchASG:         s.matchASG,
-		TakenAt:          s.mgr.clk.Now(),
+		ID:            s.id,
+		Expect:        s.expect,
+		SpecText:      s.specText,
+		MaxDetections: s.maxDetections,
+		MatchAny:      s.matchAny,
+		MatchASG:      s.matchASG,
+		TakenAt:       s.mgr.clk.Now(),
 	}
 	s.mu.Lock()
 	snap.State = s.state
@@ -135,7 +131,8 @@ func (s *Session) snapshot() *SessionSnapshot {
 // never routed here) and re-arm their periodic capacity timers; step
 // timers re-arm on the next step event. Only the
 // WithRemediationController option is honored — everything else a
-// Watch option could set travels in the snapshot.
+// Watch option could set travels in the snapshot; timer cadence and
+// step slack are the adopting manager's.
 func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*Session, error) {
 	if snap == nil || snap.ID == "" {
 		return nil, fmt.Errorf("core: nil or unnamed session snapshot")
@@ -168,33 +165,31 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	}
 
 	s := &Session{
-		id:               snap.ID,
-		mgr:              m,
-		expect:           x,
-		spec:             spec,
-		specText:         snap.SpecText,
-		checker:          conformance.NewChecker(m.cfg.Model),
-		periodicInterval: defaultDur(snap.PeriodicInterval, m.cfg.PeriodicInterval),
-		stepSlack:        defaultFloat(snap.StepSlack, m.cfg.StepTimeoutSlack),
-		maxDetections:    defaultInt(snap.MaxDetections, m.cfg.MaxDetections),
-		remCtl:           o.remCtl,
-		matchAny:         snap.MatchAny,
-		matchASG:         snap.MatchASG,
-		state:            state,
-		endedAt:          snap.EndedAt,
-		bound:            setOf(snap.Bound),
-		instances:        setOf(snap.Instances),
-		completed:        setOf(snap.Completed),
-		detections:       append([]Detection(nil), snap.Detections...),
-		seen:             copyIntMap(snap.Seen),
-		identified:       setOf(snap.Identified),
-		progress:         copyIntMap(snap.Progress),
-		total:            copyIntMap(snap.Total),
-		stepCancel:       make(map[string]func()),
-		perioCancel:      make(map[string]func()),
-		lastEntry:        make(map[string]uint64, len(snap.LastEntry)),
-		flightGap:        snap.FlightGap,
-		degradedUntil:    snap.DegradedUntil,
+		id:            snap.ID,
+		mgr:           m,
+		expect:        x,
+		spec:          spec,
+		specText:      snap.SpecText,
+		checker:       conformance.NewChecker(m.cfg.Model),
+		maxDetections: defaultInt(snap.MaxDetections, m.cfg.MaxDetections),
+		remCtl:        o.remCtl,
+		matchAny:      snap.MatchAny,
+		matchASG:      snap.MatchASG,
+		state:         state,
+		endedAt:       snap.EndedAt,
+		bound:         setOf(snap.Bound),
+		instances:     setOf(snap.Instances),
+		completed:     setOf(snap.Completed),
+		detections:    append([]Detection(nil), snap.Detections...),
+		seen:          copyIntMap(snap.Seen),
+		identified:    setOf(snap.Identified),
+		progress:      copyIntMap(snap.Progress),
+		total:         copyIntMap(snap.Total),
+		stepCancel:    make(map[string]func()),
+		perioCancel:   make(map[string]func()),
+		lastEntry:     make(map[string]uint64, len(snap.LastEntry)),
+		flightGap:     snap.FlightGap,
+		degradedUntil: snap.DegradedUntil,
 	}
 	if s.seen == nil {
 		s.seen = make(map[string]int)
@@ -337,20 +332,6 @@ func copyIntMap(in map[string]int) map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-func defaultDur(v, def time.Duration) time.Duration {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-func defaultFloat(v, def float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return def
 }
 
 func defaultInt(v, def int) int {

@@ -18,29 +18,27 @@ import (
 // handoff cannot silently lose new state.
 func TestSnapshotCoversSessionFields(t *testing.T) {
 	carried := map[string]string{ // Session field -> SessionSnapshot field
-		"id":               "ID",
-		"expect":           "Expect",
-		"specText":         "SpecText",
-		"checker":          "Conformance",
-		"flight":           "Flight",
-		"periodicInterval": "PeriodicInterval",
-		"stepSlack":        "StepSlack",
-		"maxDetections":    "MaxDetections",
-		"matchAny":         "MatchAny",
-		"matchASG":         "MatchASG",
-		"state":            "State",
-		"endedAt":          "EndedAt",
-		"bound":            "Bound",
-		"instances":        "Instances",
-		"completed":        "Completed",
-		"detections":       "Detections",
-		"seen":             "Seen",
-		"identified":       "Identified",
-		"progress":         "Progress",
-		"total":            "Total",
-		"lastEntry":        "LastEntry",
-		"flightGap":        "FlightGap",
-		"degradedUntil":    "DegradedUntil",
+		"id":            "ID",
+		"expect":        "Expect",
+		"specText":      "SpecText",
+		"checker":       "Conformance",
+		"flight":        "Flight",
+		"maxDetections": "MaxDetections",
+		"matchAny":      "MatchAny",
+		"matchASG":      "MatchASG",
+		"state":         "State",
+		"endedAt":       "EndedAt",
+		"bound":         "Bound",
+		"instances":     "Instances",
+		"completed":     "Completed",
+		"detections":    "Detections",
+		"seen":          "Seen",
+		"identified":    "Identified",
+		"progress":      "Progress",
+		"total":         "Total",
+		"lastEntry":     "LastEntry",
+		"flightGap":     "FlightGap",
+		"degradedUntil": "DegradedUntil",
 	}
 	excluded := map[string]string{ // Session field -> why handoff may drop it
 		"mgr":         "rewired to the adopting manager by RestoreSession",

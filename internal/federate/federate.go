@@ -48,16 +48,54 @@ const (
 	StateDead MemberState = "dead"
 )
 
-// WatchRequest registers one operation with the federation. The id is
-// the consistent-hashing key; the rest mirrors a Manager.Watch call.
+// WatchRequest registers one operation: the body of POST /operations on a
+// member or front server, and the federation front's placement request.
+// The id is the consistent-hashing key; the rest mirrors a Manager.Watch
+// call.
 type WatchRequest struct {
-	ID            string           `json:"id"`
-	Expect        core.Expectation `json:"expect"`
-	InstanceIDs   []string         `json:"instanceIds,omitempty"`
-	MatchASG      bool             `json:"matchAsg,omitempty"`
-	MatchAny      bool             `json:"matchAny,omitempty"`
-	AssertionSpec string           `json:"assertionSpec,omitempty"`
-	MaxDetections int              `json:"maxDetections,omitempty"`
+	// ID names the session; empty means a generated id.
+	ID string `json:"id,omitempty"`
+	// Expect declares the operation's desired end state.
+	Expect core.Expectation `json:"expect"`
+	// InstanceIDs pre-binds process instance ids (e.g. upgrade task ids)
+	// to the session. A bind-only session auto-ends when every bound
+	// instance's process completes.
+	InstanceIDs []string `json:"instanceIds,omitempty"`
+	// MatchASG adopts unknown process instances that reference the
+	// expectation's ASG.
+	MatchASG bool `json:"matchAsg,omitempty"`
+	// MatchAny adopts every unclaimed process instance.
+	MatchAny bool `json:"matchAny,omitempty"`
+	// AssertionSpec overrides the manager's default assertion
+	// specification for this session.
+	AssertionSpec string `json:"assertionSpec,omitempty"`
+	// MaxDetections overrides the per-session detection cap.
+	MaxDetections int `json:"maxDetections,omitempty"`
+}
+
+// Options translates the request into the Manager.Watch options that
+// register it.
+func (r WatchRequest) Options() []core.WatchOption {
+	var opts []core.WatchOption
+	if r.ID != "" {
+		opts = append(opts, core.WithSessionID(r.ID))
+	}
+	if len(r.InstanceIDs) > 0 {
+		opts = append(opts, core.BindInstance(r.InstanceIDs...))
+	}
+	if r.MatchASG {
+		opts = append(opts, core.MatchASGInstances())
+	}
+	if r.MatchAny {
+		opts = append(opts, core.MatchAnyInstance())
+	}
+	if r.AssertionSpec != "" {
+		opts = append(opts, core.WithAssertionSpec(r.AssertionSpec))
+	}
+	if r.MaxDetections > 0 {
+		opts = append(opts, core.WithMaxDetections(r.MaxDetections))
+	}
+	return opts
 }
 
 // Member is one Manager instance participating in the federation. The

@@ -91,36 +91,17 @@ func (l *LocalMember) manager() (*core.Manager, error) {
 	return l.mgr, nil
 }
 
-func (l *LocalMember) watchOptions(req WatchRequest) []core.WatchOption {
-	opts := []core.WatchOption{core.WithSessionID(req.ID)}
-	if len(req.InstanceIDs) > 0 {
-		opts = append(opts, core.BindInstance(req.InstanceIDs...))
-	}
-	if req.MatchASG {
-		opts = append(opts, core.MatchASGInstances())
-	}
-	if req.MatchAny {
-		opts = append(opts, core.MatchAnyInstance())
-	}
-	if req.AssertionSpec != "" {
-		opts = append(opts, core.WithAssertionSpec(req.AssertionSpec))
-	}
-	if req.MaxDetections > 0 {
-		opts = append(opts, core.WithMaxDetections(req.MaxDetections))
-	}
-	if l.ctlFor != nil {
-		opts = append(opts, core.WithRemediationController(l.ctlFor(req.ID)))
-	}
-	return opts
-}
-
 // Watch implements Member.
 func (l *LocalMember) Watch(_ context.Context, req WatchRequest) (core.SessionSummary, error) {
 	mgr, err := l.manager()
 	if err != nil {
 		return core.SessionSummary{}, err
 	}
-	s, err := mgr.Watch(req.Expect, l.watchOptions(req)...)
+	opts := req.Options()
+	if l.ctlFor != nil {
+		opts = append(opts, core.WithRemediationController(l.ctlFor(req.ID)))
+	}
+	s, err := mgr.Watch(req.Expect, opts...)
 	if err != nil {
 		return core.SessionSummary{}, err
 	}

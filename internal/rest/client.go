@@ -16,6 +16,7 @@ import (
 	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
+	"poddiagnosis/internal/federate"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/remediate"
 )
@@ -170,7 +171,7 @@ func (c *Client) Ready(ctx context.Context) (ReadyStatus, error) {
 
 // CreateOperation registers a new monitoring session with the server's
 // manager and returns its summary.
-func (c *Client) CreateOperation(ctx context.Context, req OperationRequest) (core.SessionSummary, error) {
+func (c *Client) CreateOperation(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, error) {
 	var out core.SessionSummary
 	err := c.post(ctx, "/operations", req, &out)
 	return out, err

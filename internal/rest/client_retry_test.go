@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"poddiagnosis/internal/clock"
+	"poddiagnosis/internal/federate"
 )
 
 // flaky500 serves a 500 for the first n hits of each path, then succeeds.
@@ -73,7 +74,7 @@ func TestClientDoesNotRetryPOST(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	c := NewClient(srv.URL, srv.Client())
-	_, err := c.CreateOperation(context.Background(), OperationRequest{})
+	_, err := c.CreateOperation(context.Background(), federate.WatchRequest{})
 	if err == nil {
 		t.Fatal("POST 500 did not surface")
 	}

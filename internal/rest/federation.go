@@ -170,20 +170,12 @@ func (s *Server) handleOperationRestore(w http.ResponseWriter, r *http.Request) 
 // federation instead of a local manager.
 
 func (s *Server) handleFrontOperationCreate(w http.ResponseWriter, r *http.Request) {
-	var req OperationRequest
+	var req federate.WatchRequest
 	if err := decode(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sum, _, err := s.front.Watch(r.Context(), federate.WatchRequest{
-		ID:            req.ID,
-		Expect:        req.Expect,
-		InstanceIDs:   req.InstanceIDs,
-		MatchASG:      req.MatchASG,
-		MatchAny:      req.MatchAny,
-		AssertionSpec: req.AssertionSpec,
-		MaxDetections: req.MaxDetections,
-	})
+	sum, _, err := s.front.Watch(r.Context(), req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -281,15 +273,7 @@ func (m *FederationMember) ID() string { return m.id }
 
 // Watch implements federate.Member.
 func (m *FederationMember) Watch(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, error) {
-	return m.c.CreateOperation(ctx, OperationRequest{
-		ID:            req.ID,
-		Expect:        req.Expect,
-		InstanceIDs:   req.InstanceIDs,
-		MatchASG:      req.MatchASG,
-		MatchAny:      req.MatchAny,
-		AssertionSpec: req.AssertionSpec,
-		MaxDetections: req.MaxDetections,
-	})
+	return m.c.CreateOperation(ctx, req)
 }
 
 // Export implements federate.Member.
@@ -496,7 +480,7 @@ func (f *FailoverClient) Do(fn func(*Client) error) error {
 }
 
 // CreateOperation registers an operation via the first reachable base.
-func (f *FailoverClient) CreateOperation(ctx context.Context, req OperationRequest) (core.SessionSummary, error) {
+func (f *FailoverClient) CreateOperation(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, error) {
 	var out core.SessionSummary
 	err := f.Do(func(c *Client) error {
 		var err error

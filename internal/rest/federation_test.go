@@ -3,6 +3,7 @@ package rest
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,7 +101,7 @@ func newFedEnv(t *testing.T) *fedEnv {
 func TestFederationOverREST(t *testing.T) {
 	e := newFedEnv(t)
 	const opID = "wire-op"
-	sum, err := e.frontCl.CreateOperation(e.ctx, OperationRequest{
+	sum, err := e.frontCl.CreateOperation(e.ctx, federate.WatchRequest{
 		ID:          opID,
 		Expect:      core.Expectation{ASGName: "wire--asg", ClusterSize: 2},
 		InstanceIDs: []string{"wire-task"},
@@ -206,5 +207,53 @@ func TestFailoverClient(t *testing.T) {
 	}
 	if _, err := fc.Operations(e.ctx); err != nil {
 		t.Fatalf("failover client did not remember the working base: %v", err)
+	}
+}
+
+// TestWatchRequestSameThroughFront posts one request with every field
+// set to a single-manager server and to a front server, which places it
+// on a REST-backed member: both paths must register the same session.
+func TestWatchRequestSameThroughFront(t *testing.T) {
+	single := newOpsEnv(t)
+	fed := newFedEnv(t)
+	req := federate.WatchRequest{
+		ID:            "same-op",
+		Expect:        core.Expectation{ASGName: "same--asg", ELBName: "same-elb", ClusterSize: 4},
+		InstanceIDs:   []string{"same-task"},
+		MatchASG:      true,
+		MatchAny:      true,
+		AssertionSpec: "on step8 assert asg-instance-count want={n}\n",
+		MaxDetections: 9,
+	}
+	direct, err := single.client.CreateOperation(single.ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaFront, err := fed.frontCl.CreateOperation(fed.ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct, viaFront) {
+		t.Fatalf("summaries differ:\n direct    %+v\n via front %+v", direct, viaFront)
+	}
+	if direct.Expect.MinInService != 3 || !reflect.DeepEqual(direct.Instances, []string{"same-task"}) {
+		t.Fatalf("summary = %+v", direct)
+	}
+	route, err := fed.frontCl.FederationRoute(fed.ctx, req.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := single.mgr.ExportSession(req.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fed.members[route.Owner].mgr.ExportSession(req.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*core.SessionSnapshot{a, b} {
+		if !s.MatchASG || !s.MatchAny || s.SpecText != req.AssertionSpec || s.MaxDetections != req.MaxDetections {
+			t.Errorf("session %s lost a request field: %+v", s.ID, s)
+		}
 	}
 }

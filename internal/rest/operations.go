@@ -7,32 +7,9 @@ import (
 	"strings"
 
 	"poddiagnosis/internal/core"
+	"poddiagnosis/internal/federate"
 	"poddiagnosis/internal/obs/flight"
 )
-
-// OperationRequest is the body of POST /operations: it registers a new
-// monitoring session with the manager, mirroring core.Manager.Watch.
-type OperationRequest struct {
-	// ID names the session; empty means a generated op-N id.
-	ID string `json:"id,omitempty"`
-	// Expect declares the operation's desired end state.
-	Expect core.Expectation `json:"expect"`
-	// InstanceIDs pre-binds process instance ids (e.g. upgrade task ids)
-	// to the session. A bind-only session auto-ends when every bound
-	// instance's process completes.
-	InstanceIDs []string `json:"instanceIds,omitempty"`
-	// MatchASG adopts unknown process instances that reference the
-	// expectation's ASG.
-	MatchASG bool `json:"matchAsg,omitempty"`
-	// MatchAny adopts every unclaimed process instance (single-operation
-	// compatibility mode).
-	MatchAny bool `json:"matchAny,omitempty"`
-	// AssertionSpec overrides the manager's default assertion
-	// specification for this session.
-	AssertionSpec string `json:"assertionSpec,omitempty"`
-	// MaxDetections overrides the per-session detection cap.
-	MaxDetections int `json:"maxDetections,omitempty"`
-}
 
 // errNoManager is returned by the operation endpoints when the server was
 // built without WithManager.
@@ -47,31 +24,12 @@ func (s *Server) handleOperationCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errNoManager)
 		return
 	}
-	var req OperationRequest
+	var req federate.WatchRequest
 	if err := decode(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var opts []core.WatchOption
-	if req.ID != "" {
-		opts = append(opts, core.WithSessionID(req.ID))
-	}
-	if len(req.InstanceIDs) > 0 {
-		opts = append(opts, core.BindInstance(req.InstanceIDs...))
-	}
-	if req.MatchASG {
-		opts = append(opts, core.MatchASGInstances())
-	}
-	if req.MatchAny {
-		opts = append(opts, core.MatchAnyInstance())
-	}
-	if req.AssertionSpec != "" {
-		opts = append(opts, core.WithAssertionSpec(req.AssertionSpec))
-	}
-	if req.MaxDetections > 0 {
-		opts = append(opts, core.WithMaxDetections(req.MaxDetections))
-	}
-	sess, err := s.mgr.Watch(req.Expect, opts...)
+	sess, err := s.mgr.Watch(req.Expect, req.Options()...)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -12,6 +12,7 @@ import (
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/faultinject"
+	"poddiagnosis/internal/federate"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/simaws"
 	"poddiagnosis/internal/upgrade"
@@ -84,7 +85,7 @@ func TestOperationsRoundTrip(t *testing.T) {
 	spec.PollInterval = 5 * time.Second
 
 	// Register the monitoring session over the wire.
-	sum, err := e.client.CreateOperation(e.ctx, OperationRequest{
+	sum, err := e.client.CreateOperation(e.ctx, federate.WatchRequest{
 		ID: "push-pm",
 		Expect: core.Expectation{
 			ASGName:      cluster.ASGName,
@@ -106,7 +107,7 @@ func TestOperationsRoundTrip(t *testing.T) {
 		t.Fatalf("created operation = %+v", sum)
 	}
 	// Duplicate registration is rejected with a client-visible error.
-	if _, err := e.client.CreateOperation(e.ctx, OperationRequest{
+	if _, err := e.client.CreateOperation(e.ctx, federate.WatchRequest{
 		ID:     "push-pm",
 		Expect: core.Expectation{ASGName: cluster.ASGName, ClusterSize: 2},
 	}); err == nil || !strings.Contains(err.Error(), "status 400") {
@@ -187,7 +188,7 @@ func TestOperationsWithoutManager(t *testing.T) {
 	if _, err := client.Operations(ctx); err == nil || !strings.Contains(err.Error(), "status 503") {
 		t.Fatalf("list without manager: %v", err)
 	}
-	if _, err := client.CreateOperation(ctx, OperationRequest{}); err == nil || !strings.Contains(err.Error(), "status 503") {
+	if _, err := client.CreateOperation(ctx, federate.WatchRequest{}); err == nil || !strings.Contains(err.Error(), "status 503") {
 		t.Fatalf("create without manager: %v", err)
 	}
 	if _, err := client.OperationDetections(ctx, "x"); err == nil || !strings.Contains(err.Error(), "status 503") {

@@ -79,9 +79,9 @@ type ReadyStatus struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithReady installs the readiness probe backing GET /readyz; typically a
-// closure over core.Engine.QueueDepth. Without it /readyz always reports
-// ready with depth 0.
+// WithReady installs the readiness probe backing GET /readyz. WithManager
+// installs one over the manager's backlog; without either, /readyz always
+// reports ready with depth 0.
 func WithReady(fn func() ReadyStatus) Option {
 	return func(s *Server) { s.ready = fn }
 }

@@ -48,25 +48,28 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	spec := cluster.UpgradeSpec("pushing pm--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := NewMonitor(Config{
+	mgr, err := NewManager(ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
-		Expect: Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  2,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  2,
+	}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
 
 	// Fault 2 (key pair changed mid-upgrade): a concurrent team flips the
 	// launch configuration once the upgrade creates its own LC, so the
@@ -81,11 +84,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	rep := NewUpgrader(cloud, bus).Run(ctx, spec)
 	<-injectDone
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 	_ = rep // the upgrade may fail or limp home mixed-version; either is fine
 
-	detections := mon.Detections()
+	detections := sess.Detections()
 	if len(detections) == 0 {
 		t.Fatal("faulty upgrade produced no detections")
 	}
@@ -100,14 +103,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Serve the observability surface the way podserve does and scrape it.
-	srv := httptest.NewServer(rest.NewServer(mon.Checker(), mon.Evaluator(), mon.Diagnoser(),
-		rest.WithReady(func() rest.ReadyStatus {
-			q := mon.QueueDepth()
-			return rest.ReadyStatus{Ready: true, QueueDepth: q.Depth()}
-		})))
+	srv := httptest.NewServer(rest.NewServer(sess.Checker(), mgr.Evaluator(), mgr.Diagnoser(),
+		rest.WithManager(mgr)))
 	defer srv.Close()
 
-	// /readyz first: it both checks the drained engine and puts one
+	// /readyz first: it both checks the drained manager and puts one
 	// request through the HTTP middleware before /metrics renders.
 	rResp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {

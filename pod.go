@@ -30,13 +30,12 @@
 //	cloud.Start()
 //	defer cloud.Stop()
 //	// ... deploy a cluster, then:
-//	mon, err := poddiagnosis.NewMonitor(poddiagnosis.Config{
-//	    Cloud: cloud, Bus: bus,
-//	    Expect: poddiagnosis.Expectation{ASGName: "pm--asg", ClusterSize: 4, ...},
-//	})
-//	mon.Start()
-//	defer mon.Stop()
-//	// run the upgrade; then inspect mon.Detections().
+//	mgr, err := poddiagnosis.NewManager(poddiagnosis.ManagerConfig{Cloud: cloud, Bus: bus})
+//	sess, err := mgr.Watch(poddiagnosis.Expectation{ASGName: "pm--asg", ClusterSize: 4, ...},
+//	    poddiagnosis.MatchAnyInstance())
+//	mgr.Start()
+//	defer mgr.Stop()
+//	// run the upgrade; then inspect sess.Detections().
 package poddiagnosis
 
 import (
@@ -60,11 +59,6 @@ const Version = "1.0.0"
 
 // Core engine types.
 type (
-	// Monitor is a running POD-Diagnosis deployment watching one
-	// operation (a Manager with a single Session).
-	Monitor = core.Engine
-	// Config assembles a Monitor.
-	Config = core.Config
 	// Expectation declares the operation's desired end state.
 	Expectation = core.Expectation
 	// Detection is one detected anomaly with its diagnosis.
@@ -110,14 +104,11 @@ var (
 	// MatchASGInstances adopts unknown instances referencing the
 	// session's ASG.
 	MatchASGInstances = core.MatchASGInstances
-	// MatchAnyInstance adopts every unclaimed instance.
+	// MatchAnyInstance adopts every unclaimed instance: the mode for a
+	// Manager that watches a single operation.
 	MatchAnyInstance = core.MatchAnyInstance
 	// WithAssertionSpec overrides the assertion specification per session.
 	WithAssertionSpec = core.WithAssertionSpec
-	// WithPeriodicInterval overrides the periodic assertion cadence.
-	WithPeriodicInterval = core.WithPeriodicInterval
-	// WithStepTimeoutSlack overrides the step-timer slack.
-	WithStepTimeoutSlack = core.WithStepTimeoutSlack
 	// WithMaxDetections overrides the per-session detection cap.
 	WithMaxDetections = core.WithMaxDetections
 )
@@ -153,10 +144,6 @@ type (
 	// Upgrader performs rolling upgrades (the watched operation).
 	Upgrader = upgrade.Upgrader
 )
-
-// NewMonitor validates the config and builds a Monitor. Call Start to
-// begin processing and Stop to shut down.
-func NewMonitor(cfg Config) (*Monitor, error) { return core.NewEngine(cfg) }
 
 // NewLogBus returns an empty log bus.
 func NewLogBus() *LogBus { return logging.NewBus() }

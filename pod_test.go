@@ -38,36 +38,39 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	spec := cluster.UpgradeSpec("pushing pm--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := NewMonitor(Config{
+	mgr, err := NewManager(ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
-		Expect: Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  2,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  2,
+	}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
 	rep := NewUpgrader(cloud, bus).Run(ctx, spec)
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 
 	if rep.Err != nil {
 		t.Fatalf("upgrade: %v", rep.Err)
 	}
-	if !mon.Checker().Completed("pushing pm--asg") {
+	if !sess.Checker().Completed("pushing pm--asg") {
 		t.Error("process did not complete per conformance")
 	}
-	for _, d := range mon.Detections() {
+	for _, d := range sess.Detections() {
 		if d.Diagnosis != nil && d.Diagnosis.Conclusion == "root cause identified" {
 			t.Errorf("spurious root cause on clean run: %+v", d)
 		}
