@@ -1,12 +1,13 @@
 // Command podlint is the static-analysis gate for POD-Diagnosis. It lints
 // on three fronts: the registered diagnosis artifacts (process models,
 // assertion specifications, the diagnosis-plan catalog, the remediation
-// action↔cause bindings, and the trigger chain connecting them), the Go
-// source tree (wall-clock reads, metric naming, mutexes held across
-// blocking sends, context.Background on request paths, goroutine leaks,
-// lock ordering, timers in loops, hot-path allocation discipline), and —
-// with -ratchet — benchmark performance against the committed BENCH_*.json
-// baselines.
+// action↔cause bindings, and the trigger chain connecting them: PM, AS,
+// DG, XC and RM rules), the Go source tree (GO001–GO011: wall-clock reads,
+// metric naming, mutexes held across blocking sends, context.Background on
+// request paths, flight-recorder kinds, goroutine leaks, lock ordering,
+// timers in loops, hot-path allocation discipline and escape budgets), and
+// — with -ratchet — benchmark performance against the committed
+// BENCH_*.json baselines (RT rules). `podlint -rules all` lists them.
 //
 // Usage:
 //
@@ -36,8 +37,6 @@
 //	-baseline LIST   comma-separated baseline JSON files for -ratchet
 //	                 (default: BENCH_ingest.json,BENCH_diagnosis.json at
 //	                 the module root)
-//	-fix             EXPERIMENTAL: rewrite time.Now/time.Since to use an
-//	                 in-scope clock.Clock parameter, then re-lint
 //	-source-only     skip the built-in model/spec/tree bundles
 //	-models-only     skip the Go source analyzers
 //
@@ -73,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hotReport  = fs.Bool("hotpath-report", false, "dump the per-function escape budget table as JSON and exit")
 		ratchet    = fs.String("ratchet", "", "compare bench output (file, or - for stdin) against baselines and exit")
 		baselines  = fs.String("baseline", "", "comma-separated baseline JSON files for -ratchet (default BENCH_ingest.json,BENCH_diagnosis.json)")
-		fix        = fs.Bool("fix", false, "experimental: rewrite wall-clock reads onto an in-scope clock.Clock")
 		sourceOnly = fs.Bool("source-only", false, "lint only Go source, skip the built-in bundles")
 		modelsOnly = fs.Bool("models-only", false, "lint only models/specs/trees, skip Go source")
 	)
@@ -123,16 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*modelsOnly {
-		if *fix {
-			fixed, err := lint.FixWallClock(root, dirs)
-			if err != nil {
-				fmt.Fprintln(stderr, "podlint:", err)
-				return 2
-			}
-			for _, f := range fixed {
-				fmt.Fprintf(stderr, "podlint: fixed wall-clock reads in %s\n", f)
-			}
-		}
 		srcFindings, err := lint.LintSource(root, dirs)
 		if err != nil {
 			fmt.Fprintln(stderr, "podlint:", err)

@@ -27,19 +27,25 @@ import (
 // in a refactor) would silently disarm the budget, so GO010 flags a
 // manifest entry whose function exists unannotated.
 
-// noBudget marks a hotpath annotation that declared no escape budget.
-const noBudget = -1
+// Budget values of a parsed annotation besides a declared N >= 0.
+const (
+	noBudget  = -1 // a bare annotation: no escape budget declared
+	badBudget = -2 // a malformed tail: reported (GO010), bound as noBudget
+)
 
-// parseHotBudget parses the annotation tail: empty, or "budget=N".
-// Malformed budgets read as noBudget; the manifest check reports them.
+// parseHotBudget parses the annotation tail: empty, or "budget=N" with
+// N >= 0. Anything else is badBudget.
 func parseHotBudget(rest string) int {
 	rest = strings.TrimSpace(rest)
+	if rest == "" {
+		return noBudget
+	}
 	if v, ok := strings.CutPrefix(rest, "budget="); ok {
 		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
 			return n
 		}
 	}
-	return noBudget
+	return badBudget
 }
 
 // manifestEntry names one required-hot function by package directory
@@ -119,6 +125,9 @@ func hotFuncsOf(files []*srcFile) []*hotFunc {
 			to := f.fset.Position(fd.Name.End()).Line
 			for line, budget := range f.hotBudgets {
 				if line >= from && line <= to {
+					if budget == badBudget {
+						budget = noBudget
+					}
 					out = append(out, &hotFunc{f: f, decl: fd, name: funcName(fd), budget: budget})
 					break
 				}
@@ -134,16 +143,26 @@ func hotFuncsOf(files []*srcFile) []*hotFunc {
 	return out
 }
 
-// lintHotPaths is the whole-tree hot-path pass: the manifest check plus the
-// GO010 (allocation-prone constructs) and GO009 (defer in loop) checks on
-// every annotated function.
+// lintHotPaths is the whole-tree hot-path pass: malformed annotations and
+// the manifest check, then one walk per annotated function for GO010
+// (allocation-prone constructs) and GO009 (defer in loop).
 func lintHotPaths(files []*srcFile) []Finding {
-	hot := hotFuncsOf(files)
 	var fs []Finding
+	for _, f := range files {
+		for line, budget := range f.hotBudgets {
+			if budget == badBudget && !f.suppressed(RuleSrcHotAlloc, line) {
+				fs = append(fs, finding(RuleSrcHotAlloc, fmt.Sprintf("%s:%d", f.rel, line),
+					"malformed //podlint:hotpath annotation — want no argument or budget=N with N >= 0; its escape budget is disarmed"))
+			}
+		}
+	}
+	hot := hotFuncsOf(files)
 	fs = append(fs, lintHotManifest(files, hot)...)
 	for _, h := range hot {
-		h.lintConstructs(&fs)
-		h.lintDeferInLoop(&fs)
+		if h.decl.Body != nil {
+			w := &hotWalker{h: h, fs: &fs, fmtName: h.f.importName("fmt")}
+			ast.Inspect(h.decl.Body, w.visit)
+		}
 	}
 	return fs
 }
@@ -180,59 +199,71 @@ func lintHotManifest(files []*srcFile, hot []*hotFunc) []Finding {
 	return fs
 }
 
-// lintConstructs implements GO010 on one hot function: allocation-prone
-// constructs that almost always betray a per-event heap allocation —
-// fmt.Sprintf-family calls, unsized make of a map or slice, map composite
-// literals, and closures capturing an iteration variable (a fresh closure
-// allocation every pass of the loop). The checks are syntactic; what they
-// cannot see (interface boxing through fmt's ...any, copy-on-write event
-// chains) the compiler-assisted escape budget (GO011) catches.
-func (h *hotFunc) lintConstructs(fs *[]Finding) {
-	if h.decl.Body == nil {
-		return
-	}
-	f := h.f
-	fmtName := f.importName("fmt")
-	var loops []ast.Node // enclosing loop stack
-	inLoop := func() bool { return len(loops) > 0 }
+// hotWalker is one walk over a hot function's body for two rules.
+//
+// GO010 flags allocation-prone constructs that almost always betray a
+// per-event heap allocation: fmt.Sprintf-family calls, unsized make of a
+// map or slice, map composite literals, and closures capturing an
+// iteration variable (a fresh closure allocation every pass of the loop).
+// The checks are syntactic; what they cannot see (interface boxing through
+// fmt's ...any, copy-on-write event chains) the compiler-assisted escape
+// budget (GO011) catches. They descend into function literals.
+//
+// GO009 flags a defer inside a loop: it accumulates until the function
+// returns, so a lock "released" by such a defer is in reality held for
+// every remaining iteration. A function literal is its own defer scope —
+// defers inside it run when the literal returns, typically once per
+// iteration — so GO009 stops at literals.
+type hotWalker struct {
+	h       *hotFunc
+	fs      *[]Finding
+	fmtName string
+	loops   []ast.Node // enclosing loops, innermost last
+	lits    int        // enclosing function literals
+}
 
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			loops = append(loops, v)
-			for _, c := range childrenOfLoop(v) {
-				ast.Inspect(c, walk)
-			}
-			loops = loops[:len(loops)-1]
-			return false
-		case *ast.FuncLit:
-			if inLoop() && capturesLoopVar(v, loops[len(loops)-1]) {
-				f.report(fs, RuleSrcHotAlloc, v,
-					"%s: closure capturing a loop variable allocates every iteration — hoist it out of the loop", h.name)
-			}
-			return true
-		case *ast.CompositeLit:
-			if _, ok := v.Type.(*ast.MapType); ok {
-				f.report(fs, RuleSrcHotAlloc, v,
-					"%s: map literal allocates on the hot path — hoist it to a package variable or reuse a buffer", h.name)
-			}
-		case *ast.CallExpr:
-			if fn := pkgCall(v, fmtName, "Sprintf", "Sprint", "Sprintln", "Errorf"); fn != "" {
-				f.report(fs, RuleSrcHotAlloc, v,
-					"%s: fmt.%s allocates (format state + boxed ...any args) on the hot path", h.name, fn)
-			}
-			h.checkMake(fs, v)
+func (w *hotWalker) visit(n ast.Node) bool {
+	h, f := w.h, w.h.f
+	switch v := n.(type) {
+	case *ast.ForStmt:
+		w.loop(v, v.Init, v.Cond, v.Post, v.Body)
+		return false
+	case *ast.RangeStmt:
+		w.loop(v, v.Body)
+		return false
+	case *ast.FuncLit:
+		if len(w.loops) > 0 && capturesLoopVar(v, w.loops[len(w.loops)-1]) {
+			f.report(w.fs, RuleSrcHotAlloc, v,
+				"%s: closure capturing a loop variable allocates every iteration — hoist it out of the loop", h.name)
 		}
-		return true
+		w.lits++
+		ast.Inspect(v.Body, w.visit)
+		w.lits--
+		return false
+	case *ast.DeferStmt:
+		if len(w.loops) > 0 && w.lits == 0 {
+			f.report(w.fs, RuleSrcDeferInHotLoop, v,
+				"%s: defer inside a loop runs only at function return — hoist it or scope the loop body into a function", h.name)
+		}
+	case *ast.CompositeLit:
+		if _, ok := v.Type.(*ast.MapType); ok {
+			f.report(w.fs, RuleSrcHotAlloc, v,
+				"%s: map literal allocates on the hot path — hoist it to a package variable or reuse a buffer", h.name)
+		}
+	case *ast.CallExpr:
+		if fn := pkgCall(v, w.fmtName, "Sprintf", "Sprint", "Sprintln", "Errorf"); fn != "" {
+			f.report(w.fs, RuleSrcHotAlloc, v,
+				"%s: fmt.%s allocates (format state + boxed ...any args) on the hot path", h.name, fn)
+		}
+		w.checkMake(v)
 	}
-	ast.Inspect(h.decl.Body, walk)
+	return true
 }
 
 // checkMake flags unsized make calls: make(map[...]) with no size hint and
 // make([]T, 0) with no capacity — both grow by reallocating on the path
 // that was supposed to be allocation-flat.
-func (h *hotFunc) checkMake(fs *[]Finding, call *ast.CallExpr) {
+func (w *hotWalker) checkMake(call *ast.CallExpr) {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "make" || len(call.Args) == 0 {
 		return
@@ -240,72 +271,24 @@ func (h *hotFunc) checkMake(fs *[]Finding, call *ast.CallExpr) {
 	switch call.Args[0].(type) {
 	case *ast.MapType:
 		if len(call.Args) == 1 {
-			h.f.report(fs, RuleSrcHotAlloc, call,
-				"%s: unsized make(map) on the hot path — pass a size hint", h.name)
+			w.h.f.report(w.fs, RuleSrcHotAlloc, call,
+				"%s: unsized make(map) on the hot path — pass a size hint", w.h.name)
 		}
 	case *ast.ArrayType:
 		if len(call.Args) == 2 {
 			if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Value == "0" {
-				h.f.report(fs, RuleSrcHotAlloc, call,
-					"%s: make(slice, 0) with no capacity on the hot path — preallocate", h.name)
+				w.h.f.report(w.fs, RuleSrcHotAlloc, call,
+					"%s: make(slice, 0) with no capacity on the hot path — preallocate", w.h.name)
 			}
 		}
 	}
 }
 
-// lintDeferInLoop implements GO009: a defer inside a loop of a hot-path
-// function accumulates until the function returns — a lock "released" by
-// such a defer is in reality held for every remaining iteration.
-func (h *hotFunc) lintDeferInLoop(fs *[]Finding) {
-	if h.decl.Body == nil {
-		return
-	}
-	depth := 0
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			depth++
-			for _, c := range childrenOfLoop(v) {
-				ast.Inspect(c, walk)
-			}
-			depth--
-			return false
-		case *ast.FuncLit:
-			// A literal is its own defer scope: defers inside it run when
-			// the literal returns, typically once per iteration — fine.
-			return false
-		case *ast.DeferStmt:
-			if depth > 0 {
-				h.f.report(fs, RuleSrcDeferInHotLoop, v,
-					"%s: defer inside a loop runs only at function return — hoist it or scope the loop body into a function", h.name)
-			}
-		}
-		return true
-	}
-	ast.Inspect(h.decl.Body, walk)
-}
-
-// childrenOfLoop returns a loop statement's component nodes so walkers can
-// recurse with the loop pushed on their stack.
-func childrenOfLoop(n ast.Node) []ast.Node {
-	switch v := n.(type) {
-	case *ast.ForStmt:
-		out := make([]ast.Node, 0, 4)
-		if v.Init != nil {
-			out = append(out, v.Init)
-		}
-		if v.Cond != nil {
-			out = append(out, v.Cond)
-		}
-		if v.Post != nil {
-			out = append(out, v.Post)
-		}
-		return append(out, v.Body)
-	case *ast.RangeStmt:
-		return []ast.Node{v.Body}
-	}
-	return nil
+// loop visits the given parts of a loop with the loop pushed on the stack.
+func (w *hotWalker) loop(loop ast.Node, parts ...ast.Node) {
+	w.loops = append(w.loops, loop)
+	inspect(w.visit, parts...)
+	w.loops = w.loops[:len(w.loops)-1]
 }
 
 // capturesLoopVar reports whether the literal references an identifier
@@ -339,26 +322,4 @@ func capturesLoopVar(fl *ast.FuncLit, loop ast.Node) bool {
 		return !captured
 	})
 	return captured
-}
-
-// HotPathTable lists every annotated hot-path function under the targets,
-// with budgets but no measured escapes (Escapes -1). EscapeAnalysis fills
-// the measurement in.
-func HotPathTable(root string, targets []string) ([]HotFuncInfo, error) {
-	files, err := loadSources(root, targets)
-	if err != nil {
-		return nil, err
-	}
-	hot := hotFuncsOf(files)
-	out := make([]HotFuncInfo, 0, len(hot))
-	for _, h := range hot {
-		out = append(out, HotFuncInfo{
-			Package:  h.f.pkgDir(),
-			Function: h.name,
-			Pos:      fmt.Sprintf("%s:%d", h.f.rel, h.f.line(h.decl)),
-			Budget:   h.budget,
-			Escapes:  -1,
-		})
-	}
-	return out, nil
 }

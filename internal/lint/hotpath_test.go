@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,13 +11,10 @@ import (
 
 // --- fixtures shared with TestEveryRuleHasCoverage -----------------------
 
-// hotpathFixtureFindings seeds one or more violations for each of the
-// source-level concurrency and hot-path rules (GO006–GO010) and returns
-// the LintSource findings over the fixture tree.
-func hotpathFixtureFindings(t *testing.T) []Finding {
-	t.Helper()
-	root := writeTree(t, map[string]string{
-		"pkg/leak.go": `package pkg
+// hotpathTree seeds the GO006–GO010 violations beside their clean and
+// suppressed counterparts.
+var hotpathTree = map[string]string{
+	"pkg/leak.go": `package pkg
 
 func leak(ch chan int) {
 	go func() {
@@ -47,7 +45,7 @@ func allowedLeak(ch chan int) {
 	}()
 }
 `,
-		"pkg/locks.go": `package pkg
+	"pkg/locks.go": `package pkg
 
 import "sync"
 
@@ -76,7 +74,7 @@ func alsoForward(p *pair) {
 	p.a.Unlock()
 }
 `,
-		"pkg/timers.go": `package pkg
+	"pkg/timers.go": `package pkg
 
 import "time"
 
@@ -144,7 +142,7 @@ func allowedWait(done chan struct{}) {
 	}
 }
 `,
-		"pkg/hot.go": `package pkg
+	"pkg/hot.go": `package pkg
 
 import (
 	"fmt"
@@ -195,20 +193,11 @@ func hotScoped(items []string, mu *sync.Mutex) {
 	}
 }
 `,
-	})
-	fs, err := LintSource(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs
 }
 
-// escapeFixture parses an annotated fixture and applies hand-built escape
-// sites, exercising the GO011 budget comparison without the toolchain.
-func escapeFixture(t *testing.T) ([]HotFuncInfo, []Finding) {
-	t.Helper()
-	root := writeTree(t, map[string]string{
-		"pkg/esc.go": `package pkg
+// escapeTree annotates three functions for the GO011 budget comparison.
+var escapeTree = map[string]string{
+	"pkg/esc.go": `package pkg
 
 //podlint:hotpath budget=1
 func build() (*int, *int) {
@@ -224,7 +213,99 @@ func unbudgeted() *int { return new(int) }
 //podlint:ignore GO011 fixture: accepted overage
 func tolerated() *int { return new(int) }
 `,
-	})
+}
+
+// lockOrderConsistentTree takes the same two locks in one order everywhere.
+var lockOrderConsistentTree = map[string]string{
+	"pkg/locks.go": `package pkg
+
+import "sync"
+
+type pair struct {
+	a, b sync.Mutex
+}
+
+func one(p *pair) {
+	p.a.Lock()
+	p.b.Lock()
+	p.b.Unlock()
+	p.a.Unlock()
+}
+
+func two(p *pair) {
+	p.a.Lock()
+	p.b.Lock()
+	p.b.Unlock()
+	p.a.Unlock()
+}
+`,
+}
+
+// lockOrderSuppressedTree orders two locks both ways, with both inner
+// acquisitions suppressed.
+var lockOrderSuppressedTree = map[string]string{
+	"pkg/locks.go": `package pkg
+
+import "sync"
+
+type pair struct {
+	a, b sync.Mutex
+}
+
+func one(p *pair) {
+	p.a.Lock()
+	//podlint:ignore GO007 fixture: order enforced by construction
+	p.b.Lock()
+	p.b.Unlock()
+	p.a.Unlock()
+}
+
+func two(p *pair) {
+	p.b.Lock()
+	//podlint:ignore GO007 fixture: order enforced by construction
+	p.a.Lock()
+	p.a.Unlock()
+	p.b.Unlock()
+}
+`,
+}
+
+// manifestBareTree holds a manifest hot path without its annotation;
+// manifestAnnotatedTree is the same file annotated.
+var (
+	manifestBareTree = map[string]string{"internal/pipeline/proc.go": `package pipeline
+
+type Processor struct{}
+
+func (p *Processor) Process() {}
+`}
+	manifestAnnotatedTree = map[string]string{"internal/pipeline/proc.go": `package pipeline
+
+type Processor struct{}
+
+//podlint:hotpath budget=0
+func (p *Processor) Process() {}
+`}
+)
+
+// hotpathFixtureFindings seeds one or more violations for each of the
+// source-level concurrency and hot-path rules (GO006–GO010) and returns
+// the LintSource findings over the fixture tree.
+func hotpathFixtureFindings(t *testing.T) []Finding {
+	t.Helper()
+	root := writeTree(t, hotpathTree)
+	fs, err := LintSource(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// escapeFixture parses an annotated fixture and applies hand-built escape
+// sites, exercising the GO011 budget comparison without the toolchain.
+func escapeFixture(t *testing.T) ([]HotFuncInfo, []Finding) {
+	t.Helper()
+	root := writeTree(t, escapeTree)
 	files, err := loadSources(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -315,30 +396,7 @@ func TestLintConcurrencyAndHotPathRules(t *testing.T) {
 }
 
 func TestLintLockOrderConsistentIsClean(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"pkg/locks.go": `package pkg
-
-import "sync"
-
-type pair struct {
-	a, b sync.Mutex
-}
-
-func one(p *pair) {
-	p.a.Lock()
-	p.b.Lock()
-	p.b.Unlock()
-	p.a.Unlock()
-}
-
-func two(p *pair) {
-	p.a.Lock()
-	p.b.Lock()
-	p.b.Unlock()
-	p.a.Unlock()
-}
-`,
-	})
+	root := writeTree(t, lockOrderConsistentTree)
 	fs, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -349,32 +407,7 @@ func two(p *pair) {
 }
 
 func TestLintLockOrderSuppression(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"pkg/locks.go": `package pkg
-
-import "sync"
-
-type pair struct {
-	a, b sync.Mutex
-}
-
-func one(p *pair) {
-	p.a.Lock()
-	//podlint:ignore GO007 fixture: order enforced by construction
-	p.b.Lock()
-	p.b.Unlock()
-	p.a.Unlock()
-}
-
-func two(p *pair) {
-	p.b.Lock()
-	//podlint:ignore GO007 fixture: order enforced by construction
-	p.a.Lock()
-	p.a.Unlock()
-	p.b.Unlock()
-}
-`,
-	})
+	root := writeTree(t, lockOrderSuppressedTree)
 	fs, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -387,13 +420,7 @@ func two(p *pair) {
 func TestLintHotManifestAnnotationRequired(t *testing.T) {
 	// A manifest function present in the tree without its annotation is a
 	// GO010 finding; annotating it clears the finding.
-	bare := `package pipeline
-
-type Processor struct{}
-
-func (p *Processor) Process() {}
-`
-	root := writeTree(t, map[string]string{"internal/pipeline/proc.go": bare})
+	root := writeTree(t, manifestBareTree)
 	fs, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +430,7 @@ func (p *Processor) Process() {}
 		t.Fatalf("want 1 manifest GO010 for (*Processor).Process, got %s", render(got))
 	}
 
-	annotated := strings.Replace(bare, "func (p *Processor) Process()",
-		"//podlint:hotpath budget=0\nfunc (p *Processor) Process()", 1)
-	root = writeTree(t, map[string]string{"internal/pipeline/proc.go": annotated})
+	root = writeTree(t, manifestAnnotatedTree)
 	fs, err = LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -423,13 +448,86 @@ func TestParseHotBudget(t *testing.T) {
 		{"", noBudget},
 		{" budget=0", 0},
 		{" budget=12", 12},
-		{" budget=-3", noBudget},
-		{" budget=lots", noBudget},
+		{" budget=-3", badBudget},
+		{" budget=lots", badBudget},
 		{"budget=7", 7},
-		{" nonsense", noBudget},
+		{" nonsense", badBudget},
 	} {
 		if got := parseHotBudget(tc.in); got != tc.want {
 			t.Errorf("parseHotBudget(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestMalformedHotBudgetReported: an annotation whose tail is not empty or
+// budget=N (N >= 0) is a GO010 finding at the annotation line, and its
+// function still binds as a hot path with no budget.
+func TestMalformedHotBudgetReported(t *testing.T) {
+	root := writeTree(t, map[string]string{"pkg/bad.go": `package pkg
+
+//podlint:hotpath budget=lots
+func a() {}
+
+//podlint:hotpath budget=-3
+func b() {}
+
+//podlint:hotpath
+func c() {}
+
+//podlint:hotpath budget=2
+func d() {}
+`})
+	fs, err := LintSource(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := findingsFor(fs, RuleSrcHotAlloc)
+	if len(got) != 2 || got[0].Pos != "pkg/bad.go:3" || got[1].Pos != "pkg/bad.go:6" {
+		t.Fatalf("want GO010 at pkg/bad.go:3 and :6, got %s", render(fs))
+	}
+	files, err := loadSources(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budgets []int
+	for _, h := range hotFuncsOf(files) {
+		budgets = append(budgets, h.budget)
+	}
+	if fmt.Sprint(budgets) != fmt.Sprint([]int{noBudget, noBudget, noBudget, 2}) {
+		t.Errorf("hot budgets = %v, want [-1 -1 -1 2]", budgets)
+	}
+}
+
+// TestTimerInLoopReportedOnce: a per-iteration timer is one GO008 finding
+// however deep its loop nest. A receive from time.After carries only the
+// time.After message; NewTicker looks for its Stop in the innermost loop.
+func TestTimerInLoopReportedOnce(t *testing.T) {
+	for depth := 1; depth <= 3; depth++ {
+		for _, tc := range []struct {
+			name, stmt, want string
+		}{
+			{"time.After", "select {\ncase <-time.After(time.Second):\ncase <-ch:\nreturn\n}", "time.After in a loop"},
+			{"clk.After", "select {\ncase <-clk.After(time.Second):\ncase <-ch:\nreturn\n}", "<-clk.After(...) in a loop"},
+			{"NewTicker", "tk = time.NewTicker(time.Second)\n<-tk.C", "time.NewTicker in a loop with no Stop"},
+		} {
+			body := strings.Repeat("for {\n", depth) + tc.stmt + "\n" + strings.Repeat("}\n", depth)
+			if tc.name == "NewTicker" && depth > 1 {
+				// A Stop in an outer loop body does not stop the inner ticker.
+				body = "for {\n" + strings.Repeat("for {\n", depth-1) + tc.stmt + "\n" +
+					strings.Repeat("}\n", depth-1) + "tk.Stop()\n}\n"
+			}
+			src := "package pkg\n\nimport \"time\"\n\n" +
+				"type fakeClock interface{ After(time.Duration) <-chan time.Time }\n\n" +
+				"func wait(clk fakeClock, ch chan int, tk *time.Ticker) {\n" + body + "}\n"
+			root := writeTree(t, map[string]string{"pkg/timers.go": src})
+			fs, err := LintSource(root, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := findingsFor(fs, RuleSrcTimerInLoop)
+			if len(got) != 1 || !strings.Contains(got[0].Message, tc.want) {
+				t.Errorf("%s at depth %d: want one GO008 %q, got %s", tc.name, depth, tc.want, render(got))
+			}
 		}
 	}
 }

@@ -5,18 +5,29 @@
 // dangling diagnosis-test reference, an assertion spec bound to a step the
 // process model does not define, or an unreachable root cause is silently
 // wrong until the exact failure that needs it. The package therefore lints
-// on two fronts:
+// on three fronts:
 //
-//   - Model linting: process models (built or raw JSON documents),
-//     assertion specifications, and diagnosis-plan catalogs are validated
-//     individually and cross-validated as a Bundle — the paper's §IV
-//     trigger chain (process step → assertion → diagnosis plan) must be
-//     closed.
+//   - Model linting: process models (PM001–PM008, built or raw JSON
+//     documents), assertion specifications (AS001–AS003), diagnosis plans
+//     (DG001–DG010) and remediation bindings (RM001–RM003) are validated
+//     individually and cross-validated as a Bundle (XC001–XC003) — the
+//     paper's §IV trigger chain (process step → assertion → diagnosis
+//     plan) must be closed.
 //
 //   - Source analyzers: go/ast passes over the repository enforce project
-//     invariants — no wall-clock reads outside internal/clock, metric
-//     naming, no mutex held across a blocking channel send, and no
-//     context.Background on request paths under internal/rest.
+//     invariants. One node walk per file runs GO001 (no wall-clock reads
+//     outside internal/clock), GO002 (metric naming), GO004 (no
+//     context.Background on request paths under internal/rest), GO005
+//     (registered flight-recorder kinds), GO006 (goroutine leaks) and GO008
+//     (timers created per loop iteration). One held-lock walk per function
+//     runs GO003 (no blocking send under a mutex) and feeds the GO007
+//     lock-ordering graph. One walk per //podlint:hotpath function runs
+//     GO009 (defer in loop) and GO010 (allocation-prone constructs, plus a
+//     missing or malformed annotation); GO011 checks its heap-escape budget
+//     against the compiler's escape analysis.
+//
+//   - Bench ratchet: RT001–RT003 compare go test -bench output against the
+//     committed BENCH_*.json baselines.
 //
 // Every finding carries a stable rule ID, a severity, and a position
 // (file:line for source findings, an artifact locus for model findings).

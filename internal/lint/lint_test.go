@@ -342,9 +342,10 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
-func TestLintSourceSeedsEveryGORule(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"pkg/clockuse.go": `package pkg
+// goRulesTree seeds the per-file GO001–GO005 violations, with suppressed
+// and exempt sites beside them.
+var goRulesTree = map[string]string{
+	"pkg/clockuse.go": `package pkg
 
 import "time"
 
@@ -356,13 +357,13 @@ func since(t0 time.Time) time.Duration {
 	return time.Since(t0)
 }
 `,
-		"internal/clock/real.go": `package clock
+	"internal/clock/real.go": `package clock
 
 import "time"
 
 func now() time.Time { return time.Now() }
 `,
-		"pkg/metrics.go": `package pkg
+	"pkg/metrics.go": `package pkg
 
 type registry struct{}
 
@@ -373,7 +374,7 @@ func metrics(r registry) {
 	r.Counter("Bad-Name", "flagged")
 }
 `,
-		"pkg/send.go": `package pkg
+	"pkg/send.go": `package pkg
 
 import "sync"
 
@@ -404,13 +405,13 @@ func fresh(mu *sync.Mutex, ch chan int) {
 	}()
 }
 `,
-		"internal/rest/handler.go": `package rest
+	"internal/rest/handler.go": `package rest
 
 import "context"
 
 func handle() context.Context { return context.Background() }
 `,
-		"pkg/flightuse.go": `package pkg
+	"pkg/flightuse.go": `package pkg
 
 import "poddiagnosis/internal/obs/flight"
 
@@ -424,7 +425,10 @@ func kinds() []any {
 	}
 }
 `,
-	})
+}
+
+func TestLintSourceSeedsEveryGORule(t *testing.T) {
+	root := writeTree(t, goRulesTree)
 	fs, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -486,9 +490,9 @@ func kinds() []any {
 	}
 }
 
-func TestSuppressionBlanketAndTrailing(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"p/a.go": `package p
+// suppressionTree pairs a blanket ignore with one naming the wrong rule.
+var suppressionTree = map[string]string{
+	"p/a.go": `package p
 
 import "time"
 
@@ -496,7 +500,10 @@ func a() time.Time { return time.Now() } //podlint:ignore
 
 func b() time.Time { return time.Now() } //podlint:ignore GO002 wrong rule, still fires
 `,
-	})
+}
+
+func TestSuppressionBlanketAndTrailing(t *testing.T) {
+	root := writeTree(t, suppressionTree)
 	fs, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -570,6 +577,47 @@ func TestBuiltinRemediationClean(t *testing.T) {
 	}
 }
 
+// coverageTree seeds one violation of each per-file GO rule for
+// TestEveryRuleHasCoverage.
+var coverageTree = map[string]string{
+	"pkg/all.go": `package pkg
+
+import "time"
+
+func now() time.Time { return time.Now() }
+`,
+	"pkg/metrics.go": `package pkg
+
+type registry struct{}
+
+func (registry) Gauge(name, help string) int { return 0 }
+
+func metrics(r registry) { r.Gauge("Nope", "x") }
+`,
+	"pkg/send.go": `package pkg
+
+import "sync"
+
+func f(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	ch <- 1
+	mu.Unlock()
+}
+`,
+	"internal/rest/h.go": `package rest
+
+import "context"
+
+func h() context.Context { return context.TODO() }
+`,
+	"pkg/flight.go": `package pkg
+
+import "poddiagnosis/internal/obs/flight"
+
+func k() flight.Kind { return flight.Kind("nope") }
+`,
+}
+
 // TestEveryRuleHasCoverage cross-checks the registry against the fixtures
 // above: every registered rule must fire somewhere in this test file's
 // fixtures, so a rule added to the table without a seeded violation fails
@@ -603,44 +651,7 @@ func TestEveryRuleHasCoverage(t *testing.T) {
 		Registry: fixtureRegistry(),
 	})...)
 
-	root := writeTree(t, map[string]string{
-		"pkg/all.go": `package pkg
-
-import "time"
-
-func now() time.Time { return time.Now() }
-`,
-		"pkg/metrics.go": `package pkg
-
-type registry struct{}
-
-func (registry) Gauge(name, help string) int { return 0 }
-
-func metrics(r registry) { r.Gauge("Nope", "x") }
-`,
-		"pkg/send.go": `package pkg
-
-import "sync"
-
-func f(mu *sync.Mutex, ch chan int) {
-	mu.Lock()
-	ch <- 1
-	mu.Unlock()
-}
-`,
-		"internal/rest/h.go": `package rest
-
-import "context"
-
-func h() context.Context { return context.TODO() }
-`,
-		"pkg/flight.go": `package pkg
-
-import "poddiagnosis/internal/obs/flight"
-
-func k() flight.Kind { return flight.Kind("nope") }
-`,
-	})
+	root := writeTree(t, coverageTree)
 	srcFindings, err := LintSource(root, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -662,60 +673,6 @@ func k() flight.Kind { return flight.Kind("nope") }
 		if !fired[r.ID] {
 			t.Errorf("rule %s (%s) has no seeded violation in the fixtures", r.ID, r.Summary)
 		}
-	}
-}
-
-// --- fix -----------------------------------------------------------------
-
-func TestFixWallClock(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"p/fix.go": `package p
-
-import (
-	"time"
-
-	"poddiagnosis/internal/clock"
-)
-
-func run(clk clock.Clock) time.Duration {
-	start := time.Now()
-	return time.Since(start)
-}
-
-func keep() time.Time { return time.Now() }
-`,
-	})
-	fixed, err := FixWallClock(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) != 1 || fixed[0] != "p/fix.go" {
-		t.Fatalf("want [p/fix.go], got %v", fixed)
-	}
-	got, err := os.ReadFile(filepath.Join(root, "p", "fix.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(got)
-	if !strings.Contains(s, "start := clk.Now()") || !strings.Contains(s, "return clk.Since(start)") {
-		t.Errorf("wall-clock reads not rewritten:\n%s", s)
-	}
-	// keep() has no clock in scope and must stay untouched.
-	if !strings.Contains(s, "func keep() time.Time { return time.Now() }") {
-		t.Errorf("function without an injectable clock was modified:\n%s", s)
-	}
-}
-
-func TestFixWallClockIdempotentWhenNothingToDo(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"p/clean.go": "package p\n\nfunc ok() {}\n",
-	})
-	fixed, err := FixWallClock(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) != 0 {
-		t.Fatalf("nothing to fix, got %v", fixed)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -17,31 +16,35 @@ import (
 // suppressions it declares.
 type srcFile struct {
 	rel     string // slash-separated path relative to the module root
-	path    string // path as given to the parser, for -fix rewrites
 	fset    *token.FileSet
 	file    *ast.File
 	ignores map[int][]string // comment line -> suppressed rule ids ("" = all)
 	// hotBudgets maps the line of each //podlint:hotpath annotation to its
-	// declared heap-escape budget (noBudget when the annotation gives none).
+	// declared heap-escape budget (noBudget when the annotation gives none,
+	// badBudget when it is malformed).
 	hotBudgets map[int]int
 }
 
 // LintSource parses every non-test Go file under the target directories
 // (testdata, vendor and dot-directories are skipped) and runs the GO
-// analyzers — the per-file passes plus the whole-tree ones (lock-ordering
-// graph, hot-path manifest). root is the module root; findings are
-// positioned relative to it. Suppressed findings are dropped before
-// returning.
+// analyzers: per file, one node walk (GO001, GO002, GO004, GO005, GO006,
+// GO008) and one held-lock walk per function (GO003, plus the edges of the
+// GO007 lock-ordering graph); then, over the whole tree, the lock-order
+// cycles and the hot-path pass (GO009, GO010). root is the module root;
+// findings are positioned relative to it. Suppressed findings are dropped
+// before returning.
 func LintSource(root string, targets []string) ([]Finding, error) {
 	files, err := loadSources(root, targets)
 	if err != nil {
 		return nil, err
 	}
 	var fs []Finding
+	var edges []lockEdge
 	for _, f := range files {
-		fs = append(fs, analyzeFile(f)...)
+		f.walkNodes(&fs)
+		f.walkLocks(&fs, &edges)
 	}
-	fs = append(fs, lintLockOrder(files)...)
+	fs = append(fs, lockCycleFindings(edges)...)
 	fs = append(fs, lintHotPaths(files)...)
 	Sort(fs)
 	return fs, nil
@@ -95,7 +98,7 @@ func parseSource(root, path string) (*srcFile, error) {
 	if err != nil {
 		rel = path
 	}
-	sf := &srcFile{rel: filepath.ToSlash(rel), path: path, fset: fset, file: file,
+	sf := &srcFile{rel: filepath.ToSlash(rel), fset: fset, file: file,
 		ignores: make(map[int][]string), hotBudgets: make(map[int]int)}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
@@ -223,13 +226,4 @@ func (f *srcFile) report(fs *[]Finding, rule string, n ast.Node, format string, 
 		return
 	}
 	*fs = append(*fs, finding(rule, f.pos(n), format, args...))
-}
-
-// writeFile writes content to path with the original file's permissions.
-func writeFile(path string, content []byte) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, content, info.Mode().Perm())
 }
