@@ -61,6 +61,12 @@ var hotPathManifest = []manifestEntry{
 	{"internal/logging", "(*Bus).Publish"},
 	{"internal/pipeline", "(*Processor).Process"},
 	{"internal/pipeline", "(*ReorderBuffer).Offer"},
+	{"internal/pipeline", "scanInstanceID"},
+	{"internal/pipeline", "scanAMIID"},
+	{"internal/pipeline", "scanGroup"},
+	{"internal/pipeline", "scanProgress"},
+	{"internal/pipeline", "scanSorted"},
+	{"internal/process", "(*scan).match"},
 	{"internal/core", "(*Session).OnConformance"},
 	{"internal/core", "(*Session).recordLogEvent"},
 	{"internal/obs/flight", "(*Op).Record"},

@@ -286,4 +286,12 @@ func TestMineFromRealUpgradeLogs(t *testing.T) {
 	if len(res.Clusters) < 9 {
 		t.Errorf("clusters = %d", len(res.Clusters))
 	}
+	// Mined patterns classify without a regexp (process.Scannable).
+	for _, n := range res.Model.Activities() {
+		for _, p := range n.Patterns {
+			if !process.Scannable(p) {
+				t.Errorf("mined pattern %q falls back to regexp", p)
+			}
+		}
+	}
 }

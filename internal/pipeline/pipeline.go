@@ -13,7 +13,6 @@
 package pipeline
 
 import (
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,33 +213,6 @@ func (p *Processor) Snapshot() Stats {
 	return p.stats.snapshot()
 }
 
-// extractor is a field-extraction pattern guarded by a literal every
-// match of it contains — the regexp runs only on lines that carry it —
-// with the field each capture group fills.
-type extractor struct {
-	guard  string
-	re     *regexp.Regexp
-	fields []string
-}
-
-func (x *extractor) find(body string) []string {
-	if !strings.Contains(body, x.guard) {
-		return nil
-	}
-	return x.re.FindStringSubmatch(body)
-}
-
-// extractors are applied to every annotated line; later entries overwrite
-// earlier ones ("total"). One table walked by one loop, so Process has one
-// SetField site for all of them and allocates no per-call pattern table.
-var extractors = []extractor{
-	{"i-", regexp.MustCompile(`\b(i-[0-9a-f]+)\b`), []string{"instanceid"}},
-	{"ami-", regexp.MustCompile(`\b(ami-[0-9a-zA-Z-]+)\b`), []string{"amiid"}},
-	{"group ", regexp.MustCompile(`group (\S+)`), []string{"asgid"}},
-	{" of ", regexp.MustCompile(`\b(\d+) of (\d+) instances?\b`), []string{"num", "total"}},
-	{"Sorted ", regexp.MustCompile(`Sorted (\d+) instances`), []string{"total"}},
-}
-
 // Process runs one event through the pipeline, returning the annotated
 // event and whether it was forwarded to central storage.
 //
@@ -301,9 +273,9 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	}
 	for i := range extractors {
 		x := &extractors[i]
-		if m := x.find(body); m != nil {
+		if m, ok := x.scan(body); ok {
 			for g, field := range x.fields {
-				out.SetField(field, m[g+1])
+				out.SetField(field, m[g])
 			}
 		}
 	}

@@ -143,7 +143,7 @@ func (b *Builder) addNode(n *Node) {
 // one start node, at least one end node, edges referencing known nodes,
 // every node reachable from the start, valid regular expressions, and a
 // token-replay net whose silent closures stay under the replay cap
-// (ErrClosureTooLarge otherwise). Compilation — the literal-guarded line
+// (ErrClosureTooLarge otherwise). Compilation — the line
 // matcher and the integer net — happens here, once per model, so the
 // checkers and processors that share the model share it too.
 func (b *Builder) Build() (*Model, error) {

@@ -11,15 +11,23 @@ import (
 )
 
 // The matcher is the compiled form of a model's transformation rules
-// (§III.A): every activity pattern and known-error pattern becomes a
-// template — the regexp plus a literal every match of it must contain.
-// Per line the literal is searched first and the regexp runs only to
-// confirm, so a line pays for the one or two regexps it can actually
-// match instead of for all of them.
+// (§III.A). Every activity pattern and known-error pattern becomes a
+// template, and most templates need no regexp at all: a pattern that is a
+// concatenation of case-sensitive literals and runs (`\S+`, `\d+`, `\s+`),
+// optionally ending in an optional part (`instances?`), compiles into a
+// scan — find each occurrence of its first literal with strings.Index and
+// compare the pieces around it byte by byte. That subset covers every
+// pattern of the shipped models and every pattern mining derives. Any
+// other pattern, and the (?i) error patterns, keep a literal guard every
+// match must contain: the literal is searched first and the regexp runs
+// only to confirm, so a line pays for the regexps it can actually match.
 
-// template is one literal-guarded pattern.
+// template is one pattern: a scan, or a literal-guarded regexp.
 type template struct {
 	re *regexp.Regexp
+	// scan is the compiled form; nil when the pattern falls outside the
+	// scannable subset and the guard and regexp decide.
+	scan *scan
 	// guard is a literal every match of re contains; empty when the
 	// pattern has none (the regexp then runs on every line).
 	guard string
@@ -55,7 +63,10 @@ type matcher struct {
 const foldBuf = 512
 
 func newTemplate(re *regexp.Regexp, node *Node) template {
-	t := template{re: re, node: node}
+	t := template{re: re, node: node, scan: compileScan(re.String())}
+	if t.scan != nil {
+		return t
+	}
 	lit, fold := requiredLiteral(re.String())
 	if fold {
 		t.foldGuard = bytes.ToLower([]byte(lit))
@@ -140,6 +151,8 @@ func (mt *matcher) match(line string) (*Node, bool) {
 
 func (t *template) matches(line string, lower []byte) bool {
 	switch {
+	case t.scan != nil:
+		return t.scan.match(line)
 	case t.foldGuard != nil:
 		if lower != nil && !bytes.Contains(lower, t.foldGuard) {
 			return false

@@ -52,8 +52,32 @@ func tieModel(t testing.TB) *Model {
 	return m
 }
 
+// scanModel exercises every shape of scan — leading runs, a literal inside
+// its run's class placed by the next run or searched for at the end, runs
+// that touch, non-ASCII literals and classes — beside patterns that fall
+// outside the subset and classify through regexp: an alternation under a
+// repeat, a star run, an anchor, case folding, a literal inside its run's
+// class followed by a run that could consume it too, runs that share
+// bytes, and a class holding some non-ASCII runes but not all.
+func scanModel(t testing.TB) *Model {
+	b := NewBuilder("scans", "Scan shapes")
+	b.Start("start")
+	b.End("end")
+	b.Activity("lead", WithPatterns(`\S+\s+joined\s+\S+,\s+done`, `\d+\s+\S+ left`))
+	b.Activity("search", WithPatterns(`size \d+ at \S+,`, `id=\S+\.\s+ok`, `xax\d+`))
+	b.Activity("touch", WithPatterns(`[a-c]+\d+[^0-9]+é\S+`, `ßtep \S+é \d+ x*`))
+	b.Activity("fallback", WithPatterns(`(a|b)+c`, `\S*x`, `^Start`, `(?i)halt \S+`, `key=\S+\.\S+ ok`,
+		`w\S+\S+`, `v\d+\S+`, `[a-zé]+q`))
+	b.Chain("start", "lead", "search", "touch", "fallback", "end")
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func matchModels(t testing.TB) []*Model {
-	return []*Model{RollingUpgradeModel(), BlueGreenModel(), SpotRebalanceModel(), ScaleOutModel(), tieModel(t)}
+	return []*Model{RollingUpgradeModel(), BlueGreenModel(), SpotRebalanceModel(), ScaleOutModel(), tieModel(t), scanModel(t)}
 }
 
 // matchCorpus is real lines of every model plus the cases a literal guard
@@ -113,6 +137,29 @@ func matchCorpus() []string {
 		strings.Repeat("x", 600) + " error",
 		strings.Repeat("y", 600) + " Rolling upgrade task completed",
 		strings.Repeat("z", 511) + "E",
+		// Runs that a literal they could consume must end inside.
+		"group a.b. 3 of 4",
+		"Instance x joined group a.b. 3 of 4 instances in service.",
+		"Instance x joined group g.. 1 of 2 instances in service.",
+		"Instance x joined group g. 1 of 2 instances in service.",
+		"Instance x joined group . 1 of 2 instances in service.",
+		"Instance x joined group .. 1 of 2 instances in service.",
+		"Instance x joined green group g.x. 1 of 2 instances in service.",
+		"Instance x joined group g.\xff. 1 of 2 instances in service.",
+		"Instance \xff joined group é. 1 of 2 instances in service.",
+		"Instance  joined group g. 1 of 2 instances in service.",
+		"Instance x joined group g. 1 of 2 instances in service.Instance y joined group h. 3 of 4 instances in service.",
+		"Status: 1 of 4 instances replaced; Status: 2 of 4 instances replaced",
+		"Waiting for group g to replace 1 interrupted instancesss",
+		// scanModel's shapes.
+		"a joined b, done", "a  joined\tb,\ndone", "joined b, done", " joined b, done", "a joined b,, done",
+		"a joined b,x, done", "é joined \xff, done", "a joined , done", "3 x left", "3x left", "é3  y left", "3  left",
+		"size 4 at a,", "size 4 at ,", "size 4 at ,,", "size 4 at a,b", "size 4 at a b,", "size 4 at é,", "size x at a,",
+		"id=a.b ok", "id=.b ok", "id=a. ok", "id=a.. ok", "id=a.b. \tok", "id=a.ok", "id=a.  ok",
+		"key=a.b ok", "key=.b ok", "key=a. ok", "key=a.b.c ok", "key=a..b ok", "key=a.b  ok",
+		"ab12xé1", "ab12xé", "ab12é1", "ab12 é\xff", "d12xé1", "ßtep x.é 3 ", "ßtep xé 3", "ßtep é 3", "ßtep xé é3",
+		"abac", "bbc", "c", "xx", "x", "Start here", " Start", "HALT now", "halt", "HaLt ſ",
+		"xaxax1", "xax", "xaxx1", "wé", "wab", "wa", "v12", "v1a", "v1", "éq", "aq", "\xffq", "ÿq",
 	}
 	// Every line again with its case flipped and with a character dropped.
 	for _, l := range append([]string(nil), lines...) {
@@ -151,7 +198,7 @@ func TestMatchEqualsReference(t *testing.T) {
 }
 
 func FuzzMatchEqualsReference(f *testing.F) {
-	for _, line := range matchCorpus()[:90] {
+	for _, line := range matchCorpus() {
 		f.Add(line)
 	}
 	models := matchModels(f)
@@ -160,6 +207,41 @@ func FuzzMatchEqualsReference(f *testing.F) {
 			checkMatch(t, m, line)
 		}
 	})
+}
+
+// TestShippedPatternsCompile pins that no shipped pattern silently falls
+// back to regexp, and that patterns outside the subset still do.
+func TestShippedPatternsCompile(t *testing.T) {
+	total := 0
+	for _, m := range []*Model{RollingUpgradeModel(), BlueGreenModel(), ScaleOutModel(), SpotRebalanceModel()} {
+		for _, n := range m.Activities() {
+			for _, p := range n.Patterns {
+				total++
+				if !Scannable(p) {
+					t.Errorf("%s: pattern %q falls back to regexp", m.ID(), p)
+				}
+			}
+		}
+		for _, tpl := range m.matcher.activities {
+			if tpl.scan == nil {
+				t.Errorf("%s: template %q has no scan", m.ID(), tpl.re)
+			}
+		}
+	}
+	if total != 30 {
+		t.Errorf("the shipped models have %d activity patterns, want 30", total)
+	}
+
+	m := scanModel(t)
+	for _, tpl := range m.matcher.activities {
+		fallback := tpl.node.ID == "fallback"
+		if (tpl.scan == nil) != fallback || Scannable(tpl.re.String()) == fallback {
+			t.Errorf("pattern %q: scan %v, want a scan: %v", tpl.re, tpl.scan != nil, !fallback)
+		}
+	}
+	for _, line := range []string{"abac", "bbc", "xx", "x", "Start here", " Start", "HALT now", "a joined b, done", "wé", "v12", "\xffq"} {
+		checkMatch(t, m, line)
+	}
 }
 
 // TestTieGoesToLowerNodeID pins the rule the compiled order encodes.
@@ -195,8 +277,8 @@ func TestRequiredLiteral(t *testing.T) {
 	}
 }
 
-// TestMatchDoesNotAllocate: classifying a line is guard searches and one
-// regexp confirmation, on the stack.
+// TestMatchDoesNotAllocate: classifying a line is literal searches and
+// byte compares on the stack.
 func TestMatchDoesNotAllocate(t *testing.T) {
 	m := RollingUpgradeModel()
 	lines := matchCorpus()[:10]
