@@ -44,13 +44,15 @@
 // With -federation N (N >= 2), the monitoring plane itself is
 // fault-tolerant: N in-process Manager members stand behind a
 // consistent-hash routing front with lease-based membership, the demo
-// sessions spread across the member ring, and the /operations surface is
-// proxied through the front (plus /federation/members and
-// /federation/route/{id} for the membership view). With -join URL the
-// process instead runs as a single member of a remote front: it
-// advertises -advertise (its own reachable base URL) under -member-id,
-// heartbeats lease renewals carrying session snapshots, and serves the
-// member-side handoff endpoints (GET /operations/{id}/export, POST
+// sessions spread across the member ring, and each /operations request
+// is answered by the member owning the operation (plus
+// /federation/members and /federation/route/{id} for the membership
+// view). The /operations handlers are the same in every mode. With
+// -join URL the process instead runs as a single member of a remote
+// front: it advertises -advertise (its own reachable base URL) under
+// -member-id, heartbeats lease renewals carrying session snapshots
+// through the same lease agent the in-process members use, and serves
+// the member-side handoff endpoints (GET /operations/{id}/export, POST
 // /operations/restore).
 //
 // With -chaos-profile NAME (light, lossy, storm, full), the server runs
@@ -170,14 +172,10 @@ func run() int {
 		return m, nil
 	}
 
-	// watchOp registers one demo operation; server is the HTTP surface.
-	// Both depend on the serving mode: single manager (default), an
-	// in-process federation behind a front, or one member of a remote
-	// front.
-	var (
-		watchOp func(app string, x core.Expectation, taskID string) error
-		server  *rest.Server
-	)
+	// The HTTP surface depends on the serving mode: single manager
+	// (default), an in-process federation behind a front, or one member
+	// of a remote front. Demo operations are registered through it.
+	var server *rest.Server
 	switch {
 	case *federation >= 2:
 		front := federate.NewFront(clk, federate.Config{})
@@ -200,15 +198,6 @@ func run() int {
 		defer front.Stop()
 		fmt.Fprintf(os.Stderr, "federation of %d members behind the front (lease TTL %s)\n",
 			*federation, front.Config().LeaseTTL)
-		watchOp = func(app string, x core.Expectation, taskID string) error {
-			_, owner, err := front.Watch(ctx, federate.WatchRequest{
-				ID: app, Expect: x, InstanceIDs: []string{taskID},
-			})
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "operation %s placed on member %s\n", app, owner)
-			}
-			return err
-		}
 		server = rest.NewServer(nil, nil, nil, rest.WithFront(front))
 	case *joinURL != "":
 		mgr, err := newManager()
@@ -228,20 +217,14 @@ func run() int {
 			base = "http://" + host
 		}
 		frontCl := rest.NewClient(*joinURL, nil, rest.WithClientClock(clk))
-		agent := &rest.FederationAgent{ID: *memberID, Base: base, Manager: mgr, Front: frontCl}
+		agent := rest.NewFederationAgent(*memberID, base, mgr, frontCl)
 		if err := agent.Join(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "join %s: %v\n", *joinURL, err)
 			return 1
 		}
-		go agent.Run(ctx, 3*time.Second)
+		go agent.Run(ctx, clk, 3*time.Second)
 		fmt.Fprintf(os.Stderr, "joined front %s as %s (advertising %s), epoch %d\n",
 			*joinURL, *memberID, base, agent.Epoch())
-		watchOp = func(app string, x core.Expectation, taskID string) error {
-			_, err := frontCl.CreateOperation(ctx, federate.WatchRequest{
-				ID: app, Expect: x, InstanceIDs: []string{taskID},
-			})
-			return err
-		}
 		server = rest.NewServer(mgr.Checker(), mgr.Evaluator(), mgr.Diagnoser(),
 			rest.WithManager(mgr))
 	default:
@@ -251,10 +234,6 @@ func run() int {
 			return 1
 		}
 		defer mgr.Stop()
-		watchOp = func(app string, x core.Expectation, taskID string) error {
-			_, err := mgr.Watch(x, core.BindInstance(taskID), core.WithSessionID(app))
-			return err
-		}
 		server = rest.NewServer(mgr.Checker(), mgr.Evaluator(), mgr.Diagnoser(),
 			rest.WithManager(mgr))
 	}
@@ -290,18 +269,23 @@ func run() int {
 		taskID := "pushing " + cluster.ASGName
 		spec := cluster.UpgradeSpec(taskID, newAMI)
 		spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
-		if err := watchOp(app, core.Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  cluster.Size,
-			OldLCName:    cluster.LCName,
-		}, taskID); err != nil {
+		_, owner, err := server.Watch(ctx, federate.WatchRequest{
+			ID:          app,
+			InstanceIDs: []string{taskID},
+			Expect: core.Expectation{
+				ASGName:      cluster.ASGName,
+				ELBName:      cluster.ELBName,
+				NewImageID:   newAMI,
+				NewVersion:   "v2",
+				NewLCName:    spec.NewLCName,
+				KeyName:      cluster.KeyName,
+				SGName:       cluster.SGName,
+				InstanceType: "m1.small",
+				ClusterSize:  cluster.Size,
+				OldLCName:    cluster.LCName,
+			},
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -316,8 +300,8 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "upgrade %s: %v\n", spec.TaskID, rep.Err)
 			}
 		}(spec, delay)
-		fmt.Fprintf(os.Stderr, "cluster %s ready behind %s; session %s watching %q\n",
-			cluster.ASGName, cluster.ELBName, app, taskID)
+		fmt.Fprintf(os.Stderr, "cluster %s ready behind %s; session %s watching %q on member %s\n",
+			cluster.ASGName, cluster.ELBName, app, taskID, owner)
 	}
 
 	if *pprofAddr != "" {

@@ -118,10 +118,21 @@ type Member interface {
 	Timeline(ctx context.Context, opID string) (flight.Timeline, error)
 }
 
-// Renewal is the payload a member piggybacks on a lease renewal: its
-// reported backlog (the shed signal) and fresh snapshots of the
-// sessions it owns (the failover state).
+// Lease names one member incarnation, and is the body of a REST join:
+// the member posts its ID and the Base URL the front dials it back on,
+// and gets the same Lease back with the granted Epoch. Every Renewal
+// carries the ID and Epoch it renews.
+type Lease struct {
+	ID    string `json:"id,omitempty"`
+	Base  string `json:"base,omitempty"`
+	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// Renewal is one lease renewal, as sent in-process and over REST: the
+// lease it renews, the member's reported backlog (the shed signal) and
+// fresh snapshots of the sessions it owns (the failover state).
 type Renewal struct {
+	Lease
 	Pending   int                     `json:"pending"`
 	Snapshots []*core.SessionSnapshot `json:"snapshots,omitempty"`
 }

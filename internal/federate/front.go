@@ -361,11 +361,40 @@ func (f *Front) Tick(ctx context.Context) {
 	f.gaugesLocked()
 }
 
+// moveLocked hands one operation to target: it restores the snapshot,
+// stamped with the previous owner and the bumped handoff epoch — the
+// stamp that makes the old owner's state unreinstatable — or, with no
+// snapshot, re-registers the original request. On success the
+// operation changes owner and the old owner's replicated copy is
+// dropped.
+func (f *Front) moveLocked(ctx context.Context, opID, target string, snap *core.SessionSnapshot, reason string) bool {
+	op := f.ops[opID]
+	m := f.members[target].m
+	newEpoch := op.epoch + 1
+	var err error
+	if snap != nil {
+		snap.FromMember = op.owner
+		snap.HandoffEpoch = newEpoch
+		err = m.Restore(ctx, snap)
+	} else {
+		_, err = m.Watch(ctx, op.req)
+	}
+	if err != nil {
+		return false
+	}
+	if old := f.members[op.owner]; old != nil {
+		delete(old.snaps, opID)
+	}
+	op.owner = target
+	op.epoch = newEpoch
+	mFedHandoffs.With(reason).Inc()
+	return true
+}
+
 // failoverLocked re-homes every operation of a dead member onto ring
 // survivors, restoring each from its last replicated snapshot (or
 // re-registering from the original request when none was replicated
-// yet). Each move bumps the operation's handoff epoch — the stamp that
-// makes the dead member's state unreinstatable.
+// yet).
 func (f *Front) failoverLocked(ctx context.Context, deadID string) {
 	dead := f.members[deadID]
 	opIDs := make([]string, 0)
@@ -376,28 +405,11 @@ func (f *Front) failoverLocked(ctx context.Context, deadID string) {
 	}
 	sort.Strings(opIDs)
 	for _, opID := range opIDs {
-		op := f.ops[opID]
-		target := f.placeLocked(opID)
-		if target == "" {
-			continue // no survivors; a future join rebalances the orphan
+		// With no survivor the orphan stays put; a future join
+		// rebalances it.
+		if target := f.placeLocked(opID); target != "" {
+			f.moveLocked(ctx, opID, target, dead.snaps[opID], "member-dead")
 		}
-		tm := f.members[target].m
-		newEpoch := op.epoch + 1
-		var err error
-		if snap := dead.snaps[opID]; snap != nil {
-			snap.FromMember = deadID
-			snap.HandoffEpoch = newEpoch
-			err = tm.Restore(ctx, snap)
-		} else {
-			_, err = tm.Watch(ctx, op.req)
-		}
-		if err != nil {
-			continue
-		}
-		op.owner = target
-		op.epoch = newEpoch
-		delete(dead.snaps, opID)
-		mFedHandoffs.With("member-dead").Inc()
 	}
 }
 
@@ -415,7 +427,6 @@ func (f *Front) rebalanceLocked(ctx context.Context, newID string, prevSnaps map
 	}
 	sort.Strings(opIDs)
 	moves := 0
-	newM := f.members[newID].m
 	for _, opID := range opIDs {
 		if moves >= f.cfg.MaxRebalanceMoves {
 			break
@@ -446,27 +457,13 @@ func (f *Front) rebalanceLocked(ctx context.Context, newID string, prevSnaps map
 		default:
 			continue
 		}
-		newEpoch := op.epoch + 1
-		if snap != nil {
-			snap.FromMember = op.owner
-			snap.HandoffEpoch = newEpoch
-			err = newM.Restore(ctx, snap)
-		} else {
-			_, err = newM.Watch(ctx, op.req)
-		}
-		if err != nil {
+		if !f.moveLocked(ctx, opID, newID, snap, "rebalance") {
 			continue
 		}
 		if !orphaned && !reclaim {
 			_ = oldE.m.Remove(ctx, opID)
 		}
-		if oldE != nil {
-			delete(oldE.snaps, opID)
-		}
-		op.owner = newID
-		op.epoch = newEpoch
 		moves++
-		mFedHandoffs.With("rebalance").Inc()
 	}
 }
 

@@ -2,11 +2,12 @@ package federate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/core"
 	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/remediate"
@@ -29,25 +30,27 @@ type LocalConfig struct {
 }
 
 // LocalMember is an in-process federation member: one Manager plus the
-// heartbeat loop that renews its lease and replicates its session
-// snapshots to the front. Tests drive it deterministically with
+// Agent that renews its lease and replicates its session snapshots
+// straight into the front. Tests drive it deterministically with
 // HeartbeatNow, Kill, Restart and SetPartitioned.
 type LocalMember struct {
 	id     string
 	build  func() (*core.Manager, error)
 	ctlFor func(opID string) remediate.OperationController
+	agent  *Agent
+	front  atomic.Pointer[Front]
 
 	mu          sync.Mutex
 	mgr         *core.Manager
 	down        bool
 	partitioned bool
-	front       *Front
-	epoch       uint64
-
-	stopHB   chan struct{}
-	hbActive bool
-	wg       sync.WaitGroup
+	stopHB      context.CancelFunc
+	wg          sync.WaitGroup
 }
+
+// errNoBeat makes the agent skip a heartbeat of a member that is down,
+// partitioned or not joined.
+var errNoBeat = errors.New("federate: member cannot heartbeat")
 
 // NewLocalMember builds the member and its first Manager.
 func NewLocalMember(cfg LocalConfig) (*LocalMember, error) {
@@ -61,7 +64,13 @@ func NewLocalMember(cfg LocalConfig) (*LocalMember, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LocalMember{id: cfg.ID, build: cfg.NewManager, ctlFor: cfg.ControllerFor, mgr: mgr}, nil
+	l := &LocalMember{id: cfg.ID, build: cfg.NewManager, ctlFor: cfg.ControllerFor, mgr: mgr}
+	l.agent = NewAgent(cfg.ID, l.leased,
+		func(context.Context) (uint64, error) { return l.front.Load().Join(l) },
+		func(_ context.Context, r Renewal) (RenewResult, error) {
+			return l.front.Load().Renew(r.ID, r.Epoch, r), nil
+		})
+	return l, nil
 }
 
 // ID implements Member.
@@ -76,11 +85,7 @@ func (l *LocalMember) Manager() *core.Manager {
 }
 
 // Epoch returns the member's current lease epoch.
-func (l *LocalMember) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
-}
+func (l *LocalMember) Epoch() uint64 { return l.agent.Epoch() }
 
 func (l *LocalMember) manager() (*core.Manager, error) {
 	l.mu.Lock()
@@ -179,30 +184,18 @@ func (l *LocalMember) Timeline(_ context.Context, opID string) (flight.Timeline,
 // JoinFront joins (or re-joins) the front and records the granted
 // epoch.
 func (l *LocalMember) JoinFront(f *Front) error {
-	epoch, err := f.Join(l)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.front = f
-	l.epoch = epoch
-	l.mu.Unlock()
-	return nil
+	l.front.Store(f)
+	return l.agent.Join(context.TODO())
 }
 
-// renewal snapshots every session the member currently runs.
-func (l *LocalMember) renewal() Renewal {
-	mgr, err := l.manager()
-	if err != nil {
-		return Renewal{}
+// leased returns the Manager a heartbeat replicates.
+func (l *LocalMember) leased() (*core.Manager, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down || l.partitioned || l.front.Load() == nil {
+		return nil, errNoBeat
 	}
-	r := Renewal{Pending: mgr.QueueDepth().Depth()}
-	for _, s := range mgr.Sessions() {
-		if snap, err := mgr.ExportSession(s.ID()); err == nil {
-			r.Snapshots = append(r.Snapshots, snap)
-		}
-	}
-	return r
+	return l.mgr, nil
 }
 
 // HeartbeatNow renews the lease once, synchronously: the deterministic
@@ -210,63 +203,32 @@ func (l *LocalMember) renewal() Renewal {
 // verdict makes the member drop the listed operations and re-join for
 // a fresh epoch (the recovering side of the split-brain guard).
 // Down or partitioned members skip silently.
-func (l *LocalMember) HeartbeatNow() {
-	l.mu.Lock()
-	front, epoch := l.front, l.epoch
-	skip := l.down || l.partitioned || front == nil
-	l.mu.Unlock()
-	if skip {
-		return
-	}
-	res := front.Renew(l.id, epoch, l.renewal())
-	if !res.Stale {
-		return
-	}
-	mgr, err := l.manager()
-	if err != nil {
-		return
-	}
-	for _, opID := range res.DropOps {
-		mgr.Remove(opID)
-	}
-	_ = l.JoinFront(front)
-}
+func (l *LocalMember) HeartbeatNow() { _ = l.agent.RenewOnce(context.TODO()) }
 
 // StartHeartbeats renews the lease every interval on the manager's
 // injected clock until StopHeartbeats (or Kill).
 func (l *LocalMember) StartHeartbeats(every time.Duration) {
 	l.mu.Lock()
-	if l.hbActive || l.mgr == nil {
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.stopHB != nil || l.mgr == nil {
 		return
 	}
-	l.hbActive = true
-	l.stopHB = make(chan struct{})
-	stop := l.stopHB
+	ctx, cancel := context.WithCancel(context.Background())
+	l.stopHB = cancel
 	clk := l.mgr.Clock()
-	l.mu.Unlock()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		ticker := clock.NewTicker(clk, every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				l.HeartbeatNow()
-			}
-		}
+		l.agent.Run(ctx, clk, every)
 	}()
 }
 
 // StopHeartbeats halts the heartbeat loop. Idempotent.
 func (l *LocalMember) StopHeartbeats() {
 	l.mu.Lock()
-	if l.hbActive {
-		l.hbActive = false
-		close(l.stopHB)
+	if l.stopHB != nil {
+		l.stopHB()
+		l.stopHB = nil
 	}
 	l.mu.Unlock()
 	l.wg.Wait()

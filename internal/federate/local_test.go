@@ -2,6 +2,7 @@ package federate
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,5 +225,45 @@ func TestLocalMemberPartitionSplitBrain(t *testing.T) {
 	}
 	if epoch < 2 {
 		t.Fatalf("operation epoch %d did not advance across the failover", epoch)
+	}
+}
+
+// TestHeartbeatLoopConcurrentWithHeartbeatNow runs each member's
+// heartbeat loop while other goroutines renew by hand through the same
+// agent. Under -race this covers the state both paths share; and since
+// nothing re-joins, no renewal may come back stale and move an epoch.
+func TestHeartbeatLoopConcurrentWithHeartbeatNow(t *testing.T) {
+	r := newFedRig(t)
+	if _, _, err := r.front.Watch(r.ctx, WatchRequest{
+		ID:          "fed-beat-op",
+		Expect:      core.Expectation{ASGName: "fedb--asg", ClusterSize: 2},
+		InstanceIDs: []string{"fedb-task"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	members := []*LocalMember{r.m1, r.m2}
+	epochs := []uint64{r.m1.Epoch(), r.m2.Epoch()}
+	var wg sync.WaitGroup
+	for _, m := range members {
+		m.StartHeartbeats(time.Second)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				m.HeartbeatNow()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range members {
+		m.StopHeartbeats()
+		if m.Epoch() != epochs[i] {
+			t.Errorf("member %s epoch moved %d -> %d without a re-join", m.ID(), epochs[i], m.Epoch())
+		}
+	}
+	for _, info := range r.front.Members() {
+		if info.State != StateHealthy {
+			t.Errorf("member %s is %s after concurrent renewals", info.ID, info.State)
+		}
 	}
 }

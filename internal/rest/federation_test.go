@@ -31,7 +31,7 @@ type fedEnv struct {
 type fedEnvMember struct {
 	mgr     *core.Manager
 	srv     *httptest.Server
-	agent   *FederationAgent
+	agent   *federate.Agent
 	stopped bool
 }
 
@@ -78,7 +78,7 @@ func newFedEnv(t *testing.T) *fedEnv {
 		mgr.Start()
 		srv := httptest.NewServer(NewServer(mgr.Checker(), mgr.Evaluator(), mgr.Diagnoser(), WithManager(mgr)))
 		t.Cleanup(srv.Close)
-		agent := &FederationAgent{ID: id, Base: srv.URL, Manager: mgr, Front: frontCl}
+		agent := NewFederationAgent(id, srv.URL, mgr, frontCl)
 		if err := agent.Join(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -189,27 +189,6 @@ func TestFederationOverREST(t *testing.T) {
 	}
 }
 
-// TestFailoverClient rotates to the next base when the preferred one
-// is down.
-func TestFailoverClient(t *testing.T) {
-	e := newFedEnv(t)
-	ma, mb := e.members["ma"], e.members["mb"]
-	fc, err := NewFailoverClient([]string{ma.srv.URL, mb.srv.URL}, nil, WithClientClock(e.clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Operations(e.ctx); err != nil {
-		t.Fatalf("failover client with both bases up: %v", err)
-	}
-	ma.srv.Close()
-	if _, err := fc.Operations(e.ctx); err != nil {
-		t.Fatalf("failover client did not rotate past the dead base: %v", err)
-	}
-	if _, err := fc.Operations(e.ctx); err != nil {
-		t.Fatalf("failover client did not remember the working base: %v", err)
-	}
-}
-
 // TestWatchRequestSameThroughFront posts one request with every field
 // set to a single-manager server and to a front server, which places it
 // on a REST-backed member: both paths must register the same session.
@@ -254,6 +233,92 @@ func TestWatchRequestSameThroughFront(t *testing.T) {
 	for _, s := range []*core.SessionSnapshot{a, b} {
 		if !s.MatchASG || !s.MatchAny || s.SpecText != req.AssertionSpec || s.MaxDetections != req.MaxDetections {
 			t.Errorf("session %s lost a request field: %+v", s.ID, s)
+		}
+	}
+}
+
+// TestFederationAgentStaleRecoveryOverREST drives the split-brain guard
+// across the wire: a member that stops renewing while it keeps running
+// loses its operation to the survivor; its next renewal comes back
+// stale, so it drops the operation and re-joins under a higher epoch,
+// leaving exactly one manager holding it.
+func TestFederationAgentStaleRecoveryOverREST(t *testing.T) {
+	e := newFedEnv(t)
+	const opID = "stale-op"
+	if _, err := e.frontCl.CreateOperation(e.ctx, federate.WatchRequest{
+		ID:          opID,
+		Expect:      core.Expectation{ASGName: "stale--asg", ClusterSize: 2},
+		InstanceIDs: []string{"stale-task"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	route, err := e.frontCl.FederationRoute(e.ctx, opID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := e.members[route.Owner]
+	var survivor *fedEnvMember
+	for id, m := range e.members {
+		if id != route.Owner {
+			survivor = m
+		}
+	}
+	for _, m := range []*fedEnvMember{owner, survivor} {
+		if err := m.agent.RenewOnce(e.ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldEpoch := owner.agent.Epoch()
+
+	// Only the survivor renews until the front fails the operation over.
+	for i := 0; i < 40; i++ {
+		if err := survivor.agent.RenewOnce(e.ctx); err != nil {
+			t.Fatal(err)
+		}
+		e.front.Tick(e.ctx)
+		if r, err := e.frontCl.FederationRoute(e.ctx, opID); err == nil && r.Owner == survivor.agent.ID {
+			break
+		}
+		if err := e.clk.Sleep(e.ctx, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, _ := e.frontCl.FederationRoute(e.ctx, opID); r.Owner != survivor.agent.ID {
+		t.Fatalf("operation never failed over; still routed to %q", r.Owner)
+	}
+	if owner.mgr.Session(opID) == nil {
+		t.Fatalf("the lapsed member should still hold its stale copy")
+	}
+
+	if err := owner.agent.RenewOnce(e.ctx); err != nil {
+		t.Fatal(err)
+	}
+	if owner.agent.Epoch() <= oldEpoch {
+		t.Fatalf("stale member's epoch %d did not advance past %d", owner.agent.Epoch(), oldEpoch)
+	}
+	holders := 0
+	for _, m := range e.members {
+		if m.mgr.Session(opID) != nil {
+			holders++
+		}
+	}
+	if holders != 1 {
+		t.Fatalf("operation held by %d managers after stale recovery, want exactly 1", holders)
+	}
+	route, err = e.frontCl.FederationRoute(e.ctx, opID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.members[route.Owner].mgr.Session(opID) == nil {
+		t.Fatalf("front routes %s to %s, whose manager does not hold it", opID, route.Owner)
+	}
+	infos, err := e.frontCl.FederationMembers(e.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		if info.ID == owner.agent.ID && (info.State != federate.StateHealthy || info.Epoch != owner.agent.Epoch()) {
+			t.Fatalf("re-joined member at the front: %+v, want healthy at epoch %d", info, owner.agent.Epoch())
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package rest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	"poddiagnosis/internal/core"
@@ -12,15 +14,62 @@ import (
 )
 
 // errNoManager is returned by the operation endpoints when the server was
-// built without WithManager.
+// built with neither WithManager nor WithFront.
 var errNoManager = errors.New("operation management not configured")
 
-func (s *Server) handleOperationCreate(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationCreate(w, r)
-		return
+// operations is the backend of the /operations handlers: a federation
+// front, or the local manager seen as the only member of one. Either
+// way an operation id resolves to the federate.Member that owns it.
+type operations interface {
+	Watch(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, string, error)
+	Operations(ctx context.Context) []core.SessionSummary
+	Route(opID string) (federate.Member, bool)
+	Remove(ctx context.Context, opID string) error
+}
+
+var _ operations = (*federate.Front)(nil)
+
+// localOperations serves /operations from one Manager through the same
+// federate.Member calls a front makes.
+type localOperations struct{ *federate.LocalMember }
+
+func newLocalOperations(m *core.Manager) localOperations {
+	lm, _ := federate.NewLocalMember(federate.LocalConfig{ // cannot fail: ID and factory are set
+		ID:         "local",
+		NewManager: func() (*core.Manager, error) { return m, nil },
+	})
+	return localOperations{lm}
+}
+
+func (o localOperations) Watch(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, string, error) {
+	sum, err := o.LocalMember.Watch(ctx, req)
+	return sum, o.ID(), err
+}
+
+func (o localOperations) Operations(context.Context) []core.SessionSummary {
+	sessions := o.Manager().Sessions()
+	out := make([]core.SessionSummary, 0, len(sessions))
+	for _, sess := range sessions {
+		out = append(out, sess.Summary())
 	}
-	if s.mgr == nil {
+	return out
+}
+
+func (o localOperations) Route(opID string) (federate.Member, bool) {
+	return o.LocalMember, o.Manager().Session(opID) != nil
+}
+
+// Watch registers an operation with the /operations backend, as POST
+// /operations does, and returns its summary and owning member.
+func (s *Server) Watch(ctx context.Context, req federate.WatchRequest) (core.SessionSummary, string, error) {
+	if s.ops == nil {
+		return core.SessionSummary{}, "", errNoManager
+	}
+	return s.ops.Watch(ctx, req)
+}
+
+func (s *Server) handleOperationCreate(w http.ResponseWriter, r *http.Request) {
+	if s.ops == nil {
 		writeErr(w, http.StatusServiceUnavailable, errNoManager)
 		return
 	}
@@ -29,66 +78,62 @@ func (s *Server) handleOperationCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := s.mgr.Watch(req.Expect, req.Options()...)
+	sum, _, err := s.ops.Watch(r.Context(), req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sess.Summary())
+	writeJSON(w, http.StatusCreated, sum)
 }
 
 func (s *Server) handleOperationList(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationList(w, r)
-		return
-	}
-	if s.mgr == nil {
+	if s.ops == nil {
 		writeErr(w, http.StatusServiceUnavailable, errNoManager)
 		return
 	}
-	sessions := s.mgr.Sessions()
-	out := make([]core.SessionSummary, 0, len(sessions))
-	for _, sess := range sessions {
-		out = append(out, sess.Summary())
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.ops.Operations(r.Context()))
 }
 
-// operation resolves the {id} path value to a session, writing the error
-// response itself when the manager is absent or the id is unknown.
-func (s *Server) operation(w http.ResponseWriter, r *http.Request) *core.Session {
-	if s.mgr == nil {
+// member resolves the {id} path value to the member owning it, writing
+// the error response itself when there is no backend or the id is
+// unknown.
+func (s *Server) member(w http.ResponseWriter, r *http.Request) (federate.Member, string) {
+	if s.ops == nil {
 		writeErr(w, http.StatusServiceUnavailable, errNoManager)
-		return nil
+		return nil, ""
 	}
 	id := r.PathValue("id")
-	sess := s.mgr.Session(id)
-	if sess == nil {
+	m, ok := s.ops.Route(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no such operation: %s", id))
+		return nil, id
 	}
-	return sess
+	return m, id
 }
 
 func (s *Server) handleOperationGet(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationGet(w, r)
+	m, id := s.member(w, r)
+	if m == nil {
 		return
 	}
-	if sess := s.operation(w, r); sess != nil {
-		writeJSON(w, http.StatusOK, sess.Summary())
+	sum, err := m.Operation(r.Context(), id)
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, sum)
 }
 
 func (s *Server) handleOperationDetections(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationDetections(w, r)
+	m, id := s.member(w, r)
+	if m == nil {
 		return
 	}
-	sess := s.operation(w, r)
-	if sess == nil {
+	ds, err := m.Detections(r.Context(), id)
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	ds := sess.Detections()
 	if ds == nil {
 		ds = []core.Detection{}
 	}
@@ -101,12 +146,8 @@ func (s *Server) handleOperationDetections(w http.ResponseWriter, r *http.Reques
 // named event kinds; unknown kinds are a 400 so typos don't silently
 // return an empty timeline.
 func (s *Server) handleOperationTimeline(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationTimeline(w, r)
-		return
-	}
-	sess := s.operation(w, r)
-	if sess == nil {
+	m, id := s.member(w, r)
+	if m == nil {
 		return
 	}
 	var kinds []flight.Kind
@@ -124,21 +165,24 @@ func (s *Server) handleOperationTimeline(w http.ResponseWriter, r *http.Request)
 			kinds = append(kinds, k)
 		}
 	}
-	writeJSON(w, http.StatusOK, sess.Timeline(kinds...))
+	tl, err := m.Timeline(r.Context(), id)
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, err)
+		return
+	}
+	if len(kinds) > 0 {
+		tl.Entries = slices.DeleteFunc(tl.Entries, func(e flight.Entry) bool { return !slices.Contains(kinds, e.Kind) })
+	}
+	writeJSON(w, http.StatusOK, tl)
 }
 
 func (s *Server) handleOperationDelete(w http.ResponseWriter, r *http.Request) {
-	if s.front != nil {
-		s.handleFrontOperationDelete(w, r)
+	m, id := s.member(w, r)
+	if m == nil {
 		return
 	}
-	if s.mgr == nil {
-		writeErr(w, http.StatusServiceUnavailable, errNoManager)
-		return
-	}
-	id := r.PathValue("id")
-	if !s.mgr.Remove(id) {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such operation: %s", id))
+	if err := s.ops.Remove(r.Context(), id); err != nil {
+		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"removed": id})

@@ -35,7 +35,7 @@ func (s *Server) handleOperationRemediations(w http.ResponseWriter, r *http.Requ
 	if eng == nil {
 		return
 	}
-	if sess := s.operation(w, r); sess == nil {
+	if m, _ := s.member(w, r); m == nil {
 		return
 	}
 	rs := eng.List(r.PathValue("id"))

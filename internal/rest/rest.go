@@ -102,16 +102,16 @@ func WithManager(m *core.Manager) Option {
 
 // Server hosts the three POD services over one model.
 type Server struct {
-	checker       *conformance.Checker
-	eval          *assertion.Evaluator
-	diag          *diagnosis.Engine
-	mgr           *core.Manager
-	front         *federate.Front
-	memberFactory func(id, base string) federate.Member
-	mux           *http.ServeMux
-	reg           *obs.Registry
-	tracer        *obs.Tracer
-	ready         func() ReadyStatus
+	checker *conformance.Checker
+	eval    *assertion.Evaluator
+	diag    *diagnosis.Engine
+	mgr     *core.Manager
+	front   *federate.Front
+	ops     operations
+	mux     *http.ServeMux
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	ready   func() ReadyStatus
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -131,6 +131,12 @@ func NewServer(checker *conformance.Checker, eval *assertion.Evaluator, diag *di
 	if s.ready == nil && s.mgr != nil {
 		s.ready = managerReady(s.mgr)
 	}
+	switch {
+	case s.front != nil:
+		s.ops = s.front
+	case s.mgr != nil:
+		s.ops = newLocalOperations(s.mgr)
+	}
 	s.route("POST /conformance/check", "conformance_check", s.handleConformance)
 	s.route("POST /operations", "operations_create", s.handleOperationCreate)
 	s.route("GET /operations", "operations_list", s.handleOperationList)
@@ -142,10 +148,10 @@ func NewServer(checker *conformance.Checker, eval *assertion.Evaluator, diag *di
 	s.route("DELETE /operations/{id}", "operations_delete", s.handleOperationDelete)
 	s.route("GET /operations/{id}/export", "operations_export", s.handleOperationExport)
 	s.route("POST /operations/restore", "operations_restore", s.handleOperationRestore)
-	s.route("POST /federation/join", "federation_join", s.handleFederationJoin)
-	s.route("POST /federation/renew", "federation_renew", s.handleFederationRenew)
-	s.route("GET /federation/members", "federation_members", s.handleFederationMembers)
-	s.route("GET /federation/route/{id}", "federation_route", s.handleFederationRoute)
+	s.route("POST /federation/join", "federation_join", s.frontOnly(s.handleFederationJoin))
+	s.route("POST /federation/renew", "federation_renew", s.frontOnly(s.handleFederationRenew))
+	s.route("GET /federation/members", "federation_members", s.frontOnly(s.handleFederationMembers))
+	s.route("GET /federation/route/{id}", "federation_route", s.frontOnly(s.handleFederationRoute))
 	s.route("GET /conformance/instances", "conformance_instances", s.handleInstances)
 	s.route("GET /conformance/stats", "conformance_stats", s.handleStats)
 	s.route("POST /assertions/evaluate", "assertions_evaluate", s.handleEvaluate)
