@@ -160,6 +160,10 @@ type Manager struct {
 
 	shards [numShards]shard
 
+	// gap is the latest declared stream gap (epoch 0: none yet); sessions
+	// compare it against their own gapSeen.
+	gap atomic.Pointer[gapMark]
+
 	mu       sync.Mutex
 	sessions map[string]*Session
 	order    []*Session // insertion order, for adoption scans and listings
@@ -266,6 +270,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		workCh:      make(chan func(), queueCap),
 		stop:        make(chan struct{}),
 	}
+	m.gap.Store(&gapMark{})
 	if !cfg.DisableFlight {
 		m.flight = flight.NewRecorder(m.clk, cfg.FlightCapacity)
 	}
@@ -281,8 +286,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	m.central = logstore.NewCentralProcessor(m.store, nil)
 	// The reorder/dedup buffer repairs the lossy shipping fabric in front
 	// of the local log processor: duplicates are discarded, out-of-order
-	// events wait for their predecessors, and declared gaps push every
-	// active session into degraded mode before processing resumes.
+	// events wait for their predecessors, and a declared gap is published
+	// before processing resumes, so the next line any session handles
+	// finds it in degraded mode.
 	m.reorder = pipeline.NewReorderBuffer(m.clk, pipeline.ReorderOptions{
 		Window:     cfg.ReorderWindow,
 		MaxPending: reorderMaxPending,
@@ -305,25 +311,27 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	return m, nil
 }
 
-// notifyGap pushes every active session into degraded mode: a declared
-// sequence gap on the shared shipping fabric may have swallowed any
-// session's events, so none can trust the absence of a log line until the
-// hold expires.
+// gapMark is one declared sequence gap on the shared shipping fabric:
+// its epoch (1, 2, ... in declaration order) and its time.
+type gapMark struct {
+	epoch uint64
+	at    time.Time
+}
+
+// notifyGap publishes a declared sequence gap. The gap may have swallowed
+// any session's events, so every active session must distrust the absence
+// of a log line until the hold expires — but sessions fold the gap in
+// lazily (Session.observeGap) the next time they read their degraded
+// state, so a gap costs one swap here however many sessions are resident.
+// Only the latest gap is kept: it has the largest time, so it alone
+// decides every session's hold.
 func (m *Manager) notifyGap() {
-	now := m.clk.Now()
-	m.mu.Lock()
-	sessions := make([]*Session, len(m.order))
-	copy(sessions, m.order)
-	m.mu.Unlock()
-	for _, s := range sessions {
-		if !s.ended() {
-			s.noteGap(now)
-			if id := m.flight.Op(s.id).Record(flight.Entry{
-				Kind: flight.KindStreamGap, At: now,
-				Message: "sequence gap on the shipping fabric; degraded hold armed",
-			}); id != 0 {
-				s.setLastGap(id)
-			}
+	next := &gapMark{at: m.clk.Now()}
+	for {
+		prev := m.gap.Load()
+		next.epoch = prev.epoch + 1
+		if m.gap.CompareAndSwap(prev, next) {
+			return
 		}
 	}
 }
@@ -511,6 +519,8 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 		perioCancel:   make(map[string]func()),
 		lastEntry:     make(map[string]uint64),
 	}
+	// Gaps declared before registration are not this session's.
+	s.gapSeen.Store(m.gap.Load().epoch)
 
 	m.mu.Lock()
 	if o.id == "" {

@@ -80,6 +80,10 @@ type Session struct {
 	// flightGap is the latest stream-gap evidence entry; degraded
 	// detections cite it as a contributing parent.
 	flightGap uint64
+	// gapSeen is the latest manager gap epoch folded into degradedUntil
+	// and flightGap (observeGap). Written under mu; read without it on
+	// the per-line fast path.
+	gapSeen atomic.Uint64
 	// degradedUntil marks the end of the degraded hold: after a sequence
 	// gap on the shipping fabric, the session cannot trust the absence of
 	// a log line until this (simulated) time passes. Conformance switches
@@ -130,8 +134,10 @@ func (s *Session) Detections() []Detection {
 // End transitions the session to the ended state: its timers are cancelled
 // and further routed events are ignored. Recorded detections stay readable
 // until the manager garbage-collects the session after the retention
-// window. End is idempotent.
+// window. End is idempotent. A gap declared while the session was active
+// is folded in first, so an ended session's Degraded answer covers it.
 func (s *Session) End() {
+	s.observeGap()
 	s.mu.Lock()
 	if s.state == SessionEnded {
 		s.mu.Unlock()
@@ -155,21 +161,36 @@ func (s *Session) End() {
 	s.mgr.sessionEnded()
 }
 
-// noteGap enters (or extends) degraded mode after a declared sequence gap.
-func (s *Session) noteGap(now time.Time) {
-	until := now.Add(s.mgr.cfg.DegradedHold)
+// observeGap folds a gap the manager declared since the session last
+// looked into the session: the degraded hold runs to the gap's time plus
+// DegradedHold, and one stream.gap evidence entry, stamped at the gap's
+// time, becomes the entry degraded detections cite. k gaps between two
+// reads fold into one entry for the latest, whose time is the largest, so
+// the hold is what a broadcast of every gap would have left. Ended
+// sessions observe nothing. It runs on every routed line and returns
+// without locking unless a gap is pending.
+//
+//podlint:hotpath budget=0
+func (s *Session) observeGap() {
+	if s.mgr.gap.Load().epoch <= s.gapSeen.Load() {
+		return
+	}
 	s.mu.Lock()
-	if until.After(s.degradedUntil) {
+	defer s.mu.Unlock()
+	g := s.mgr.gap.Load()
+	if g.epoch <= s.gapSeen.Load() || s.state == SessionEnded {
+		return
+	}
+	s.gapSeen.Store(g.epoch)
+	if until := g.at.Add(s.mgr.cfg.DegradedHold); until.After(s.degradedUntil) {
 		s.degradedUntil = until
 	}
-	s.mu.Unlock()
-}
-
-// setLastGap remembers the newest stream-gap evidence entry.
-func (s *Session) setLastGap(id uint64) {
-	s.mu.Lock()
-	s.flightGap = id
-	s.mu.Unlock()
+	if id := s.flight.Record(flight.Entry{
+		Kind: flight.KindStreamGap, At: g.at,
+		Message: "sequence gap on the shipping fabric; degraded hold armed",
+	}); id != 0 {
+		s.flightGap = id
+	}
 }
 
 // lastEntryOf returns the instance's latest log-event evidence entry.
@@ -186,8 +207,10 @@ func (s *Session) Timeline(kinds ...flight.Kind) flight.Timeline {
 	return s.mgr.flight.Timeline(s.id, kinds...)
 }
 
-// degradedNow reports whether the session is inside a degraded hold.
+// degradedNow reports whether the session is inside a degraded hold,
+// first folding in any gap it has not observed yet.
 func (s *Session) degradedNow() bool {
+	s.observeGap()
 	now := s.mgr.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,6 +269,9 @@ func (s *Session) OnConformance(instanceID, line string, ev logging.Event) {
 	if s.ended() {
 		return
 	}
+	// A gap declared before this line was delivered goes into the
+	// timeline ahead of it.
+	s.observeGap()
 	// Every routed line anchors the evidence timeline — even when
 	// conformance checking is ablated — because detections and causes
 	// must chain back to a raw log event.

@@ -82,8 +82,11 @@ func (m *Manager) ExportSession(id string) (*SessionSnapshot, error) {
 	return s.snapshot(), nil
 }
 
-// snapshot exports the session's full state.
+// snapshot exports the session's full state. A gap the session has not
+// observed yet is folded in first, so the snapshot carries its hold and
+// evidence entry.
 func (s *Session) snapshot() *SessionSnapshot {
+	s.observeGap()
 	snap := &SessionSnapshot{
 		ID:            s.id,
 		Expect:        s.expect,
@@ -200,6 +203,9 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	if s.total == nil {
 		s.total = make(map[string]int)
 	}
+	// Gaps declared on this manager before the restore are covered by the
+	// handoff hold below.
+	s.gapSeen.Store(m.gap.Load().epoch)
 	for k, v := range snap.LastEntry {
 		s.lastEntry[k] = v
 	}

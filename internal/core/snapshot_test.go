@@ -48,6 +48,7 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 		"mu":          "lock",
 		"stepCancel":  "one-off step timers re-arm on the next step event",
 		"perioCancel": "periodic timers re-armed by RestoreSession",
+		"gapSeen":     "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
 	}
 	st := reflect.TypeOf(Session{})
 	snapT := reflect.TypeOf(SessionSnapshot{})

@@ -68,6 +68,7 @@ var hotPathManifest = []manifestEntry{
 	{"internal/pipeline", "scanSorted"},
 	{"internal/process", "(*scan).match"},
 	{"internal/core", "(*Session).OnConformance"},
+	{"internal/core", "(*Session).observeGap"},
 	{"internal/core", "(*Session).recordLogEvent"},
 	{"internal/obs/flight", "(*Op).Record"},
 }

@@ -81,13 +81,57 @@ type ReorderBuffer struct {
 }
 
 type reorderSource struct {
-	next    uint64 // next expected sequence number; 0 = first event decides
-	pending map[uint64]heldEvent
+	next uint64 // next expected sequence number; 0 = first event decides
+	// held[head:] is the window of out-of-order events, sorted by
+	// sequence number, so the lowest held event is at the front. Popping
+	// the front advances head; the slots before it are reused once the
+	// window empties or the slice must grow.
+	held []heldEvent
+	head int
 }
 
 type heldEvent struct {
 	ev logging.Event
 	at time.Time // clock arrival time, for the watermark
+}
+
+// pending is the number of held events.
+func (src *reorderSource) pending() int { return len(src.held) - src.head }
+
+// front returns the lowest held event; the window must not be empty.
+func (src *reorderSource) front() *heldEvent { return &src.held[src.head] }
+
+// popFront removes the lowest held event.
+func (src *reorderSource) popFront() {
+	src.held[src.head] = heldEvent{} // release the event's fields
+	src.head++
+	if src.head == len(src.held) {
+		src.held, src.head = src.held[:0], 0
+	}
+}
+
+// insert adds h to the window in sequence order, reporting false (and
+// holding nothing) when an event with that sequence number is already
+// held. Held events arrive nearly in order, so the search runs back from
+// the tail.
+func (src *reorderSource) insert(h heldEvent) bool {
+	i := len(src.held)
+	for i > src.head && src.held[i-1].ev.Seq > h.ev.Seq {
+		i--
+	}
+	if i > src.head && src.held[i-1].ev.Seq == h.ev.Seq {
+		return false
+	}
+	if src.head > 0 && len(src.held) == cap(src.held) {
+		// Reuse the popped slots before growing.
+		n := copy(src.held, src.held[src.head:])
+		clear(src.held[n:])
+		src.held, i, src.head = src.held[:n], i-src.head, 0
+	}
+	src.held = append(src.held, heldEvent{})
+	copy(src.held[i+1:], src.held[i:])
+	src.held[i] = h
+	return true
 }
 
 // NewReorderBuffer returns a buffer delivering repaired streams to the
@@ -123,10 +167,10 @@ func keyOf(e logging.Event) sourceKey {
 // events are held until their predecessors arrive, the watermark expires,
 // or the window overflows.
 //
-// Budget note: both admitted sites are the per-source state created on
-// the first event of a new stream, not per-event work.
+// Budget note: the admitted site is the per-source state created on the
+// first event of a new stream, not per-event work.
 //
-//podlint:hotpath budget=2
+//podlint:hotpath budget=1
 func (b *ReorderBuffer) Offer(ev logging.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -138,7 +182,7 @@ func (b *ReorderBuffer) Offer(ev logging.Event) {
 	key := keyOf(ev)
 	src, ok := b.sources[key]
 	if !ok {
-		src = &reorderSource{pending: make(map[uint64]heldEvent, 8)}
+		src = &reorderSource{}
 		b.sources[key] = src
 	}
 	switch {
@@ -158,15 +202,14 @@ func (b *ReorderBuffer) Offer(ev logging.Event) {
 		// Out of order — including a stream whose first observed event is
 		// not seq 1: earlier events may still be in flight, so it is held
 		// rather than taken as the baseline.
-		if _, dup := src.pending[ev.Seq]; dup {
+		if !src.insert(heldEvent{ev: ev, at: b.clk.Now()}) {
 			b.duplicates++
 			mReorderDuplicate.Inc()
 			return
 		}
 		mReorderHeld.Inc()
 		mReorderPending.Inc()
-		src.pending[ev.Seq] = heldEvent{ev: ev, at: b.clk.Now()}
-		for len(src.pending) > b.opts.MaxPending {
+		for src.pending() > b.opts.MaxPending {
 			b.forceOldest(src)
 		}
 		b.armFlush()
@@ -177,15 +220,12 @@ func (b *ReorderBuffer) Offer(ev logging.Event) {
 // drain delivers consecutive held successors of src.next. gapFirst marks
 // the first delivery as following a declared gap.
 func (b *ReorderBuffer) drain(src *reorderSource, gapFirst bool) {
-	for {
-		held, ok := src.pending[src.next]
-		if !ok {
-			return
-		}
-		delete(src.pending, src.next)
+	for src.pending() > 0 && src.front().ev.Seq == src.next {
+		ev := src.front().ev
+		src.popFront()
 		mReorderPending.Dec()
 		src.next++
-		b.deliver(Delivery{Event: held.ev, GapBefore: gapFirst, Held: true})
+		b.deliver(Delivery{Event: ev, GapBefore: gapFirst, Held: true})
 		gapFirst = false
 	}
 }
@@ -193,18 +233,12 @@ func (b *ReorderBuffer) drain(src *reorderSource, gapFirst bool) {
 // forceOldest declares a gap up to the lowest held sequence number —
 // called when the per-source window overflows.
 func (b *ReorderBuffer) forceOldest(src *reorderSource) {
-	low := uint64(0)
-	for seq := range src.pending {
-		if low == 0 || seq < low {
-			low = seq
-		}
-	}
-	if low == 0 {
+	if src.pending() == 0 {
 		return
 	}
 	b.gaps++
 	mReorderGaps.Inc()
-	src.next = low
+	src.next = src.front().ev.Seq
 	b.drain(src, true)
 }
 
@@ -227,30 +261,19 @@ func (b *ReorderBuffer) Close() {
 		b.flushCancel = nil
 	}
 	for _, src := range b.sources {
-		for len(src.pending) > 0 {
+		for src.pending() > 0 {
 			b.forceOldest(src)
 		}
 	}
 }
 
-// flushExpired releases expired runs. Called with the lock held.
+// flushExpired releases expired runs: while the lowest held event of a
+// stream has waited out the window, its missing predecessors are
+// declared lost. Called with the lock held.
 func (b *ReorderBuffer) flushExpired(now time.Time) {
 	for _, src := range b.sources {
-		for len(src.pending) > 0 {
-			low := uint64(0)
-			for seq := range src.pending {
-				if low == 0 || seq < low {
-					low = seq
-				}
-			}
-			held := src.pending[low]
-			if now.Sub(held.at) < b.opts.Window {
-				break
-			}
-			b.gaps++
-			mReorderGaps.Inc()
-			src.next = low
-			b.drain(src, true)
+		for src.pending() > 0 && now.Sub(src.front().at) >= b.opts.Window {
+			b.forceOldest(src)
 		}
 	}
 }
@@ -282,7 +305,7 @@ func (b *ReorderBuffer) armFlush() {
 func (b *ReorderBuffer) pendingLocked() int {
 	n := 0
 	for _, src := range b.sources {
-		n += len(src.pending)
+		n += src.pending()
 	}
 	return n
 }
