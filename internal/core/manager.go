@@ -535,6 +535,9 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 	// The evidence ring is created before the session becomes routable,
 	// so pipeline handlers never observe a half-wired session.
 	s.flight = m.flight.Op(s.id)
+	if m.rem != nil {
+		s.remRev = m.rem.Revision(s.id)
+	}
 	m.sessions[s.id] = s
 	m.order = append(m.order, s)
 	m.mu.Unlock()
@@ -828,6 +831,18 @@ func (q ManagerQueue) Depth() int {
 		d = q.Work
 	}
 	return d
+}
+
+// Backlog is QueueDepth().Depth() without building the per-session map:
+// the figure a lease renewal reports, at no allocation per session.
+func (m *Manager) Backlog() int {
+	d := len(m.opSub.C) + len(m.centralSub.C)
+	m.mu.Lock()
+	for _, s := range m.order {
+		d += s.Pending()
+	}
+	m.mu.Unlock()
+	return max(d, len(m.workCh))
 }
 
 // QueueDepth snapshots the manager's backlog.

@@ -58,8 +58,16 @@ type Session struct {
 	// remCtl steers the operation itself during remediation (retry step,
 	// abort); nil when the harness attached none. Immutable after Watch.
 	remCtl remediate.OperationController
+	// remRev counts the operation's remediation-ledger writes; nil when
+	// remediation is off. Immutable after Watch.
+	remRev *remediate.OpRevision
 
 	pending atomic.Int64 // queued + in-flight work items for this session
+	// rev counts writes to the snapshot-carried state below and to the
+	// checker (see Revision). Each write bumps it inside the critical
+	// section that makes it; the checker, which locks on its own, is
+	// bumped after CheckLossy returns.
+	rev atomic.Uint64
 
 	mu          sync.Mutex
 	state       SessionState
@@ -111,6 +119,22 @@ func (s *Session) State() SessionState {
 // Pending reports this session's queued plus in-flight work items.
 func (s *Session) Pending() int { return int(s.pending.Load()) }
 
+// Revision returns a counter that changes whenever anything the
+// session's SessionSnapshot carries may have changed through the
+// session: the sum of three monotonic counts — the session's own
+// writes, its flight ring's writes and its remediation ledger's
+// revision. A gap the session has not observed yet is folded in first,
+// as an export would fold it.
+//
+// Every counter is bumped inside or after the write it counts, never
+// before. So read the revision before exporting: a write that races the
+// export either lands in it or moves the next revision, and an export
+// whose revision read still equals the current one is still current.
+func (s *Session) Revision() uint64 {
+	s.observeGap()
+	return s.rev.Load() + s.flight.Writes() + s.remRev.Load()
+}
+
 // Instances returns the process instance ids routed to this session.
 func (s *Session) Instances() []string {
 	s.mu.Lock()
@@ -145,6 +169,7 @@ func (s *Session) End() {
 	}
 	s.state = SessionEnded
 	s.endedAt = s.mgr.clk.Now()
+	s.rev.Add(1)
 	cancels := make([]func(), 0, len(s.stepCancel)+len(s.perioCancel))
 	for id, c := range s.stepCancel {
 		cancels = append(cancels, c)
@@ -191,6 +216,7 @@ func (s *Session) observeGap() {
 	}); id != 0 {
 		s.flightGap = id
 	}
+	s.rev.Add(1)
 }
 
 // lastEntryOf returns the instance's latest log-event evidence entry.
@@ -234,6 +260,7 @@ func (s *Session) adopt(instanceID string, explicit bool) {
 	if explicit {
 		s.bound[instanceID] = true
 	}
+	s.rev.Add(1)
 	s.mu.Unlock()
 }
 
@@ -284,6 +311,7 @@ func (s *Session) OnConformance(instanceID, line string, ev logging.Event) {
 	// missing line must not masquerade as a wrong-path operation.
 	degraded := s.degradedNow()
 	res := s.checker.CheckLossy(instanceID, line, ev.Timestamp, degraded)
+	s.rev.Add(1)
 	s.mgr.publishConformance(instanceID, res, ev)
 	if res.Verdict.IsAnomalous() {
 		s.onAnomaly(instanceID, line, ev, res, evEntry, degraded)
@@ -378,6 +406,7 @@ func (s *Session) recordLogEvent(instanceID string, ev logging.Event) uint64 {
 	})
 	s.mu.Lock()
 	s.lastEntry[instanceID] = id
+	s.rev.Add(1)
 	s.mu.Unlock()
 	return id
 }
@@ -461,6 +490,7 @@ func (s *Session) OnStepEvent(instanceID string, node *process.Node, ev logging.
 		if n, err := strconv.Atoi(num); err == nil {
 			s.mu.Lock()
 			s.progress[instanceID] = n
+			s.rev.Add(1)
 			s.mu.Unlock()
 		}
 	}
@@ -468,6 +498,7 @@ func (s *Session) OnStepEvent(instanceID string, node *process.Node, ev logging.
 		if n, err := strconv.Atoi(total); err == nil {
 			s.mu.Lock()
 			s.total[instanceID] = n
+			s.rev.Add(1)
 			s.mu.Unlock()
 		}
 	}
@@ -566,6 +597,7 @@ func (s *Session) OnProcessEnd(instanceID string, ev logging.Event) {
 		delete(s.stepCancel, instanceID)
 	}
 	s.completed[instanceID] = true
+	s.rev.Add(1)
 	autoEnd := !s.matchAny && !s.matchASG && s.state == SessionActive && len(s.bound) > 0
 	if autoEnd {
 		for id := range s.bound {
@@ -796,6 +828,7 @@ func (s *Session) shouldDiagnose(key string) bool {
 		return false
 	}
 	s.seen[key]++
+	s.rev.Add(1)
 	return true
 }
 
@@ -814,6 +847,7 @@ func (s *Session) record(d Detection, dedupKey string) {
 	if len(s.detections) < s.maxDetections {
 		s.detections = append(s.detections, d)
 	}
+	s.rev.Add(1)
 	s.mu.Unlock()
 	// Remediation runs outside s.mu: auto-mode actions call the simulated
 	// cloud synchronously, and the engine's idempotency keys make the

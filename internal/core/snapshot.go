@@ -166,6 +166,12 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	if state == "" {
 		state = SessionActive
 	}
+	// Refuse a duplicate before importing the evidence ring: the import
+	// would overwrite the live session's ring, and the refusal would then
+	// drop it from the recorder.
+	if m.Session(snap.ID) != nil {
+		return nil, fmt.Errorf("core: session %q already exists", snap.ID)
+	}
 
 	s := &Session{
 		id:            snap.ID,
@@ -193,6 +199,9 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 		lastEntry:     make(map[string]uint64, len(snap.LastEntry)),
 		flightGap:     snap.FlightGap,
 		degradedUntil: snap.DegradedUntil,
+	}
+	if m.rem != nil {
+		s.remRev = m.rem.Revision(s.id)
 	}
 	if s.seen == nil {
 		s.seen = make(map[string]int)

@@ -45,6 +45,8 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 		"spec":        "re-parsed from SpecText against the adopting registry",
 		"remCtl":      "not serializable; re-attached via WithRemediationController",
 		"pending":     "transient backlog counter; work does not survive the owner",
+		"rev":         "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
+		"remRev":      "the adopting manager's remediation engine counts the imported ledger's writes",
 		"mu":          "lock",
 		"stepCancel":  "one-off step timers re-arm on the next step event",
 		"perioCancel": "periodic timers re-armed by RestoreSession",
@@ -138,5 +140,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	j2, _ := json.Marshal(snap2)
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("snapshot decayed across export -> JSON -> restore -> export:\n first: %s\nsecond: %s", j1, j2)
+	}
+}
+
+// TestRestoreDuplicateKeepsLiveRing: a snapshot restored onto a manager
+// that already runs its session is refused before its evidence ring is
+// imported, so the live session's ring is neither overwritten nor
+// dropped from the recorder.
+func TestRestoreDuplicateKeepsLiveRing(t *testing.T) {
+	clk := newManualClock()
+	m := newGapManager(t, clk, nil)
+	s := watchGap(t, m, "dup")
+	m.notifyGap()
+	s.Degraded() // records the stream.gap entry
+	snap, err := m.ExportSession("dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Flight.Entries = nil
+	if _, err := m.RestoreSession(snap); err == nil {
+		t.Fatal("restoring a running session succeeded")
+	}
+	if got := m.Flight().Timeline("dup").Entries; len(got) != 1 || got[0].Kind != flight.KindStreamGap {
+		t.Errorf("live ring after the refused restore = %+v, want its one stream.gap entry", got)
 	}
 }

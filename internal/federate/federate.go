@@ -13,7 +13,8 @@
 // keep monitoring operations that were already failed over (the
 // split-brain guard).
 //
-// Heartbeats piggyback session snapshots (core.SessionSnapshot). On
+// Heartbeats piggyback snapshots (core.SessionSnapshot) of the sessions
+// whose revision moved since the front last accepted one of them. On
 // member death the front restores each of the dead member's operations
 // onto a survivor from its last replicated snapshot, so evidence
 // chains, dedup maps and remediation idempotency keys survive the
@@ -130,7 +131,10 @@ type Lease struct {
 
 // Renewal is one lease renewal, as sent in-process and over REST: the
 // lease it renews, the member's reported backlog (the shed signal) and
-// fresh snapshots of the sessions it owns (the failover state).
+// fresh snapshots of the sessions that changed since the front last
+// accepted one of them (the failover state). The front overwrites what
+// it holds with each snapshot it receives; a session a renewal leaves
+// out keeps its last copy.
 type Renewal struct {
 	Lease
 	Pending   int                     `json:"pending"`

@@ -373,9 +373,12 @@ func (f *Front) moveLocked(ctx context.Context, opID, target string, snap *core.
 	newEpoch := op.epoch + 1
 	var err error
 	if snap != nil {
-		snap.FromMember = op.owner
-		snap.HandoffEpoch = newEpoch
-		err = m.Restore(ctx, snap)
+		// Stamp a copy: snap may be a member's replica, which the member
+		// does not resend until its session changes.
+		stamped := *snap
+		stamped.FromMember = op.owner
+		stamped.HandoffEpoch = newEpoch
+		err = m.Restore(ctx, &stamped)
 	} else {
 		_, err = m.Watch(ctx, op.req)
 	}
@@ -504,12 +507,19 @@ func (f *Front) foreignOpsLocked(memberID string) []string {
 }
 
 func (f *Front) gaugesLocked() {
-	counts := map[MemberState]int{}
+	var healthy, suspect, dead int
 	for _, e := range f.members {
-		counts[e.state]++
+		switch e.state {
+		case StateHealthy:
+			healthy++
+		case StateSuspect:
+			suspect++
+		case StateDead:
+			dead++
+		}
 	}
-	for _, st := range []MemberState{StateHealthy, StateSuspect, StateDead} {
-		mFedMembers.With(string(st)).Set(float64(counts[st]))
-	}
+	mFedMembers.With(string(StateHealthy)).Set(float64(healthy))
+	mFedMembers.With(string(StateSuspect)).Set(float64(suspect))
+	mFedMembers.With(string(StateDead)).Set(float64(dead))
 	mFedOps.Set(float64(len(f.ops)))
 }

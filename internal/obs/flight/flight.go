@@ -242,22 +242,25 @@ func (r *Recorder) Timeline(operation string, kinds ...Kind) Timeline {
 	if o == nil {
 		return tl
 	}
-	keep := func(Kind) bool { return true }
-	if len(kinds) > 0 {
-		set := make(map[Kind]bool, len(kinds))
-		for _, k := range kinds {
-			set[k] = true
-		}
-		keep = func(k Kind) bool { return set[k] }
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	tl.Dropped = o.dropped
-	for _, e := range o.snapshotLocked() {
-		if keep(e.Kind) {
-			tl.Entries = append(tl.Entries, e)
+	tl.Entries = o.snapshotLocked()
+	if len(kinds) == 0 {
+		return tl
+	}
+	set := make(map[Kind]bool, len(kinds))
+	for _, k := range kinds {
+		set[k] = true
+	}
+	// Filter the fresh copy in place: it is this call's own.
+	kept := tl.Entries[:0]
+	for _, e := range tl.Entries {
+		if set[e.Kind] {
+			kept = append(kept, e)
 		}
 	}
+	tl.Entries = kept
 	return tl
 }
 
@@ -271,6 +274,20 @@ type Op struct {
 	next    int
 	full    bool
 	dropped uint64
+	// writes counts Record and Import calls; it is bumped inside the
+	// critical section that changes buf, so a reader that sees a count
+	// sees the entries behind it.
+	writes atomic.Uint64
+}
+
+// Writes returns how many times the ring has been written (recorded
+// into or imported over): a monotonic counter that changes whenever
+// Timeline's answer may have. Zero for a nil ring.
+func (o *Op) Writes() uint64 {
+	if o == nil {
+		return 0
+	}
+	return o.writes.Load()
 }
 
 // Operation returns the operation id the ring belongs to ("" for nil).
@@ -310,17 +327,22 @@ func (o *Op) Record(e Entry) uint64 {
 		o.next = 0
 		o.full = true
 	}
+	o.writes.Add(1)
 	o.mu.Unlock()
 	return e.ID
 }
 
-// snapshotLocked copies the ring oldest-first; o.mu must be held.
+// snapshotLocked copies the ring oldest-first into one never-nil slice
+// of exactly the ring's length; o.mu must be held.
 func (o *Op) snapshotLocked() []Entry {
-	if !o.full {
-		return append([]Entry(nil), o.buf[:o.next]...)
+	n := o.next
+	if o.full {
+		n = len(o.buf)
 	}
-	out := make([]Entry, 0, len(o.buf))
-	out = append(out, o.buf[o.next:]...)
+	out := make([]Entry, 0, n)
+	if o.full {
+		out = append(out, o.buf[o.next:]...)
+	}
 	return append(out, o.buf[:o.next]...)
 }
 

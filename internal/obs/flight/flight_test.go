@@ -238,3 +238,45 @@ func TestRenderShowsParentsAndAttrs(t *testing.T) {
 		}
 	}
 }
+
+// TestUnfilteredTimelineIsOneExactCopy: with no kind filter, Timeline
+// returns the ring oldest-first in one slice of exactly its length —
+// before and after the ring wraps, and never nil — and Writes counts
+// every record.
+func TestUnfilteredTimelineIsOneExactCopy(t *testing.T) {
+	r := NewRecorder(testClock(), minCapacity)
+	op := r.Op("op-1")
+	if tl := r.Timeline("op-1"); tl.Entries == nil || len(tl.Entries) != 0 {
+		t.Fatalf("empty ring timeline = %#v, want empty non-nil", tl.Entries)
+	}
+	for n := 1; n <= 2*minCapacity; n++ {
+		op.Record(Entry{Kind: KindLogEvent, Message: fmt.Sprint(n)})
+		if op.Writes() != uint64(n) {
+			t.Fatalf("Writes = %d after %d records", op.Writes(), n)
+		}
+		es := r.Timeline("op-1").Entries
+		if want := min(n, minCapacity); len(es) != want || cap(es) != want {
+			t.Fatalf("after %d records: len %d cap %d, want both %d", n, len(es), cap(es), want)
+		}
+		if last := es[len(es)-1].Message; last != fmt.Sprint(n) {
+			t.Fatalf("after %d records the newest entry is %q", n, last)
+		}
+		for i := 1; i < len(es); i++ {
+			if es[i].ID <= es[i-1].ID {
+				t.Fatalf("after %d records the timeline is not oldest-first", n)
+			}
+		}
+	}
+}
+
+// TestImportCountsAsWrite: importing over a ring moves its write count,
+// like a record does.
+func TestImportCountsAsWrite(t *testing.T) {
+	r := NewRecorder(testClock(), minCapacity)
+	op := r.Op("op-1")
+	op.Record(Entry{Kind: KindLogEvent})
+	before := op.Writes()
+	if got := r.Import(r.Timeline("op-1")); got != op || op.Writes() == before {
+		t.Fatalf("import over the ring left its write count at %d", op.Writes())
+	}
+}

@@ -40,6 +40,7 @@ func (r *Recorder) Import(tl Timeline) *Op {
 		}
 	}
 	o.dropped = dropped
+	o.writes.Add(1)
 	o.mu.Unlock()
 	// Ratchet the recorder-global counter monotonically: concurrent
 	// imports and live Records may race the load, so retry until the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"poddiagnosis/internal/clock"
@@ -116,6 +117,9 @@ type Engine struct {
 	byID  map[string]*Remediation
 	byKey map[string]*Remediation
 	byOp  map[string][]*Remediation
+	// revs counts ledger writes per operation (see Revision); every
+	// write to a record in byOp bumps its operation's count under mu.
+	revs map[string]*OpRevision
 }
 
 // NewEngine builds an engine over a catalog and policy. A nil catalog
@@ -134,7 +138,44 @@ func NewEngine(cat *Catalog, policy Policy, clk clock.Clock) *Engine {
 		byID:    make(map[string]*Remediation),
 		byKey:   make(map[string]*Remediation),
 		byOp:    make(map[string][]*Remediation),
+		revs:    make(map[string]*OpRevision),
 	}
+}
+
+// OpRevision counts the ledger writes of one operation: every
+// admission and state change bumps it, inside the critical section that
+// makes the write, so a reader that sees a count sees the writes behind
+// it.
+type OpRevision struct{ n atomic.Uint64 }
+
+// Load returns the count; zero for a nil revision.
+func (r *OpRevision) Load() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.n.Load()
+}
+
+// Revision returns the operation's ledger-write counter, creating it on
+// first use. It changes whenever what Export returns for the operation
+// may have. Drop forgets it: a counter already handed out stays with
+// its holder, and a later write to the operation starts a fresh one.
+func (e *Engine) Revision(operation string) *OpRevision {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.revLocked(operation)
+}
+
+// bumpLocked counts one ledger write of the operation; e.mu must be held.
+func (e *Engine) bumpLocked(operation string) { e.revLocked(operation).n.Add(1) }
+
+func (e *Engine) revLocked(operation string) *OpRevision {
+	r := e.revs[operation]
+	if r == nil {
+		r = &OpRevision{}
+		e.revs[operation] = r
+	}
+	return r
 }
 
 // Catalog returns the engine's action catalog.
@@ -185,12 +226,10 @@ func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
 		e.byKey[key] = r
 		e.byID[r.ID] = r
 		e.byOp[tr.Operation] = append(e.byOp[tr.Operation], r)
-		e.mu.Unlock()
-
-		// The record is published in the maps already, so entry ids are
-		// written back under the lock (a concurrent List must not observe
-		// a torn write).
-		actionEntry := r.fl.Record(flight.Entry{
+		// The audit entry is recorded in the same critical section that
+		// publishes the record, so no ledger read sees the record without
+		// the entry id.
+		r.ActionEntry = r.fl.Record(flight.Entry{
 			Kind:    flight.KindRemediationAction,
 			Parents: parents(tr.CauseEntry),
 			Message: fmt.Sprintf("remediation %s: %s (%s) for cause %s", r.ID, r.Action, mode, tr.CauseNode),
@@ -203,8 +242,7 @@ func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
 				"path":        tr.CausePath,
 			},
 		})
-		e.mu.Lock()
-		r.ActionEntry = actionEntry
+		e.bumpLocked(tr.Operation)
 		e.mu.Unlock()
 		switch mode {
 		case ModeDryRun:
@@ -238,6 +276,7 @@ func (e *Engine) Approve(ctx context.Context, id string) (Remediation, error) {
 		return e.snapshot(r), fmt.Errorf("%w: %s is %s", ErrNotPending, id, state)
 	}
 	r.State = StateExecuting
+	e.bumpLocked(r.Operation)
 	e.mu.Unlock()
 	e.run(ctx, r)
 	return e.snapshot(r), nil
@@ -259,19 +298,9 @@ func (e *Engine) run(ctx context.Context, r *Remediation) {
 }
 
 // finish commits a terminal state and appends the remediation.outcome
-// audit entry chained to the action entry.
+// audit entry chained to the action entry, in one critical section.
 func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
-	e.mu.Lock()
-	r.State = state
-	r.Detail = detail
-	if err != nil {
-		r.Error = err.Error()
-	}
-	r.ResolvedAt = e.clk.Now()
-	actionEntry := r.ActionEntry
-	e.mu.Unlock()
 	mTriggered.With(string(state)).Inc()
-
 	msg := fmt.Sprintf("remediation %s: %s %s", r.ID, r.Action, state)
 	attrs := map[string]string{
 		"remediation": r.ID,
@@ -286,15 +315,21 @@ func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
 	if err != nil {
 		attrs["error"] = err.Error()
 	}
-	outcomeEntry := r.fl.Record(flight.Entry{
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r.State = state
+	r.Detail = detail
+	if err != nil {
+		r.Error = err.Error()
+	}
+	r.ResolvedAt = e.clk.Now()
+	r.OutcomeEntry = r.fl.Record(flight.Entry{
 		Kind:    flight.KindRemediationOutcome,
-		Parents: parents(actionEntry),
+		Parents: parents(r.ActionEntry),
 		Message: msg,
 		Attrs:   attrs,
 	})
-	e.mu.Lock()
-	r.OutcomeEntry = outcomeEntry
-	e.mu.Unlock()
+	e.bumpLocked(r.Operation)
 }
 
 // Get returns one remediation by id.
@@ -346,6 +381,7 @@ func (e *Engine) Drop(operation string) {
 		delete(e.byKey, r.IdempotencyKey)
 	}
 	delete(e.byOp, operation)
+	delete(e.revs, operation)
 }
 
 // snapshot returns a locked copy for callers outside the engine.

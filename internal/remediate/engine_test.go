@@ -336,3 +336,53 @@ func TestSuggestedPolicyHoldsEscalations(t *testing.T) {
 		t.Fatal("dry-run policy should count as enabled")
 	}
 }
+
+// TestRevisionMovesWithEveryLedgerWrite: an operation's revision moves
+// at admission (seen from inside the action), when an approval starts
+// the action (also seen from inside it), when the outcome lands, and on
+// import — so a snapshot taken at any of those points is resent.
+func TestRevisionMovesWithEveryLedgerWrite(t *testing.T) {
+	for _, mode := range []Mode{ModeAuto, ModeApprove} {
+		var rev *OpRevision
+		var before, inside uint64
+		c := NewCatalog()
+		c.MustAdd(Action{
+			Name: "probe", Description: "probe", Class: ClassConfig, Causes: []string{"wrong-ami"},
+			Run: func(context.Context, *Target) (string, error) {
+				inside = rev.Load()
+				return "done", nil
+			},
+		})
+		eng := NewEngine(c, Policy{Default: mode}, clock.Wall)
+		rev = eng.Revision("op-1")
+		before = rev.Load()
+		rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+		if len(rs) != 1 {
+			t.Fatalf("%s: trigger admitted %d remediations", mode, len(rs))
+		}
+		if mode == ModeApprove {
+			if admitted := rev.Load(); admitted == before {
+				t.Fatalf("approve: admission did not move the revision")
+			}
+			before = rev.Load()
+			if _, err := eng.Approve(context.Background(), rs[0].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inside == before {
+			t.Errorf("%s: the action ran at the revision read before it was admitted or approved", mode)
+		}
+		if rev.Load() == inside {
+			t.Errorf("%s: the outcome did not move the revision", mode)
+		}
+		done := rev.Load()
+		other := NewEngine(c, Policy{Default: mode}, clock.Wall)
+		imported := other.Revision("op-1")
+		if other.Import(eng.Export("op-1"), Target{}, nil) != 1 || imported.Load() == 0 {
+			t.Errorf("%s: import did not move the adopting engine's revision", mode)
+		}
+		if eng.Drop("op-1"); rev.Load() != done {
+			t.Errorf("%s: drop moved a handed-out revision", mode)
+		}
+	}
+}

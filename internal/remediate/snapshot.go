@@ -64,6 +64,7 @@ func (e *Engine) Import(recs []Remediation, target Target, fl *flight.Op) int {
 		e.byKey[r.IdempotencyKey] = &r
 		e.byID[r.ID] = &r
 		e.byOp[r.Operation] = append(e.byOp[r.Operation], &r)
+		e.bumpLocked(r.Operation)
 		e.mu.Unlock()
 		imported++
 		switch {

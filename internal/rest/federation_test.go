@@ -1,9 +1,14 @@
 package rest
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,5 +325,65 @@ func TestFederationAgentStaleRecoveryOverREST(t *testing.T) {
 		if info.ID == owner.agent.ID && (info.State != federate.StateHealthy || info.Epoch != owner.agent.Epoch()) {
 			t.Fatalf("re-joined member at the front: %+v, want healthy at epoch %d", info, owner.agent.Epoch())
 		}
+	}
+}
+
+// TestIdleRenewalBodyIsConstant: over the wire, a member's second
+// renewal carries no snapshot of a session the first one delivered, so
+// its body is as long over 200 sessions as over 10.
+func TestIdleRenewalBodyIsConstant(t *testing.T) {
+	ctx := context.Background()
+	second := map[int]int{}
+	for _, n := range []int{10, 200} {
+		clk := clock.NewScaled(1000, time.Unix(0, 0))
+		front := federate.NewFront(clk, federate.Config{LeaseTTL: time.Hour})
+		h := NewServer(nil, nil, nil, WithFront(front))
+		var mu sync.Mutex
+		var bodies []int
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/federation/renew" {
+				b, _ := io.ReadAll(r.Body) // a short body fails the decode below
+				mu.Lock()
+				bodies = append(bodies, len(b))
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(b))
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		bus := logging.NewBus()
+		t.Cleanup(bus.Close)
+		mgr, err := core.NewManager(core.ManagerConfig{
+			Cloud: simaws.New(clk, simaws.FastProfile()), Bus: bus, DisableAssertions: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Start()
+		t.Cleanup(mgr.Stop)
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("idle-%d", i)
+			if _, err := mgr.Watch(core.Expectation{ASGName: id + "--asg", ClusterSize: 2}, core.WithSessionID(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		agent := NewFederationAgent("ma", "http://127.0.0.1:1", mgr, NewClient(srv.URL, nil, WithClientClock(clk)))
+		if err := agent.Join(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := agent.RenewOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		if len(bodies) != 2 || bodies[1] >= bodies[0] {
+			t.Fatalf("renewal bodies over %d sessions: %v bytes, want a shorter second one", n, bodies)
+		}
+		second[n] = bodies[1]
+		mu.Unlock()
+	}
+	if second[10] != second[200] {
+		t.Errorf("second renewal body is %d bytes over 10 sessions but %d over 200", second[10], second[200])
 	}
 }
