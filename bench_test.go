@@ -58,12 +58,18 @@ func BenchmarkConformanceCheck(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		checker := conformance.NewChecker(model)
-		for _, line := range trace {
-			checker.Check("t", line, now)
-		}
+		replayFresh(model, trace, now)
 	}
 	b.ReportMetric(float64(len(trace)), "events/op")
+}
+
+// replayFresh replays the trace on a fresh checker: one
+// BenchmarkConformanceCheck op.
+func replayFresh(model *process.Model, trace []string, now time.Time) {
+	checker := conformance.NewChecker(model)
+	for _, line := range trace {
+		checker.Check("t", line, now)
+	}
 }
 
 // BenchmarkProcessMining measures model discovery from the logs of 20
@@ -97,17 +103,8 @@ func BenchmarkProcessMining(b *testing.B) {
 // BenchmarkLogPipeline measures local log processor throughput (the
 // Logstash-equivalent path of Figure 3).
 func BenchmarkLogPipeline(b *testing.B) {
-	model := process.RollingUpgradeModel()
-	proc := pipeline.New(model, logging.NewMemorySink(), pipeline.Triggers{})
-	ts := time.Now()
-	events := make([]logging.Event, 0, 18)
-	for _, body := range happyTrace(4) {
-		events = append(events, logging.Event{
-			Timestamp: ts, Type: logging.TypeOperation,
-			Fields:  map[string]string{"taskid": "t"},
-			Message: logging.FormatOperationLine(ts, "t", body),
-		})
-	}
+	proc := pipeline.New(process.RollingUpgradeModel(), logging.NewMemorySink(), pipeline.Triggers{})
+	events := pipelineEvents(time.Now())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,6 +113,21 @@ func BenchmarkLogPipeline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(events)), "events/op")
+}
+
+// pipelineEvents wraps the clean 4-instance trace as the orchestrator
+// events BenchmarkLogPipeline feeds the processor.
+func pipelineEvents(ts time.Time) []logging.Event {
+	trace := happyTrace(4)
+	events := make([]logging.Event, 0, len(trace))
+	for _, body := range trace {
+		events = append(events, logging.Event{
+			Timestamp: ts, Type: logging.TypeOperation,
+			Fields:  map[string]string{"taskid": "t"},
+			Message: logging.FormatOperationLine(ts, "t", body),
+		})
+	}
+	return events
 }
 
 // benchCloud deploys a cluster on a fast cloud for component benchmarks.

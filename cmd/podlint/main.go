@@ -1,13 +1,12 @@
 // Command podlint is the static-analysis gate for POD-Diagnosis. It lints
-// on three fronts: the registered diagnosis artifacts (process models,
+// on two fronts: the registered diagnosis artifacts (process models,
 // assertion specifications, the diagnosis-plan catalog, the remediation
 // action↔cause bindings, and the trigger chain connecting them: PM, AS,
-// DG, XC and RM rules), the Go source tree (GO001–GO011: wall-clock reads,
-// metric naming, mutexes held across blocking sends, context.Background on
-// request paths, flight-recorder kinds, goroutine leaks, lock ordering,
-// timers in loops, hot-path allocation discipline and escape budgets), and
-// — with -ratchet — benchmark performance against the committed
-// BENCH_*.json baselines (RT rules). `podlint -rules all` lists them.
+// DG, XC and RM rules) and the Go source tree (GO001–GO008: wall-clock
+// reads, metric naming, mutexes held across blocking sends,
+// context.Background on request paths, flight-recorder kinds, goroutine
+// leaks, lock ordering, timers in loops). `podlint -rules all` lists
+// them.
 //
 // Usage:
 //
@@ -25,18 +24,8 @@
 //	-json            emit findings as a JSON array instead of text
 //	-rules PATTERN   print the matching rules of the registry and exit;
 //	                 comma-separated globs over rule IDs ("GO0*", "DG001"),
-//	                 plus the aliases "all" (or "*"), "ratchet" (RT*),
-//	                 "source" (GO*) and "model"
-//	-escape          also run the compiler-assisted escape-budget check
-//	                 (GO011): shells out to go build -gcflags=-m
-//	-hotpath-report  measure the //podlint:hotpath functions and dump the
-//	                 per-function escape budget table as JSON, then exit
-//	-ratchet FILE    compare raw `go test -bench -benchmem` output (FILE,
-//	                 or "-" for stdin) against the committed baselines and
-//	                 exit; RT001/RT002 regressions are error findings
-//	-baseline LIST   comma-separated baseline JSON files for -ratchet
-//	                 (default: BENCH_ingest.json,BENCH_diagnosis.json at
-//	                 the module root)
+//	                 plus the aliases "all" (or "*"), "source" (GO*) and
+//	                 "model"
 //	-source-only     skip the built-in model/spec/tree bundles
 //	-models-only     skip the Go source analyzers
 //
@@ -67,11 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut    = fs.Bool("json", false, "emit findings as JSON")
-		rulesPat   = fs.String("rules", "", "print matching rules and exit (globs over IDs; aliases: all, ratchet, source, model)")
-		escape     = fs.Bool("escape", false, "also run the compiler-assisted escape-budget check (GO011)")
-		hotReport  = fs.Bool("hotpath-report", false, "dump the per-function escape budget table as JSON and exit")
-		ratchet    = fs.String("ratchet", "", "compare bench output (file, or - for stdin) against baselines and exit")
-		baselines  = fs.String("baseline", "", "comma-separated baseline JSON files for -ratchet (default BENCH_ingest.json,BENCH_diagnosis.json)")
+		rulesPat   = fs.String("rules", "", "print matching rules and exit (globs over IDs; aliases: all, source, model)")
 		sourceOnly = fs.Bool("source-only", false, "lint only Go source, skip the built-in bundles")
 		modelsOnly = fs.Bool("models-only", false, "lint only models/specs/trees, skip Go source")
 	)
@@ -92,13 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	dirs, docs := splitTargets(fs.Args(), root)
-
-	if *ratchet != "" {
-		return runRatchet(stdout, stderr, root, *ratchet, *baselines, *jsonOut)
-	}
-	if *hotReport {
-		return runHotpathReport(stdout, stderr, root, dirs)
-	}
 
 	var findings []lint.Finding
 
@@ -127,14 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		findings = append(findings, srcFindings...)
-		if *escape {
-			_, escFindings, err := lint.EscapeAnalysis(root, dirs)
-			if err != nil {
-				fmt.Fprintln(stderr, "podlint:", err)
-				return 2
-			}
-			findings = append(findings, escFindings...)
-		}
 	}
 
 	lint.Sort(findings)
@@ -205,8 +175,8 @@ func printRules(stdout, stderr io.Writer, asJSON bool, pattern string) int {
 
 // ruleMatches applies one comma-separated pattern list to a rule. Each
 // element is a glob over the rule ID ("GO0*", "DG001") or an alias: "all"
-// or "*" (everything), "ratchet" (the RT series), "source" (the GO
-// series), "model" (the model front).
+// or "*" (everything), "source" (the GO series), "model" (the model
+// front).
 func ruleMatches(r lint.RuleInfo, pattern string) bool {
 	for _, p := range strings.Split(pattern, ",") {
 		p = strings.TrimSpace(p)
@@ -215,11 +185,6 @@ func ruleMatches(r lint.RuleInfo, pattern string) bool {
 			continue
 		case "all", "*":
 			return true
-		case "ratchet":
-			if strings.HasPrefix(r.ID, "RT") {
-				return true
-			}
-			continue
 		case "source":
 			if strings.HasPrefix(r.ID, "GO") {
 				return true
@@ -236,104 +201,6 @@ func ruleMatches(r lint.RuleInfo, pattern string) bool {
 		}
 	}
 	return false
-}
-
-// runHotpathReport measures the annotated hot-path functions with the
-// compiler and dumps the budget table as JSON.
-func runHotpathReport(stdout, stderr io.Writer, root string, dirs []string) int {
-	infos, findings, err := lint.EscapeAnalysis(root, dirs)
-	if err != nil {
-		fmt.Fprintln(stderr, "podlint:", err)
-		return 2
-	}
-	if infos == nil {
-		infos = []lint.HotFuncInfo{}
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(infos); err != nil {
-		fmt.Fprintln(stderr, "podlint:", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintln(stderr, f)
-	}
-	if lint.CountErrors(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runRatchet compares raw benchmark output against the committed
-// baselines and reports RT findings.
-func runRatchet(stdout, stderr io.Writer, root, benchPath, baselineList string, asJSON bool) int {
-	var in io.Reader
-	if benchPath == "-" {
-		in = os.Stdin
-	} else {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "podlint:", err)
-			return 2
-		}
-		defer f.Close()
-		in = f
-	}
-	results, err := lint.ParseBenchOutput(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "podlint:", err)
-		return 2
-	}
-	if len(results) == 0 {
-		fmt.Fprintln(stderr, "podlint: no benchmark results in input")
-		return 2
-	}
-	var paths []string
-	if baselineList == "" {
-		paths = []string{filepath.Join(root, "BENCH_ingest.json"), filepath.Join(root, "BENCH_diagnosis.json")}
-	} else {
-		for _, p := range strings.Split(baselineList, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				paths = append(paths, p)
-			}
-		}
-	}
-	base, err := lint.LoadBaselines(paths)
-	if err != nil {
-		fmt.Fprintln(stderr, "podlint:", err)
-		return 2
-	}
-	findings := lint.CompareRatchet(results, base)
-	lint.Sort(findings)
-	if asJSON {
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "podlint:", err)
-			return 2
-		}
-	} else {
-		for _, r := range results {
-			fmt.Fprintf(stdout, "podlint: ratchet %s: %.0f ns/op, %d allocs/op (best of %d)\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.Runs)
-		}
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-	}
-	if n := lint.CountErrors(findings); n > 0 {
-		if !asJSON {
-			fmt.Fprintf(stdout, "podlint: ratchet FAILED: %d regression(s)\n", n)
-		}
-		return 1
-	}
-	if !asJSON {
-		fmt.Fprintln(stdout, "podlint: ratchet ok")
-	}
-	return 0
 }
 
 // splitTargets separates Go source directories from model JSON documents.

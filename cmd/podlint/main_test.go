@@ -22,8 +22,8 @@ func TestRulesGlobListsSourceRules(t *testing.T) {
 		t.Fatalf("exit %d, want 0", code)
 	}
 	rows := strings.Split(strings.TrimSpace(out), "\n")
-	if len(rows) != 11 {
-		t.Fatalf("want 11 GO rules, got %d:\n%s", len(rows), out)
+	if len(rows) != 8 {
+		t.Fatalf("want 8 GO rules, got %d:\n%s", len(rows), out)
 	}
 	for _, r := range rows {
 		if !strings.HasPrefix(r, "GO0") {

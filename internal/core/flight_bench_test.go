@@ -76,7 +76,7 @@ func benchIngest(b *testing.B, disableFlight bool) {
 // BenchmarkIngestFlightRecorder compares the session ingest hot path
 // with the causal flight recorder enabled versus disabled; the recorder
 // must stay within a few percent of the disabled path (BENCH_ingest.json
-// pins the baseline, CI runs the smoke variant).
+// records the measured overhead, CI runs the smoke variant).
 func BenchmarkIngestFlightRecorder(b *testing.B) {
 	b.Run("recorder=on", func(b *testing.B) { benchIngest(b, false) })
 	b.Run("recorder=off", func(b *testing.B) { benchIngest(b, true) })

@@ -368,6 +368,36 @@ func TestGapEpochCostIndependentOfSessions(t *testing.T) {
 	}
 }
 
+// gapFoldAllocs is what declaring a gap and folding it into one session
+// allocates: notifyGap's gapMark (1). The fold itself allocates nothing:
+// the stream.gap entry carries no attrs or parents and is copied into
+// the session's ring.
+const gapFoldAllocs = 1
+
+// TestGapFoldAllocations pins observeGap's fold path, taken when a gap
+// epoch is pending, together with the notifyGap that makes it pending.
+func TestGapFoldAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	clk := newManualClock()
+	m := newGapManager(t, clk, func(c *ManagerConfig) { c.FlightCapacity = 16 })
+	s := watchGap(t, m, "fold")
+	folds := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		clk.Advance(time.Millisecond)
+		m.notifyGap()
+		s.observeGap()
+		folds++
+	})
+	if got := s.gapSeen.Load(); got != uint64(folds) {
+		t.Fatalf("session folded up to epoch %d after %d gaps", got, folds)
+	}
+	if allocs != gapFoldAllocs {
+		t.Errorf("a gap and its fold allocate %.1f times, want %d", allocs, gapFoldAllocs)
+	}
+}
+
 // TestGapEpochConcurrentReaders declares gaps while several goroutines
 // read the session's degraded state, as the pipeline, the worker pool and
 // the REST surface do: each epoch is folded at most once, in order, and

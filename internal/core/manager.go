@@ -762,7 +762,7 @@ func (m *Manager) drainQuiesced(ctx context.Context, timeout time.Duration) bool
 	}
 	quiet := 0
 	for m.clk.Now().Before(deadline) {
-		if len(m.opSub.C) == 0 && len(m.centralSub.C) == 0 &&
+		if buffered(m.opSub) == 0 && buffered(m.centralSub) == 0 &&
 			m.reorder.Pending() == 0 &&
 			len(m.workCh) == 0 && m.pending.Load() == 0 {
 			quiet++
@@ -836,7 +836,7 @@ func (q ManagerQueue) Depth() int {
 // Backlog is QueueDepth().Depth() without building the per-session map:
 // the figure a lease renewal reports, at no allocation per session.
 func (m *Manager) Backlog() int {
-	d := len(m.opSub.C) + len(m.centralSub.C)
+	d := buffered(m.opSub) + buffered(m.centralSub)
 	m.mu.Lock()
 	for _, s := range m.order {
 		d += s.Pending()
@@ -845,12 +845,21 @@ func (m *Manager) Backlog() int {
 	return max(d, len(m.workCh))
 }
 
+// buffered counts the events waiting in a subscription's buffer: 0 for
+// one Start has not created yet.
+func buffered(sub *logging.Subscription) int {
+	if sub == nil {
+		return 0
+	}
+	return len(sub.C)
+}
+
 // QueueDepth snapshots the manager's backlog.
 func (m *Manager) QueueDepth() ManagerQueue {
 	q := ManagerQueue{
 		Work:          len(m.workCh),
-		OpEvents:      len(m.opSub.C),
-		CentralEvents: len(m.centralSub.C),
+		OpEvents:      buffered(m.opSub),
+		CentralEvents: buffered(m.centralSub),
 		Sessions:      make(map[string]int),
 	}
 	m.mu.Lock()

@@ -388,3 +388,21 @@ func TestSpecCadenceWithoutConfigOverride(t *testing.T) {
 		t.Fatalf("periodic evaluations in one simulated minute = %d, want about 12 (every 5s)", fires)
 	}
 }
+
+// TestUnstartedManagerBacklog: Start creates the manager's bus
+// subscriptions, so before it the backlog reads count them as empty
+// instead of dereferencing a nil subscription.
+func TestUnstartedManagerBacklog(t *testing.T) {
+	m := newGapManager(t, newManualClock(), nil)
+	watchGap(t, m, "idle")
+	if n := m.Backlog(); n != 0 {
+		t.Errorf("Backlog = %d on an idle unstarted manager", n)
+	}
+	q := m.QueueDepth()
+	if q.Depth() != 0 || q.OpEvents != 0 || q.CentralEvents != 0 || len(q.Sessions) != 1 {
+		t.Errorf("QueueDepth = %+v on an idle unstarted manager", q)
+	}
+	if ok, q := m.DrainStranded(context.Background(), time.Second); !ok {
+		t.Errorf("an idle unstarted manager did not drain: %+v", q)
+	}
+}

@@ -194,8 +194,6 @@ func (s *Session) End() {
 // the hold is what a broadcast of every gap would have left. Ended
 // sessions observe nothing. It runs on every routed line and returns
 // without locking unless a gap is pending.
-//
-//podlint:hotpath budget=0
 func (s *Session) observeGap() {
 	if s.mgr.gap.Load().epoch <= s.gapSeen.Load() {
 		return
@@ -287,11 +285,9 @@ func (s *Session) baseParams(ev logging.Event) assertion.Params {
 
 // OnConformance replays the line on the session's private conformance
 // context and publishes the verdict. It runs for every routed line and may
-// not allocate on its own account (budget 0: the evidence entry and the
-// verdict event are recordLogEvent's and publishConformance's); a verdict
+// not allocate on its own account (the evidence entry and the verdict
+// event are recordLogEvent's and publishConformance's); a verdict
 // that is not fit leaves the per-line path for onAnomaly.
-//
-//podlint:hotpath budget=0
 func (s *Session) OnConformance(instanceID, line string, ev logging.Event) {
 	if s.ended() {
 		return
@@ -385,13 +381,10 @@ func parentsOf(ids ...uint64) []uint64 {
 // recordLogEvent anchors one routed line in the evidence timeline and
 // remembers it as the instance's latest entry, the parent for whatever
 // that line triggers.
-//
-//podlint:hotpath budget=1
 func (s *Session) recordLogEvent(instanceID string, ev logging.Event) uint64 {
 	if s.flight == nil {
 		return 0
 	}
-	//podlint:ignore GO010 the evidence ring takes ownership of Attrs — a per-entry map is part of the flight.Entry contract
 	attrs := map[string]string{"instance": instanceID}
 	if rep := ev.Field("reorder"); rep != "" {
 		attrs["reorder"] = rep

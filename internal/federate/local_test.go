@@ -68,6 +68,32 @@ func newFedRig(t *testing.T) *fedRig {
 	return &fedRig{clk: clk, front: front, m1: m1, m2: m2, ctx: context.Background()}
 }
 
+// TestRenewUnstartedMember renews a member whose factory builds its
+// Manager without starting it: the renewal reads the backlog of a manager
+// with no bus subscriptions yet, and reports it empty.
+func TestRenewUnstartedMember(t *testing.T) {
+	clk := clock.NewScaled(1200, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
+	bus := logging.NewBus()
+	t.Cleanup(bus.Close)
+	cloud := simaws.New(clk, simaws.FastProfile(), simaws.WithSeed(1), simaws.WithBus(bus))
+	m, err := NewLocalMember(LocalConfig{ID: "cold", NewManager: func() (*core.Manager, error) {
+		return core.NewManager(core.ManagerConfig{Cloud: cloud, Bus: bus})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := NewFront(clk, Config{LeaseTTL: 30 * time.Second})
+	if err := m.JoinFront(front); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.agent.RenewOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ms := front.Members(); len(ms) != 1 || ms[0].Pending != 0 {
+		t.Errorf("front membership after the renewal: %+v", ms)
+	}
+}
+
 func (r *fedRig) byID(id string) (*LocalMember, *LocalMember) {
 	if r.m1.ID() == id {
 		return r.m1, r.m2

@@ -5,7 +5,7 @@
 // dangling diagnosis-test reference, an assertion spec bound to a step the
 // process model does not define, or an unreachable root cause is silently
 // wrong until the exact failure that needs it. The package therefore lints
-// on three fronts:
+// on two fronts:
 //
 //   - Model linting: process models (PM001–PM008, built or raw JSON
 //     documents), assertion specifications (AS001–AS003), diagnosis plans
@@ -21,13 +21,10 @@
 //     (registered flight-recorder kinds), GO006 (goroutine leaks) and GO008
 //     (timers created per loop iteration). One held-lock walk per function
 //     runs GO003 (no blocking send under a mutex) and feeds the GO007
-//     lock-ordering graph. One walk per //podlint:hotpath function runs
-//     GO009 (defer in loop) and GO010 (allocation-prone constructs, plus a
-//     missing or malformed annotation); GO011 checks its heap-escape budget
-//     against the compiler's escape analysis.
+//     lock-ordering graph.
 //
-//   - Bench ratchet: RT001–RT003 compare go test -bench output against the
-//     committed BENCH_*.json baselines.
+// Allocation budgets are not linted: testing.AllocsPerRun tests beside
+// each hot path pin them.
 //
 // Every finding carries a stable rule ID, a severity, and a position
 // (file:line for source findings, an artifact locus for model findings).
@@ -148,13 +145,6 @@ const (
 	RuleSrcGoroutineLeak     = "GO006"
 	RuleSrcLockOrder         = "GO007"
 	RuleSrcTimerInLoop       = "GO008"
-	RuleSrcDeferInHotLoop    = "GO009"
-	RuleSrcHotAlloc          = "GO010"
-	RuleSrcEscapeBudget      = "GO011"
-
-	RuleRatchetNs       = "RT001"
-	RuleRatchetAllocs   = "RT002"
-	RuleRatchetBaseline = "RT003"
 )
 
 // RuleInfo documents one rule.
@@ -213,13 +203,6 @@ var ruleTable = map[string]RuleInfo{
 	RuleSrcGoroutineLeak:     {RuleSrcGoroutineLeak, SevError, "source", "goroutine loops on channel operations with no return/break — it can never exit and leaks"},
 	RuleSrcLockOrder:         {RuleSrcLockOrder, SevError, "source", "mutex acquisition cycle: two code paths take the same locks in opposite orders (deadlock)"},
 	RuleSrcTimerInLoop:       {RuleSrcTimerInLoop, SevError, "source", "timer channel created per loop iteration (time.After/clk.After in a loop) — hoist a Ticker"},
-	RuleSrcDeferInHotLoop:    {RuleSrcDeferInHotLoop, SevError, "source", "defer inside a loop of a hot-path function — defers pile up until function return"},
-	RuleSrcHotAlloc:          {RuleSrcHotAlloc, SevError, "source", "allocation-prone construct in a //podlint:hotpath function (fmt.Sprintf, unsized make, map literal, per-iteration closure)"},
-	RuleSrcEscapeBudget:      {RuleSrcEscapeBudget, SevError, "source", "hot-path function exceeds its declared heap-escape budget (compiler -gcflags=-m diagnostics)"},
-
-	RuleRatchetNs:       {RuleRatchetNs, SevError, "bench", "benchmark ns/op regressed past the ratchet threshold against the committed baseline"},
-	RuleRatchetAllocs:   {RuleRatchetAllocs, SevError, "bench", "benchmark allocs/op regressed against the committed baseline (any growth fails)"},
-	RuleRatchetBaseline: {RuleRatchetBaseline, SevWarning, "bench", "benchmark has no ratchet baseline in BENCH_*.json — its performance is unguarded"},
 }
 
 // Rules returns the rule registry sorted by ID.

@@ -658,12 +658,8 @@ func TestEveryRuleHasCoverage(t *testing.T) {
 	}
 	all = append(all, srcFindings...)
 
-	// Concurrency + hot-path rules (GO006–GO010), escape budgets (GO011)
-	// and the bench ratchet (RT001–RT003) — fixtures in hotpath_test.go.
-	all = append(all, hotpathFixtureFindings(t)...)
-	_, escFindings := escapeFixture(t)
-	all = append(all, escFindings...)
-	all = append(all, ratchetFixtureFindings()...)
+	// Concurrency rules (GO006–GO008) — fixtures in concurrency_test.go.
+	all = append(all, concurrencyFixtureFindings(t)...)
 
 	fired := make(map[string]bool)
 	for _, f := range all {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"maps"
+	"path"
 	"sort"
 	"strings"
 )
@@ -67,6 +68,15 @@ func (f *srcFile) walkLocks(fs *[]Finding, edges *[]lockEdge) {
 	}
 }
 
+// funcName renders a FuncDecl as findings name it, e.g.
+// "(*Processor).Process".
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	return "(" + exprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
+}
+
 // recvIdent returns the receiver identifier name and bare type name of a
 // method ("" for plain functions).
 func recvIdent(fd *ast.FuncDecl) [2]string {
@@ -76,6 +86,9 @@ func recvIdent(fd *ast.FuncDecl) [2]string {
 	t := exprString(fd.Recv.List[0].Type)
 	return [2]string{fd.Recv.List[0].Names[0].Name, strings.TrimPrefix(t, "*")}
 }
+
+// pkgDir returns the file's module-relative package directory.
+func (f *srcFile) pkgDir() string { return path.Dir(f.rel) }
 
 // lockID normalizes a lock receiver expression to its global identity.
 func (w *lockWalker) lockID(expr string) string {

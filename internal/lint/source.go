@@ -19,10 +19,6 @@ type srcFile struct {
 	fset    *token.FileSet
 	file    *ast.File
 	ignores map[int][]string // comment line -> suppressed rule ids ("" = all)
-	// hotBudgets maps the line of each //podlint:hotpath annotation to its
-	// declared heap-escape budget (noBudget when the annotation gives none,
-	// badBudget when it is malformed).
-	hotBudgets map[int]int
 }
 
 // LintSource parses every non-test Go file under the target directories
@@ -30,9 +26,8 @@ type srcFile struct {
 // analyzers: per file, one node walk (GO001, GO002, GO004, GO005, GO006,
 // GO008) and one held-lock walk per function (GO003, plus the edges of the
 // GO007 lock-ordering graph); then, over the whole tree, the lock-order
-// cycles and the hot-path pass (GO009, GO010). root is the module root;
-// findings are positioned relative to it. Suppressed findings are dropped
-// before returning.
+// cycles. root is the module root; findings are positioned relative to
+// it. Suppressed findings are dropped before returning.
 func LintSource(root string, targets []string) ([]Finding, error) {
 	files, err := loadSources(root, targets)
 	if err != nil {
@@ -45,7 +40,6 @@ func LintSource(root string, targets []string) ([]Finding, error) {
 		f.walkLocks(&fs, &edges)
 	}
 	fs = append(fs, lockCycleFindings(edges)...)
-	fs = append(fs, lintHotPaths(files)...)
 	Sort(fs)
 	return fs, nil
 }
@@ -98,16 +92,11 @@ func parseSource(root, path string) (*srcFile, error) {
 	if err != nil {
 		rel = path
 	}
-	sf := &srcFile{rel: filepath.ToSlash(rel), fset: fset, file: file,
-		ignores: make(map[int][]string), hotBudgets: make(map[int]int)}
+	sf := &srcFile{rel: filepath.ToSlash(rel), fset: fset, file: file, ignores: make(map[int][]string)}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
 			text = strings.TrimSpace(text)
-			if rest, ok := strings.CutPrefix(text, "podlint:hotpath"); ok {
-				sf.hotBudgets[fset.Position(c.Pos()).Line] = parseHotBudget(rest)
-				continue
-			}
 			rest, ok := strings.CutPrefix(text, "podlint:ignore")
 			if !ok {
 				continue

@@ -148,8 +148,6 @@ func (s *Subscription) drop() {
 // chaos duplicates) keep it. Events with CauseID == 0 are likewise
 // stamped with a bus-unique causality id; republished copies keep the
 // original, so every duplicate of one line shares one cause.
-//
-//podlint:hotpath budget=0
 func (b *Bus) Publish(e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

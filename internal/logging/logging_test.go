@@ -420,3 +420,29 @@ func TestBusPublishBoundedUnderConcurrentDrain(t *testing.T) {
 			received.Load(), b.Dropped(), total, published)
 	}
 }
+
+// TestPublishDoesNotAllocate pins Bus.Publish at zero allocations once
+// the event's sequence key exists: stamping Seq and CauseID, delivering
+// to a filtered subscriber, and evicting from a full one copy the Event
+// by value into channels that already exist.
+func TestPublishDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	b := NewBus()
+	defer b.Close()
+	ops := b.Subscribe(8, TypeFilter(TypeOperation))
+	full := b.Subscribe(1, nil) // never drained: every publish evicts
+	ev := sampleEvent()
+	b.Publish(ev) // creates the sequence key
+	<-ops.C
+	if n := testing.AllocsPerRun(400, func() {
+		b.Publish(ev)
+		<-ops.C
+	}); n != 0 {
+		t.Errorf("Publish allocates %.1f times on a warmed sequence key", n)
+	}
+	if full.Dropped() == 0 {
+		t.Fatal("the full subscriber never evicted: the eviction path was not driven")
+	}
+}

@@ -301,8 +301,6 @@ func (o *Op) Operation() string {
 // Record appends an entry, assigning and returning its ID. A zero At
 // is stamped from the recorder clock. Calling Record on a nil *Op is a
 // no-op returning 0, so disabled recording needs no call-site checks.
-//
-//podlint:hotpath budget=0
 func (o *Op) Record(e Entry) uint64 {
 	if o == nil {
 		return 0

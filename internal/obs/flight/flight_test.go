@@ -93,6 +93,25 @@ func TestRingBoundsAndDropCount(t *testing.T) {
 	}
 }
 
+// TestRecordDoesNotAllocate pins Op.Record at zero allocations for a
+// registered kind, whose entry counter is resolved once at init: the
+// entry is copied by value into a ring allocated when the operation
+// opened, including once the ring is full and overwrites its oldest.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	r := NewRecorder(testClock(), minCapacity)
+	op := r.Op("op-1")
+	e := Entry{Kind: KindLogEvent, Seq: 7, Message: "Terminating old instance i-7df34041", Attrs: map[string]string{"instance": "t"}}
+	if n := testing.AllocsPerRun(400, func() { op.Record(e) }); n != 0 {
+		t.Errorf("Record allocates %.1f times on a registered kind", n)
+	}
+	if r.Timeline("op-1").Dropped == 0 {
+		t.Fatal("the ring never wrapped: the overwrite path was not driven")
+	}
+}
+
 func TestTimelineKindFilter(t *testing.T) {
 	r := NewRecorder(testClock(), 32)
 	op := r.Op("op-1")

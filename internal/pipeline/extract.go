@@ -27,8 +27,6 @@ var extractors = []extractor{
 // scanInstanceID scans for \b(i-[0-9a-f]+)\b. The run is greedy and
 // stops at a byte outside [0-9a-f]; a shorter run would end between two
 // word bytes, so the boundary holds after the longest run or nowhere.
-//
-//podlint:hotpath budget=0
 func scanInstanceID(body string) (m [2]string, ok bool) {
 	for at := 0; ; at++ {
 		i := strings.Index(body[at:], "i-")
@@ -49,8 +47,6 @@ func scanInstanceID(body string) (m [2]string, ok bool) {
 
 // scanAMIID scans for \b(ami-[0-9a-zA-Z-]+)\b. The run may hold dashes,
 // so it is shortened from its longest end until a word boundary holds.
-//
-//podlint:hotpath budget=0
 func scanAMIID(body string) (m [2]string, ok bool) {
 	for at := 0; ; at++ {
 		i := strings.Index(body[at:], "ami-")
@@ -71,8 +67,6 @@ func scanAMIID(body string) (m [2]string, ok bool) {
 }
 
 // scanGroup scans for group (\S+).
-//
-//podlint:hotpath budget=0
 func scanGroup(body string) (m [2]string, ok bool) {
 	for at := 0; ; at++ {
 		i := strings.Index(body[at:], "group ")
@@ -90,8 +84,6 @@ func scanGroup(body string) (m [2]string, ok bool) {
 // scanProgress scans for \b(\d+) of (\d+) instances?\b. Each " of " pins
 // its match: the first number is the digits right before it, which must
 // start at a boundary, and the second the digits right after it.
-//
-//podlint:hotpath budget=0
 func scanProgress(body string) (m [2]string, ok bool) {
 	for at := 0; ; at++ {
 		i := strings.Index(body[at:], " of ")
@@ -122,8 +114,6 @@ func scanProgress(body string) (m [2]string, ok bool) {
 }
 
 // scanSorted scans for Sorted (\d+) instances.
-//
-//podlint:hotpath budget=0
 func scanSorted(body string) (m [2]string, ok bool) {
 	for at := 0; ; at++ {
 		i := strings.Index(body[at:], "Sorted ")

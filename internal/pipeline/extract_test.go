@@ -104,3 +104,22 @@ func FuzzExtractEqualsReference(f *testing.F) {
 	}
 	f.Fuzz(checkExtract)
 }
+
+// TestExtractorsDoNotAllocate pins each of the five scanners at zero
+// allocations over the corpus: a capture is a substring of the body and
+// the match array is returned by value.
+func TestExtractorsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	corpus := extractCorpus()
+	for _, x := range extractors {
+		if n := testing.AllocsPerRun(10, func() {
+			for _, body := range corpus {
+				x.scan(body)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %.1f times over the corpus", x.name, n)
+		}
+	}
+}

@@ -215,13 +215,6 @@ func (p *Processor) Snapshot() Stats {
 
 // Process runs one event through the pipeline, returning the annotated
 // event and whether it was forwarded to central storage.
-//
-// Budget note: 2 sites are the Clone's tag/field copies (the one
-// per-event copy the pipeline pays); the other 4 are the statically
-// inlined lazy-map make of SetField at each call site, of which at most
-// one executes per event.
-//
-//podlint:hotpath budget=6
 func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	p.stats.seen.Add(1)
 	mEvSeen.Inc()

@@ -166,11 +166,6 @@ func keyOf(e logging.Event) sourceKey {
 // ones) are delivered synchronously; duplicates are dropped; out-of-order
 // events are held until their predecessors arrive, the watermark expires,
 // or the window overflows.
-//
-// Budget note: the admitted site is the per-source state created on the
-// first event of a new stream, not per-event work.
-//
-//podlint:hotpath budget=1
 func (b *ReorderBuffer) Offer(ev logging.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

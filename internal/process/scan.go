@@ -51,8 +51,6 @@ const searchLit = -1
 type byteClass [256]bool
 
 // match reports whether the pattern matches somewhere in line.
-//
-//podlint:hotpath budget=0
 func (s *scan) match(line string) bool {
 	for from := 0; ; {
 		i := strings.Index(line[from:], s.head)
