@@ -10,11 +10,11 @@ import (
 )
 
 // logPipelineAllocs is what BenchmarkLogPipeline's 21-line trace
-// allocates through pipeline.Process, 4 per line, all for the annotated
-// copy of the event: its fields map (2) and its tag slice growing twice
-// (2). The Asgard timestamp parse, classification, field extraction and
-// the memory sink contribute none.
-const logPipelineAllocs = 84
+// allocates through pipeline.Process, 3 per line, all for the annotated
+// copy of the event: its fields map (2) and its one tag slice, sized for
+// the tags the line gets (1). The Asgard timestamp parse,
+// classification, field extraction and the memory sink contribute none.
+const logPipelineAllocs = 63
 
 // TestLogPipelineAllocations pins BenchmarkLogPipeline's trace.
 func TestLogPipelineAllocations(t *testing.T) {

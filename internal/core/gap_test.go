@@ -62,7 +62,7 @@ func newGapManager(t *testing.T, clk *manualClock, mutate func(*ManagerConfig)) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.timers.StopAll)
+	t.Cleanup(m.Stop)
 	return m
 }
 

@@ -175,6 +175,8 @@ type Manager struct {
 	gc     sync.WaitGroup
 	workCh chan func()
 	stop   chan struct{}
+	// stopped makes Stop run once.
+	stopped sync.Once
 }
 
 // shard maps process instance ids to their owning session and tracks the
@@ -401,20 +403,28 @@ func (m *Manager) Start() {
 }
 
 // Stop shuts down the manager: timers, pipeline, workers, GC. Pending
-// queued work is discarded; in-flight work completes.
+// queued work is discarded; in-flight work completes. It is safe on a
+// manager that was never started (which has no subscriptions to
+// cancel), and calls after the first do nothing.
 func (m *Manager) Stop() {
-	m.timers.StopAll()
-	// Close the operation stream first and wait for the reorder consume
-	// goroutine to drain it into the processor before stopping anything
-	// downstream.
-	m.opSub.Cancel()
-	m.pipeWG.Wait()
-	m.processor.Stop()
-	m.central.Stop()
-	m.centralSub.Cancel()
-	close(m.stop)
-	m.work.Wait()
-	m.gc.Wait()
+	m.stopped.Do(func() {
+		m.timers.StopAll()
+		// Close the operation stream first and wait for the reorder
+		// consume goroutine to drain it into the processor before
+		// stopping anything downstream.
+		if m.opSub != nil {
+			m.opSub.Cancel()
+		}
+		m.pipeWG.Wait()
+		m.processor.Stop()
+		m.central.Stop()
+		if m.centralSub != nil {
+			m.centralSub.Cancel()
+		}
+		close(m.stop)
+		m.work.Wait()
+		m.gc.Wait()
+	})
 }
 
 // WatchOption customizes a session at registration time.
@@ -870,35 +880,4 @@ func (m *Manager) QueueDepth() ManagerQueue {
 		q.Sessions[s.id] = s.Pending()
 	}
 	return q
-}
-
-// verdictTags are the tag slices of published verdict events, one per
-// verdict and shared by every event that carries it. Full to capacity, so
-// a subscriber appending a tag gets its own copy.
-var verdictTags = map[conformance.Verdict][]string{
-	conformance.VerdictFit:          {conformance.VerdictFit.Tag()},
-	conformance.VerdictUnfit:        {conformance.VerdictUnfit.Tag()},
-	conformance.VerdictError:        {conformance.VerdictError.Tag()},
-	conformance.VerdictUnclassified: {conformance.VerdictUnclassified.Tag()},
-}
-
-// publishConformance logs the verdict to the bus (merged into central
-// storage like the paper's conformance service results). It runs once per
-// routed line: the message is one concatenation, the tags are shared.
-func (m *Manager) publishConformance(instanceID string, res conformance.Result, ev logging.Event) {
-	verdict := string(res.Verdict)
-	m.cfg.Bus.Publish(logging.Event{
-		Timestamp:  ev.Timestamp,
-		Source:     "conformance.log",
-		SourceHost: "pod-conformance",
-		Type:       logging.TypeConformance,
-		Tags:       verdictTags[res.Verdict],
-		Fields: map[string]string{
-			"taskid":  instanceID,
-			"stepid":  res.StepID,
-			"verdict": verdict,
-		},
-		Message: "[conformance] [" + instanceID + "] [" + res.StepID + "] verdict=" + verdict +
-			" activity=" + res.ActivityID,
-	})
 }

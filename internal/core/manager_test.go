@@ -169,7 +169,10 @@ func TestTwoOverlappingFaultedUpgrades(t *testing.T) {
 	beta := r.addOp(t, "beta", 3)
 
 	// alpha: fault 2 (key pair changed mid-upgrade); beta: fault 1 (AMI
-	// changed by a concurrent rogue team). Both are cluster-scoped.
+	// changed by a concurrent rogue team). Both are cluster-scoped. Each
+	// flip strikes once its group runs the upgrade's launch configuration:
+	// an upgrade takes only a few simulated seconds, so any fixed delay
+	// could land after it.
 	injA := faultinject.NewInjector(r.cloud, alpha.cluster, 7)
 	defer injA.Heal()
 	injB := faultinject.NewInjector(r.cloud, beta.cluster, 11)
@@ -178,11 +181,11 @@ func TestTwoOverlappingFaultedUpgrades(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_ = injA.Inject(r.ctx, faultinject.KindKeyPairChanged, 10*time.Second, alpha.spec.NewLCName, alpha.newAMI)
+		_ = injA.Inject(r.ctx, faultinject.KindKeyPairChanged, 0, alpha.spec.NewLCName, alpha.newAMI)
 	}()
 	go func() {
 		defer wg.Done()
-		_ = injB.Inject(r.ctx, faultinject.KindAMIChanged, 10*time.Second, beta.spec.NewLCName, beta.newAMI)
+		_ = injB.Inject(r.ctx, faultinject.KindAMIChanged, 0, beta.spec.NewLCName, beta.newAMI)
 	}()
 	r.runAll(t, []*op{alpha, beta})
 	wg.Wait()
@@ -405,4 +408,20 @@ func TestUnstartedManagerBacklog(t *testing.T) {
 	if ok, q := m.DrainStranded(context.Background(), time.Second); !ok {
 		t.Errorf("an idle unstarted manager did not drain: %+v", q)
 	}
+}
+
+// TestStopIsSafeAndIdempotent: Stop on a built but never started
+// manager has no bus subscriptions to cancel and must not dereference
+// them; a second Stop, on either a started or an unstarted manager, does
+// nothing.
+func TestStopIsSafeAndIdempotent(t *testing.T) {
+	unstarted := newGapManager(t, newManualClock(), nil)
+	watchGap(t, unstarted, "idle")
+	unstarted.Stop()
+	unstarted.Stop()
+
+	started := newGapManager(t, newManualClock(), nil)
+	started.Start()
+	started.Stop()
+	started.Stop()
 }

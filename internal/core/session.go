@@ -85,6 +85,14 @@ type Session struct {
 	// lastEntry maps instance id -> latest log-event evidence entry, the
 	// causal anchor for assertions and detections triggered by that line.
 	lastEntry map[string]uint64
+	// logAttrs maps instance id -> the {"instance": id} attrs that every
+	// log.event entry of the instance shares (recordLogEvent); read-only
+	// once made. Nil until the first line.
+	logAttrs map[string]map[string]string
+	// verdictFields holds the read-only Fields map every published
+	// verdict event of one (instance, step, verdict) shares
+	// (publishConformance). Nil until the first verdict.
+	verdictFields map[verdictKey]map[string]string
 	// flightGap is the latest stream-gap evidence entry; degraded
 	// detections cite it as a contributing parent.
 	flightGap uint64
@@ -308,7 +316,7 @@ func (s *Session) OnConformance(instanceID, line string, ev logging.Event) {
 	degraded := s.degradedNow()
 	res := s.checker.CheckLossy(instanceID, line, ev.Timestamp, degraded)
 	s.rev.Add(1)
-	s.mgr.publishConformance(instanceID, res, ev)
+	s.publishConformance(instanceID, res, ev)
 	if res.Verdict.IsAnomalous() {
 		s.onAnomaly(instanceID, line, ev, res, evEntry, degraded)
 	}
@@ -380,28 +388,88 @@ func parentsOf(ids ...uint64) []uint64 {
 
 // recordLogEvent anchors one routed line in the evidence timeline and
 // remembers it as the instance's latest entry, the parent for whatever
-// that line triggers.
+// that line triggers. Entries of one instance share one attrs map; a
+// line the reorder buffer stamped gets its own, carrying the stamp.
 func (s *Session) recordLogEvent(instanceID string, ev logging.Event) uint64 {
 	if s.flight == nil {
 		return 0
 	}
-	attrs := map[string]string{"instance": instanceID}
-	if rep := ev.Field("reorder"); rep != "" {
-		attrs["reorder"] = rep
-	}
-	id := s.flight.Record(flight.Entry{
+	e := flight.Entry{
 		Kind:    flight.KindLogEvent,
 		At:      ev.Timestamp,
 		Seq:     ev.Seq,
 		Cause:   ev.CauseID,
 		Message: ev.Message,
-		Attrs:   attrs,
-	})
+	}
+	if rep := ev.Field("reorder"); rep != "" {
+		e.Attrs = map[string]string{"instance": instanceID, "reorder": rep}
+	}
 	s.mu.Lock()
+	if e.Attrs == nil {
+		if e.Attrs = s.logAttrs[instanceID]; e.Attrs == nil {
+			if s.logAttrs == nil {
+				s.logAttrs = make(map[string]map[string]string)
+			}
+			e.Attrs = map[string]string{"instance": instanceID}
+			s.logAttrs[instanceID] = e.Attrs
+		}
+	}
+	id := s.flight.Record(e)
 	s.lastEntry[instanceID] = id
 	s.rev.Add(1)
 	s.mu.Unlock()
 	return id
+}
+
+// verdictKey names the verdict events that share one Fields map.
+type verdictKey struct {
+	instance, step string
+	verdict        conformance.Verdict
+}
+
+// verdictTags are the tag slices of published verdict events, one per
+// verdict and shared by every event that carries it. Full to capacity, so
+// a subscriber appending a tag gets its own copy.
+var verdictTags = map[conformance.Verdict][]string{
+	conformance.VerdictFit:          {conformance.VerdictFit.Tag()},
+	conformance.VerdictUnfit:        {conformance.VerdictUnfit.Tag()},
+	conformance.VerdictError:        {conformance.VerdictError.Tag()},
+	conformance.VerdictUnclassified: {conformance.VerdictUnclassified.Tag()},
+}
+
+// publishConformance logs the verdict to the bus (merged into central
+// storage like the paper's conformance service results). It runs once per
+// routed line: the message is one concatenation, the tags are shared per
+// verdict and the Fields map per (instance, step, verdict). Both are
+// read-only once published; a subscriber that annotates a verdict event
+// clones it first, as pipeline.Process does.
+func (s *Session) publishConformance(instanceID string, res conformance.Result, ev logging.Event) {
+	verdict := string(res.Verdict)
+	key := verdictKey{instanceID, res.StepID, res.Verdict}
+	s.mu.Lock()
+	fields := s.verdictFields[key]
+	if fields == nil {
+		if s.verdictFields == nil {
+			s.verdictFields = make(map[verdictKey]map[string]string)
+		}
+		fields = map[string]string{
+			"taskid":  instanceID,
+			"stepid":  res.StepID,
+			"verdict": verdict,
+		}
+		s.verdictFields[key] = fields
+	}
+	s.mu.Unlock()
+	s.mgr.cfg.Bus.Publish(logging.Event{
+		Timestamp:  ev.Timestamp,
+		Source:     "conformance.log",
+		SourceHost: "pod-conformance",
+		Type:       logging.TypeConformance,
+		Tags:       verdictTags[res.Verdict],
+		Fields:     fields,
+		Message: "[conformance] [" + instanceID + "] [" + res.StepID + "] verdict=" + verdict +
+			" activity=" + res.ActivityID,
+	})
 }
 
 // recordDetection admits a detection into the evidence timeline and

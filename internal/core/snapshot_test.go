@@ -41,16 +41,18 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 		"degradedUntil": "DegradedUntil",
 	}
 	excluded := map[string]string{ // Session field -> why handoff may drop it
-		"mgr":         "rewired to the adopting manager by RestoreSession",
-		"spec":        "re-parsed from SpecText against the adopting registry",
-		"remCtl":      "not serializable; re-attached via WithRemediationController",
-		"pending":     "transient backlog counter; work does not survive the owner",
-		"rev":         "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
-		"remRev":      "the adopting manager's remediation engine counts the imported ledger's writes",
-		"mu":          "lock",
-		"stepCancel":  "one-off step timers re-arm on the next step event",
-		"perioCancel": "periodic timers re-armed by RestoreSession",
-		"gapSeen":     "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
+		"mgr":           "rewired to the adopting manager by RestoreSession",
+		"spec":          "re-parsed from SpecText against the adopting registry",
+		"remCtl":        "not serializable; re-attached via WithRemediationController",
+		"pending":       "transient backlog counter; work does not survive the owner",
+		"rev":           "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
+		"remRev":        "the adopting manager's remediation engine counts the imported ledger's writes",
+		"mu":            "lock",
+		"stepCancel":    "one-off step timers re-arm on the next step event",
+		"perioCancel":   "periodic timers re-armed by RestoreSession",
+		"gapSeen":       "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
+		"logAttrs":      "derived cache of read-only {instance: id} maps; the adopter rebuilds one per instance on its first line",
+		"verdictFields": "derived cache of read-only verdict Fields maps; the adopter rebuilds one per (instance, step, verdict) on first use",
 	}
 	st := reflect.TypeOf(Session{})
 	snapT := reflect.TypeOf(SessionSnapshot{})
@@ -93,7 +95,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = inj.Inject(r.ctx, faultinject.KindKeyPairChanged, 10*time.Second, alpha.spec.NewLCName, alpha.newAMI)
+		// No delay: the flip strikes once the group runs the upgrade's
+		// launch configuration, seconds before the first step-7 check; the
+		// whole upgrade takes only a few simulated seconds, so any fixed
+		// delay could land after it.
+		_ = inj.Inject(r.ctx, faultinject.KindKeyPairChanged, 0, alpha.spec.NewLCName, alpha.newAMI)
 	}()
 	r.runAll(t, []*op{alpha})
 	<-done
@@ -121,7 +127,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(b.timers.StopAll)
+	t.Cleanup(b.Stop)
 	if _, err := b.RestoreSession(&wire); err != nil {
 		t.Fatal(err)
 	}

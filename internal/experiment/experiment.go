@@ -113,9 +113,11 @@ type RunSpec struct {
 	Interferences []faultinject.Interference `json:"interferences,omitempty"`
 	// Seed drives all per-run randomness.
 	Seed int64 `json:"seed"`
-	// InjectDelay pins the fault-injection time (anchored to the new
-	// launch configuration appearing). Zero draws a random delay, as in
-	// the paper's "random point of time during rolling upgrade".
+	// InjectDelay pins the fault-injection delay, counted from the
+	// operation's start (from the failover, in a federated run); the
+	// injector then still waits for the new launch configuration. Zero
+	// draws a random delay, as in the paper's "random point of time
+	// during rolling upgrade".
 	InjectDelay time.Duration `json:"injectDelay,omitempty"`
 	// ExpectedCauses lists extra root-cause node ids that count as a
 	// correct diagnosis of the run's ground truth. Scenario runs whose

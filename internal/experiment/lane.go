@@ -219,6 +219,13 @@ func (l *lane) prepare(ctx context.Context, sc Scenario, spec RunSpec, appName s
 	if err := cluster.WaitReady(ctx, l.cloud, 10*time.Minute); err != nil {
 		return nil, err
 	}
+	// Ready in the live state is not ready in every view: a stale read
+	// inside the consistency window can still show a member booting, and
+	// the orchestrator would leave that member off its replacement list.
+	// The operation starts once no view predates the ready cluster.
+	if err := l.clk.Sleep(ctx, l.profile.ConsistencyWindow()+l.profile.TickInterval); err != nil {
+		return nil, err
+	}
 	newAMI, err := l.cloud.RegisterImage(ctx, appName+"-v2", "v2", upgrade.AppServices)
 	if err != nil {
 		return nil, err
@@ -259,10 +266,23 @@ func (l *lane) run(ctx context.Context, sc Scenario, spec RunSpec, appName strin
 	// reproduces them regardless of scheduling.
 	injectDelay, interfereDelays := sc.delays(spec)
 	injector := faultinject.NewInjector(l.cloud, o.watched, spec.Seed^0xfa17)
+	// A federated run's ground truth strikes the adopter: its delay counts
+	// from the failover, so the fault manifests after the handoff however
+	// long the failover took, not at a fixed time racing the operation's
+	// end.
+	failedOver := make(chan struct{})
+	if l.front == nil {
+		close(failedOver)
+	}
 	var injecting sync.WaitGroup
 	injecting.Add(2)
 	go func() {
 		defer injecting.Done()
+		select {
+		case <-failedOver:
+		case <-ctx.Done():
+			return
+		}
 		switch {
 		case sc.storm:
 			_ = injector.Storm(ctx, stormSize(spec), injectDelay, 15*time.Second)
@@ -285,7 +305,9 @@ func (l *lane) run(ctx context.Context, sc Scenario, spec RunSpec, appName strin
 	holder, sess := l.mgr, o.sess // a federated lane has neither until failover
 	if l.front != nil {
 		res.KilledMember = o.owner
-		if adopter := l.failover(ctx, o); adopter != nil {
+		adopter := l.failover(ctx, o)
+		close(failedOver)
+		if adopter != nil {
 			res.AdoptedBy = adopter.ID()
 			holder = adopter.Manager()
 			sess = holder.Session(o.id)

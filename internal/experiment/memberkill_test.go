@@ -33,8 +33,10 @@ func TestChaosMemberKill(t *testing.T) {
 	}
 	spec := RunSpec{
 		ID: 300, Fault: faultinject.KindKeyPairChanged, ClusterSize: 2,
-		Seed:        611,
-		InjectDelay: 75 * time.Second,
+		Seed: 611,
+		// Counted from the failover: the flip lands well before the
+		// replacement's step-7 line, whose assertions must see it.
+		InjectDelay: 10 * time.Second,
 	}
 	// Same bounded uninformative-run retry as the other chaos gates: a
 	// run that carries no information about the handoff loop — the

@@ -35,7 +35,8 @@ type Scenario struct {
 	drive   func(ctx context.Context, up *upgrade.Upgrader, o *operation) *upgrade.Report
 	// storm replaces spec.Fault with a spot-interruption storm that always
 	// fires. The injection waits delay plus a uniform draw of jitter whole
-	// seconds after the operation starts, unless spec.InjectDelay pins it.
+	// seconds after the operation starts (after the failover, in a
+	// federated run), unless spec.InjectDelay pins it.
 	storm  bool
 	delay  time.Duration
 	jitter int
@@ -90,12 +91,12 @@ var (
 	}
 	// MemberKill is the federation chaos run: three members watch a
 	// closed-loop rolling upgrade, the owner is crashed after replicating
-	// its session, and the fault manifests after failover, so the adopter
-	// must diagnose and heal it.
+	// its session, and the fault strikes delay after the failover, so the
+	// adopter must diagnose and heal it.
 	MemberKill = Scenario{
 		label: "member-kill run", app: "mk", task: "pushing %s mk-%d", session: "mk-%d",
 		manager: closedLoopManager, watched: upgradedCluster, drive: rollingUpgrade,
-		delay: 75 * time.Second, closedLoop: true,
+		delay: 10 * time.Second, closedLoop: true,
 		members: []string{"fed-a", "fed-b", "fed-c"},
 	}
 )

@@ -260,7 +260,7 @@ func TestScenarioDelays(t *testing.T) {
 			{"Heal", Heal, fault, time.Second},
 			{"BlueGreen", BlueGreen, fault, 5*time.Second + firstDraw(seed, 40)},
 			{"SpotStorm", SpotStorm, clean, 20 * time.Second},
-			{"MemberKill", MemberKill, fault, 75 * time.Second},
+			{"MemberKill", MemberKill, fault, 10 * time.Second},
 			{"clean run injects nothing", RollingUpgrade, clean, 0},
 			{"InjectDelay pins the draw", BlueGreen, RunSpec{Seed: seed, Fault: faultinject.KindAMIChanged, InjectDelay: 3 * time.Second}, 3 * time.Second},
 		} {

@@ -139,17 +139,18 @@ func (inj *Injector) Inject(ctx context.Context, kind Kind, delay time.Duration,
 		return err
 	}
 	switch kind {
-	// Configuration flips wait for the upgrade's own launch configuration
-	// so the concurrent change strikes mid-upgrade (after step 2), as in
-	// the paper's scenario of independent teams racing on the same group.
+	// Configuration flips wait until the group runs on the upgrade's own
+	// launch configuration so the concurrent change strikes mid-upgrade
+	// (after step 2), as in the paper's scenario of independent teams
+	// racing on the same group.
 	case KindAMIChanged:
-		return inj.waitThen(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "ami") })
+		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "ami") })
 	case KindKeyPairChanged:
-		return inj.waitThen(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "key") })
+		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "key") })
 	case KindSGChanged:
-		return inj.waitThen(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "sg") })
+		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "sg") })
 	case KindInstanceTypeChanged:
-		return inj.waitThen(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "type") })
+		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "type") })
 	case KindAMIUnavailable:
 		return inj.waitThen(ctx, newLCName, func() error {
 			return inj.cloud.DeregisterImage(ctx, newAMI)
@@ -180,21 +181,22 @@ func (inj *Injector) Heal() {
 // flipLaunchConfig simulates a concurrent independent team switching the
 // ASG to a launch configuration that differs in one dimension. The group
 // may not exist yet when the flip fires — blue/green deploys create the
-// launch configuration first and the group moments later — so the
-// describe polls briefly for the group to appear.
+// launch configuration first and the group moments later — and the
+// group's launch configuration may be moments old, so both describes
+// poll briefly through NotFound.
 func (inj *Injector) flipLaunchConfig(ctx context.Context, dim string) error {
-	asg, err := inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
-	for deadline := inj.clk.Now().Add(2 * time.Minute); err != nil && simaws.IsNotFound(err) && inj.clk.Now().Before(deadline); {
-		if serr := inj.clk.Sleep(ctx, time.Second); serr != nil {
-			return serr
-		}
+	var asg simaws.ASG
+	if err := inj.describeFresh(ctx, func() (err error) {
 		asg, err = inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
-	}
-	if err != nil {
+		return err
+	}); err != nil {
 		return fmt.Errorf("faultinject: %w", err)
 	}
-	cur, err := inj.cloud.DescribeLaunchConfiguration(ctx, asg.LaunchConfigName)
-	if err != nil {
+	var cur simaws.LaunchConfig
+	if err := inj.describeFresh(ctx, func() (err error) {
+		cur, err = inj.cloud.DescribeLaunchConfiguration(ctx, asg.LaunchConfigName)
+		return err
+	}); err != nil {
 		return fmt.Errorf("faultinject: %w", err)
 	}
 	rogue := cur
@@ -230,16 +232,49 @@ func (inj *Injector) flipLaunchConfig(ctx context.Context, dim string) error {
 	return nil
 }
 
+// describeFresh calls describe until it answers something other than
+// NotFound, once a second for up to 2 minutes of simulated time: an
+// eventually consistent read may not show a resource created moments ago
+// yet, even after a fresher read of another resource referenced it.
+func (inj *Injector) describeFresh(ctx context.Context, describe func() error) error {
+	err := describe()
+	for deadline := inj.clk.Now().Add(2 * time.Minute); err != nil && simaws.IsNotFound(err) && inj.clk.Now().Before(deadline); {
+		if serr := inj.clk.Sleep(ctx, time.Second); serr != nil {
+			return serr
+		}
+		err = describe()
+	}
+	return err
+}
+
 // waitThen waits until the upgrade's new launch configuration exists (so
 // resource deletion strikes mid-upgrade, not before LC validation), then
-// applies f. If the LC never appears within 2 minutes of simulated time,
-// f is applied anyway.
+// applies f.
 func (inj *Injector) waitThen(ctx context.Context, newLCName string, f func() error) error {
+	return inj.waitUntil(ctx, newLCName, func() bool {
+		_, err := inj.cloud.DescribeLaunchConfiguration(ctx, newLCName)
+		return err == nil
+	}, f)
+}
+
+// waitInUse waits until the group runs on the upgrade's new launch
+// configuration, then applies f. Its mere existence is not enough for a
+// flip: the upgrade creates the launch configuration and only then
+// switches the group onto it, so a flip landing in between is
+// overwritten by that switch and the fault never manifests.
+func (inj *Injector) waitInUse(ctx context.Context, newLCName string, f func() error) error {
+	return inj.waitUntil(ctx, newLCName, func() bool {
+		asg, err := inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
+		return err == nil && asg.LaunchConfigName == newLCName
+	}, f)
+}
+
+// waitUntil polls ready once a second of simulated time, then applies f.
+// If ready never holds within 2 minutes of simulated time (or newLCName
+// is empty), f is applied anyway.
+func (inj *Injector) waitUntil(ctx context.Context, newLCName string, ready func() bool, f func() error) error {
 	deadline := inj.clk.Now().Add(2 * time.Minute)
-	for newLCName != "" && inj.clk.Now().Before(deadline) {
-		if _, err := inj.cloud.DescribeLaunchConfiguration(ctx, newLCName); err == nil {
-			break
-		}
+	for newLCName != "" && inj.clk.Now().Before(deadline) && !ready() {
 		if err := inj.clk.Sleep(ctx, time.Second); err != nil {
 			return err
 		}

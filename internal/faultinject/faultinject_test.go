@@ -167,6 +167,45 @@ func TestWaitThenWaitsForLC(t *testing.T) {
 	}
 }
 
+// TestFlipWaitsForGroupSwitch: a configuration flip waits until the
+// group runs on the upgrade's launch configuration, not merely until that
+// configuration exists; a flip between the two would be overwritten by
+// the upgrade's own switch and never manifest.
+func TestFlipWaitsForGroupSwitch(t *testing.T) {
+	e := newInjEnv(t, 1)
+	if err := e.cloud.CreateLaunchConfiguration(e.ctx, simaws.LaunchConfig{
+		Name: "upcoming-lc", ImageID: e.cluster.ImageID, KeyName: e.cluster.KeyName,
+		SecurityGroups: []string{e.cluster.SGName}, InstanceType: "m1.medium",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- e.inj.Inject(e.ctx, KindKeyPairChanged, 0, "upcoming-lc", "")
+	}()
+	// The launch configuration exists from the start; give the injector
+	// several polls (10s of simulated time) before the group switches.
+	time.Sleep(10 * time.Millisecond)
+	if err := e.cloud.UpdateAutoScalingGroup(e.ctx, e.cluster.ASGName, "upcoming-lc", -1, -1, -1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("injector never finished")
+	}
+	lc := e.currentLC(t)
+	if lc.Name == "upcoming-lc" || lc.KeyName == e.cluster.KeyName {
+		t.Fatalf("group runs %s (key %s): the flip was overwritten by the switch", lc.Name, lc.KeyName)
+	}
+	if lc.InstanceType != "m1.medium" {
+		t.Errorf("flip copied instance type %s, want the switched-to configuration's m1.medium", lc.InstanceType)
+	}
+}
+
 func TestInterferenceScaleIn(t *testing.T) {
 	e := newInjEnv(t, 3)
 	if err := e.inj.Interfere(e.ctx, InterferenceScaleIn, 0); err != nil {

@@ -62,10 +62,15 @@ type Event struct {
 
 // Clone returns a deep copy of the event, so that pipeline stages can
 // annotate without aliasing the caller's slices and maps.
-func (e Event) Clone() Event {
+func (e Event) Clone() Event { return e.CloneWithRoom(0) }
+
+// CloneWithRoom is Clone with room for extraTags more tags, so a stage
+// that annotates its copy allocates the tag slice once instead of
+// growing it per AddTag.
+func (e Event) CloneWithRoom(extraTags int) Event {
 	out := e
-	if e.Tags != nil {
-		out.Tags = make([]string, len(e.Tags))
+	if e.Tags != nil || extraTags > 0 {
+		out.Tags = make([]string, len(e.Tags), len(e.Tags)+extraTags)
 		copy(out.Tags, e.Tags)
 	}
 	if e.Fields != nil {

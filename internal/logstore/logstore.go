@@ -16,11 +16,19 @@ import (
 	"poddiagnosis/internal/logging"
 )
 
+// chunkSize is how many events one chunk of a Store holds.
+const chunkSize = 1024
+
 // Store is the central log storage: an append-only, queryable event log.
-// It is safe for concurrent use.
+// Events are appended into fixed-size chunks, so the store grows one
+// chunk at a time and never copies a full one. It is safe for
+// concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	events []logging.Event
+	mu sync.Mutex
+	// chunks hold the events in arrival order; every chunk but the last
+	// is full.
+	chunks [][]logging.Event
+	n      int
 }
 
 var _ logging.Sink = (*Store)(nil)
@@ -32,22 +40,29 @@ func NewStore() *Store { return &Store{} }
 func (s *Store) Write(e logging.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, e)
+	if s.n%chunkSize == 0 {
+		s.chunks = append(s.chunks, make([]logging.Event, 0, chunkSize))
+	}
+	last := &s.chunks[len(s.chunks)-1]
+	*last = append(*last, e)
+	s.n++
 }
 
 // Len returns the number of stored events.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events)
+	return s.n
 }
 
 // All returns a copy of every event in arrival order.
 func (s *Store) All() []logging.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]logging.Event, len(s.events))
-	copy(out, s.events)
+	out := make([]logging.Event, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -69,26 +84,28 @@ func (s *Store) Select(q Query) []logging.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []logging.Event
-	for _, e := range s.events {
-		if q.Type != "" && e.Type != q.Type {
-			continue
-		}
-		if q.InstanceID != "" {
-			id := e.Field("processinstanceid")
-			if id == "" {
-				id = e.Field("taskid")
-			}
-			if id != q.InstanceID {
+	for _, c := range s.chunks {
+		for _, e := range c {
+			if q.Type != "" && e.Type != q.Type {
 				continue
 			}
+			if q.InstanceID != "" {
+				id := e.Field("processinstanceid")
+				if id == "" {
+					id = e.Field("taskid")
+				}
+				if id != q.InstanceID {
+					continue
+				}
+			}
+			if q.Tag != "" && !e.HasTag(q.Tag) {
+				continue
+			}
+			if !q.Since.IsZero() && e.Timestamp.Before(q.Since) {
+				continue
+			}
+			out = append(out, e)
 		}
-		if q.Tag != "" && !e.HasTag(q.Tag) {
-			continue
-		}
-		if !q.Since.IsZero() && e.Timestamp.Before(q.Since) {
-			continue
-		}
-		out = append(out, e)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
 	return out
@@ -99,13 +116,15 @@ func (s *Store) InstanceIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := make(map[string]bool)
-	for _, e := range s.events {
-		id := e.Field("processinstanceid")
-		if id == "" {
-			id = e.Field("taskid")
-		}
-		if id != "" {
-			seen[id] = true
+	for _, c := range s.chunks {
+		for _, e := range c {
+			id := e.Field("processinstanceid")
+			if id == "" {
+				id = e.Field("taskid")
+			}
+			if id != "" {
+				seen[id] = true
+			}
 		}
 	}
 	out := make([]string, 0, len(seen))

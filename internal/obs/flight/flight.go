@@ -7,8 +7,10 @@
 // that caused it, so a confirmed cause can be walked back to the exact
 // log event that triggered the diagnosis. Rings are bounded per
 // operation (oldest entries are overwritten, with a drop counter) and
-// dropped together with session retention, so the recorder's memory is
-// O(operations x capacity) regardless of run length.
+// dropped together with session retention. A ring starts small and
+// grows as entries arrive, up to its capacity, so the recorder's memory
+// is O(entries held) — at most O(operations x capacity) — regardless of
+// run length.
 package flight
 
 import (
@@ -107,7 +109,11 @@ type Entry struct {
 	SpanID uint64 `json:"spanId,omitempty"`
 	// Message is a one-line human-readable summary.
 	Message string `json:"message,omitempty"`
-	// Attrs carries structured detail (step, check, retries, ...).
+	// Attrs carries structured detail (step, check, retries, ...). It
+	// is read-only once recorded: recorders may share one map between
+	// entries (every log.event of one instance cites the same
+	// {"instance": id} map), so a reader that wants to change it copies
+	// it first.
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
@@ -149,6 +155,12 @@ const DefaultCapacity = 256
 // minCapacity keeps rings large enough to hold at least one full
 // detection->cause chain even under misconfiguration.
 const minCapacity = 16
+
+// initialEntries is the backing array a new ring starts with (or the
+// capacity, if smaller): enough for a clean operation's whole trace on
+// every benchmark workload, so rings grow only for operations that
+// record more.
+const initialEntries = 32
 
 // Recorder owns the per-operation rings. All methods are safe for
 // concurrent use; a nil *Recorder is a valid no-op recorder (every
@@ -193,7 +205,7 @@ func (r *Recorder) Op(operation string) *Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if o = r.ops[operation]; o == nil {
-		o = &Op{rec: r, operation: operation, buf: make([]Entry, r.capacity)}
+		o = &Op{rec: r, operation: operation, buf: make([]Entry, min(initialEntries, r.capacity))}
 		r.ops[operation] = o
 		mOps.Set(float64(len(r.ops)))
 	}
@@ -264,12 +276,16 @@ func (r *Recorder) Timeline(operation string, kinds ...Kind) Timeline {
 	return tl
 }
 
-// Op is one operation's bounded entry ring.
+// Op is one operation's bounded entry ring. Its backing array grows by
+// doubling, capped at the recorder's capacity, until it holds capacity
+// entries; only then does the ring wrap and overwrite its oldest entry.
 type Op struct {
 	rec       *Recorder
 	operation string
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// buf holds the entries; until the ring is full they are buf[:next]
+	// and len(buf) only bounds how many fit before the next growth.
 	buf     []Entry
 	next    int
 	full    bool
@@ -319,15 +335,27 @@ func (o *Op) Record(e Entry) uint64 {
 		o.dropped++
 		mDropped.Inc()
 	}
-	o.buf[o.next] = e
-	o.next++
-	if o.next == len(o.buf) {
-		o.next = 0
-		o.full = true
-	}
+	o.putLocked(e)
 	o.writes.Add(1)
 	o.mu.Unlock()
 	return e.ID
+}
+
+// putLocked stores e at the ring's write position, growing the backing
+// array when a ring that is not yet full runs out of room and wrapping
+// once the ring holds capacity entries; o.mu must be held.
+func (o *Op) putLocked(e Entry) {
+	if o.next == len(o.buf) {
+		grown := make([]Entry, min(max(2*len(o.buf), initialEntries), o.rec.capacity))
+		copy(grown, o.buf)
+		o.buf = grown
+	}
+	o.buf[o.next] = e
+	o.next++
+	if o.next == o.rec.capacity {
+		o.next = 0
+		o.full = true
+	}
 }
 
 // snapshotLocked copies the ring oldest-first into one never-nil slice

@@ -95,8 +95,9 @@ func TestRingBoundsAndDropCount(t *testing.T) {
 
 // TestRecordDoesNotAllocate pins Op.Record at zero allocations for a
 // registered kind, whose entry counter is resolved once at init: the
-// entry is copied by value into a ring allocated when the operation
-// opened, including once the ring is full and overwrites its oldest.
+// entry is copied by value into the ring's backing array (at this
+// capacity, the whole ring is allocated when the operation opens),
+// including once the ring is full and overwrites its oldest.
 func TestRecordDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")

@@ -22,9 +22,17 @@ func (r *Recorder) Import(tl Timeline) *Op {
 	dropped := tl.Dropped
 	var maxID uint64
 	o.mu.Lock()
+	if len(entries) > r.capacity {
+		dropped += uint64(len(entries) - r.capacity)
+		entries = entries[len(entries)-r.capacity:]
+	}
+	// Size the ring to what it imports: reuse the backing array when the
+	// entries fit (clearing what the import does not overwrite), else
+	// allocate exactly their number; Record grows it from there.
 	if len(entries) > len(o.buf) {
-		dropped += uint64(len(entries) - len(o.buf))
-		entries = entries[len(entries)-len(o.buf):]
+		o.buf = make([]Entry, len(entries))
+	} else {
+		clear(o.buf[len(entries):])
 	}
 	o.next = 0
 	o.full = false
@@ -32,12 +40,7 @@ func (r *Recorder) Import(tl Timeline) *Op {
 		if e.ID > maxID {
 			maxID = e.ID
 		}
-		o.buf[o.next] = e
-		o.next++
-		if o.next == len(o.buf) {
-			o.next = 0
-			o.full = true
-		}
+		o.putLocked(e)
 	}
 	o.dropped = dropped
 	o.writes.Add(1)

@@ -246,10 +246,22 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 	}
 
 	// Log annotator: process context tags and extracted fields. One Clone
-	// buys a private copy; every annotation after it mutates in place —
-	// the WithTag/WithField chain this replaces re-cloned the whole event
-	// (tags slice + fields map) per annotation.
-	out := ev.Clone()
+	// buys a private copy, its tag slice sized for the tags added below;
+	// every annotation after it mutates in place — the WithTag/WithField
+	// chain this replaces re-cloned the whole event (tags slice + fields
+	// map) per annotation. The input event is never written: its maps
+	// and slices may be shared with other events.
+	newTags := 0
+	if classified {
+		newTags++
+		if node.StepID != "" {
+			newTags++
+		}
+	}
+	if isError {
+		newTags++
+	}
+	out := ev.CloneWithRoom(newTags)
 	if instanceID != "" {
 		out.SetField("processinstanceid", instanceID)
 	}

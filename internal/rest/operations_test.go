@@ -125,14 +125,15 @@ func TestOperationsRoundTrip(t *testing.T) {
 		t.Fatalf("unknown id error = %v", err)
 	}
 
-	// Run the upgrade with a key-pair fault injected mid-flight.
+	// Run the upgrade with a key-pair fault injected mid-flight: once the
+	// group runs the upgrade's launch configuration.
 	inj := faultinject.NewInjector(e.cloud, cluster, 7)
 	defer inj.Heal()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = inj.Inject(e.ctx, faultinject.KindKeyPairChanged, 10*time.Second, spec.NewLCName, newAMI)
+		_ = inj.Inject(e.ctx, faultinject.KindKeyPairChanged, 0, spec.NewLCName, newAMI)
 	}()
 	upgrade.NewUpgrader(e.cloud, e.bus).Run(e.ctx, spec)
 	wg.Wait()

@@ -72,14 +72,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	mgr.Start()
 
 	// Fault 2 (key pair changed mid-upgrade): a concurrent team flips the
-	// launch configuration once the upgrade creates its own LC, so the
-	// monitor must detect and diagnose a wrong-keypair root cause.
+	// launch configuration once the group runs the upgrade's own LC, so
+	// the monitor must detect and diagnose a wrong-keypair root cause.
 	injector := faultinject.NewInjector(cloud, cluster, 7)
 	defer injector.Heal()
 	injectDone := make(chan struct{})
 	go func() {
 		defer close(injectDone)
-		_ = injector.Inject(ctx, faultinject.KindKeyPairChanged, 10*time.Second, spec.NewLCName, newAMI)
+		_ = injector.Inject(ctx, faultinject.KindKeyPairChanged, 0, spec.NewLCName, newAMI)
 	}()
 
 	rep := NewUpgrader(cloud, bus).Run(ctx, spec)
