@@ -76,6 +76,8 @@ func (c *Client) Clock() clock.Clock { return c.clk }
 // satisfied. Terminal resource errors (e.g. NotFound) are returned
 // immediately since retrying cannot change them — except that a NotFound
 // may itself be stale, so one retry is allowed for not-found conditions.
+// The doubling back-off is slept only between attempts: a call that gives
+// up returns as soon as its last read is in.
 func eventually[T any](ctx context.Context, c *Client, fetch func(context.Context) (T, error), pred func(T) bool) (T, bool, error) {
 	var last T
 	// Every read through this layer belongs to POD's own monitoring plane;
@@ -111,6 +113,14 @@ func eventually[T any](ctx context.Context, c *Client, fetch func(context.Contex
 			}
 		default:
 			return last, false, err
+		}
+		// Sleep only between attempts: no read follows the last attempt,
+		// nor a back-off that would end past the deadline.
+		if attempt+1 == cfg.MaxAttempts {
+			break
+		}
+		if c.clk.Now().Add(backoff).After(deadline) {
+			return last, false, fmt.Errorf("%w after %v: %w", ErrAPITimeout, cfg.CallTimeout, lastErr)
 		}
 		if err := c.clk.Sleep(ctx, backoff); err != nil {
 			return last, false, err

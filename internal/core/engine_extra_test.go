@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -253,5 +254,44 @@ func TestInvalidAssertionSpecRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// TestStragglerAfterProcessEndArmsNothing: once an instance's process has
+// ended, a line that arrives after its final one re-arms neither the
+// periodic capacity timer nor a step timer.
+func TestStragglerAfterProcessEndArmsNothing(t *testing.T) {
+	m := newGapManager(t, newManualClock(), func(c *ManagerConfig) {
+		c.DisableAssertions = false
+		c.AssertionSpec = "every 60s assert asg-instance-count want={min}\n" +
+			"after step5 timeout assert asg-version-count want={next}\n" +
+			"after step6 timeout assert asg-version-count want={next}\n"
+	})
+	sess, err := m.Watch(Expectation{ASGName: "pm--asg", ClusterSize: 2}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := func() int {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return len(sess.perioCancel) + len(sess.stepCancel)
+	}
+	now := m.clk.Now()
+	const waiting = "Waiting for group pm--asg to start a new instance"
+	for i := 0; i < 3; i++ {
+		task := fmt.Sprintf("task-%d", i)
+		m.processor.Process(opEvent(now, task, "Starting rolling upgrade of group pm--asg to image ami-x"))
+		m.processor.Process(opEvent(now, task, waiting))
+		if armed() < 2 {
+			t.Fatalf("%s: %d timers armed mid-process, want the periodic and the step timer", task, armed())
+		}
+		m.processor.Process(opEvent(now, task, "Rolling upgrade task completed"))
+		if n := armed(); n != 0 {
+			t.Fatalf("%s: %d timers still armed after the final line", task, n)
+		}
+	}
+	m.processor.Process(opEvent(now, "task-1", waiting))
+	if n := armed(); n != 0 {
+		t.Errorf("a straggler line after the final one armed %d timers", n)
 	}
 }

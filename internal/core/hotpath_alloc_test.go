@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/logging"
+	"poddiagnosis/internal/pipeline"
 	"poddiagnosis/internal/simaws"
 )
 
@@ -77,4 +79,74 @@ func TestIngestLineAllocationCeiling(t *testing.T) {
 		t.Errorf("a fit line allocates %.1f times through Process and OnConformance, ceiling %d", allocs, lineAllocCeiling)
 	}
 	t.Logf("%.2f allocations per fit line (ceiling %d)", allocs, lineAllocCeiling)
+}
+
+// TestUnownedRouteCostIndependentOfSessions pins the route of a line whose
+// instance no session owns while no session adopts (the federated member's
+// case for the lines another member owns): a shard lookup and a counter,
+// with no allocation, no session visited and no registry lock taken, so
+// it costs the same with 1 and with 1000 bound-only sessions.
+func TestUnownedRouteCostIndependentOfSessions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	ev := logging.Event{Type: logging.TypeOperation, Fields: map[string]string{"taskid": "stranger", "asgid": "op-0--asg"}}
+	for _, n := range []int{1, 1000} {
+		m := newGapManager(t, newManualClock(), nil)
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("op-%d", i)
+			if _, err := m.Watch(Expectation{ASGName: id + "--asg", ClusterSize: 2}, WithSessionID(id), BindInstance(id+"-task")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.route("stranger", ev) }); allocs != 0 {
+			t.Errorf("%d sessions: routing an unowned instance allocates %.1f times", n, allocs)
+		}
+		// With the registry locked, a route that scanned the sessions
+		// would wait here.
+		done := make(chan bool, 1)
+		m.mu.Lock()
+		go func() { done <- m.route("stranger", ev) == nil }()
+		select {
+		case dropped := <-done:
+			if !dropped {
+				t.Errorf("%d sessions: an unowned instance was routed to a session", n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%d sessions: routing an unowned instance waits for the session registry", n)
+		}
+		m.mu.Unlock()
+	}
+}
+
+// TestAdoptersFollowRegistry: the adoption scan runs exactly while some
+// registered session may adopt — Watch and RestoreSession count such a
+// session in, drop counts it out.
+func TestAdoptersFollowRegistry(t *testing.T) {
+	m := newGapManager(t, newManualClock(), nil)
+	ev := logging.Event{Type: logging.TypeOperation, Fields: map[string]string{"taskid": "pm--asg-task"}}
+	s, err := m.Watch(Expectation{ASGName: "pm--asg", ClusterSize: 2}, WithSessionID("pm"), MatchASGInstances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := m.route("pm--asg-task", ev); h != pipeline.Handler(s) {
+		t.Fatalf("a matching session did not adopt the instance: %v", h)
+	}
+	snap, err := m.ExportSession("pm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Remove("pm")
+	if got := m.adopters.Load(); got != 0 {
+		t.Fatalf("%d adopters after the only one was removed", got)
+	}
+	if _, err := m.RestoreSession(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.adopters.Load(); got != 1 {
+		t.Fatalf("%d adopters after restoring one", got)
+	}
+	if h := m.route("pm--asg-other", ev); h == nil {
+		t.Error("the restored session did not adopt a new matching instance")
+	}
 }

@@ -43,9 +43,12 @@ var (
 	// ended) and "dropped" (no session claims it).
 	mRouted = obs.Default.CounterVec("pod_manager_routed_total",
 		"Annotated events routed to sessions by outcome.", "outcome")
-	// The per-line outcome, resolved once (CounterVec.With locks and
+	// The per-line outcomes, resolved once (CounterVec.With locks and
 	// allocates per call).
 	mRoutedSession = mRouted.With("session")
+	mRoutedAdopted = mRouted.With("adopted")
+	mRoutedEnded   = mRouted.With("ended")
+	mRoutedDropped = mRouted.With("dropped")
 	mDrainStranded = obs.Default.Counter("pod_manager_drain_stranded_total",
 		"Backlog items (buffered events plus queued and in-flight work) still outstanding when a Drain timed out.")
 )
@@ -152,6 +155,9 @@ type Manager struct {
 	flight      *flight.Recorder  // nil when DisableFlight
 	rem         *remediate.Engine // nil unless cfg.Remediation is enabled
 	workers     int
+	// attrs shares the sessions' evidence attrs maps (verdicts, checks,
+	// steps and statuses repeat across operations).
+	attrs flight.AttrTable
 
 	opSub      *logging.Subscription
 	centralSub *logging.Subscription
@@ -168,6 +174,10 @@ type Manager struct {
 	sessions map[string]*Session
 	order    []*Session // insertion order, for adoption scans and listings
 	nextID   int
+	// adopters counts the sessions in order that may adopt an unknown
+	// instance (matchAny or matchASG); written under mu. While it is zero,
+	// route drops an unowned instance's line without the adoption scan.
+	adopters atomic.Int64
 
 	pending atomic.Int64 // queued + in-flight work items across all sessions
 
@@ -548,8 +558,7 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 	if m.rem != nil {
 		s.remRev = m.rem.Revision(s.id)
 	}
-	m.sessions[s.id] = s
-	m.order = append(m.order, s)
+	m.register(s)
 	m.mu.Unlock()
 
 	for _, id := range o.bind {
@@ -557,6 +566,15 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 	}
 	mSessions.With(string(SessionActive)).Inc()
 	return s, nil
+}
+
+// register adds a new session to the registry; m.mu must be held.
+func (m *Manager) register(s *Session) {
+	m.sessions[s.id] = s
+	m.order = append(m.order, s)
+	if s.adopts() {
+		m.adopters.Add(1)
+	}
 }
 
 // Session returns the session with the given id, or nil.
@@ -609,11 +627,15 @@ func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 	sh.mu.RUnlock()
 	if s != nil {
 		if s.ended() {
-			mRouted.With("ended").Inc()
+			mRoutedEnded.Inc()
 			return nil
 		}
 		mRoutedSession.Inc()
 		return s
+	}
+	if m.adopters.Load() == 0 {
+		mRoutedDropped.Inc()
+		return nil
 	}
 
 	// Adoption scan: the first event of an unknown instance may carry the
@@ -633,10 +655,10 @@ func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 	m.mu.Unlock()
 	if s != nil {
 		m.bind(instanceID, s, false)
-		mRouted.With("adopted").Inc()
+		mRoutedAdopted.Inc()
 		return s
 	}
-	mRouted.With("dropped").Inc()
+	mRoutedDropped.Inc()
 	return nil
 }
 
@@ -705,6 +727,9 @@ func (m *Manager) drop(victims []*Session) {
 	for _, s := range m.order {
 		if dead[s] {
 			delete(m.sessions, s.id)
+			if s.adopts() {
+				m.adopters.Add(-1)
+			}
 			mSessions.With(string(SessionEnded)).Add(-1)
 			continue
 		}

@@ -259,6 +259,10 @@ func (s *Session) ended() bool {
 	return s.state == SessionEnded
 }
 
+// adopts reports whether the session may claim instances nobody bound to
+// it (MatchAnyInstance or MatchASGInstances). Immutable after Watch.
+func (s *Session) adopts() bool { return s.matchAny || s.matchASG }
+
 // adopt records that an instance id has been routed to this session.
 func (s *Session) adopt(instanceID string, explicit bool) {
 	s.mu.Lock()
@@ -335,11 +339,7 @@ func (s *Session) onAnomaly(instanceID, line string, ev logging.Event, res confo
 		At:      ev.Timestamp,
 		Parents: parentsOf(evEntry),
 		Message: res.Summary(),
-		Attrs: map[string]string{
-			"verdict":  string(res.Verdict),
-			"step":     stepID,
-			"degraded": strconv.FormatBool(degraded),
-		},
+		Attrs:   s.mgr.attrs.Get("verdict", string(res.Verdict), "step", stepID, "degraded", strconv.FormatBool(degraded)),
 	})
 	key := "conf|" + instanceID + "|" + string(res.Verdict) + "|" + stepID
 	if !s.shouldDiagnose(key) {
@@ -499,12 +499,8 @@ func (s *Session) recordDetection(src diagnosis.Source, triggerID, stepID, msg s
 		At:      now,
 		Parents: parents,
 		Message: msg,
-		Attrs: map[string]string{
-			"source":   string(src),
-			"trigger":  triggerID,
-			"step":     stepID,
-			"degraded": strconv.FormatBool(degraded),
-		},
+		Attrs: s.mgr.attrs.Get("source", string(src), "trigger", triggerID, "step", stepID,
+			"degraded", strconv.FormatBool(degraded)),
 	})
 	return id, now
 }
@@ -590,9 +586,17 @@ func (s *Session) OnErrorLine(instanceID, line string, ev logging.Event) {}
 
 // OnProcessStart arms the periodic capacity assertion (§III.B.1: "the
 // timer setter uses the log line indicating the start of the operation
-// process to start the periodic timer").
+// process to start the periodic timer"). An instance whose process has
+// already ended arms nothing: a straggler line after its final one must
+// not restart the timers OnProcessEnd stopped.
 func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
-	if s.mgr.cfg.DisableAssertions || s.ended() {
+	if s.mgr.cfg.DisableAssertions {
+		return
+	}
+	s.mu.Lock()
+	over := s.state == SessionEnded || s.completed[instanceID]
+	s.mu.Unlock()
+	if over {
 		return
 	}
 	base := s.expect.params()
@@ -659,7 +663,7 @@ func (s *Session) OnProcessEnd(instanceID string, ev logging.Event) {
 	}
 	s.completed[instanceID] = true
 	s.rev.Add(1)
-	autoEnd := !s.matchAny && !s.matchASG && s.state == SessionActive && len(s.bound) > 0
+	autoEnd := !s.adopts() && s.state == SessionActive && len(s.bound) > 0
 	if autoEnd {
 		for id := range s.bound {
 			if !s.completed[id] {
@@ -751,11 +755,7 @@ func (s *Session) evaluateAndMaybeDiagnose(checkID string, p assertion.Params,
 		At:      res.EvaluatedAt,
 		Parents: parentsOf(anchor),
 		Message: res.Message,
-		Attrs: map[string]string{
-			"check":   checkID,
-			"trigger": string(trig.Source),
-			"status":  res.Status.String(),
-		},
+		Attrs:   s.mgr.attrs.Get("check", checkID, "trigger", string(trig.Source), "status", res.Status.String()),
 	})
 	key := "assert|" + trig.ProcessInstanceID + "|" + checkID + "|" + trig.StepID
 	if !s.shouldDiagnose(key) {
@@ -796,14 +796,15 @@ func (s *Session) evaluateAndMaybeDiagnose(checkID string, p assertion.Params,
 // arms a new one sized from the step's historical duration: if the next
 // step's log line does not arrive in time, the high-level version-count
 // assertion is evaluated with the next expected progress (a purely
-// timer-based trigger, which carries no instance id — §VI.A).
+// timer-based trigger, which carries no instance id — §VI.A). A completed
+// process has no next step, so its lines arm none.
 func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 	s.mu.Lock()
 	if cancel, ok := s.stepCancel[instanceID]; ok {
 		cancel()
 		delete(s.stepCancel, instanceID)
 	}
-	if node.ID == process.NodeCompleted {
+	if node.ID == process.NodeCompleted || s.completed[instanceID] {
 		s.mu.Unlock()
 		return
 	}

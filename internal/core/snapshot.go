@@ -255,8 +255,7 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 		m.flight.Drop(s.id)
 		return nil, fmt.Errorf("core: session %q already exists", s.id)
 	}
-	m.sessions[s.id] = s
-	m.order = append(m.order, s)
+	m.register(s)
 	m.mu.Unlock()
 
 	for _, id := range snap.Instances {

@@ -133,6 +133,12 @@ type Request struct {
 	// known lossy (a sequence gap within the degraded hold window). The
 	// resulting Diagnosis echoes the flag and discounts its confidence.
 	Degraded bool `json:"degraded,omitempty"`
+
+	// logFields is the {taskid, stepid} field map every log line of one
+	// diagnosis run carries. Diagnose builds it once for the run (the
+	// Diagnosis echoes the request without it); published events are
+	// read-only, so all of the run's lines share it.
+	logFields map[string]string
 }
 
 // Cause is one diagnosed root cause.
@@ -256,6 +262,10 @@ type Engine struct {
 	sem   chan struct{} // bounds extra walk goroutines; nil = sequential
 	cache *SharedCache  // nil when disabled
 	resil *resilience.Executor
+	// attrs shares the evidence entries' attrs maps: a run's entries
+	// carry plan nodes, checks, statuses and steps, which repeat across
+	// runs.
+	attrs flight.AttrTable
 
 	// testHookBind, when set, observes every plan a run binds (regression
 	// hook: each selected plan is bound exactly once per run).
@@ -324,9 +334,11 @@ type run struct {
 
 	// op is the operation's evidence ring (nil-safe no-op when the
 	// request carried none) and diagEntry the run's timeline record;
-	// both are read-only after construction.
+	// both are read-only after construction. attrs is the engine's
+	// shared attrs table.
 	op        *flight.Op
 	diagEntry uint64
+	attrs     *flight.AttrTable
 	// views are the selected plans, compiled for the request's step
 	// context, kept so confirmed causes can cite their entry-to-node path
 	// and fan-in parents.
@@ -396,17 +408,16 @@ func (r *run) recordTest(n *diagplan.VNode, status, key, value string, out *resi
 	if r.op == nil {
 		return
 	}
-	attrs := map[string]string{key: value, "check": n.CheckID, "node": n.ID, "status": status}
+	var labels [6]string
 	if out != nil {
-		for k, v := range out.Labels() {
-			attrs[k] = v
-		}
+		labels = out.LabelPairs()
 	}
 	id := r.op.Record(flight.Entry{
 		Kind:    flight.KindTest,
 		Parents: parentsOf(r.diagEntry),
 		Message: "test " + n.CheckID + " on " + n.ID + ": " + status,
-		Attrs:   attrs,
+		Attrs: r.attrs.Get(key, value, "check", n.CheckID, "node", n.ID, "status", status,
+			labels[0], labels[1], labels[2], labels[3], labels[4], labels[5]),
 	})
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -500,10 +511,14 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	if req.Degraded {
 		d.Confidence = 0.5
 	}
+	if e.bus != nil {
+		req.logFields = map[string]string{"taskid": req.ProcessInstanceID, "stepid": req.StepID}
+	}
 	r := &run{
 		req: req, diag: d,
 		latch:   !e.opts.ContinueAfterConfirm,
 		op:      flight.FromContext(ctx),
+		attrs:   &e.attrs,
 		claimed: newBitset(e.cat.NodeCount()),
 	}
 	r.testsLeft.Store(int64(e.opts.MaxTests))
@@ -533,16 +548,8 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	}
 
 	if r.op != nil {
-		attrs := map[string]string{
-			"source": string(req.Source),
-			"faults": strconv.Itoa(d.PotentialFaults),
-		}
-		if req.StepID != "" {
-			attrs["step"] = req.StepID
-		}
-		if req.AssertionID != "" {
-			attrs["assertion"] = req.AssertionID
-		}
+		attrs := e.attrs.Get("source", string(req.Source), "faults", strconv.Itoa(d.PotentialFaults),
+			"step", req.StepID, "assertion", req.AssertionID)
 		d.EvidenceID = r.op.Record(flight.Entry{
 			Kind:    flight.KindDiagnosis,
 			At:      started,
@@ -766,16 +773,12 @@ func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string)
 	r.mu.Lock()
 	te := r.testEntry(c.NodeID)
 	r.mu.Unlock()
-	attrs := map[string]string{
-		"node":      c.NodeID,
-		"confirmed": strconv.FormatBool(confirmed),
+	var parents string
+	if n != nil {
+		parents = n.Parents
 	}
-	if path != "" {
-		attrs["path"] = path
-	}
-	if n != nil && n.Parents != "" {
-		attrs["parents"] = n.Parents
-	}
+	attrs := r.attrs.Get("node", c.NodeID, "confirmed", strconv.FormatBool(confirmed),
+		"path", path, "parents", parents)
 	msg := "confirmed cause: " + c.Description
 	if !confirmed {
 		msg = "suspected cause: " + c.Description
@@ -992,10 +995,7 @@ func (e *Engine) log(req Request, parts ...string) {
 		SourceHost: "pod-diagnosis",
 		Type:       logging.TypeDiagnosis,
 		Tags:       logTags,
-		Fields: map[string]string{
-			"taskid": req.ProcessInstanceID,
-			"stepid": req.StepID,
-		},
-		Message: b.String(),
+		Fields:     req.logFields,
+		Message:    b.String(),
 	})
 }

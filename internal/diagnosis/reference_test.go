@@ -599,8 +599,9 @@ func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (asser
 	r.mu.Unlock()
 	attrs := map[string]string{"cached": strconv.FormatBool(res.Cached)}
 	if outcome == OutcomeEvaluated {
-		for k, v := range resOut.Labels() {
-			attrs[k] = v
+		l := resOut.LabelPairs()
+		for i := 0; i < len(l); i += 2 {
+			attrs[l[i]] = l[i+1]
 		}
 	}
 	r.recordTest(n, res.Status.String(), attrs)

@@ -121,9 +121,14 @@ func (n *VNode) Description(params assertion.Params) string {
 
 // TestParams returns the parameters of the node's diagnosis test: the
 // request parameters overridden by the node's rendered CheckParams. The
-// returned map is new and the call's only allocation beyond the rendering
-// of overrides that carry placeholders.
+// result is read-only: a node without CheckParams returns request itself,
+// so every test of a run shares the request's map; otherwise the merged
+// copy is the call's only allocation beyond the rendering of overrides
+// that carry placeholders.
 func (n *VNode) TestParams(request assertion.Params) assertion.Params {
+	if len(n.checkParams) == 0 {
+		return request
+	}
 	out := request.Merge(n.checkParams)
 	for _, p := range n.templated {
 		out[p.key] = p.value.render(request)

@@ -157,10 +157,11 @@ const DefaultCapacity = 256
 const minCapacity = 16
 
 // initialEntries is the backing array a new ring starts with (or the
-// capacity, if smaller): enough for a clean operation's whole trace on
-// every benchmark workload, so rings grow only for operations that
-// record more.
-const initialEntries = 32
+// capacity, if smaller): enough for a clean operation's whole trace (21
+// entries on ingest_clean) and for a whole detection-to-remediation chain
+// (14-17 on diagnose_storm), so rings grow only for operations that record
+// more, such as those whose stream was lossy.
+const initialEntries = 24
 
 // Recorder owns the per-operation rings. All methods are safe for
 // concurrent use; a nil *Recorder is a valid no-op recorder (every
@@ -370,6 +371,59 @@ func (o *Op) snapshotLocked() []Entry {
 		out = append(out, o.buf[o.next:]...)
 	}
 	return append(out, o.buf[:o.next]...)
+}
+
+// AttrTable shares read-only Attrs maps among entries: every Get with the
+// same key/value pairs returns the same map. Recorders use it for attrs
+// drawn from small value sets — check ids, plan nodes, steps, statuses —
+// so a thousand operations that record the same evidence hold one map
+// between them instead of a thousand. It keeps at most attrTableCap maps
+// (and none with more than eight pairs); past that each Get returns a map
+// of its own. The zero value is ready for use and safe for concurrent
+// use.
+type AttrTable struct {
+	mu sync.Mutex
+	m  map[attrKey]map[string]string
+}
+
+// attrKey holds up to eight key/value pairs, in the order given.
+type attrKey [16]string
+
+const attrTableCap = 4096
+
+// Get returns a map of the key/value pairs in kv (key, value, key, value,
+// ...), leaving out every pair whose value is empty. The map is shared:
+// it must not be changed.
+func (t *AttrTable) Get(kv ...string) map[string]string {
+	if len(kv) > len(attrKey{}) {
+		return pairs(kv)
+	}
+	var key attrKey
+	copy(key[:], kv)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if m, ok := t.m[key]; ok {
+		return m
+	}
+	m := pairs(kv)
+	if t.m == nil {
+		t.m = make(map[attrKey]map[string]string)
+	}
+	if len(t.m) < attrTableCap {
+		t.m[key] = m
+	}
+	return m
+}
+
+// pairs builds the map of kv's pairs with a non-empty value.
+func pairs(kv []string) map[string]string {
+	m := make(map[string]string, len(kv)/2)
+	for i := 0; i+1 < len(kv); i += 2 {
+		if kv[i+1] != "" {
+			m[kv[i]] = kv[i+1]
+		}
+	}
+	return m
 }
 
 // Context propagation. Sessions hand diagnosis a background context, so

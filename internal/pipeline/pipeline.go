@@ -46,7 +46,8 @@ type Triggers struct {
 	// ErrorLine fires for lines matching known-error patterns.
 	ErrorLine func(instanceID, line string, ev logging.Event)
 	// ProcessStart fires on the first activity of an instance (starts
-	// the periodic timer, §III.B.1).
+	// the periodic timer, §III.B.1), and again on a straggler line after
+	// its final activity (see Handler.OnProcessStart).
 	ProcessStart func(instanceID string, ev logging.Event)
 	// ProcessEnd fires on the final activity (stops the periodic timer).
 	ProcessEnd func(instanceID string, ev logging.Event)
@@ -64,7 +65,9 @@ type Handler interface {
 	OnStepEvent(instanceID string, node *process.Node, ev logging.Event)
 	// OnErrorLine fires for lines matching known-error patterns.
 	OnErrorLine(instanceID, line string, ev logging.Event)
-	// OnProcessStart fires on the first activity of an instance.
+	// OnProcessStart fires on the first activity of an instance — and
+	// again on a straggler line classified after its final activity, which
+	// a handler that saw the instance end ignores.
 	OnProcessStart(instanceID string, ev logging.Event)
 	// OnProcessEnd fires on the final activity. It is delivered after the
 	// final event's OnConformance/OnStepEvent so post-completion
@@ -118,7 +121,9 @@ type Processor struct {
 	route  Router       // nil means the static handler below
 	static Handler      // legacy Triggers adapter; may be nil
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// started holds the instances whose first activity was seen and whose
+	// final one was not yet: OnProcessStart fires when an instance enters.
 	started map[string]bool
 	stats   statCounters
 
@@ -334,9 +339,17 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 
 	// The process-end hook fires after the final event's own triggers so
 	// post-completion assertions are scheduled before the handler tears
-	// its timers down.
-	if isEnd && h != nil {
-		h.OnProcessEnd(instanceID, out)
+	// its timers down. The instance then leaves the started set, which
+	// therefore holds only processes still running; a straggler line
+	// after the final one reaches OnProcessStart again, and handlers
+	// ignore it for an instance they saw end.
+	if isEnd {
+		if h != nil {
+			h.OnProcessEnd(instanceID, out)
+		}
+		p.mu.Lock()
+		delete(p.started, instanceID)
+		p.mu.Unlock()
 	}
 
 	// Forward "important" lines — classified activities and errors — to

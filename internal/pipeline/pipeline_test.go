@@ -137,6 +137,29 @@ func TestProcessStartAndEndFireOnce(t *testing.T) {
 	}
 }
 
+// TestStartedSetForgetsEndedProcesses: the processor remembers an
+// instance only while its process runs, so the set a long-lived processor
+// holds does not grow with every instance it has ever seen.
+func TestStartedSetForgetsEndedProcesses(t *testing.T) {
+	starts := 0
+	p := New(process.RollingUpgradeModel(), nil, Triggers{
+		ProcessStart: func(string, logging.Event) { starts++ },
+	})
+	const n = 5
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("t%d", i)
+		p.Process(opEvent(id, "Starting rolling upgrade of group g to image ami-1"))
+		p.Process(opEvent(id, "Sorted 2 instances for replacement"))
+		p.Process(opEvent(id, "Rolling upgrade task completed"))
+	}
+	p.mu.Lock()
+	held := len(p.started)
+	p.mu.Unlock()
+	if held != 0 || starts != n {
+		t.Fatalf("after %d complete processes: %d instances held, %d starts", n, held, starts)
+	}
+}
+
 func TestStepEventCallbackReceivesNode(t *testing.T) {
 	var steps []string
 	p := New(process.RollingUpgradeModel(), nil, Triggers{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +121,12 @@ type Engine struct {
 	// revs counts ledger writes per operation (see Revision); every
 	// write to a record in byOp bumps its operation's count under mu.
 	revs map[string]*OpRevision
+
+	// attrs shares the audit entries' attrs maps: they hold only what
+	// the action, its mode, the cause and the outcome determine (the
+	// remediation id is in each entry's message), so the remediations of
+	// one cause cite one map per entry.
+	attrs flight.AttrTable
 }
 
 // NewEngine builds an engine over a catalog and policy. A nil catalog
@@ -205,7 +212,7 @@ func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
 		}
 		e.seq++
 		r := &Remediation{
-			ID:             fmt.Sprintf("rm-%d", e.seq),
+			ID:             "rm-" + strconv.FormatUint(e.seq, 10),
 			Operation:      tr.Operation,
 			Action:         b.Action.Name,
 			Class:          b.Action.Class,
@@ -232,15 +239,9 @@ func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
 		r.ActionEntry = r.fl.Record(flight.Entry{
 			Kind:    flight.KindRemediationAction,
 			Parents: parents(tr.CauseEntry),
-			Message: fmt.Sprintf("remediation %s: %s (%s) for cause %s", r.ID, r.Action, mode, tr.CauseNode),
-			Attrs: map[string]string{
-				"remediation": r.ID,
-				"action":      r.Action,
-				"class":       r.Class,
-				"mode":        string(mode),
-				"cause":       tr.CauseNode,
-				"path":        tr.CausePath,
-			},
+			Message: "remediation " + r.ID + ": " + r.Action + " (" + string(mode) + ") for cause " + tr.CauseNode,
+			Attrs: e.attrs.Get("action", r.Action, "class", r.Class, "mode", string(mode),
+				"cause", tr.CauseNode, "path", tr.CausePath),
 		})
 		e.bumpLocked(tr.Operation)
 		e.mu.Unlock()
@@ -301,27 +302,18 @@ func (e *Engine) run(ctx context.Context, r *Remediation) {
 // audit entry chained to the action entry, in one critical section.
 func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
 	mTriggered.With(string(state)).Inc()
-	msg := fmt.Sprintf("remediation %s: %s %s", r.ID, r.Action, state)
-	attrs := map[string]string{
-		"remediation": r.ID,
-		"action":      r.Action,
-		"state":       string(state),
-		"cause":       r.CauseNode,
-		"path":        r.CausePath,
-	}
-	if detail != "" {
-		attrs["detail"] = detail
-	}
+	msg := "remediation " + r.ID + ": " + r.Action + " " + string(state)
+	var errText string
 	if err != nil {
-		attrs["error"] = err.Error()
+		errText = err.Error()
 	}
+	attrs := e.attrs.Get("action", r.Action, "state", string(state), "cause", r.CauseNode,
+		"path", r.CausePath, "detail", detail, "error", errText)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r.State = state
 	r.Detail = detail
-	if err != nil {
-		r.Error = err.Error()
-	}
+	r.Error = errText
 	r.ResolvedAt = e.clk.Now()
 	r.OutcomeEntry = r.fl.Record(flight.Entry{
 		Kind:    flight.KindRemediationOutcome,

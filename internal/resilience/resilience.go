@@ -163,18 +163,15 @@ type Outcome struct {
 	ShortCircuited bool
 }
 
-// Labels renders the outcome as annotations for evidence timelines and
-// spans: attempts, retries, and the breaker disposition.
-func (o Outcome) Labels() map[string]string {
+// LabelPairs renders the outcome as annotations for evidence timelines
+// and spans — attempts, retries, and the breaker disposition — as key,
+// value, key, value, ...
+func (o Outcome) LabelPairs() [6]string {
 	breaker := "closed"
 	if o.ShortCircuited {
 		breaker = "open"
 	}
-	return map[string]string{
-		"attempts": strconv.Itoa(o.Attempts),
-		"retries":  strconv.Itoa(o.Retries),
-		"breaker":  breaker,
-	}
+	return [6]string{"attempts", strconv.Itoa(o.Attempts), "retries", strconv.Itoa(o.Retries), "breaker", breaker}
 }
 
 // Executor runs calls under retry, budget and breaker policies. It is
