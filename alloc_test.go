@@ -21,7 +21,7 @@ func TestLogPipelineAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	proc := pipeline.New(process.RollingUpgradeModel(), logging.NewMemorySink(), pipeline.Triggers{})
+	proc := pipeline.NewRouted(process.RollingUpgradeModel(), logging.NewMemorySink(), nil)
 	events := pipelineEvents(time.Now())
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, ev := range events {

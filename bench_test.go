@@ -103,7 +103,7 @@ func BenchmarkProcessMining(b *testing.B) {
 // BenchmarkLogPipeline measures local log processor throughput (the
 // Logstash-equivalent path of Figure 3).
 func BenchmarkLogPipeline(b *testing.B) {
-	proc := pipeline.New(process.RollingUpgradeModel(), logging.NewMemorySink(), pipeline.Triggers{})
+	proc := pipeline.NewRouted(process.RollingUpgradeModel(), logging.NewMemorySink(), nil)
 	events := pipelineEvents(time.Now())
 	b.ReportAllocs()
 	b.ResetTimer()

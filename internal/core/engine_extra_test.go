@@ -46,7 +46,7 @@ func TestProgressTrackingFromReadyLines(t *testing.T) {
 		t.Fatalf("progress = %d, want 3", got)
 	}
 	sess.mu.Lock()
-	total := sess.total["task-p"]
+	total := sess.instance("task-p").total
 	sess.mu.Unlock()
 	if total != 5 {
 		t.Fatalf("total = %d, want 5", total)
@@ -64,9 +64,7 @@ func TestProcessEndCancelsTimers(t *testing.T) {
 	sess := r.sess
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		sess.mu.Lock()
-		n := len(sess.perioCancel) + len(sess.stepCancel)
-		sess.mu.Unlock()
+		n := armedTimers(sess)
 		if n >= 2 {
 			break
 		}
@@ -75,9 +73,7 @@ func TestProcessEndCancelsTimers(t *testing.T) {
 	r.bus.Publish(opEvent(now, "task-t", "Rolling upgrade task completed"))
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		sess.mu.Lock()
-		n := len(sess.perioCancel) + len(sess.stepCancel)
-		sess.mu.Unlock()
+		n := armedTimers(sess)
 		if n == 0 {
 			return
 		}
@@ -186,13 +182,13 @@ func TestStepBindingsShape(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := model.Node(tc.node)
-		got := r.sess.stepBindings("t", n, ev)
+		got := r.sess.stepBindings(n, instance{}, ev)
 		if len(got) != tc.wantN {
 			t.Errorf("%s bindings = %d, want %d", tc.node, len(got), tc.wantN)
 		}
 	}
 	// Without an instance id, the low-level double check is skipped.
-	bare := r.sess.stepBindings("t", model.Node(process.NodeNewReady), logging.Event{})
+	bare := r.sess.stepBindings(model.Node(process.NodeNewReady), instance{}, logging.Event{})
 	if len(bare) != 5 {
 		t.Errorf("bare step7 bindings = %d, want 5", len(bare))
 	}
@@ -232,10 +228,10 @@ func TestCustomAssertionSpec(t *testing.T) {
 	custom := "on step8 assert asg-instance-count want={n}\n"
 	r := newRig(t, 2, func(c *ManagerConfig) { c.AssertionSpec = custom })
 	model := process.RollingUpgradeModel()
-	if got := r.sess.stepBindings("t", model.Node(process.NodeNewReady), logging.Event{}); len(got) != 0 {
+	if got := r.sess.stepBindings(model.Node(process.NodeNewReady), instance{}, logging.Event{}); len(got) != 0 {
 		t.Errorf("step7 bindings = %d, want 0", len(got))
 	}
-	got := r.sess.stepBindings("t", model.Node(process.NodeCompleted), logging.Event{})
+	got := r.sess.stepBindings(model.Node(process.NodeCompleted), instance{}, logging.Event{})
 	if len(got) != 1 || got[0].checkID != "asg-instance-count" {
 		t.Fatalf("step8 bindings = %+v", got)
 	}
@@ -271,11 +267,7 @@ func TestStragglerAfterProcessEndArmsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed := func() int {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		return len(sess.perioCancel) + len(sess.stepCancel)
-	}
+	armed := func() int { return armedTimers(sess) }
 	now := m.clk.Now()
 	const waiting = "Waiting for group pm--asg to start a new instance"
 	for i := 0; i < 3; i++ {

@@ -98,12 +98,14 @@ func TestCleanUpgradeNoDetections(t *testing.T) {
 
 func TestDetectsAndDiagnosesAMIChangedDuringUpgrade(t *testing.T) {
 	r := newRig(t, 3, nil)
-	// Concurrent independent upgrade: once our LC exists, a rogue team
-	// flips the ASG to a different LC.
+	// Concurrent independent upgrade: once the group runs on our LC, a
+	// rogue team flips the ASG to a different LC. (A flip between the
+	// upgrade creating its LC and switching the group onto it would be
+	// overwritten by that switch, and no fault would exist to detect.)
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if _, err := r.cloud.DescribeLaunchConfiguration(r.ctx, r.spec.NewLCName); err == nil {
+			if asg, err := r.cloud.DescribeAutoScalingGroup(r.ctx, r.cluster.ASGName); err == nil && asg.LaunchConfigName == r.spec.NewLCName {
 				break
 			}
 			time.Sleep(time.Millisecond)

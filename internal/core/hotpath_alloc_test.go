@@ -150,3 +150,29 @@ func TestAdoptersFollowRegistry(t *testing.T) {
 		t.Error("the restored session did not adopt a new matching instance")
 	}
 }
+
+// TestRouteTakesNoSessionLock: routing a line to the session that owns its
+// instance, active or ended, reads the session's state without its lock.
+func TestRouteTakesNoSessionLock(t *testing.T) {
+	m := newGapManager(t, newManualClock(), nil)
+	s := watchGap(t, m, "own")
+	ev := logging.Event{Type: logging.TypeOperation, Fields: map[string]string{"taskid": "own-task"}}
+	for _, want := range []pipeline.Handler{s, nil} {
+		done := make(chan pipeline.Handler, 1)
+		s.mu.Lock()
+		go func() { done <- m.route("own-task", ev) }()
+		select {
+		case got := <-done:
+			if got != want {
+				t.Errorf("route = %v, want %v", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("routing an owned instance waits for the session lock")
+			s.mu.Unlock()
+			<-done
+			s.mu.Lock()
+		}
+		s.mu.Unlock()
+		s.End()
+	}
+}

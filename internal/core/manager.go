@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -426,7 +427,6 @@ func (m *Manager) Stop() {
 			m.opSub.Cancel()
 		}
 		m.pipeWG.Wait()
-		m.processor.Stop()
 		m.central.Stop()
 		if m.centralSub != nil {
 			m.centralSub.Cancel()
@@ -492,72 +492,26 @@ func WithRemediationController(rc remediate.OperationController) WatchOption {
 // its handle. The expectation is validated and normalized (MinInService
 // defaults to ClusterSize-1).
 func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
-	if x.ASGName == "" || x.ClusterSize <= 0 {
-		return nil, fmt.Errorf("core: Expect.ASGName and Expect.ClusterSize are required")
-	}
-	if x.MinInService <= 0 {
-		x.MinInService = x.ClusterSize - 1
-		if x.MinInService < 1 {
-			x.MinInService = 1
-		}
-	}
 	var o watchOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	spec := m.defaultSpec
-	if o.specText != "" {
-		parsed, err := assertspec.Parse(o.specText, m.cfg.Registry)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		spec = parsed
+	s, err := m.newSession(x, o)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if o.maxDetections <= 0 {
-		o.maxDetections = m.cfg.MaxDetections
-	}
-
-	s := &Session{
-		mgr:           m,
-		expect:        x,
-		spec:          spec,
-		specText:      o.specText,
-		checker:       conformance.NewChecker(m.cfg.Model),
-		maxDetections: o.maxDetections,
-		remCtl:        o.remCtl,
-		matchAny:      o.matchAny,
-		matchASG:      o.matchASG,
-		state:         SessionActive,
-		bound:         make(map[string]bool),
-		instances:     make(map[string]bool),
-		completed:     make(map[string]bool),
-		seen:          make(map[string]int),
-		identified:    make(map[string]bool),
-		progress:      make(map[string]int),
-		total:         make(map[string]int),
-		stepCancel:    make(map[string]func()),
-		perioCancel:   make(map[string]func()),
-		lastEntry:     make(map[string]uint64),
-	}
-	// Gaps declared before registration are not this session's.
-	s.gapSeen.Store(m.gap.Load().epoch)
-
 	m.mu.Lock()
-	if o.id == "" {
+	if s.id == "" {
 		m.nextID++
-		o.id = fmt.Sprintf("op-%d", m.nextID)
+		s.id = fmt.Sprintf("op-%d", m.nextID)
 	}
-	if _, dup := m.sessions[o.id]; dup {
+	if _, dup := m.sessions[s.id]; dup {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("core: session %q already exists", o.id)
+		return nil, fmt.Errorf("core: session %q already exists", s.id)
 	}
-	s.id = o.id
 	// The evidence ring is created before the session becomes routable,
 	// so pipeline handlers never observe a half-wired session.
 	s.flight = m.flight.Op(s.id)
-	if m.rem != nil {
-		s.remRev = m.rem.Revision(s.id)
-	}
 	m.register(s)
 	m.mu.Unlock()
 
@@ -568,8 +522,52 @@ func (m *Manager) Watch(x Expectation, opts ...WatchOption) (*Session, error) {
 	return s, nil
 }
 
-// register adds a new session to the registry; m.mu must be held.
+// newSession builds an active, unregistered session from an expectation
+// and the options Watch or a snapshot supplies: it validates and
+// normalizes the expectation and resolves the assertion spec. Watch and
+// RestoreSession both build their sessions here.
+func (m *Manager) newSession(x Expectation, o watchOptions) (*Session, error) {
+	if x.ASGName == "" || x.ClusterSize <= 0 {
+		return nil, errors.New("Expect.ASGName and Expect.ClusterSize are required")
+	}
+	if x.MinInService <= 0 {
+		x.MinInService = max(x.ClusterSize-1, 1)
+	}
+	spec := m.defaultSpec
+	if o.specText != "" {
+		parsed, err := assertspec.Parse(o.specText, m.cfg.Registry)
+		if err != nil {
+			return nil, err
+		}
+		spec = parsed
+	}
+	s := &Session{
+		id:            o.id,
+		mgr:           m,
+		expect:        x,
+		spec:          spec,
+		specText:      o.specText,
+		checker:       conformance.NewChecker(m.cfg.Model),
+		maxDetections: defaultInt(o.maxDetections, m.cfg.MaxDetections),
+		remCtl:        o.remCtl,
+		matchAny:      o.matchAny,
+		matchASG:      o.matchASG,
+		instances:     make(map[string]*instance),
+		seen:          make(map[string]int),
+		identified:    make(map[string]bool),
+	}
+	// Gaps declared before registration are not this session's; a
+	// restored session's handoff hold covers the ones it missed.
+	s.gapSeen.Store(m.gap.Load().epoch)
+	return s, nil
+}
+
+// register adds a new session to the registry and wires its remediation
+// ledger's revision; m.mu must be held.
 func (m *Manager) register(s *Session) {
+	if m.rem != nil {
+		s.remRev = m.rem.Revision(s.id)
+	}
 	m.sessions[s.id] = s
 	m.order = append(m.order, s)
 	if s.adopts() {
@@ -619,14 +617,16 @@ func (m *Manager) bind(instanceID string, s *Session, explicit bool) {
 
 // route resolves the session for an annotated event; it is the pipeline's
 // Router. Unknown instances are offered to active matching sessions and
-// otherwise dropped (their lines still reach central storage).
+// otherwise dropped (their lines still reach central storage). It reads
+// session state without the session lock; only adopting an instance takes
+// it, once per instance.
 func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 	sh := &m.shards[shardOf(instanceID)]
 	sh.mu.RLock()
 	s := sh.owner[instanceID]
 	sh.mu.RUnlock()
 	if s != nil {
-		if s.ended() {
+		if s.ended.Load() {
 			mRoutedEnded.Inc()
 			return nil
 		}
@@ -642,7 +642,7 @@ func (m *Manager) route(instanceID string, ev logging.Event) pipeline.Handler {
 	// extracted "asgid" field; task ids also embed the ASG name.
 	m.mu.Lock()
 	for _, cand := range m.order {
-		if cand.ended() {
+		if cand.ended.Load() {
 			continue
 		}
 		if cand.matchAny ||
@@ -704,7 +704,7 @@ func (m *Manager) sweep() {
 	m.mu.Lock()
 	for _, s := range m.order {
 		s.mu.Lock()
-		gone := s.state == SessionEnded && s.endedAt.Before(cutoff)
+		gone := s.ended.Load() && s.endedAt.Before(cutoff)
 		s.mu.Unlock()
 		if gone {
 			expired = append(expired, s)

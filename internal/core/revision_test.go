@@ -36,7 +36,11 @@ func TestRevisionMovesWithEveryWrite(t *testing.T) {
 		own   bool // the session's own counter must move
 	}{
 		{"adopt", nil, func(_ *Manager, s *Session) { s.adopt("t2", false) }, true},
-		{"recordLogEvent", nil, func(_ *Manager, s *Session) { s.recordLogEvent("t", ev(nil)) }, true},
+		{"recordLogEvent", nil, func(_ *Manager, s *Session) {
+			s.mu.Lock()
+			s.recordLogEvent("t", s.instance("t"), ev(nil))
+			s.mu.Unlock()
+		}, true},
 		// Without the recorder, the replay is the line's only write.
 		{"CheckLossy", noFlight, func(_ *Manager, s *Session) {
 			s.OnConformance("t", "Starting rolling upgrade of group rev--asg to image ami-new", ev(nil))

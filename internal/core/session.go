@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -69,30 +70,18 @@ type Session struct {
 	// bumped after CheckLossy returns.
 	rev atomic.Uint64
 
-	mu          sync.Mutex
-	state       SessionState
-	endedAt     time.Time
-	bound       map[string]bool // explicitly bound process instance ids
-	instances   map[string]bool // every instance routed to this session
-	completed   map[string]bool // instances whose process reached its end
-	detections  []Detection
-	seen        map[string]int  // diagnosis attempts per dedup key
-	identified  map[string]bool // keys whose diagnosis already identified a cause
-	progress    map[string]int  // instance -> relaunches done
-	total       map[string]int  // instance -> total relaunches
-	stepCancel  map[string]func()
-	perioCancel map[string]func()
-	// lastEntry maps instance id -> latest log-event evidence entry, the
-	// causal anchor for assertions and detections triggered by that line.
-	lastEntry map[string]uint64
-	// logAttrs maps instance id -> the {"instance": id} attrs that every
-	// log.event entry of the instance shares (recordLogEvent); read-only
-	// once made. Nil until the first line.
-	logAttrs map[string]map[string]string
-	// verdictFields holds the read-only Fields map every published
-	// verdict event of one (instance, step, verdict) shares
-	// (publishConformance). Nil until the first verdict.
-	verdictFields map[verdictKey]map[string]string
+	// ended is set, under mu, when the session stops accepting events;
+	// the per-line path reads it without the lock.
+	ended atomic.Bool
+
+	mu      sync.Mutex
+	endedAt time.Time
+	// instances holds one record per process instance the session has
+	// touched: routed, bound, completed, or merely named by a handler call.
+	instances  map[string]*instance
+	detections []Detection
+	seen       map[string]int  // diagnosis attempts per dedup key
+	identified map[string]bool // keys whose diagnosis already identified a cause
 	// flightGap is the latest stream-gap evidence entry; degraded
 	// detections cite it as a contributing parent.
 	flightGap uint64
@@ -107,6 +96,43 @@ type Session struct {
 	degradedUntil time.Time
 }
 
+// instance is the session's context for one process instance (§III.B):
+// its place in the routing, its relaunch progress, its armed timers and
+// the evidence anchor of its latest line. Fields are guarded by the
+// session's mu.
+type instance struct {
+	routed    bool // routed to this session (explicitly bound or adopted)
+	bound     bool // explicitly bound
+	completed bool // its process reached an end state
+	// progress and total are the relaunch counters; the has flags tell a
+	// counter never reported apart from a reported 0.
+	progress, total       int
+	hasProgress, hasTotal bool
+	stepCancel            func() // nil when no step timer is armed
+	perioCancel           func() // nil when no periodic timer is armed
+	// lastEntry is the latest log-event evidence entry, the causal anchor
+	// for assertions and detections triggered by that line; 0 before the
+	// first.
+	lastEntry uint64
+	// logAttrs is the {"instance": id} attrs map every log.event entry of
+	// the instance shares (recordLogEvent); read-only once made.
+	logAttrs map[string]string
+	// verdictFields holds the read-only Fields map every published
+	// verdict event of one (step, verdict) shares (publishConformance).
+	verdictFields map[verdictKey]map[string]string
+}
+
+// instance returns the record of an instance, creating it on first use;
+// s.mu must be held.
+func (s *Session) instance(id string) *instance {
+	in := s.instances[id]
+	if in == nil {
+		in = &instance{}
+		s.instances[id] = in
+	}
+	return in
+}
+
 // ID returns the session's operation id.
 func (s *Session) ID() string { return s.id }
 
@@ -119,9 +145,10 @@ func (s *Session) Checker() *conformance.Checker { return s.checker }
 
 // State returns the session's lifecycle phase.
 func (s *Session) State() SessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
+	if s.ended.Load() {
+		return SessionEnded
+	}
+	return SessionActive
 }
 
 // Pending reports this session's queued plus in-flight work items.
@@ -143,14 +170,23 @@ func (s *Session) Revision() uint64 {
 	return s.rev.Load() + s.flight.Writes() + s.remRev.Load()
 }
 
-// Instances returns the process instance ids routed to this session.
+// Instances returns the process instance ids routed to this session,
+// sorted.
 func (s *Session) Instances() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.routedLocked()
+}
+
+// routedLocked lists the routed instance ids, sorted; s.mu must be held.
+func (s *Session) routedLocked() []string {
 	out := make([]string, 0, len(s.instances))
-	for id := range s.instances {
-		out = append(out, id)
+	for id, in := range s.instances {
+		if in.routed {
+			out = append(out, id)
+		}
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -171,21 +207,16 @@ func (s *Session) Detections() []Detection {
 func (s *Session) End() {
 	s.observeGap()
 	s.mu.Lock()
-	if s.state == SessionEnded {
+	if s.ended.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.state = SessionEnded
+	s.ended.Store(true)
 	s.endedAt = s.mgr.clk.Now()
 	s.rev.Add(1)
-	cancels := make([]func(), 0, len(s.stepCancel)+len(s.perioCancel))
-	for id, c := range s.stepCancel {
-		cancels = append(cancels, c)
-		delete(s.stepCancel, id)
-	}
-	for id, c := range s.perioCancel {
-		cancels = append(cancels, c)
-		delete(s.perioCancel, id)
+	var cancels []func()
+	for _, in := range s.instances {
+		cancels = in.takeTimers(cancels)
 	}
 	s.mu.Unlock()
 	for _, c := range cancels {
@@ -209,7 +240,7 @@ func (s *Session) observeGap() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.mgr.gap.Load()
-	if g.epoch <= s.gapSeen.Load() || s.state == SessionEnded {
+	if g.epoch <= s.gapSeen.Load() || s.ended.Load() {
 		return
 	}
 	s.gapSeen.Store(g.epoch)
@@ -229,7 +260,24 @@ func (s *Session) observeGap() {
 func (s *Session) lastEntryOf(instanceID string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastEntry[instanceID]
+	if in := s.instances[instanceID]; in != nil {
+		return in.lastEntry
+	}
+	return 0
+}
+
+// takeTimers appends the instance's armed timer cancels to cancels and
+// disarms them; s.mu must be held. The caller runs the cancels after
+// unlocking.
+func (in *instance) takeTimers(cancels []func()) []func() {
+	if in.stepCancel != nil {
+		cancels = append(cancels, in.stepCancel)
+	}
+	if in.perioCancel != nil {
+		cancels = append(cancels, in.perioCancel)
+	}
+	in.stepCancel, in.perioCancel = nil, nil
+	return cancels
 }
 
 // Timeline snapshots the session's evidence chain, optionally filtered
@@ -252,13 +300,6 @@ func (s *Session) degradedNow() bool {
 // Degraded reports whether the session currently distrusts its log stream.
 func (s *Session) Degraded() bool { return s.degradedNow() }
 
-// ended reports whether the session stopped accepting events.
-func (s *Session) ended() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state == SessionEnded
-}
-
 // adopts reports whether the session may claim instances nobody bound to
 // it (MatchAnyInstance or MatchASGInstances). Immutable after Watch.
 func (s *Session) adopts() bool { return s.matchAny || s.matchASG }
@@ -266,10 +307,9 @@ func (s *Session) adopts() bool { return s.matchAny || s.matchASG }
 // adopt records that an instance id has been routed to this session.
 func (s *Session) adopt(instanceID string, explicit bool) {
 	s.mu.Lock()
-	s.instances[instanceID] = true
-	if explicit {
-		s.bound[instanceID] = true
-	}
+	in := s.instance(instanceID)
+	in.routed = true
+	in.bound = in.bound || explicit
 	s.rev.Add(1)
 	s.mu.Unlock()
 }
@@ -299,28 +339,34 @@ func (s *Session) baseParams(ev logging.Event) assertion.Params {
 // context and publishes the verdict. It runs for every routed line and may
 // not allocate on its own account (the evidence entry and the verdict
 // event are recordLogEvent's and publishConformance's); a verdict
-// that is not fit leaves the per-line path for onAnomaly.
+// that is not fit leaves the per-line path for onAnomaly. It takes s.mu
+// twice: once to anchor the line and read the degraded hold, once to
+// resolve the verdict's shared fields.
 func (s *Session) OnConformance(instanceID, line string, ev logging.Event) {
-	if s.ended() {
+	if s.ended.Load() {
 		return
 	}
 	// A gap declared before this line was delivered goes into the
 	// timeline ahead of it.
 	s.observeGap()
+	now := s.mgr.clk.Now()
+	s.mu.Lock()
+	in := s.instance(instanceID)
 	// Every routed line anchors the evidence timeline — even when
 	// conformance checking is ablated — because detections and causes
 	// must chain back to a raw log event.
-	evEntry := s.recordLogEvent(instanceID, ev)
+	evEntry := s.recordLogEvent(instanceID, in, ev)
+	degraded := now.Before(s.degradedUntil)
+	s.mu.Unlock()
 	if s.mgr.cfg.DisableConformance {
 		return
 	}
 	// In degraded mode the checker absorbs forward deviations by
 	// resynchronizing the token replay at the next recognized step — a
 	// missing line must not masquerade as a wrong-path operation.
-	degraded := s.degradedNow()
 	res := s.checker.CheckLossy(instanceID, line, ev.Timestamp, degraded)
 	s.rev.Add(1)
-	s.publishConformance(instanceID, res, ev)
+	s.publishConformance(instanceID, in, res, ev)
 	if res.Verdict.IsAnomalous() {
 		s.onAnomaly(instanceID, line, ev, res, evEntry, degraded)
 	}
@@ -390,7 +436,8 @@ func parentsOf(ids ...uint64) []uint64 {
 // remembers it as the instance's latest entry, the parent for whatever
 // that line triggers. Entries of one instance share one attrs map; a
 // line the reorder buffer stamped gets its own, carrying the stamp.
-func (s *Session) recordLogEvent(instanceID string, ev logging.Event) uint64 {
+// s.mu must be held.
+func (s *Session) recordLogEvent(instanceID string, in *instance, ev logging.Event) uint64 {
 	if s.flight == nil {
 		return 0
 	}
@@ -403,28 +450,22 @@ func (s *Session) recordLogEvent(instanceID string, ev logging.Event) uint64 {
 	}
 	if rep := ev.Field("reorder"); rep != "" {
 		e.Attrs = map[string]string{"instance": instanceID, "reorder": rep}
-	}
-	s.mu.Lock()
-	if e.Attrs == nil {
-		if e.Attrs = s.logAttrs[instanceID]; e.Attrs == nil {
-			if s.logAttrs == nil {
-				s.logAttrs = make(map[string]map[string]string)
-			}
-			e.Attrs = map[string]string{"instance": instanceID}
-			s.logAttrs[instanceID] = e.Attrs
+	} else {
+		if in.logAttrs == nil {
+			in.logAttrs = map[string]string{"instance": instanceID}
 		}
+		e.Attrs = in.logAttrs
 	}
-	id := s.flight.Record(e)
-	s.lastEntry[instanceID] = id
+	in.lastEntry = s.flight.Record(e)
 	s.rev.Add(1)
-	s.mu.Unlock()
-	return id
+	return in.lastEntry
 }
 
-// verdictKey names the verdict events that share one Fields map.
+// verdictKey names the verdict events of one instance that share one
+// Fields map.
 type verdictKey struct {
-	instance, step string
-	verdict        conformance.Verdict
+	step    string
+	verdict conformance.Verdict
 }
 
 // verdictTags are the tag slices of published verdict events, one per
@@ -442,22 +483,23 @@ var verdictTags = map[conformance.Verdict][]string{
 // routed line: the message is one concatenation, the tags are shared per
 // verdict and the Fields map per (instance, step, verdict). Both are
 // read-only once published; a subscriber that annotates a verdict event
-// clones it first, as pipeline.Process does.
-func (s *Session) publishConformance(instanceID string, res conformance.Result, ev logging.Event) {
+// clones it first, as pipeline.Process does. The bus publish runs outside
+// s.mu, so the session lock never nests the bus's.
+func (s *Session) publishConformance(instanceID string, in *instance, res conformance.Result, ev logging.Event) {
 	verdict := string(res.Verdict)
-	key := verdictKey{instanceID, res.StepID, res.Verdict}
+	key := verdictKey{res.StepID, res.Verdict}
 	s.mu.Lock()
-	fields := s.verdictFields[key]
+	fields := in.verdictFields[key]
 	if fields == nil {
-		if s.verdictFields == nil {
-			s.verdictFields = make(map[verdictKey]map[string]string)
+		if in.verdictFields == nil {
+			in.verdictFields = make(map[verdictKey]map[string]string)
 		}
 		fields = map[string]string{
 			"taskid":  instanceID,
 			"stepid":  res.StepID,
 			"verdict": verdict,
 		}
-		s.verdictFields[key] = fields
+		in.verdictFields[key] = fields
 	}
 	s.mu.Unlock()
 	s.mgr.cfg.Bus.Publish(logging.Event{
@@ -535,35 +577,40 @@ func confidence(degraded bool) float64 {
 }
 
 // OnStepEvent updates progress, resets the one-off step timer and
-// evaluates post-step assertions.
+// evaluates post-step assertions. Its bookkeeping is one critical section;
+// arming a new step timer, with assertions on, takes a second.
 func (s *Session) OnStepEvent(instanceID string, node *process.Node, ev logging.Event) {
-	if s.ended() {
+	if s.ended.Load() {
 		return
 	}
 	// Track operation progress from any line the annotator extracted
 	// "k of n" counters from (relaunches done, instances in service, ...).
-	// (Most lines carry neither field, and Atoi allocates its error.)
-	if num := ev.Field("num"); num != "" {
-		if n, err := strconv.Atoi(num); err == nil {
-			s.mu.Lock()
-			s.progress[instanceID] = n
-			s.rev.Add(1)
-			s.mu.Unlock()
-		}
+	num, hasNum := intField(ev, "num")
+	total, hasTotal := intField(ev, "total")
+	s.mu.Lock()
+	in := s.instance(instanceID)
+	if hasNum {
+		in.progress, in.hasProgress = num, true
 	}
-	if total := ev.Field("total"); total != "" {
-		if n, err := strconv.Atoi(total); err == nil {
-			s.mu.Lock()
-			s.total[instanceID] = n
-			s.rev.Add(1)
-			s.mu.Unlock()
-		}
+	if hasTotal {
+		in.total, in.hasTotal = total, true
 	}
-
-	s.resetStepTimer(instanceID, node)
-
+	if hasNum || hasTotal {
+		s.rev.Add(1)
+	}
+	stale := in.stepCancel
+	in.stepCancel = nil
+	rec := *in
+	s.mu.Unlock()
+	if stale != nil {
+		stale()
+	}
 	if s.mgr.cfg.DisableAssertions {
 		return
+	}
+	// A completed process has no next step, so its lines arm no timer.
+	if node.ID != process.NodeCompleted && !rec.completed {
+		s.armStepTimer(instanceID, in, node, rec)
 	}
 	trig := assertion.Trigger{
 		Source:            assertion.TriggerLog,
@@ -572,12 +619,24 @@ func (s *Session) OnStepEvent(instanceID string, node *process.Node, ev logging.
 	}
 	// The step line was anchored by OnConformance just before this
 	// handler ran; it is the causal parent of every post-step assertion.
-	anchor := s.lastEntryOf(instanceID)
+	anchor := rec.lastEntry
 	origin := ev.Timestamp
-	for _, b := range s.stepBindings(instanceID, node, ev) {
+	for _, b := range s.stepBindings(node, rec, ev) {
 		b := b
 		s.submit(instanceID, func() { s.evaluateAndMaybeDiagnose(b.checkID, b.params, trig, anchor, origin) })
 	}
+}
+
+// intField parses a numeric field the annotator extracted. Most lines
+// carry none, and Atoi allocates its error, so an absent field is not
+// parsed.
+func intField(ev logging.Event, name string) (int, bool) {
+	v := ev.Field(name)
+	if v == "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil
 }
 
 // OnErrorLine is part of pipeline.Handler; known-error lines already
@@ -590,17 +649,18 @@ func (s *Session) OnErrorLine(instanceID, line string, ev logging.Event) {}
 // already ended arms nothing: a straggler line after its final one must
 // not restart the timers OnProcessEnd stopped.
 func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
-	if s.mgr.cfg.DisableAssertions {
+	if s.mgr.cfg.DisableAssertions || s.ended.Load() {
 		return
 	}
 	s.mu.Lock()
-	over := s.state == SessionEnded || s.completed[instanceID]
+	in := s.instance(instanceID)
+	rec := *in
 	s.mu.Unlock()
-	if over {
+	if rec.completed {
 		return
 	}
 	base := s.expect.params()
-	vars := s.vars(instanceID, ev)
+	vars := s.vars(rec, ev)
 	trig := assertion.Trigger{
 		Source:            assertion.TriggerTimer,
 		ProcessInstanceID: instanceID,
@@ -634,46 +694,54 @@ func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
 			})
 		}))
 	}
+	s.arm(in, &in.perioCancel, cancels)
+}
+
+// arm installs timers as one of the instance's timer slots (stepCancel or
+// perioCancel), cancelling whatever the slot held. A session that ended,
+// or an instance that completed, since the caller looked gets no timers:
+// the new ones are cancelled instead. Cancels run outside s.mu.
+func (s *Session) arm(in *instance, slot *func(), cancels []func()) {
 	if len(cancels) == 0 {
 		return
 	}
-	s.mu.Lock()
-	if old, ok := s.perioCancel[instanceID]; ok {
-		old()
-	}
-	s.perioCancel[instanceID] = func() {
+	all := func() {
 		for _, c := range cancels {
 			c()
 		}
 	}
+	s.mu.Lock()
+	drop := all
+	if !s.ended.Load() && !in.completed {
+		drop, *slot = *slot, all
+	}
 	s.mu.Unlock()
+	if drop != nil {
+		drop()
+	}
 }
 
 // OnProcessEnd stops the instance's timers; when every explicitly bound
 // instance of a bind-only session has completed, the session auto-ends.
 func (s *Session) OnProcessEnd(instanceID string, ev logging.Event) {
 	s.mu.Lock()
-	if cancel, ok := s.perioCancel[instanceID]; ok {
-		cancel()
-		delete(s.perioCancel, instanceID)
-	}
-	if cancel, ok := s.stepCancel[instanceID]; ok {
-		cancel()
-		delete(s.stepCancel, instanceID)
-	}
-	s.completed[instanceID] = true
+	in := s.instance(instanceID)
+	cancels := in.takeTimers(nil)
+	in.completed = true
 	s.rev.Add(1)
-	autoEnd := !s.adopts() && s.state == SessionActive && len(s.bound) > 0
-	if autoEnd {
-		for id := range s.bound {
-			if !s.completed[id] {
-				autoEnd = false
-				break
-			}
+	autoEnd := !s.adopts() && !s.ended.Load()
+	anyBound := false
+	for _, r := range s.instances {
+		if r.bound {
+			anyBound = true
+			autoEnd = autoEnd && r.completed
 		}
 	}
 	s.mu.Unlock()
-	if autoEnd {
+	for _, c := range cancels {
+		c()
+	}
+	if autoEnd && anyBound {
 		s.End()
 	}
 }
@@ -687,20 +755,18 @@ type binding struct {
 }
 
 // vars assembles the specification variables available at this point of
-// the process: cluster-level targets plus the event's extracted context.
-func (s *Session) vars(instanceID string, ev logging.Event) map[string]string {
-	s.mu.Lock()
-	progress := s.progress[instanceID]
-	total, hasTotal := s.total[instanceID]
-	s.mu.Unlock()
-	next := progress + 1
-	if hasTotal && next > total {
-		next = total
+// the process: cluster-level targets, the relaunch counters of rec (a copy
+// of the instance's record taken under s.mu) and the event's extracted
+// context.
+func (s *Session) vars(rec instance, ev logging.Event) map[string]string {
+	next := rec.progress + 1
+	if rec.hasTotal && next > rec.total {
+		next = rec.total
 	}
 	v := map[string]string{
 		"n":        strconv.Itoa(s.expect.ClusterSize),
 		"min":      strconv.Itoa(s.expect.MinInService),
-		"progress": strconv.Itoa(progress),
+		"progress": strconv.Itoa(rec.progress),
 		"next":     strconv.Itoa(next),
 	}
 	if id := ev.Field("instanceid"); id != "" {
@@ -712,13 +778,13 @@ func (s *Session) vars(instanceID string, ev logging.Event) map[string]string {
 // stepBindings resolves the specification's post-step assertions for the
 // given step. Bindings whose variables cannot be resolved from the event
 // (e.g. instance-version without an instance id) are skipped.
-func (s *Session) stepBindings(instanceID string, node *process.Node, ev logging.Event) []binding {
+func (s *Session) stepBindings(node *process.Node, rec instance, ev logging.Event) []binding {
 	specBindings := s.spec.ByStep(node.StepID)
 	if len(specBindings) == 0 {
 		return nil
 	}
 	base := s.baseParams(ev)
-	vars := s.vars(instanceID, ev)
+	vars := s.vars(rec, ev)
 	out := make([]binding, 0, len(specBindings))
 	for _, sb := range specBindings {
 		params, ok := sb.Resolve(base, vars)
@@ -792,20 +858,14 @@ func (s *Session) evaluateAndMaybeDiagnose(checkID string, p assertion.Params,
 	}, key)
 }
 
-// resetStepTimer cancels the previous one-off timer for the instance and
-// arms a new one sized from the step's historical duration: if the next
-// step's log line does not arrive in time, the high-level version-count
-// assertion is evaluated with the next expected progress (a purely
-// timer-based trigger, which carries no instance id — §VI.A). A completed
-// process has no next step, so its lines arm none.
-func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
-	s.mu.Lock()
-	if cancel, ok := s.stepCancel[instanceID]; ok {
-		cancel()
-		delete(s.stepCancel, instanceID)
-	}
-	if node.ID == process.NodeCompleted || s.completed[instanceID] {
-		s.mu.Unlock()
+// armStepTimer arms the instance's one-off step timer, sized from the
+// step's historical duration: if the next step's log line does not arrive
+// in time, the high-level version-count assertion is evaluated with the
+// next expected progress (a purely timer-based trigger, which carries no
+// instance id — §VI.A). rec is the record as OnStepEvent left it.
+func (s *Session) armStepTimer(instanceID string, in *instance, node *process.Node, rec instance) {
+	timeouts := s.spec.TimeoutsFor(node.StepID)
+	if len(timeouts) == 0 {
 		return
 	}
 	mean := node.MeanDuration
@@ -813,17 +873,8 @@ func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 		mean = 30 * time.Second
 	}
 	deadline := time.Duration(float64(mean) * s.mgr.cfg.StepTimeoutSlack)
-	s.mu.Unlock()
-
-	if s.mgr.cfg.DisableAssertions {
-		return
-	}
-	timeouts := s.spec.TimeoutsFor(node.StepID)
-	if len(timeouts) == 0 {
-		return
-	}
 	base := s.expect.params()
-	vars := s.vars(instanceID, logging.Event{})
+	vars := s.vars(rec, logging.Event{})
 	trig := assertion.Trigger{
 		Source:            assertion.TriggerTimer,
 		ProcessInstanceID: instanceID,
@@ -831,7 +882,7 @@ func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 	}
 	// Timer detections chain back to the step line that armed the
 	// deadline — the last line seen before the silence being detected.
-	anchor := s.lastEntryOf(instanceID)
+	anchor := rec.lastEntry
 	cancels := make([]func(), 0, len(timeouts))
 	for _, tb := range timeouts {
 		params, ok := tb.Resolve(base, vars)
@@ -847,24 +898,7 @@ func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 			})
 		}))
 	}
-	if len(cancels) == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.state == SessionEnded {
-		// Lost the race with End: don't leave orphaned timers behind.
-		s.mu.Unlock()
-		for _, c := range cancels {
-			c()
-		}
-		return
-	}
-	s.stepCancel[instanceID] = func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
-	s.mu.Unlock()
+	s.arm(in, &in.stepCancel, cancels)
 }
 
 // ---- bookkeeping ----
@@ -872,7 +906,10 @@ func (s *Session) resetStepTimer(instanceID string, node *process.Node) {
 func (s *Session) progressOf(instanceID string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.progress[instanceID]
+	if in := s.instances[instanceID]; in != nil {
+		return in.progress
+	}
+	return 0
 }
 
 // shouldDiagnose dedups diagnosis triggers and enforces the detection cap.
@@ -965,16 +1002,12 @@ type SessionSummary struct {
 // Summary snapshots the session for serving surfaces.
 func (s *Session) Summary() SessionSummary {
 	s.mu.Lock()
-	instances := make([]string, 0, len(s.instances))
-	for id := range s.instances {
-		instances = append(instances, id)
-	}
+	instances := s.routedLocked()
 	n := len(s.detections)
-	state := s.state
 	s.mu.Unlock()
 	return SessionSummary{
 		ID:         s.id,
-		State:      state,
+		State:      s.State(),
 		Expect:     s.expect,
 		Instances:  instances,
 		Detections: n,

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"poddiagnosis/internal/assertspec"
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs/flight"
@@ -97,20 +96,35 @@ func (s *Session) snapshot() *SessionSnapshot {
 		TakenAt:       s.mgr.clk.Now(),
 	}
 	s.mu.Lock()
-	snap.State = s.state
+	snap.State = s.State()
 	snap.EndedAt = s.endedAt
-	snap.Bound = sortedKeys(s.bound)
-	snap.Instances = sortedKeys(s.instances)
-	snap.Completed = sortedKeys(s.completed)
 	snap.Identified = sortedKeys(s.identified)
 	snap.Detections = append([]Detection(nil), s.detections...)
 	snap.Seen = copyIntMap(s.seen)
-	snap.Progress = copyIntMap(s.progress)
-	snap.Total = copyIntMap(s.total)
-	if len(s.lastEntry) > 0 {
-		snap.LastEntry = make(map[string]uint64, len(s.lastEntry))
-		for k, v := range s.lastEntry {
-			snap.LastEntry[k] = v
+	ids := make([]string, 0, len(s.instances))
+	for id := range s.instances {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		in := s.instances[id]
+		if in.routed {
+			snap.Instances = append(snap.Instances, id)
+		}
+		if in.bound {
+			snap.Bound = append(snap.Bound, id)
+		}
+		if in.completed {
+			snap.Completed = append(snap.Completed, id)
+		}
+		if in.hasProgress {
+			snap.Progress = put(snap.Progress, id, in.progress)
+		}
+		if in.hasTotal {
+			snap.Total = put(snap.Total, id, in.total)
+		}
+		if in.lastEntry != 0 {
+			snap.LastEntry = put(snap.LastEntry, id, in.lastEntry)
 		}
 	}
 	snap.FlightGap = s.flightGap
@@ -140,31 +154,16 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	if snap == nil || snap.ID == "" {
 		return nil, fmt.Errorf("core: nil or unnamed session snapshot")
 	}
-	x := snap.Expect
-	if x.ASGName == "" || x.ClusterSize <= 0 {
-		return nil, fmt.Errorf("core: snapshot %q: Expect.ASGName and Expect.ClusterSize are required", snap.ID)
-	}
-	if x.MinInService <= 0 {
-		x.MinInService = x.ClusterSize - 1
-		if x.MinInService < 1 {
-			x.MinInService = 1
-		}
-	}
 	var o watchOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	spec := m.defaultSpec
-	if snap.SpecText != "" {
-		parsed, err := assertspec.Parse(snap.SpecText, m.cfg.Registry)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot %q: %w", snap.ID, err)
-		}
-		spec = parsed
-	}
-	state := snap.State
-	if state == "" {
-		state = SessionActive
+	s, err := m.newSession(snap.Expect, watchOptions{
+		id: snap.ID, specText: snap.SpecText, maxDetections: snap.MaxDetections,
+		matchAny: snap.MatchAny, matchASG: snap.MatchASG, remCtl: o.remCtl,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot %q: %w", snap.ID, err)
 	}
 	// Refuse a duplicate before importing the evidence ring: the import
 	// would overwrite the live session's ring, and the refusal would then
@@ -172,52 +171,19 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	if m.Session(snap.ID) != nil {
 		return nil, fmt.Errorf("core: session %q already exists", snap.ID)
 	}
-
-	s := &Session{
-		id:            snap.ID,
-		mgr:           m,
-		expect:        x,
-		spec:          spec,
-		specText:      snap.SpecText,
-		checker:       conformance.NewChecker(m.cfg.Model),
-		maxDetections: defaultInt(snap.MaxDetections, m.cfg.MaxDetections),
-		remCtl:        o.remCtl,
-		matchAny:      snap.MatchAny,
-		matchASG:      snap.MatchASG,
-		state:         state,
-		endedAt:       snap.EndedAt,
-		bound:         setOf(snap.Bound),
-		instances:     setOf(snap.Instances),
-		completed:     setOf(snap.Completed),
-		detections:    append([]Detection(nil), snap.Detections...),
-		seen:          copyIntMap(snap.Seen),
-		identified:    setOf(snap.Identified),
-		progress:      copyIntMap(snap.Progress),
-		total:         copyIntMap(snap.Total),
-		stepCancel:    make(map[string]func()),
-		perioCancel:   make(map[string]func()),
-		lastEntry:     make(map[string]uint64, len(snap.LastEntry)),
-		flightGap:     snap.FlightGap,
-		degradedUntil: snap.DegradedUntil,
+	active := snap.State != SessionEnded
+	s.ended.Store(!active)
+	s.endedAt = snap.EndedAt
+	s.detections = append([]Detection(nil), snap.Detections...)
+	for k, n := range snap.Seen {
+		s.seen[k] = n
 	}
-	if m.rem != nil {
-		s.remRev = m.rem.Revision(s.id)
+	for _, k := range snap.Identified {
+		s.identified[k] = true
 	}
-	if s.seen == nil {
-		s.seen = make(map[string]int)
-	}
-	if s.progress == nil {
-		s.progress = make(map[string]int)
-	}
-	if s.total == nil {
-		s.total = make(map[string]int)
-	}
-	// Gaps declared on this manager before the restore are covered by the
-	// handoff hold below.
-	s.gapSeen.Store(m.gap.Load().epoch)
-	for k, v := range snap.LastEntry {
-		s.lastEntry[k] = v
-	}
+	s.flightGap = snap.FlightGap
+	s.degradedUntil = snap.DegradedUntil
+	s.restoreInstances(snap)
 	s.checker.Import(snap.Conformance)
 
 	// Rebuild the evidence ring before the session becomes routable and
@@ -235,7 +201,7 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 			snap.ID, len(snap.Detections), len(snap.Instances)),
 		Attrs: handoffAttrs(snap),
 	})
-	if state == SessionActive {
+	if active {
 		// The handoff is a known loss window: lines published between the
 		// snapshot and the restore never reached this manager. Distrust
 		// the stream's completeness for a hold, and let degraded
@@ -259,9 +225,10 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 	m.mu.Unlock()
 
 	for _, id := range snap.Instances {
-		m.bind(id, s, s.bound[id])
+		m.bind(id, s, false) // the restored record already carries bound
 	}
 	if m.rem != nil && len(snap.Remediations) > 0 {
+		x := s.expect
 		m.rem.Import(snap.Remediations, remediate.Target{
 			Cloud:       m.cfg.Cloud,
 			ASGName:     x.ASGName,
@@ -272,19 +239,54 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 			Op:          s.remCtl,
 		}, s.flight)
 	}
-	if state == SessionActive {
+	if active {
 		// Re-arm the periodic capacity assertion for every instance still
-		// mid-process; one-off step timers re-arm on the next step line.
+		// mid-process (OnProcessStart skips completed ones); one-off step
+		// timers re-arm on the next step line.
 		for _, id := range snap.Instances {
-			if !s.completed[id] {
-				s.OnProcessStart(id, logging.Event{})
-			}
+			s.OnProcessStart(id, logging.Event{})
 		}
 		mSessions.With(string(SessionActive)).Inc()
 	} else {
 		mSessions.With(string(SessionEnded)).Inc()
 	}
 	return s, nil
+}
+
+// restoreInstances rebuilds the per-instance records from the snapshot's
+// per-instance lists and maps, the inverse of snapshot's record loop. The
+// session is not shared yet, so s.mu is not taken.
+func (s *Session) restoreInstances(snap *SessionSnapshot) {
+	for _, id := range snap.Instances {
+		s.instance(id).routed = true
+	}
+	for _, id := range snap.Bound {
+		s.instance(id).bound = true
+	}
+	for _, id := range snap.Completed {
+		s.instance(id).completed = true
+	}
+	for id, n := range snap.Progress {
+		in := s.instance(id)
+		in.progress, in.hasProgress = n, true
+	}
+	for id, n := range snap.Total {
+		in := s.instance(id)
+		in.total, in.hasTotal = n, true
+	}
+	for id, e := range snap.LastEntry {
+		s.instance(id).lastEntry = e
+	}
+}
+
+// put sets m[k] = v, making m on first use, so a snapshot map stays nil
+// (and omitted) when no instance fills it.
+func put[V any](m map[string]V, k string, v V) map[string]V {
+	if m == nil {
+		m = make(map[string]V)
+	}
+	m[k] = v
+	return m
 }
 
 // handoffParents collects the restored last-entry ids, sorted for a
@@ -326,14 +328,6 @@ func sortedKeys(set map[string]bool) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func setOf(keys []string) map[string]bool {
-	out := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		out[k] = true
-	}
 	return out
 }
 

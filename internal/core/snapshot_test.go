@@ -11,72 +11,89 @@ import (
 	"poddiagnosis/internal/obs/flight"
 )
 
-// TestSnapshotCoversSessionFields walks Session's fields by reflection
-// and demands each one is either carried by SessionSnapshot or listed
-// here with a reason it deliberately is not. Adding a Session field
-// without deciding its handoff fate fails this test, so federation
-// handoff cannot silently lose new state.
+// TestSnapshotCoversSessionFields walks Session's fields, and those of
+// its per-instance record, by reflection and demands each one is either
+// carried by SessionSnapshot or listed here with a reason it deliberately
+// is not. Adding a field to either without deciding its handoff fate
+// fails this test, so federation handoff cannot silently lose new state.
 func TestSnapshotCoversSessionFields(t *testing.T) {
-	carried := map[string]string{ // Session field -> SessionSnapshot field
-		"id":            "ID",
-		"expect":        "Expect",
-		"specText":      "SpecText",
-		"checker":       "Conformance",
-		"flight":        "Flight",
-		"maxDetections": "MaxDetections",
-		"matchAny":      "MatchAny",
-		"matchASG":      "MatchASG",
-		"state":         "State",
-		"endedAt":       "EndedAt",
-		"bound":         "Bound",
-		"instances":     "Instances",
-		"completed":     "Completed",
-		"detections":    "Detections",
-		"seen":          "Seen",
-		"identified":    "Identified",
-		"progress":      "Progress",
-		"total":         "Total",
-		"lastEntry":     "LastEntry",
-		"flightGap":     "FlightGap",
-		"degradedUntil": "DegradedUntil",
+	session := coverage{
+		carried: map[string]string{ // Session field -> SessionSnapshot field
+			"id":            "ID",
+			"expect":        "Expect",
+			"specText":      "SpecText",
+			"checker":       "Conformance",
+			"flight":        "Flight",
+			"maxDetections": "MaxDetections",
+			"matchAny":      "MatchAny",
+			"matchASG":      "MatchASG",
+			"ended":         "State",
+			"endedAt":       "EndedAt",
+			"instances":     "Instances",
+			"detections":    "Detections",
+			"seen":          "Seen",
+			"identified":    "Identified",
+			"flightGap":     "FlightGap",
+			"degradedUntil": "DegradedUntil",
+		},
+		excluded: map[string]string{ // Session field -> why handoff may drop it
+			"mgr":     "rewired to the adopting manager by RestoreSession",
+			"spec":    "re-parsed from SpecText against the adopting registry",
+			"remCtl":  "not serializable; re-attached via WithRemediationController",
+			"pending": "transient backlog counter; work does not survive the owner",
+			"rev":     "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
+			"remRev":  "the adopting manager's remediation engine counts the imported ledger's writes",
+			"mu":      "lock",
+			"gapSeen": "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
+		},
 	}
-	excluded := map[string]string{ // Session field -> why handoff may drop it
-		"mgr":           "rewired to the adopting manager by RestoreSession",
-		"spec":          "re-parsed from SpecText against the adopting registry",
-		"remCtl":        "not serializable; re-attached via WithRemediationController",
-		"pending":       "transient backlog counter; work does not survive the owner",
-		"rev":           "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
-		"remRev":        "the adopting manager's remediation engine counts the imported ledger's writes",
-		"mu":            "lock",
-		"stepCancel":    "one-off step timers re-arm on the next step event",
-		"perioCancel":   "periodic timers re-armed by RestoreSession",
-		"gapSeen":       "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
-		"logAttrs":      "derived cache of read-only {instance: id} maps; the adopter rebuilds one per instance on its first line",
-		"verdictFields": "derived cache of read-only verdict Fields maps; the adopter rebuilds one per (instance, step, verdict) on first use",
+	record := coverage{
+		carried: map[string]string{ // instance field -> SessionSnapshot field
+			"routed":      "Instances",
+			"bound":       "Bound",
+			"completed":   "Completed",
+			"progress":    "Progress",
+			"hasProgress": "Progress",
+			"total":       "Total",
+			"hasTotal":    "Total",
+			"lastEntry":   "LastEntry",
+		},
+		excluded: map[string]string{ // instance field -> why handoff may drop it
+			"stepCancel":    "one-off step timers re-arm on the next step event",
+			"perioCancel":   "periodic timers re-armed by RestoreSession",
+			"logAttrs":      "derived cache of the read-only {instance: id} map; the adopter rebuilds it on the instance's first line",
+			"verdictFields": "derived cache of read-only verdict Fields maps; the adopter rebuilds one per (step, verdict) on first use",
+		},
 	}
-	st := reflect.TypeOf(Session{})
+	session.check(t, reflect.TypeOf(Session{}))
+	record.check(t, reflect.TypeOf(instance{}))
+}
+
+// coverage names, for each field of a struct, the SessionSnapshot field
+// that carries it or the reason handoff may drop it.
+type coverage struct{ carried, excluded map[string]string }
+
+func (c coverage) check(t *testing.T, st reflect.Type) {
+	t.Helper()
 	snapT := reflect.TypeOf(SessionSnapshot{})
 	for i := 0; i < st.NumField(); i++ {
 		name := st.Field(i).Name
-		if snapField, ok := carried[name]; ok {
+		if snapField, ok := c.carried[name]; ok {
 			if _, ok := snapT.FieldByName(snapField); !ok {
-				t.Errorf("Session.%s claims to be carried by SessionSnapshot.%s, which does not exist", name, snapField)
+				t.Errorf("%s.%s claims to be carried by SessionSnapshot.%s, which does not exist", st.Name(), name, snapField)
 			}
 			continue
 		}
-		if _, ok := excluded[name]; ok {
+		if _, ok := c.excluded[name]; ok {
 			continue
 		}
-		t.Errorf("Session.%s is neither carried by SessionSnapshot nor excluded with a reason; handoff would silently lose it", name)
+		t.Errorf("%s.%s is neither carried by SessionSnapshot nor excluded with a reason; handoff would silently lose it", st.Name(), name)
 	}
-	for name := range carried {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("carried list names Session.%s, which no longer exists", name)
-		}
-	}
-	for name := range excluded {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("excluded list names Session.%s, which no longer exists", name)
+	for _, list := range []map[string]string{c.carried, c.excluded} {
+		for name := range list {
+			if _, ok := st.FieldByName(name); !ok {
+				t.Errorf("coverage list names %s.%s, which no longer exists", st.Name(), name)
+			}
 		}
 	}
 }

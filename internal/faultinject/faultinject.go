@@ -144,13 +144,13 @@ func (inj *Injector) Inject(ctx context.Context, kind Kind, delay time.Duration,
 	// (after step 2), as in the paper's scenario of independent teams
 	// racing on the same group.
 	case KindAMIChanged:
-		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "ami") })
+		return inj.flipInUse(ctx, newLCName, "ami")
 	case KindKeyPairChanged:
-		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "key") })
+		return inj.flipInUse(ctx, newLCName, "key")
 	case KindSGChanged:
-		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "sg") })
+		return inj.flipInUse(ctx, newLCName, "sg")
 	case KindInstanceTypeChanged:
-		return inj.waitInUse(ctx, newLCName, func() error { return inj.flipLaunchConfig(ctx, "type") })
+		return inj.flipInUse(ctx, newLCName, "type")
 	case KindAMIUnavailable:
 		return inj.waitThen(ctx, newLCName, func() error {
 			return inj.cloud.DeregisterImage(ctx, newAMI)
@@ -179,22 +179,25 @@ func (inj *Injector) Heal() {
 }
 
 // flipLaunchConfig simulates a concurrent independent team switching the
-// ASG to a launch configuration that differs in one dimension. The group
-// may not exist yet when the flip fires — blue/green deploys create the
-// launch configuration first and the group moments later — and the
-// group's launch configuration may be moments old, so both describes
-// poll briefly through NotFound.
-func (inj *Injector) flipLaunchConfig(ctx context.Context, dim string) error {
-	var asg simaws.ASG
-	if err := inj.describeFresh(ctx, func() (err error) {
-		asg, err = inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
-		return err
-	}); err != nil {
-		return fmt.Errorf("faultinject: %w", err)
+// ASG to a copy of launch configuration lcName that differs in one
+// dimension. An empty lcName means the group's current one, described
+// here. The group may not exist yet when the flip fires — blue/green
+// deploys create the launch configuration first and the group moments
+// later — and the launch configuration may be moments old, so both
+// describes poll briefly through NotFound.
+func (inj *Injector) flipLaunchConfig(ctx context.Context, dim, lcName string) error {
+	if lcName == "" {
+		if err := inj.describeFresh(ctx, func() error {
+			asg, err := inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
+			lcName = asg.LaunchConfigName
+			return err
+		}); err != nil {
+			return fmt.Errorf("faultinject: %w", err)
+		}
 	}
 	var cur simaws.LaunchConfig
 	if err := inj.describeFresh(ctx, func() (err error) {
-		cur, err = inj.cloud.DescribeLaunchConfiguration(ctx, asg.LaunchConfigName)
+		cur, err = inj.cloud.DescribeLaunchConfiguration(ctx, lcName)
 		return err
 	}); err != nil {
 		return fmt.Errorf("faultinject: %w", err)
@@ -257,16 +260,24 @@ func (inj *Injector) waitThen(ctx context.Context, newLCName string, f func() er
 	}, f)
 }
 
-// waitInUse waits until the group runs on the upgrade's new launch
-// configuration, then applies f. Its mere existence is not enough for a
-// flip: the upgrade creates the launch configuration and only then
-// switches the group onto it, so a flip landing in between is
-// overwritten by that switch and the fault never manifests.
-func (inj *Injector) waitInUse(ctx context.Context, newLCName string, f func() error) error {
+// flipInUse waits until the group runs on the upgrade's new launch
+// configuration, then flips a copy of it. Its mere existence is not
+// enough for a flip: the upgrade creates the launch configuration and
+// only then switches the group onto it, so a flip landing in between is
+// overwritten by that switch and the fault never manifests. The flip
+// copies the configuration the wait saw in use: a second describe of the
+// group may be served stale and name the old one. Only when the wait
+// timed out, or has no name to wait for, does the flip describe the group
+// itself.
+func (inj *Injector) flipInUse(ctx context.Context, newLCName, dim string) error {
+	inUse := ""
 	return inj.waitUntil(ctx, newLCName, func() bool {
 		asg, err := inj.cloud.DescribeAutoScalingGroup(ctx, inj.cluster.ASGName)
-		return err == nil && asg.LaunchConfigName == newLCName
-	}, f)
+		if err == nil && asg.LaunchConfigName == newLCName {
+			inUse = newLCName
+		}
+		return inUse != ""
+	}, func() error { return inj.flipLaunchConfig(ctx, dim, inUse) })
 }
 
 // waitUntil polls ready once a second of simulated time, then applies f.

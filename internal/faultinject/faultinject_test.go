@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,4 +288,79 @@ func TestInjectUnknownKind(t *testing.T) {
 	if err := e.inj.Interfere(e.ctx, Interference(99), 0); err == nil {
 		t.Fatal("unknown interference accepted")
 	}
+}
+
+// TestFlipClonesTheConfigurationSeenInUse: on a cloud that serves stale
+// reads, the key, security-group and instance-type flips copy the launch
+// configuration the upgrade switched the group onto, so the rogue one
+// keeps the upgrade's new AMI. A flip that re-described the group could
+// read the old configuration and clone the old AMI, which the diagnosis
+// then rightly names wrong-ami instead of the injected fault.
+func TestFlipClonesTheConfigurationSeenInUse(t *testing.T) {
+	ctx := context.Background()
+	for _, kind := range []Kind{KindKeyPairChanged, KindSGChanged, KindInstanceTypeChanged} {
+		failed := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			clk := clock.NewScaled(1000, time.Unix(0, 0))
+			profile := simaws.FastProfile()
+			profile.BootTime = clock.Fixed(time.Second)
+			profile.TickInterval = 200 * time.Millisecond
+			profile.StaleProb = 0.5
+			profile.StaleLag = clock.Fixed(5 * time.Second)
+			cloud := simaws.New(clk, profile, simaws.WithSeed(seed))
+			cloud.Start()
+			cluster, err := upgrade.Deploy(ctx, cloud, "pm", 1, "v1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Let the stale-read history fill with the group on its old
+			// configuration.
+			if err := clk.Sleep(ctx, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// The upgrade's own switch: a new image, a launch configuration
+			// launching it, and the group moved onto that configuration.
+			newAMI, err := cloud.RegisterImage(ctx, "pm-release", "v2", upgrade.AppServices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newLC := simaws.LaunchConfig{Name: "pm-lc-v2", ImageID: newAMI, KeyName: cluster.KeyName,
+				SecurityGroups: []string{cluster.SGName}, InstanceType: "m1.small"}
+			if err := cloud.CreateLaunchConfiguration(ctx, newLC); err != nil {
+				t.Fatal(err)
+			}
+			if err := cloud.UpdateAutoScalingGroup(ctx, cluster.ASGName, newLC.Name, -1, -1, -1); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewInjector(cloud, cluster, seed).Inject(ctx, kind, 0, newLC.Name, newAMI); err != nil {
+				t.Fatal(err)
+			}
+			rogue := freshRogueLC(t, ctx, cloud, cluster.ASGName)
+			cloud.Stop()
+			if rogue.ImageID != newAMI {
+				failed++
+				t.Errorf("%s seed %d: rogue configuration %s launches %s, want the upgrade's %s",
+					kind, seed, rogue.Name, rogue.ImageID, newAMI)
+			}
+		}
+		t.Logf("%s: %d of 20 seeds cloned the old configuration", kind, failed)
+	}
+}
+
+// freshRogueLC reads the group's rogue launch configuration through stale
+// reads: it retries until the group names a rogue configuration and that
+// configuration is visible.
+func freshRogueLC(t *testing.T, ctx context.Context, cloud *simaws.Cloud, asgName string) simaws.LaunchConfig {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		asg, err := cloud.DescribeAutoScalingGroup(ctx, asgName)
+		if err != nil || !strings.HasPrefix(asg.LaunchConfigName, "rogue-") {
+			continue
+		}
+		if lc, err := cloud.DescribeLaunchConfiguration(ctx, asg.LaunchConfigName); err == nil {
+			return lc
+		}
+	}
+	t.Fatal("the group never showed a readable rogue launch configuration")
+	return simaws.LaunchConfig{}
 }

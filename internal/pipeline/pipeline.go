@@ -7,9 +7,10 @@
 // The processor is deliberately mechanical: it classifies each raw
 // operation log line against the process model, attaches process context
 // (process instance id, activity, step id), extracts well-known fields
-// (instance id, AMI id, relaunch progress), and invokes the configured
-// trigger callbacks. Policy — which assertions to evaluate, what timers to
-// set — lives in the POD engine (internal/core).
+// (instance id, AMI id, relaunch progress), and invokes the Handler its
+// Router resolves for the line's process instance. Policy — which
+// assertions to evaluate, what timers to set — lives in the POD engine
+// (internal/core).
 package pipeline
 
 import (
@@ -35,29 +36,10 @@ var (
 	mEvForwarded = mEvents.With("forwarded")
 )
 
-// Triggers are the callbacks a Processor invokes as it annotates events.
-// Any callback may be nil. Callbacks run on the processor goroutine; keep
-// them fast and non-blocking (hand heavy work to other goroutines).
-type Triggers struct {
-	// Conformance receives every relevant line for token replay.
-	Conformance func(instanceID, line string, ev logging.Event)
-	// StepEvent fires for every line classified to an activity.
-	StepEvent func(instanceID string, node *process.Node, ev logging.Event)
-	// ErrorLine fires for lines matching known-error patterns.
-	ErrorLine func(instanceID, line string, ev logging.Event)
-	// ProcessStart fires on the first activity of an instance (starts
-	// the periodic timer, §III.B.1), and again on a straggler line after
-	// its final activity (see Handler.OnProcessStart).
-	ProcessStart func(instanceID string, ev logging.Event)
-	// ProcessEnd fires on the final activity (stops the periodic timer).
-	ProcessEnd func(instanceID string, ev logging.Event)
-}
-
-// Handler receives the annotated events of one process instance. It is the
-// per-operation counterpart of Triggers: a routed Processor resolves the
-// handler per event, so one processor can feed many concurrently monitored
-// operations. Methods run on the processor goroutine; keep them fast and
-// non-blocking (hand heavy work to other goroutines).
+// Handler receives the annotated events of one process instance. The
+// Processor resolves the handler per event, so one processor can feed many
+// concurrently monitored operations. Methods run on the caller of Process;
+// keep them fast and non-blocking (hand heavy work to other goroutines).
 type Handler interface {
 	// OnConformance receives every relevant line for token replay.
 	OnConformance(instanceID, line string, ev logging.Event)
@@ -81,54 +63,17 @@ type Handler interface {
 // the event's triggers; the event is still forwarded to central storage.
 type Router func(instanceID string, ev logging.Event) Handler
 
-// triggersHandler adapts the legacy Triggers callback set to Handler.
-type triggersHandler struct{ t Triggers }
-
-func (h triggersHandler) OnConformance(id, line string, ev logging.Event) {
-	if h.t.Conformance != nil {
-		h.t.Conformance(id, line, ev)
-	}
-}
-
-func (h triggersHandler) OnStepEvent(id string, node *process.Node, ev logging.Event) {
-	if h.t.StepEvent != nil {
-		h.t.StepEvent(id, node, ev)
-	}
-}
-
-func (h triggersHandler) OnErrorLine(id, line string, ev logging.Event) {
-	if h.t.ErrorLine != nil {
-		h.t.ErrorLine(id, line, ev)
-	}
-}
-
-func (h triggersHandler) OnProcessStart(id string, ev logging.Event) {
-	if h.t.ProcessStart != nil {
-		h.t.ProcessStart(id, ev)
-	}
-}
-
-func (h triggersHandler) OnProcessEnd(id string, ev logging.Event) {
-	if h.t.ProcessEnd != nil {
-		h.t.ProcessEnd(id, ev)
-	}
-}
-
 // Processor is the local log processor agent.
 type Processor struct {
-	model  *process.Model
-	store  logging.Sink // central log storage; may be nil
-	route  Router       // nil means the static handler below
-	static Handler      // legacy Triggers adapter; may be nil
+	model *process.Model
+	store logging.Sink // central log storage; may be nil
+	route Router       // nil means annotate and store only
 
 	mu sync.Mutex
 	// started holds the instances whose first activity was seen and whose
 	// final one was not yet: OnProcessStart fires when an instance enters.
 	started map[string]bool
 	stats   statCounters
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // Stats counts processor activity.
@@ -161,56 +106,18 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// New returns a Processor for the given model, forwarding important lines
-// to store and invoking triggers.
-func New(model *process.Model, store logging.Sink, triggers Triggers) *Processor {
-	return &Processor{
-		model:   model,
-		store:   store,
-		static:  triggersHandler{triggers},
-		started: make(map[string]bool),
-		stop:    make(chan struct{}),
-	}
-}
-
 // NewRouted returns a Processor that resolves the handler for each event
-// through router instead of a fixed callback set. Events whose instance is
-// not claimed by any handler still count in Stats and flow to central
-// storage, so an unmonitored operation's logs remain queryable.
+// through router; a nil router annotates and stores lines but triggers
+// nothing. Events whose instance is not claimed by any handler still count
+// in Stats and flow to central storage, so an unmonitored operation's logs
+// remain queryable. Callers feed it with Process.
 func NewRouted(model *process.Model, store logging.Sink, router Router) *Processor {
 	return &Processor{
 		model:   model,
 		store:   store,
 		route:   router,
 		started: make(map[string]bool),
-		stop:    make(chan struct{}),
 	}
-}
-
-// Start consumes events from the subscription until Stop is called or the
-// subscription closes.
-func (p *Processor) Start(sub *logging.Subscription) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case ev, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				p.Process(ev)
-			}
-		}
-	}()
-}
-
-// Stop halts the processing goroutine. Safe to call once after Start.
-func (p *Processor) Stop() {
-	close(p.stop)
-	p.wg.Wait()
 }
 
 // Stats returns a snapshot of the processing counters.
@@ -290,16 +197,12 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 		}
 	}
 
-	// Resolve the handler: the static Triggers adapter, or the router
-	// consulted after annotation so it can see extracted fields (asgid,
-	// amiid, ...) when deciding whether to adopt an unknown instance.
+	// Resolve the handler: the router is consulted after annotation so it
+	// can see extracted fields (asgid, amiid, ...) when deciding whether
+	// to adopt an unknown instance.
 	var h Handler
-	if p.route != nil {
-		if instanceID != "" {
-			h = p.route(instanceID, out)
-		}
-	} else {
-		h = p.static
+	if p.route != nil && instanceID != "" {
+		h = p.route(instanceID, out)
 	}
 
 	// Timer setter hook: first activity of the process.
@@ -319,13 +222,13 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 
 	// Triggers: conformance for every relevant line; step events and
 	// error lines for the engine.
-	if h != nil && instanceID != "" {
+	if h != nil {
 		h.OnConformance(instanceID, body, out)
 	}
 	if classified {
 		p.stats.annotated.Add(1)
 		mEvAnnotated.Inc()
-		if h != nil && instanceID != "" {
+		if h != nil {
 			h.OnStepEvent(instanceID, node, out)
 		}
 	}

@@ -20,10 +20,30 @@ func opEvent(taskID, body string) logging.Event {
 	}
 }
 
+// recorder is a Handler that records what the processor triggers.
+type recorder struct {
+	conf, errs, steps, starts, ends []string
+}
+
+func (r *recorder) OnConformance(_, line string, _ logging.Event) { r.conf = append(r.conf, line) }
+func (r *recorder) OnStepEvent(_ string, n *process.Node, _ logging.Event) {
+	r.steps = append(r.steps, n.StepID)
+}
+func (r *recorder) OnErrorLine(_, line string, _ logging.Event) { r.errs = append(r.errs, line) }
+func (r *recorder) OnProcessStart(id string, _ logging.Event)   { r.starts = append(r.starts, id) }
+func (r *recorder) OnProcessEnd(id string, _ logging.Event)     { r.ends = append(r.ends, id) }
+
+// newRecorded returns a processor that routes every instance to one
+// recorder.
+func newRecorded(store logging.Sink) (*Processor, *recorder) {
+	r := &recorder{}
+	return NewRouted(process.RollingUpgradeModel(), store, func(string, logging.Event) Handler { return r }), r
+}
+
 func TestProcessAnnotatesActivity(t *testing.T) {
 	model := process.RollingUpgradeModel()
 	store := logging.NewMemorySink()
-	p := New(model, store, Triggers{})
+	p := NewRouted(model, store, nil)
 	ev := opEvent("task-1", "Instance pm on i-7df34041 is ready for use. 4 of 4 instance relaunches done.")
 	out, forwarded := p.Process(ev)
 	if !forwarded {
@@ -54,7 +74,7 @@ func TestProcessAnnotatesActivity(t *testing.T) {
 }
 
 func TestProcessExtractsAMIAndGroup(t *testing.T) {
-	p := New(process.RollingUpgradeModel(), nil, Triggers{})
+	p := NewRouted(process.RollingUpgradeModel(), nil, nil)
 	out, _ := p.Process(opEvent("t", "Starting rolling upgrade of group pm--asg to image ami-750c9e4f"))
 	if out.Field("amiid") != "ami-750c9e4f" {
 		t.Errorf("amiid = %q", out.Field("amiid"))
@@ -65,7 +85,7 @@ func TestProcessExtractsAMIAndGroup(t *testing.T) {
 }
 
 func TestNoiseFilterDropsIrrelevantLines(t *testing.T) {
-	p := New(process.RollingUpgradeModel(), nil, Triggers{})
+	p := NewRouted(process.RollingUpgradeModel(), nil, nil)
 	ev := logging.Event{Type: logging.TypeOperation, Message: "random chatter from another tool"}
 	if _, forwarded := p.Process(ev); forwarded {
 		t.Fatal("noise forwarded")
@@ -81,24 +101,18 @@ func TestNoiseFilterDropsIrrelevantLines(t *testing.T) {
 }
 
 func TestUnclassifiedLineWithTaskIDStillTriggersConformance(t *testing.T) {
-	var conf []string
-	p := New(process.RollingUpgradeModel(), nil, Triggers{
-		Conformance: func(id, line string, ev logging.Event) { conf = append(conf, line) },
-	})
+	p, r := newRecorded(nil)
 	_, forwarded := p.Process(opEvent("t", "some novel line the model does not know"))
 	if forwarded {
 		t.Error("unknown non-error line forwarded as important")
 	}
-	if len(conf) != 1 {
-		t.Fatalf("conformance calls = %d", len(conf))
+	if len(r.conf) != 1 {
+		t.Fatalf("conformance calls = %d", len(r.conf))
 	}
 }
 
 func TestErrorLineTriggersAndForwards(t *testing.T) {
-	var errs []string
-	p := New(process.RollingUpgradeModel(), logging.NewMemorySink(), Triggers{
-		ErrorLine: func(id, line string, ev logging.Event) { errs = append(errs, line) },
-	})
+	p, r := newRecorded(logging.NewMemorySink())
 	out, forwarded := p.Process(opEvent("t", "ERROR: deregistering instance i-1 from ELB elb: LoadBalancerNotFound"))
 	if !forwarded {
 		t.Fatal("error line not forwarded")
@@ -106,8 +120,8 @@ func TestErrorLineTriggersAndForwards(t *testing.T) {
 	if !out.HasTag("error") {
 		t.Errorf("tags = %v", out.Tags)
 	}
-	if len(errs) != 1 {
-		t.Fatalf("error callbacks = %d", len(errs))
+	if len(r.errs) != 1 {
+		t.Fatalf("error callbacks = %d", len(r.errs))
 	}
 	if p.Snapshot().Errors != 1 {
 		t.Errorf("stats = %+v", p.Snapshot())
@@ -115,25 +129,21 @@ func TestErrorLineTriggersAndForwards(t *testing.T) {
 }
 
 func TestProcessStartAndEndFireOnce(t *testing.T) {
-	var starts, ends []string
-	p := New(process.RollingUpgradeModel(), nil, Triggers{
-		ProcessStart: func(id string, ev logging.Event) { starts = append(starts, id) },
-		ProcessEnd:   func(id string, ev logging.Event) { ends = append(ends, id) },
-	})
+	p, r := newRecorded(nil)
 	p.Process(opEvent("t", "Starting rolling upgrade of group g to image ami-1"))
 	p.Process(opEvent("t", "Created launch configuration lc with image ami-1"))
 	p.Process(opEvent("t", "Sorted 2 instances for replacement"))
 	p.Process(opEvent("t", "Rolling upgrade task completed"))
-	if len(starts) != 1 || starts[0] != "t" {
-		t.Errorf("starts = %v", starts)
+	if len(r.starts) != 1 || r.starts[0] != "t" {
+		t.Errorf("starts = %v", r.starts)
 	}
-	if len(ends) != 1 {
-		t.Errorf("ends = %v", ends)
+	if len(r.ends) != 1 {
+		t.Errorf("ends = %v", r.ends)
 	}
 	// A second instance gets its own start.
 	p.Process(opEvent("u", "Starting rolling upgrade of group g to image ami-2"))
-	if len(starts) != 2 {
-		t.Errorf("starts after second instance = %v", starts)
+	if len(r.starts) != 2 {
+		t.Errorf("starts after second instance = %v", r.starts)
 	}
 }
 
@@ -141,10 +151,7 @@ func TestProcessStartAndEndFireOnce(t *testing.T) {
 // instance only while its process runs, so the set a long-lived processor
 // holds does not grow with every instance it has ever seen.
 func TestStartedSetForgetsEndedProcesses(t *testing.T) {
-	starts := 0
-	p := New(process.RollingUpgradeModel(), nil, Triggers{
-		ProcessStart: func(string, logging.Event) { starts++ },
-	})
+	p, r := newRecorded(nil)
 	const n = 5
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("t%d", i)
@@ -155,16 +162,13 @@ func TestStartedSetForgetsEndedProcesses(t *testing.T) {
 	p.mu.Lock()
 	held := len(p.started)
 	p.mu.Unlock()
-	if held != 0 || starts != n {
-		t.Fatalf("after %d complete processes: %d instances held, %d starts", n, held, starts)
+	if held != 0 || len(r.starts) != n {
+		t.Fatalf("after %d complete processes: %d instances held, %d starts", n, held, len(r.starts))
 	}
 }
 
 func TestStepEventCallbackReceivesNode(t *testing.T) {
-	var steps []string
-	p := New(process.RollingUpgradeModel(), nil, Triggers{
-		StepEvent: func(id string, n *process.Node, ev logging.Event) { steps = append(steps, n.StepID) },
-	})
+	p, r := newRecorded(nil)
 	lines := []string{
 		"Starting rolling upgrade of group g to image ami-1",
 		"Created launch configuration lc with image ami-1",
@@ -175,33 +179,13 @@ func TestStepEventCallbackReceivesNode(t *testing.T) {
 		p.Process(opEvent("t", l))
 	}
 	want := []string{process.StepStartTask, process.StepUpdateLC, process.StepSortInst, process.StepDeregister}
-	if len(steps) != len(want) {
-		t.Fatalf("steps = %v", steps)
+	if len(r.steps) != len(want) {
+		t.Fatalf("steps = %v", r.steps)
 	}
 	for i := range want {
-		if steps[i] != want[i] {
-			t.Errorf("step %d = %s, want %s", i, steps[i], want[i])
+		if r.steps[i] != want[i] {
+			t.Errorf("step %d = %s, want %s", i, r.steps[i], want[i])
 		}
-	}
-}
-
-func TestStartStopConsumesSubscription(t *testing.T) {
-	bus := logging.NewBus()
-	defer bus.Close()
-	store := logging.NewMemorySink()
-	p := New(process.RollingUpgradeModel(), store, Triggers{})
-	sub := bus.Subscribe(256, nil)
-	p.Start(sub)
-	for i := 0; i < 5; i++ {
-		bus.Publish(opEvent("t", fmt.Sprintf("Status: %d of 5 instances replaced", i)))
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && store.Len() < 5 {
-		time.Sleep(time.Millisecond)
-	}
-	p.Stop()
-	if store.Len() != 5 {
-		t.Fatalf("forwarded %d of 5", store.Len())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // and checks that neither is written: the annotations land in each
 // call's own copy. Run under -race it also shows no write races a read.
 func TestProcessLeavesSharedInputUntouched(t *testing.T) {
-	p := New(process.RollingUpgradeModel(), logging.NewMemorySink(), Triggers{})
+	p := NewRouted(process.RollingUpgradeModel(), logging.NewMemorySink(), nil)
 	fields := map[string]string{"taskid": "t"}
 	tags := make([]string, 1, 8)
 	tags[0] = "upstream"
