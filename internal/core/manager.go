@@ -306,22 +306,27 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		Window:     cfg.ReorderWindow,
 		MaxPending: reorderMaxPending,
 		Schedule:   func(d time.Duration, f func()) func() { return m.timers.After(d, f) },
-	}, func(d pipeline.Delivery) {
-		if d.GapBefore {
-			m.notifyGap()
-		}
-		// Make stream repair visible to evidence timelines: a held event
-		// waited out of order; gap-before means its predecessors were
-		// declared lost. The annotation rides as an event field so it
-		// survives the trip through the processor to the sessions.
-		if d.GapBefore {
-			d.Event = d.Event.WithField("reorder", "gap-before")
-		} else if d.Held {
-			d.Event = d.Event.WithField("reorder", "held")
-		}
-		m.processor.Process(d.Event)
-	})
+	}, m.deliver)
 	return m, nil
+}
+
+// deliver takes one event the reorder buffer releases into the local log
+// processor, declaring the gap before it first.
+func (m *Manager) deliver(d pipeline.Delivery) {
+	if d.GapBefore {
+		m.notifyGap()
+	}
+	// Make stream repair visible to evidence timelines: a held event
+	// waited out of order; gap-before means its predecessors were
+	// declared lost. The annotation rides as an event field so it
+	// survives the trip through the processor to the sessions; it is
+	// set inline on the delivery's own copy, which allocates nothing.
+	if d.GapBefore {
+		d.Event.SetField("reorder", logging.ReorderGapBefore)
+	} else if d.Held {
+		d.Event.SetField("reorder", logging.ReorderHeld)
+	}
+	m.processor.Process(d.Event)
 }
 
 // gapMark is one declared sequence gap on the shared shipping fabric:

@@ -115,11 +115,15 @@ type instance struct {
 	// first.
 	lastEntry uint64
 	// logAttrs is the {"instance": id} attrs map every log.event entry of
-	// the instance shares (recordLogEvent); read-only once made.
-	logAttrs map[string]string
-	// verdictFields holds the read-only Fields map every published
-	// verdict event of one (step, verdict) shares (publishConformance).
-	verdictFields map[verdictKey]map[string]string
+	// the instance shares (recordLogEvent), and reorderAttrs the ones its
+	// held and gap-before lines share, carrying the stamp; read-only once
+	// made.
+	logAttrs     map[string]string
+	reorderAttrs [2]map[string]string
+	// verdicts holds what every published verdict event of one (step,
+	// verdict, activity) shares: its read-only Fields map and its message
+	// (publishConformance).
+	verdicts map[verdictKey]verdictPub
 }
 
 // instance returns the record of an instance, creating it on first use;
@@ -448,13 +452,23 @@ func (s *Session) recordLogEvent(instanceID string, in *instance, ev logging.Eve
 		Cause:   ev.CauseID,
 		Message: ev.Message,
 	}
-	if rep := ev.Field("reorder"); rep != "" {
-		e.Attrs = map[string]string{"instance": instanceID, "reorder": rep}
-	} else {
+	switch rep := ev.Field("reorder"); rep {
+	case "":
 		if in.logAttrs == nil {
 			in.logAttrs = map[string]string{"instance": instanceID}
 		}
 		e.Attrs = in.logAttrs
+	case logging.ReorderHeld, logging.ReorderGapBefore:
+		i := 0
+		if rep == logging.ReorderGapBefore {
+			i = 1
+		}
+		if in.reorderAttrs[i] == nil {
+			in.reorderAttrs[i] = map[string]string{"instance": instanceID, "reorder": rep}
+		}
+		e.Attrs = in.reorderAttrs[i]
+	default:
+		e.Attrs = map[string]string{"instance": instanceID, "reorder": rep}
 	}
 	in.lastEntry = s.flight.Record(e)
 	s.rev.Add(1)
@@ -462,10 +476,16 @@ func (s *Session) recordLogEvent(instanceID string, in *instance, ev logging.Eve
 }
 
 // verdictKey names the verdict events of one instance that share one
-// Fields map.
+// Fields map and one message.
 type verdictKey struct {
-	step    string
-	verdict conformance.Verdict
+	step, activity string
+	verdict        conformance.Verdict
+}
+
+// verdictPub is what the verdict events of one verdictKey share.
+type verdictPub struct {
+	fields  map[string]string
+	message string
 }
 
 // verdictTags are the tag slices of published verdict events, one per
@@ -480,26 +500,30 @@ var verdictTags = map[conformance.Verdict][]string{
 
 // publishConformance logs the verdict to the bus (merged into central
 // storage like the paper's conformance service results). It runs once per
-// routed line: the message is one concatenation, the tags are shared per
-// verdict and the Fields map per (instance, step, verdict). Both are
-// read-only once published; a subscriber that annotates a verdict event
-// clones it first, as pipeline.Process does. The bus publish runs outside
-// s.mu, so the session lock never nests the bus's.
+// routed line and allocates only on an instance's first verdict of each
+// (step, verdict, activity): the tags are shared per verdict, and the
+// Fields map and the message per (instance, step, verdict, activity).
+// All are read-only once published. The bus publish runs outside s.mu,
+// so the session lock never nests the bus's.
 func (s *Session) publishConformance(instanceID string, in *instance, res conformance.Result, ev logging.Event) {
-	verdict := string(res.Verdict)
-	key := verdictKey{res.StepID, res.Verdict}
+	key := verdictKey{res.StepID, res.ActivityID, res.Verdict}
 	s.mu.Lock()
-	fields := in.verdictFields[key]
-	if fields == nil {
-		if in.verdictFields == nil {
-			in.verdictFields = make(map[verdictKey]map[string]string)
+	pub, ok := in.verdicts[key]
+	if !ok {
+		if in.verdicts == nil {
+			in.verdicts = make(map[verdictKey]verdictPub)
 		}
-		fields = map[string]string{
-			"taskid":  instanceID,
-			"stepid":  res.StepID,
-			"verdict": verdict,
+		verdict := string(res.Verdict)
+		pub = verdictPub{
+			fields: map[string]string{
+				"taskid":  instanceID,
+				"stepid":  res.StepID,
+				"verdict": verdict,
+			},
+			message: "[conformance] [" + instanceID + "] [" + res.StepID + "] verdict=" + verdict +
+				" activity=" + res.ActivityID,
 		}
-		in.verdictFields[key] = fields
+		in.verdicts[key] = pub
 	}
 	s.mu.Unlock()
 	s.mgr.cfg.Bus.Publish(logging.Event{
@@ -508,9 +532,8 @@ func (s *Session) publishConformance(instanceID string, in *instance, res confor
 		SourceHost: "pod-conformance",
 		Type:       logging.TypeConformance,
 		Tags:       verdictTags[res.Verdict],
-		Fields:     fields,
-		Message: "[conformance] [" + instanceID + "] [" + res.StepID + "] verdict=" + verdict +
-			" activity=" + res.ActivityID,
+		Fields:     pub.fields,
+		Message:    pub.message,
 	})
 }
 

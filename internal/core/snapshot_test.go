@@ -59,10 +59,11 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 			"lastEntry":   "LastEntry",
 		},
 		excluded: map[string]string{ // instance field -> why handoff may drop it
-			"stepCancel":    "one-off step timers re-arm on the next step event",
-			"perioCancel":   "periodic timers re-armed by RestoreSession",
-			"logAttrs":      "derived cache of the read-only {instance: id} map; the adopter rebuilds it on the instance's first line",
-			"verdictFields": "derived cache of read-only verdict Fields maps; the adopter rebuilds one per (step, verdict) on first use",
+			"stepCancel":   "one-off step timers re-arm on the next step event",
+			"perioCancel":  "periodic timers re-armed by RestoreSession",
+			"logAttrs":     "derived cache of the read-only {instance: id} map; the adopter rebuilds it on the instance's first line",
+			"reorderAttrs": "derived cache of the read-only {instance, reorder} maps; the adopter rebuilds each on the instance's first held or gap-before line",
+			"verdicts":     "derived cache of read-only verdict Fields maps and messages; the adopter rebuilds one per (step, verdict, activity) on first use",
 		},
 	}
 	session.check(t, reflect.TypeOf(Session{}))

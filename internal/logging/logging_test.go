@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func sampleEvent() Event {
@@ -26,18 +27,23 @@ func sampleEvent() Event {
 func TestEventCloneIsDeep(t *testing.T) {
 	e := sampleEvent()
 	c := e.Clone()
-	c.Tags[0] = "changed"
-	c.Fields["amiid"] = "changed"
-	if e.Tags[0] != "push" {
+	c.AddTag("changed")
+	c.SetField("amiid", "changed")
+	if len(e.Tags) != 3 || e.HasTag("changed") {
 		t.Error("Clone aliases Tags")
 	}
-	if e.Fields["amiid"] != "ami-750c9e4f" {
+	if e.Field("amiid") != "ami-750c9e4f" || e.Fields["amiid"] != "ami-750c9e4f" {
 		t.Error("Clone aliases Fields")
+	}
+	if c.Field("amiid") != "changed" || !c.HasTag("changed") {
+		t.Errorf("the clone was not written: %v", c)
 	}
 }
 
-func TestEventWithTagIdempotent(t *testing.T) {
-	e := sampleEvent().WithTag("x").WithTag("x")
+func TestEventAddTagIdempotent(t *testing.T) {
+	e := sampleEvent()
+	e.AddTag("x")
+	e.AddTag("x")
 	n := 0
 	for _, tag := range e.Tags {
 		if tag == "x" {
@@ -45,23 +51,90 @@ func TestEventWithTagIdempotent(t *testing.T) {
 		}
 	}
 	if n != 1 {
-		t.Fatalf("WithTag added tag %d times", n)
+		t.Fatalf("AddTag added tag %d times", n)
 	}
 }
 
-func TestEventWithFieldDoesNotMutateOriginal(t *testing.T) {
+// TestEventAddTagLeavesSharedArray: a tag slice with spare capacity is
+// shared by value copies, and AddTag on one copy must not write into it.
+func TestEventAddTagLeavesSharedArray(t *testing.T) {
 	e := sampleEvent()
-	_ = e.WithField("instanceid", "i-123")
-	if _, ok := e.Fields["instanceid"]; ok {
-		t.Fatal("WithField mutated receiver")
+	e.Tags = append(make([]string, 0, 8), e.Tags...)
+	a, b := e, e
+	a.AddTag("a")
+	b.AddTag("b")
+	if a.Tags[3] != "a" || b.Tags[3] != "b" || len(e.Tags[:cap(e.Tags)][3]) != 0 {
+		t.Errorf("copies share a written tag array: %q %q", a.Tags, b.Tags)
 	}
 }
 
-func TestEventWithFieldOnNilMap(t *testing.T) {
+func TestEventSetFieldDoesNotMutateOriginal(t *testing.T) {
+	e := sampleEvent()
+	shared := e.Fields
+	c := e
+	c.SetField("instanceid", "i-123")
+	c.SetField("owner", "x")
+	if _, ok := e.Fields["instanceid"]; ok || e.Field("instanceid") != "" {
+		t.Fatal("SetField mutated the original")
+	}
+	if len(shared) != 2 || e.Field("owner") != "" {
+		t.Fatalf("SetField wrote the shared map: %v", shared)
+	}
+}
+
+func TestEventSetFieldOnNilMap(t *testing.T) {
 	e := Event{}
-	out := e.WithField("k", "v")
-	if out.Field("k") != "v" {
-		t.Fatal("WithField on zero event failed")
+	e.SetField("k", "v")
+	e.SetField("instanceid", "i-123")
+	if e.Field("k") != "v" || e.Field("instanceid") != "i-123" {
+		t.Fatal("SetField on zero event failed")
+	}
+}
+
+// TestEventAnnotationInline: the annotator's values that have an inline
+// form are set without touching Fields, and they marshal into @fields
+// beside the published ones, winning on a clash.
+func TestEventAnnotationInline(t *testing.T) {
+	e := sampleEvent()
+	e.Fields = map[string]string{"taskid": "t", "asgid": "stale", "activity": "stale"}
+	shared := e.Fields
+	note := NewNote("upd", "step3", "Update group")
+	body := e.Message[len("Instance pm on "):]
+	e.Tags = note.Tags(true)
+	e.Annotate(note)
+	e.SetField("processinstanceid", "t")
+	e.SetField("instanceid", body[:len("i-7df34041")])
+	e.SetField("asgid", "")
+	e.SetField("reorder", ReorderHeld)
+	want := map[string]string{"taskid": "t", "asgid": "", "activity": "Update group", "stepid": "step3",
+		"processinstanceid": "t", "instanceid": "i-7df34041", "reorder": "held"}
+	for k, v := range want {
+		if got := e.Field(k); got != v {
+			t.Errorf("Field(%q) = %q, want %q", k, got, v)
+		}
+	}
+	if len(shared) != 3 || shared["asgid"] != "stale" || shared["activity"] != "stale" {
+		t.Errorf("the published map was written: %v", shared)
+	}
+	data, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Contains(data, append([]byte(`"@fields":`), wantJSON...)) {
+		t.Errorf("@fields not merged and sorted: %s", data)
+	}
+	if got := strings.Join(e.Tags, ","); got != "upd,step3,error" {
+		t.Errorf("tags %q", got)
+	}
+}
+
+// TestEventSize pins the size of an event value: every bus-buffer slot,
+// reorder hold and logstore chunk slot holds one.
+func TestEventSize(t *testing.T) {
+	const maxEventSize = 176
+	if got := unsafe.Sizeof(Event{}); got > maxEventSize {
+		t.Errorf("an Event takes %d bytes, more than %d", got, maxEventSize)
 	}
 }
 

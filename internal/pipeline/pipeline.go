@@ -157,36 +157,27 @@ func (p *Processor) Process(ev logging.Event) (logging.Event, bool) {
 		return ev, false
 	}
 
-	// Log annotator: process context tags and extracted fields. One Clone
-	// buys a private copy, its tag slice sized for the tags added below;
-	// every annotation after it mutates in place — the WithTag/WithField
-	// chain this replaces re-cloned the whole event (tags slice + fields
-	// map) per annotation. The input event is never written: its maps
-	// and slices may be shared with other events.
-	newTags := 0
+	// Log annotator: process context tags and extracted fields. The
+	// annotations ride inline on a value copy of the event — the step id,
+	// activity and tags as the node's shared Note, the extracted values as
+	// offsets into the message — so a classified line allocates nothing.
+	// The input's Fields map and Tags slice are shared with other events
+	// and never written.
+	out := ev
+	var note *logging.Note
 	if classified {
-		newTags++
-		if node.StepID != "" {
-			newTags++
+		note = node.Note()
+		out.Annotate(note)
+	}
+	if tags := note.Tags(isError); len(ev.Tags) == 0 {
+		out.Tags = tags
+	} else {
+		for _, tag := range tags {
+			out.AddTag(tag)
 		}
 	}
-	if isError {
-		newTags++
-	}
-	out := ev.CloneWithRoom(newTags)
 	if instanceID != "" {
 		out.SetField("processinstanceid", instanceID)
-	}
-	if classified {
-		out.AddTag(node.ID)
-		if node.StepID != "" {
-			out.AddTag(node.StepID)
-			out.SetField("stepid", node.StepID)
-		}
-		out.SetField("activity", node.Name)
-	}
-	if isError {
-		out.AddTag("error")
 	}
 	for i := range extractors {
 		x := &extractors[i]

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"sort"
 	"time"
+
+	"poddiagnosis/internal/logging"
 )
 
 // Builder assembles a Model. Errors are accumulated and reported by Build,
@@ -144,8 +146,8 @@ func (b *Builder) addNode(n *Node) {
 // every node reachable from the start, valid regular expressions, and a
 // token-replay net whose silent closures stay under the replay cap
 // (ErrClosureTooLarge otherwise). Compilation — the line
-// matcher and the integer net — happens here, once per model, so the
-// checkers and processors that share the model share it too.
+// matcher, the integer net and each node's Note — happens here, once per
+// model, so the checkers and processors that share the model share it too.
 func (b *Builder) Build() (*Model, error) {
 	errs := append([]error(nil), b.errs...)
 	m := &Model{
@@ -177,6 +179,7 @@ func (b *Builder) Build() (*Model, error) {
 	nActivities := 0
 	for _, n := range m.sorted {
 		n.index = -1
+		n.note = logging.NewNote(n.ID, n.StepID, n.Name)
 		if n.Kind == KindActivity {
 			n.index = nActivities
 			nActivities++

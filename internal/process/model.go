@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"poddiagnosis/internal/logging"
 )
 
 // NodeKind distinguishes the node types of a model.
@@ -77,6 +79,9 @@ type Node struct {
 	// index is the node's position among its model's activities in id
 	// order, set by Build; -1 for other kinds.
 	index int
+	// note is the process context of a line classified to the node, set
+	// by Build.
+	note *logging.Note
 }
 
 // Index returns the node's position among its model's activities in id
@@ -84,6 +89,11 @@ type Node struct {
 // kind. Build sets it; consumers keep per-activity state in slices indexed
 // by it.
 func (n *Node) Index() int { return n.index }
+
+// Note returns the process context a line classified to the node is
+// annotated with: its step id, activity name and tags, shared by every
+// such line. Build sets it; nil before.
+func (n *Node) Note() *logging.Note { return n.note }
 
 // Edge is a directed sequence flow between two nodes.
 type Edge struct {
