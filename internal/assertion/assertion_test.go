@@ -2,6 +2,7 @@ package assertion
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -397,6 +398,68 @@ func TestTimerSetStopAllRejectsNew(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if n.Load() != 0 {
 		t.Fatal("timer fired after StopAll")
+	}
+}
+
+func TestTimerSetStopAllWaitsForRunningCallback(t *testing.T) {
+	clk := clock.NewScaled(1000, time.Unix(0, 0))
+	ts := NewTimerSet(clk)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	ts.After(time.Millisecond, func() {
+		close(entered)
+		<-release
+		finished.Store(true)
+	})
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer did not fire")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		ts.StopAll()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("StopAll returned while a callback was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("StopAll did not return after the callback finished")
+	}
+	if !finished.Load() {
+		t.Fatal("StopAll returned before the callback finished")
+	}
+}
+
+// goroutineSlack bounds the goroutines unrelated to the code under test
+// that a goroutine count may catch exiting.
+const goroutineSlack = 5
+
+// A one-off timer is a clock timer, not a goroutine.
+func TestTimerSetAfterStartsNoGoroutine(t *testing.T) {
+	clk := clock.NewScaled(1, time.Unix(0, 0))
+	ts := NewTimerSet(clk)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		ts.After(time.Hour, func() {})
+	}
+	// Goroutines other tests left exiting may still be counted: allow a
+	// few, against the thousand a goroutine per timer would add.
+	if after := runtime.NumGoroutine(); after > before+goroutineSlack {
+		t.Errorf("1000 pending timers: %d goroutines, was %d", after, before)
+	}
+	if ts.Pending() != 1000 {
+		t.Errorf("pending = %d, want 1000", ts.Pending())
+	}
+	ts.StopAll()
+	if ts.Pending() != 0 {
+		t.Errorf("pending = %d after StopAll", ts.Pending())
 	}
 }
 

@@ -3,6 +3,7 @@ package assertion
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"poddiagnosis/internal/clock"
@@ -62,11 +63,15 @@ type Evaluator struct {
 	mu      sync.Mutex
 	history []Result // ring once full: the oldest result is at count % historyCap
 	count   int      // evaluations ever recorded
+
+	tagMu    sync.RWMutex
+	stepTags map[string][]string // step id -> the shared tags of its lines
 }
 
 // NewEvaluator returns an Evaluator. The bus may be nil.
 func NewEvaluator(client *consistentapi.Client, registry *Registry, bus *logging.Bus) *Evaluator {
-	return &Evaluator{client: client, registry: registry, bus: bus, host: "pod-assertion"}
+	return &Evaluator{client: client, registry: registry, bus: bus, host: "pod-assertion",
+		stepTags: make(map[string][]string)}
 }
 
 // Registry returns the evaluator's check registry.
@@ -99,7 +104,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, checkID string, p Params, trig
 	mEvaluations.With(res.CheckID, res.Status.String()).Inc()
 	mEvalLatency.Observe(clock.Wall.Since(wallStart).Seconds())
 	span.SetAttr("status", res.Status.String())
-	span.SetAttr("simDuration", res.Duration.String())
+	span.SetDuration("simDuration", res.Duration)
 	span.End()
 
 	e.mu.Lock()
@@ -137,7 +142,9 @@ func (e *Evaluator) Count() int {
 	return e.count
 }
 
-// publish emits the result in the paper's assertion log format.
+// publish emits the result in the paper's assertion log format. The line
+// is built in one pass into a buffer sized for it, and the tag slice is
+// shared per step.
 func (e *Evaluator) publish(res Result, trig Trigger) {
 	if e.bus == nil {
 		return
@@ -153,20 +160,52 @@ func (e *Evaluator) publish(res Result, trig Trigger) {
 	if trig.StepID != "" {
 		fields["steppostcon"] = trig.StepID
 	}
-	tags := []string{"assertion"}
-	if trig.StepID != "" {
-		tags = append(tags, trig.StepID)
-	}
-	msg := fmt.Sprintf("[%s] [assertion] [Task:%s] [Step:%s] %s",
-		res.EvaluatedAt.Format(logging.TimestampLayout),
-		trig.ProcessInstanceID, trig.StepID, res.Message)
+	var stamp [len(logging.TimestampLayout) + 8]byte
+	when := res.EvaluatedAt.AppendFormat(stamp[:0], logging.TimestampLayout)
+	var b strings.Builder
+	b.Grow(len("[] [assertion] [Task:] [Step:] ") + len(when) +
+		len(trig.ProcessInstanceID) + len(trig.StepID) + len(res.Message))
+	b.WriteByte('[')
+	b.Write(when)
+	b.WriteString("] [assertion] [Task:")
+	b.WriteString(trig.ProcessInstanceID)
+	b.WriteString("] [Step:")
+	b.WriteString(trig.StepID)
+	b.WriteString("] ")
+	b.WriteString(res.Message)
 	e.bus.Publish(logging.Event{
 		Timestamp:  res.EvaluatedAt,
 		Source:     "assertion-evaluation.log",
 		SourceHost: e.host,
 		Type:       logging.TypeAssertion,
-		Tags:       tags,
+		Tags:       e.tags(trig.StepID),
 		Fields:     fields,
-		Message:    msg,
+		Message:    b.String(),
 	})
+}
+
+// noStepTags is the tag slice of a line with no step; subscribers treat
+// event tags as read-only, so every such line shares it.
+var noStepTags = []string{"assertion"}
+
+// tags returns the shared, full-capacity tag slice of a line attached to
+// step: ["assertion", step], or ["assertion"] with no step. A subscriber
+// that appends to it copies it.
+func (e *Evaluator) tags(step string) []string {
+	if step == "" {
+		return noStepTags
+	}
+	e.tagMu.RLock()
+	tags, ok := e.stepTags[step]
+	e.tagMu.RUnlock()
+	if ok {
+		return tags
+	}
+	e.tagMu.Lock()
+	defer e.tagMu.Unlock()
+	if tags, ok = e.stepTags[step]; !ok {
+		tags = []string{"assertion", step}
+		e.stepTags[step] = tags
+	}
+	return tags
 }

@@ -20,19 +20,29 @@ type TimerSet struct {
 
 	mu      sync.Mutex
 	nextID  int
-	cancels map[int]chan struct{}
+	timers  map[int]timerEntry
 	stopped bool
 	wg      sync.WaitGroup
 }
 
+// timerEntry is one registered timer. A one-off timer is a clock timer
+// with no goroutine of its own; a periodic one is a ticker goroutine that
+// ends when done is closed.
+type timerEntry struct {
+	stop func() bool   // one-off: stops the clock timer
+	done chan struct{} // periodic: closed to end the ticker goroutine
+}
+
 // NewTimerSet returns an empty timer set.
 func NewTimerSet(clk clock.Clock) *TimerSet {
-	return &TimerSet{clk: clk, cancels: make(map[int]chan struct{})}
+	return &TimerSet{clk: clk, timers: make(map[int]timerEntry)}
 }
 
 // After schedules f once after d of clock time. The returned cancel
 // function stops the timer if it has not fired; it is safe to call
-// multiple times.
+// multiple times. No goroutine waits for the timer: the clock calls f.
+// Whoever removes the timer from the set — its callback or a cancel —
+// releases its hold on StopAll.
 func (t *TimerSet) After(d time.Duration, f func()) (cancel func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -41,22 +51,16 @@ func (t *TimerSet) After(d time.Duration, f func()) (cancel func()) {
 	}
 	id := t.nextID
 	t.nextID++
-	ch := make(chan struct{})
-	t.cancels[id] = ch
 	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		select {
-		case <-ch:
-			return
-		case <-t.clk.After(d):
-		}
-		// Deregister before running so StopAll does not double-close.
+	// The callback takes t.mu, which is held until the entry is stored.
+	stop := t.clk.AfterFunc(d, func() {
 		if !t.deregister(id) {
-			return
+			return // cancelled: the canceller released the hold
 		}
+		defer t.wg.Done()
 		f()
-	}()
+	})
+	t.timers[id] = timerEntry{stop: stop}
 	return func() { t.cancelID(id) }
 }
 
@@ -72,7 +76,7 @@ func (t *TimerSet) Every(d time.Duration, f func()) (cancel func()) {
 	id := t.nextID
 	t.nextID++
 	ch := make(chan struct{})
-	t.cancels[id] = ch
+	t.timers[id] = timerEntry{done: ch}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -94,10 +98,22 @@ func (t *TimerSet) Every(d time.Duration, f func()) (cancel func()) {
 func (t *TimerSet) cancelID(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ch, ok := t.cancels[id]; ok {
-		delete(t.cancels, id)
-		close(ch)
+	if e, ok := t.timers[id]; ok {
+		delete(t.timers, id)
+		t.release(e)
 	}
+}
+
+// release stops a timer just removed from the set; t.mu is held. A one-off
+// timer's callback finds itself deregistered and returns, so the hold it
+// had on StopAll is released here.
+func (t *TimerSet) release(e timerEntry) {
+	if e.stop == nil {
+		close(e.done)
+		return
+	}
+	e.stop()
+	t.wg.Done()
 }
 
 // deregister removes a fired one-off timer, reporting whether it was still
@@ -105,26 +121,23 @@ func (t *TimerSet) cancelID(id int) {
 func (t *TimerSet) deregister(id int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.cancels[id]; !ok {
+	if _, ok := t.timers[id]; !ok {
 		return false
 	}
-	delete(t.cancels, id)
+	delete(t.timers, id)
 	return true
 }
 
-// StopAll cancels all timers and waits for callbacks to finish. The set
-// cannot be reused afterwards.
+// StopAll cancels all timers and waits for callbacks already running to
+// finish. The set cannot be reused afterwards.
 func (t *TimerSet) StopAll() {
 	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		t.wg.Wait()
-		return
-	}
-	t.stopped = true
-	for id, ch := range t.cancels {
-		delete(t.cancels, id)
-		close(ch)
+	if !t.stopped {
+		t.stopped = true
+		for id, e := range t.timers {
+			delete(t.timers, id)
+			t.release(e)
+		}
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
@@ -134,5 +147,5 @@ func (t *TimerSet) StopAll() {
 func (t *TimerSet) Pending() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.cancels)
+	return len(t.timers)
 }

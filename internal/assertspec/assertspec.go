@@ -219,10 +219,17 @@ func parseLine(line string, lineNo int) (Binding, error) {
 }
 
 // Resolve substitutes {variable} placeholders in the binding's parameters
-// from vars and merges them over base. It reports ok=false when any
+// from vars and merges them over base and then extra (either may be nil),
+// into one map sized for all three. It reports ok=false when any
 // placeholder stays unresolved — the binding should then be skipped.
-func (b Binding) Resolve(base assertion.Params, vars map[string]string) (assertion.Params, bool) {
-	out := base.Clone()
+func (b Binding) Resolve(base, extra assertion.Params, vars map[string]string) (assertion.Params, bool) {
+	out := make(assertion.Params, len(base)+len(extra)+len(b.Params))
+	for k, v := range base {
+		out[k] = v
+	}
+	for k, v := range extra {
+		out[k] = v
+	}
 	for k, v := range b.Params {
 		resolved := v
 		for name, val := range vars {

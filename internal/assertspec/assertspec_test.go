@@ -112,7 +112,7 @@ func TestResolveSubstitutesAndSkips(t *testing.T) {
 		Params:  assertion.Params{"want": "{progress}", "extra": "literal"},
 	}
 	base := assertion.Params{"asgid": "g"}
-	params, ok := b.Resolve(base, map[string]string{"progress": "3"})
+	params, ok := b.Resolve(base, nil, map[string]string{"progress": "3"})
 	if !ok {
 		t.Fatal("resolution failed")
 	}
@@ -124,15 +124,15 @@ func TestResolveSubstitutesAndSkips(t *testing.T) {
 		t.Error("Resolve mutated base")
 	}
 	// Unresolvable variable: the binding is skipped.
-	if _, ok := b.Resolve(base, map[string]string{}); ok {
+	if _, ok := b.Resolve(base, nil, map[string]string{}); ok {
 		t.Error("unresolved placeholder accepted")
 	}
 }
 
 func TestResolveNoParams(t *testing.T) {
 	b := Binding{CheckID: "x"}
-	params, ok := b.Resolve(assertion.Params{"a": "1"}, nil)
-	if !ok || params["a"] != "1" {
+	params, ok := b.Resolve(assertion.Params{"a": "1"}, assertion.Params{"b": "2"}, nil)
+	if !ok || params["a"] != "1" || params["b"] != "2" {
 		t.Fatalf("params = %v ok = %v", params, ok)
 	}
 }

@@ -42,10 +42,10 @@ func (c *manualClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-func (c *manualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.Now().Add(d)
-	return ch
+// AfterFunc fires at once: the call runs without waiting for the clock.
+func (c *manualClock) AfterFunc(_ time.Duration, f func()) func() bool {
+	go f()
+	return func() bool { return false }
 }
 
 func (c *manualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }

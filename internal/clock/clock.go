@@ -25,9 +25,10 @@ type Clock interface {
 	// Sleep blocks for d of clock time or until ctx is done, returning
 	// ctx.Err() in the latter case.
 	Sleep(ctx context.Context, d time.Duration) error
-	// After returns a channel that delivers the clock time after d has
-	// elapsed. The channel has capacity one and is never closed.
-	After(d time.Duration) <-chan time.Time
+	// AfterFunc waits for d of clock time and then calls f in its own
+	// goroutine, like time.AfterFunc. stop cancels the call; it reports
+	// false when f has already been started (or stop was called before).
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 	// Since returns the clock time elapsed since t.
 	Since(t time.Time) time.Duration
 }
@@ -48,8 +49,10 @@ func (Real) Sleep(ctx context.Context, d time.Duration) error {
 	return sleepWall(ctx, d)
 }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	return time.AfterFunc(d, f).Stop
+}
 
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
@@ -96,15 +99,10 @@ func (c *Scaled) Sleep(ctx context.Context, d time.Duration) error {
 	return sleepWall(ctx, c.toWall(d))
 }
 
-// After implements Clock. The delivered value is the simulated time at
-// expiry.
-func (c *Scaled) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	timer := time.AfterFunc(c.toWall(d), func() {
-		ch <- c.Now()
-	})
-	_ = timer
-	return ch
+// AfterFunc implements Clock: f runs after d of simulated time, i.e.
+// d/scale of wall time.
+func (c *Scaled) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	return time.AfterFunc(c.toWall(d), f).Stop
 }
 
 // Since implements Clock.
@@ -123,13 +121,9 @@ func (c *Scaled) toWall(d time.Duration) time.Duration {
 
 func sleepWall(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		// Still honour cancellation to keep semantics uniform.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
+		// Still honour cancellation to keep semantics uniform. Err, unlike
+		// a select on Done, does not make a cancelCtx allocate its channel.
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -3,6 +3,7 @@ package clock
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,10 +84,28 @@ func TestScaledSleepCompressesWallTime(t *testing.T) {
 
 func TestScaledAfterDelivers(t *testing.T) {
 	c := NewScaled(1000, time.Unix(0, 0))
+	fired := make(chan struct{})
+	c.AfterFunc(time.Second, func() { close(fired) })
 	select {
-	case <-c.After(time.Second):
+	case <-fired:
 	case <-time.After(2 * time.Second):
-		t.Fatal("After(1s sim) at 1000x did not fire within 2s wall")
+		t.Fatal("AfterFunc(1s sim) at 1000x did not fire within 2s wall")
+	}
+}
+
+func TestScaledAfterFuncStopPreventsCall(t *testing.T) {
+	c := NewScaled(1000, time.Unix(0, 0))
+	var called atomic.Bool
+	stop := c.AfterFunc(300*time.Second, func() { called.Store(true) }) // 300ms wall
+	if !stop() {
+		t.Fatal("stop() = false on a timer that had not fired")
+	}
+	if stop() {
+		t.Fatal("second stop() = true")
+	}
+	time.Sleep(350 * time.Millisecond)
+	if called.Load() {
+		t.Fatal("stopped timer called f")
 	}
 }
 

@@ -10,7 +10,7 @@ package consistentapi
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"poddiagnosis/internal/clock"
@@ -20,6 +20,39 @@ import (
 // ErrAPITimeout is returned when the overall call budget is exhausted
 // before the expectation was met and before a definitive answer arrived.
 var ErrAPITimeout = errors.New("consistentapi: API timeout")
+
+// ErrExpectationNotMet is the cause a call that gives up reports when its
+// reads succeeded but none satisfied the caller's expectation.
+var ErrExpectationNotMet = errors.New("expectation not met")
+
+// giveUpError is the error of a call that gave up: it matches
+// ErrAPITimeout under errors.Is and unwraps to the last cause. Exactly one
+// of budget and attempts is set, naming what ran out.
+type giveUpError struct {
+	cause    error
+	budget   time.Duration // the call timeout, when the time budget ran out
+	attempts int           // the attempt limit, when the attempts ran out
+}
+
+func (e *giveUpError) Error() string {
+	var limit string
+	if e.attempts > 0 {
+		limit = strconv.Itoa(e.attempts) + " attempts"
+	} else {
+		limit = e.budget.String()
+	}
+	msg := ErrAPITimeout.Error() + " after " + limit
+	if e.cause != nil {
+		msg += ": " + e.cause.Error()
+	}
+	return msg
+}
+
+// Is reports that a give-up is an ErrAPITimeout.
+func (e *giveUpError) Is(target error) bool { return target == ErrAPITimeout }
+
+// Unwrap returns the last cause.
+func (e *giveUpError) Unwrap() error { return e.cause }
 
 // Config tunes the retry layer.
 type Config struct {
@@ -90,7 +123,7 @@ func eventually[T any](ctx context.Context, c *Client, fetch func(context.Contex
 	var lastErr error
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
 		if c.clk.Now().After(deadline) {
-			return last, false, fmt.Errorf("%w after %v: %w", ErrAPITimeout, cfg.CallTimeout, lastErr)
+			return last, false, &giveUpError{cause: lastErr, budget: cfg.CallTimeout}
 		}
 		v, err := fetch(ctx)
 		switch {
@@ -99,7 +132,7 @@ func eventually[T any](ctx context.Context, c *Client, fetch func(context.Contex
 			if pred == nil || pred(v) {
 				return v, true, nil
 			}
-			lastErr = errors.New("expectation not met")
+			lastErr = ErrExpectationNotMet
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			return last, false, err
 		case simaws.IsRetryable(err):
@@ -120,7 +153,7 @@ func eventually[T any](ctx context.Context, c *Client, fetch func(context.Contex
 			break
 		}
 		if c.clk.Now().Add(backoff).After(deadline) {
-			return last, false, fmt.Errorf("%w after %v: %w", ErrAPITimeout, cfg.CallTimeout, lastErr)
+			return last, false, &giveUpError{cause: lastErr, budget: cfg.CallTimeout}
 		}
 		if err := c.clk.Sleep(ctx, backoff); err != nil {
 			return last, false, err
@@ -131,9 +164,9 @@ func eventually[T any](ctx context.Context, c *Client, fetch func(context.Contex
 		}
 	}
 	if lastErr == nil {
-		lastErr = errors.New("expectation not met")
+		lastErr = ErrExpectationNotMet
 	}
-	return last, false, fmt.Errorf("%w after %d attempts: %w", ErrAPITimeout, cfg.MaxAttempts, lastErr)
+	return last, false, &giveUpError{cause: lastErr, attempts: cfg.MaxAttempts}
 }
 
 // Eventually retries fetch until pred accepts the value, a terminal error

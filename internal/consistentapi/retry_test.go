@@ -37,10 +37,10 @@ func (c *sleepClock) Sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-func (c *sleepClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.Now().Add(d)
-	return ch
+// AfterFunc fires at once: the call runs without waiting for the clock.
+func (c *sleepClock) AfterFunc(_ time.Duration, f func()) func() bool {
+	go f()
+	return func() bool { return false }
 }
 
 func (c *sleepClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
@@ -134,6 +134,32 @@ func TestBackoffPastDeadlineIsNotSlept(t *testing.T) {
 	}
 	if got, want := e.clk.slept(), []time.Duration{100 * time.Millisecond}; !slices.Equal(got, want) {
 		t.Errorf("slept %v, want %v", got, want)
+	}
+}
+
+// TestGiveUpErrorGolden pins the text of a call that gives up, for either
+// limit, byte for byte; the error matches ErrAPITimeout and its last
+// cause. The texts are those the fmt.Errorf-built error had.
+func TestGiveUpErrorGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{MaxAttempts: 3, InitialBackoff: 100 * time.Millisecond, CallTimeout: time.Hour},
+			"consistentapi: API timeout after 3 attempts: expectation not met"},
+		{Config{MaxAttempts: 10, InitialBackoff: 100 * time.Millisecond, MaxBackoff: 10 * time.Second, CallTimeout: 250 * time.Millisecond},
+			"consistentapi: API timeout after 250ms: expectation not met"},
+	} {
+		e := newRetryEnv(t)
+		_, err := e.describe(tc.cfg, e.ami, never)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+			continue
+		}
+		if !errors.Is(err, ErrAPITimeout) || !errors.Is(err, ErrExpectationNotMet) {
+			t.Errorf("%v: errors.Is ErrAPITimeout %v, ErrExpectationNotMet %v", err,
+				errors.Is(err, ErrAPITimeout), errors.Is(err, ErrExpectationNotMet))
+		}
 	}
 }
 

@@ -36,8 +36,10 @@ func (c *manualClock) Sleep(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-// After never fires: the gap tests start no timers that must.
-func (c *manualClock) After(time.Duration) <-chan time.Time { return make(chan time.Time) }
+// AfterFunc never fires: the gap tests start no timers that must.
+func (c *manualClock) AfterFunc(time.Duration, func()) func() bool {
+	return func() bool { return true }
+}
 
 func (c *manualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 

@@ -53,6 +53,12 @@ type Session struct {
 	// manager's recorder is disabled. Immutable after Watch.
 	flight *flight.Op
 
+	// paramsOnce builds params, the expectation's assertion parameters,
+	// on first use; every binding and diagnosis request reads the one map
+	// and none writes it.
+	paramsOnce sync.Once
+	params     assertion.Params
+
 	maxDetections int
 	matchAny      bool
 	matchASG      bool
@@ -328,11 +334,20 @@ func (s *Session) submit(instanceID string, f func()) {
 	}, func() { s.pending.Add(-1) })
 }
 
+// expectParams returns the expectation's assertion parameters: one
+// read-only map per session.
+func (s *Session) expectParams() assertion.Params {
+	s.paramsOnce.Do(func() { s.params = s.expect.params() })
+	return s.params
+}
+
 // baseParams assembles the expectation parameters plus per-event context.
+// The result is read-only: a line without an instance id shares the
+// session's map.
 func (s *Session) baseParams(ev logging.Event) assertion.Params {
-	p := s.expect.params()
+	p := s.expectParams()
 	if id := ev.Field("instanceid"); id != "" {
-		p[assertion.ParamInstance] = id
+		return p.Merge(assertion.Params{assertion.ParamInstance: id})
 	}
 	return p
 }
@@ -387,7 +402,7 @@ func (s *Session) onAnomaly(instanceID, line string, ev logging.Event, res confo
 	confEntry := s.flight.Record(flight.Entry{
 		Kind:    flight.KindConformance,
 		At:      ev.Timestamp,
-		Parents: parentsOf(evEntry),
+		Parents: flight.Parents(evEntry),
 		Message: res.Summary(),
 		Attrs:   s.mgr.attrs.Get("verdict", string(res.Verdict), "step", stepID, "degraded", strconv.FormatBool(degraded)),
 	})
@@ -423,17 +438,6 @@ func (s *Session) onAnomaly(instanceID, line string, ev logging.Event, res confo
 			EvidenceID: detEntry,
 		}, key)
 	})
-}
-
-// parentsOf builds a parent-id list from the non-zero entry ids.
-func parentsOf(ids ...uint64) []uint64 {
-	var out []uint64
-	for _, id := range ids {
-		if id != 0 {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // recordLogEvent anchors one routed line in the evidence timeline and
@@ -550,7 +554,7 @@ func (s *Session) recordDetection(src diagnosis.Source, triggerID, stepID, msg s
 		lat = 0
 	}
 	mSLODetection.With(strconv.FormatBool(degraded), s.mgr.cfg.ChaosLabel).Observe(lat)
-	parents := parentsOf(parent)
+	parents := flight.Parents(parent)
 	if degraded {
 		s.mu.Lock()
 		gap := s.flightGap
@@ -682,7 +686,7 @@ func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
 	if rec.completed {
 		return
 	}
-	base := s.expect.params()
+	base := s.expectParams()
 	vars := s.vars(rec, ev)
 	trig := assertion.Trigger{
 		Source:            assertion.TriggerTimer,
@@ -690,7 +694,7 @@ func (s *Session) OnProcessStart(instanceID string, ev logging.Event) {
 	}
 	cancels := make([]func(), 0, 1)
 	for _, pb := range s.spec.Periodic() {
-		params, ok := pb.Resolve(base, vars)
+		params, ok := pb.Resolve(base, nil, vars)
 		if !ok {
 			continue
 		}
@@ -806,11 +810,17 @@ func (s *Session) stepBindings(node *process.Node, rec instance, ev logging.Even
 	if len(specBindings) == 0 {
 		return nil
 	}
-	base := s.baseParams(ev)
+	// The line's instance id goes in over the session's shared
+	// expectation parameters; each binding's map is built once, from both.
+	var line assertion.Params
+	if id := ev.Field("instanceid"); id != "" {
+		line = assertion.Params{assertion.ParamInstance: id}
+	}
+	base := s.expectParams()
 	vars := s.vars(rec, ev)
 	out := make([]binding, 0, len(specBindings))
 	for _, sb := range specBindings {
-		params, ok := sb.Resolve(base, vars)
+		params, ok := sb.Resolve(base, line, vars)
 		if !ok {
 			continue
 		}
@@ -842,7 +852,7 @@ func (s *Session) evaluateAndMaybeDiagnose(checkID string, p assertion.Params,
 	assertEntry := s.flight.Record(flight.Entry{
 		Kind:    flight.KindAssertion,
 		At:      res.EvaluatedAt,
-		Parents: parentsOf(anchor),
+		Parents: flight.Parents(anchor),
 		Message: res.Message,
 		Attrs:   s.mgr.attrs.Get("check", checkID, "trigger", string(trig.Source), "status", res.Status.String()),
 	})
@@ -896,7 +906,7 @@ func (s *Session) armStepTimer(instanceID string, in *instance, node *process.No
 		mean = 30 * time.Second
 	}
 	deadline := time.Duration(float64(mean) * s.mgr.cfg.StepTimeoutSlack)
-	base := s.expect.params()
+	base := s.expectParams()
 	vars := s.vars(rec, logging.Event{})
 	trig := assertion.Trigger{
 		Source:            assertion.TriggerTimer,
@@ -908,7 +918,7 @@ func (s *Session) armStepTimer(instanceID string, in *instance, node *process.No
 	anchor := rec.lastEntry
 	cancels := make([]func(), 0, len(timeouts))
 	for _, tb := range timeouts {
-		params, ok := tb.Resolve(base, vars)
+		params, ok := tb.Resolve(base, nil, vars)
 		if !ok {
 			continue
 		}

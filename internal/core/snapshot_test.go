@@ -37,14 +37,16 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 			"degradedUntil": "DegradedUntil",
 		},
 		excluded: map[string]string{ // Session field -> why handoff may drop it
-			"mgr":     "rewired to the adopting manager by RestoreSession",
-			"spec":    "re-parsed from SpecText against the adopting registry",
-			"remCtl":  "not serializable; re-attached via WithRemediationController",
-			"pending": "transient backlog counter; work does not survive the owner",
-			"rev":     "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
-			"remRev":  "the adopting manager's remediation engine counts the imported ledger's writes",
-			"mu":      "lock",
-			"gapSeen": "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
+			"mgr":        "rewired to the adopting manager by RestoreSession",
+			"spec":       "re-parsed from SpecText against the adopting registry",
+			"remCtl":     "not serializable; re-attached via WithRemediationController",
+			"pending":    "transient backlog counter; work does not survive the owner",
+			"rev":        "manager-local mutation counter: the adopter starts its own; only the delta agent reads it",
+			"remRev":     "the adopting manager's remediation engine counts the imported ledger's writes",
+			"mu":         "lock",
+			"gapSeen":    "manager-local epoch: export folds pending gaps, restore starts at the adopter's epoch",
+			"paramsOnce": "guards params",
+			"params":     "derived cache of the read-only Expect parameters; the adopter rebuilds it on first use",
 		},
 	}
 	record := coverage{

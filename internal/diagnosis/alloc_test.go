@@ -19,27 +19,33 @@ import (
 // Allocation budgets of one Engine.Diagnose on the request the benchmark's
 // diagnose_storm workload issues: asg-version-count failed at step7 on a
 // 2-instance cluster whose group points at a launch configuration with the
-// wrong AMI; three tests run, the third confirms wrong-ami. Measured 170
-// (sequential) and 195-200 (Workers=2) allocations; the budgets are those
-// plus 5%. They were 224 and 252 until the retry layer stopped sleeping
-// after a read's last attempt and each run stopped copying what it can
-// share; the sequential walk lost
-//   - 9 to the back-off the failing read no longer sleeps: 3 are the
-//     sleep's timer, the other 6 were made off the walk's own stack
-//     (a memory profile of the walk shows only the 3),
-//   - 17 to the log lines' {taskid, stepid} field maps, one per run now
-//     instead of one per line,
-//   - 12 to the tests' parameter maps (3 tests × 4): a node without
-//     CheckParams tests with the request's own map,
-//   - 16 to the evidence attrs maps, taken from the engine's AttrTable:
-//     the walk's, the cause's, and per test its own plus the resilience
-//     labels' map (2 + 2 + 3 × 4).
+// wrong AMI; three tests run, the third confirms wrong-ami. Measured 120
+// (sequential) and 148 (Workers=2) allocations; the budgets are those
+// plus 5%. They were 179 and 210 (measured 170 and 195) until each
+// evaluation stopped paying for bookkeeping beside its cloud reads. A
+// memory profile of the sequential walk shows what went:
+//   - 7 per assertion log line, 21 in all: fmt.Sprintf, its boxed
+//     arguments, time.Format and a tag slice grown per line; the line is
+//     now one strings.Builder and the tags are shared per step,
+//   - a map per span for the walk, the three tests and their three
+//     evaluations (14), and Duration.String for the simDuration
+//     attributes (4); spans keep attributes inline now,
+//   - per test deadline, a goroutine selecting on a timer channel fed by a
+//     closure, and the Done channel that select made the cancelCtx
+//     allocate; a clock timer whose callback cancels, and its stop
+//     function, replace them,
+//   - per failing read, fmt.Errorf's wrapper and a fresh "expectation not
+//     met" error (4 over the walk), now one small typed error around a
+//     sentinel,
+//   - per read, the boxed monitoring-plane tag (3), and per evaluation,
+//     the joined label key of the evaluation counter (3),
+//   - and the regrowth of the evidence entries' parent lists.
 //
 // When every run cloned its plans and every cloud read copied the
 // account, the same calls allocated 682 and 710.
 const (
-	diagnoseAllocBudget         = 179
-	diagnoseAllocBudgetParallel = 210
+	diagnoseAllocBudget         = 126
+	diagnoseAllocBudgetParallel = 155
 )
 
 func TestDiagnoseAllocationBudget(t *testing.T) {

@@ -414,7 +414,7 @@ func (r *run) recordTest(n *diagplan.VNode, status, key, value string, out *resi
 	}
 	id := r.op.Record(flight.Entry{
 		Kind:    flight.KindTest,
-		Parents: parentsOf(r.diagEntry),
+		Parents: flight.Parents(r.diagEntry),
 		Message: "test " + n.CheckID + " on " + n.ID + ": " + status,
 		Attrs: r.attrs.Get(key, value, "check", n.CheckID, "node", n.ID, "status", status,
 			labels[0], labels[1], labels[2], labels[3], labels[4], labels[5]),
@@ -435,17 +435,6 @@ func (r *run) testEntry(nodeID string) uint64 {
 		}
 	}
 	return 0
-}
-
-// parentsOf builds a parent-id list from the non-zero entry ids.
-func parentsOf(ids ...uint64) []uint64 {
-	var out []uint64
-	for _, id := range ids {
-		if id != 0 {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // exclusion records a passing diagnosis test that rules out the cause
@@ -553,7 +542,7 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		d.EvidenceID = r.op.Record(flight.Entry{
 			Kind:    flight.KindDiagnosis,
 			At:      started,
-			Parents: parentsOf(flight.ParentFrom(ctx)),
+			Parents: flight.Parents(flight.ParentFrom(ctx)),
 			SpanID:  span.ID(),
 			Message: "diagnosis plan walk: " + strconv.Itoa(d.PotentialFaults) + " potential faults",
 			Attrs:   attrs,
@@ -589,7 +578,7 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	mCausesFound.Add(float64(len(d.RootCauses)))
 	span.SetAttr("conclusion", string(d.Conclusion))
 	span.SetAttr("tests", strconv.Itoa(len(d.TestsRun)))
-	span.SetAttr("simDuration", d.Duration.String())
+	span.SetDuration("simDuration", d.Duration)
 	span.End()
 	return d
 }
@@ -785,7 +774,7 @@ func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string)
 	}
 	entryID = r.op.Record(flight.Entry{
 		Kind:    flight.KindCause,
-		Parents: parentsOf(te, r.diagEntry),
+		Parents: flight.Parents(te, r.diagEntry),
 		Message: msg,
 		Attrs:   attrs,
 	})

@@ -19,12 +19,12 @@ import (
 	"poddiagnosis/internal/simaws"
 )
 
-// walkClock is a manualClock whose timers never fire, so per-test timeout
-// watchers stay parked until their context is cancelled; only back-off
-// sleeps move time, identically on both sides of a comparison.
+// walkClock is a manualClock whose timers never fire, so per-test
+// timeouts never cancel a test; only back-off sleeps move time, identically
+// on both sides of a comparison.
 type walkClock struct{ *manualClock }
 
-func (walkClock) After(time.Duration) <-chan time.Time { return make(chan time.Time) }
+func (walkClock) AfterFunc(time.Duration, func()) func() bool { return func() bool { return true } }
 
 // differentialCatalog is the default catalog — the tree-compiled rolling-
 // upgrade plans plus the native blue/green and spot DAGs — extended with a

@@ -98,7 +98,7 @@ func (r *refRun) recordTest(n *diagplan.Node, status string, attrs map[string]st
 	attrs["status"] = status
 	id := r.op.Record(flight.Entry{
 		Kind:    flight.KindTest,
-		Parents: parentsOf(r.diagEntry),
+		Parents: flight.Parents(r.diagEntry),
 		Message: fmt.Sprintf("test %s on %s: %s", n.CheckID, n.ID, status),
 		Attrs:   attrs,
 	})
@@ -222,7 +222,7 @@ func (e refEngine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		d.EvidenceID = r.op.Record(flight.Entry{
 			Kind:    flight.KindDiagnosis,
 			At:      started,
-			Parents: parentsOf(flight.ParentFrom(ctx)),
+			Parents: flight.Parents(flight.ParentFrom(ctx)),
 			SpanID:  span.ID(),
 			Message: fmt.Sprintf("diagnosis plan walk: %d potential faults", d.PotentialFaults),
 			Attrs:   attrs,
@@ -481,7 +481,7 @@ func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path stri
 	}
 	entryID = r.op.Record(flight.Entry{
 		Kind:    flight.KindCause,
-		Parents: parentsOf(te, r.diagEntry),
+		Parents: flight.Parents(te, r.diagEntry),
 		Message: msg,
 		Attrs:   attrs,
 	})

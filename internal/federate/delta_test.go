@@ -42,7 +42,8 @@ func (c *heldClock) Advance(d time.Duration) {
 
 func (c *heldClock) Sleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
-func (c *heldClock) After(time.Duration) <-chan time.Time { return make(chan time.Time, 1) }
+// AfterFunc never fires: the clock is held.
+func (c *heldClock) AfterFunc(time.Duration, func()) func() bool { return func() bool { return true } }
 
 func (c *heldClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 

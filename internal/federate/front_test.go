@@ -36,10 +36,10 @@ func (c *manualClock) Advance(d time.Duration) {
 
 func (c *manualClock) Sleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
-func (c *manualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.Now()
-	return ch
+// AfterFunc fires at once: the call runs without waiting for the clock.
+func (c *manualClock) AfterFunc(_ time.Duration, f func()) func() bool {
+	go f()
+	return func() bool { return false }
 }
 
 func (c *manualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }

@@ -463,31 +463,102 @@ func ParentFrom(ctx context.Context) uint64 {
 // returns a path (from the starting entry down to the terminal one)
 // ending at a log.event entry, plus whether such a chain exists. A
 // chain ending at a stream.gap entry does not count: the evidence was
-// lost, not linked.
+// lost, not linked. The walk is depth-first in parent order and visits
+// each entry at most once, so cycles terminate.
+//
+// The entries are indexed once — by binary search when their IDs
+// ascend, as a Timeline's do, or else by a map in which the last entry of
+// an ID wins — and the path is built once, at the end. On a timeline of up
+// to 256 entries and a chain up to 16 deep, the path is the only
+// allocation.
 func ChainToLog(entries []Entry, fromID uint64) ([]Entry, bool) {
-	byID := make(map[uint64]Entry, len(entries))
-	for _, e := range entries {
-		byID[e.ID] = e
+	x := newEntryIndex(entries)
+	var seenBuf [4]uint64
+	seen := seenBuf[:]
+	if len(entries) > 64*len(seenBuf) {
+		seen = make([]uint64, (len(entries)+63)/64)
 	}
-	seen := make(map[uint64]bool)
-	var walk func(id uint64) ([]Entry, bool)
-	walk = func(id uint64) ([]Entry, bool) {
-		e, ok := byID[id]
-		if !ok || seen[id] {
+	// path holds the walk's current branch: an entry's index and how many
+	// of its parents have been tried.
+	type step struct{ i, next int }
+	var pathBuf [16]step
+	path := pathBuf[:0]
+	id := fromID
+	for {
+		i, ok := x.find(id)
+		if ok && seen[i/64]&(1<<(i%64)) == 0 {
+			seen[i/64] |= 1 << (i % 64)
+			if entries[i].Kind == KindLogEvent {
+				out := make([]Entry, 0, len(path)+1)
+				for _, st := range path {
+					out = append(out, entries[st.i])
+				}
+				return append(out, entries[i]), true
+			}
+			path = append(path, step{i: i})
+		}
+		// Next, the first untried parent on the branch, backing up past
+		// entries whose parents all failed.
+		for len(path) > 0 && path[len(path)-1].next == len(entries[path[len(path)-1].i].Parents) {
+			path = path[:len(path)-1]
+		}
+		if len(path) == 0 {
 			return nil, false
 		}
-		seen[id] = true
-		if e.Kind == KindLogEvent {
-			return []Entry{e}, true
-		}
-		for _, p := range e.Parents {
-			if path, ok := walk(p); ok {
-				return append([]Entry{e}, path...), true
-			}
-		}
-		return nil, false
+		top := &path[len(path)-1]
+		id = entries[top.i].Parents[top.next]
+		top.next++
 	}
-	return walk(fromID)
+}
+
+// entryIndex finds an entry's position by ID.
+type entryIndex struct {
+	entries []Entry
+	byID    map[uint64]int // nil when the IDs ascend
+}
+
+func newEntryIndex(entries []Entry) entryIndex {
+	x := entryIndex{entries: entries}
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].ID >= entries[i].ID {
+			x.byID = make(map[uint64]int, len(entries))
+			for i, e := range entries {
+				x.byID[e.ID] = i
+			}
+			break
+		}
+	}
+	return x
+}
+
+func (x entryIndex) find(id uint64) (int, bool) {
+	if x.byID != nil {
+		i, ok := x.byID[id]
+		return i, ok
+	}
+	i := sort.Search(len(x.entries), func(i int) bool { return x.entries[i].ID >= id })
+	return i, i < len(x.entries) && x.entries[i].ID == id
+}
+
+// Parents returns the non-zero ids as an entry's parent list, sized
+// exactly (nil when every id is zero).
+func Parents(ids ...uint64) []uint64 {
+	n := 0
+	for _, id := range ids {
+		if id != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, n)
+	for _, id := range ids {
+		if id != 0 {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // Render writes a human-readable timeline, one entry per line, with

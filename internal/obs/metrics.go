@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -119,26 +118,35 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// get returns the series for the label values, creating it with mk.
+// get returns the series for the label values, creating it with mk. The
+// key is built in a stack buffer for the lookup, so finding a series that
+// exists allocates nothing; the key string is made once, with the series.
 func (f *family) get(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, labelSep)
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, labelSep...)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s
 	}
 	s = mk()
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
 }
 

@@ -196,3 +196,27 @@ func TestHTTPHandlers(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(body.Spans))
 	}
 }
+
+// Finding a labelled series that exists allocates nothing, however many
+// labels it has: the lookup key is built on the stack.
+func TestSeriesLookupDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	r := NewRegistry()
+	evals := r.CounterVec("lookup_evaluations_total", "h", "check", "status")
+	lat := r.HistogramVec("lookup_seconds", "h", nil, "check", "status", "trigger")
+	check, status := "asg-version-count", "fail"
+	evals.With(check, status).Inc()
+	lat.With(check, status, "log").Observe(0.01)
+	got := testing.AllocsPerRun(100, func() {
+		evals.With(check, status).Inc()
+		lat.With(check, status, "log").Observe(0.01)
+	})
+	if got != 0 {
+		t.Errorf("lookup of existing series: %.0f allocations, want 0", got)
+	}
+	if v := evals.With(check, status).Value(); v != 102 {
+		t.Errorf("counter = %v, want 102", v)
+	}
+}

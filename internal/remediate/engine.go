@@ -238,7 +238,7 @@ func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
 		// the entry id.
 		r.ActionEntry = r.fl.Record(flight.Entry{
 			Kind:    flight.KindRemediationAction,
-			Parents: parents(tr.CauseEntry),
+			Parents: flight.Parents(tr.CauseEntry),
 			Message: "remediation " + r.ID + ": " + r.Action + " (" + string(mode) + ") for cause " + tr.CauseNode,
 			Attrs: e.attrs.Get("action", r.Action, "class", r.Class, "mode", string(mode),
 				"cause", tr.CauseNode, "path", tr.CausePath),
@@ -317,7 +317,7 @@ func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
 	r.ResolvedAt = e.clk.Now()
 	r.OutcomeEntry = r.fl.Record(flight.Entry{
 		Kind:    flight.KindRemediationOutcome,
-		Parents: parents(r.ActionEntry),
+		Parents: flight.Parents(r.ActionEntry),
 		Message: msg,
 		Attrs:   attrs,
 	})
@@ -381,11 +381,4 @@ func (e *Engine) snapshot(r *Remediation) Remediation {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return *r
-}
-
-func parents(id uint64) []uint64 {
-	if id == 0 {
-		return nil
-	}
-	return []uint64{id}
 }

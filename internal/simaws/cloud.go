@@ -68,8 +68,13 @@ const PlaneMonitoring = "monitoring"
 // planeKey carries the calling-plane tag through a context.
 type planeKey struct{}
 
-// WithPlane returns ctx tagged with the calling plane name.
+// WithPlane returns ctx tagged with the calling plane name. The
+// monitoring plane, tagged on every consistent-API read, is stored as the
+// constant, which boxes without allocating.
 func WithPlane(ctx context.Context, plane string) context.Context {
+	if plane == PlaneMonitoring {
+		return context.WithValue(ctx, planeKey{}, PlaneMonitoring)
+	}
 	return context.WithValue(ctx, planeKey{}, plane)
 }
 

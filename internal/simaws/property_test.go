@@ -252,3 +252,22 @@ func TestDescribeCostIndependentOfAccountSize(t *testing.T) {
 	}
 	t.Logf("allocs per read: DescribeAutoScalingGroup %v, DescribeLaunchConfiguration %v", largeASG, largeLC)
 }
+
+// TestWithPlaneMonitoringDoesNotBox: tagging a read with the monitoring
+// plane, as every consistent-API read is, allocates the context and not a
+// boxed copy of the plane name; the tag reads back unchanged.
+func TestWithPlaneMonitoringDoesNotBox(t *testing.T) {
+	ctx := context.Background()
+	plane := string([]byte(PlaneMonitoring)) // not the constant itself
+	var tagged context.Context
+	got := testing.AllocsPerRun(100, func() { tagged = WithPlane(ctx, plane) })
+	if got > 1 {
+		t.Errorf("WithPlane(monitoring): %.0f allocations, want 1 (the context)", got)
+	}
+	if p := PlaneFrom(tagged); p != PlaneMonitoring {
+		t.Errorf("PlaneFrom = %q, want %q", p, PlaneMonitoring)
+	}
+	if p := PlaneFrom(WithPlane(ctx, "operation")); p != "operation" {
+		t.Errorf("PlaneFrom = %q, want %q", p, "operation")
+	}
+}

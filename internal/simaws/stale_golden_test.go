@@ -34,11 +34,11 @@ func (c *stepClock) Sleep(_ context.Context, d time.Duration) error {
 	return nil
 }
 
-func (c *stepClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
+// AfterFunc steps the clock past d and fires at once.
+func (c *stepClock) AfterFunc(d time.Duration, f func()) func() bool {
 	c.Advance(d)
-	ch <- c.Now()
-	return ch
+	go f()
+	return func() bool { return false }
 }
 
 func (c *stepClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
