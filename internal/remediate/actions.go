@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,28 +54,27 @@ var ErrNoController = errors.New("remediate: no operation controller attached")
 // the shipped diagnosis plans (fault trees, blue/green, spot-rebalance)
 // and marks the causes that deliberately stay manual.
 func DefaultCatalog() *Catalog {
+	// drift are the launch-configuration drift causes; unlaunchable the
+	// causes of an intended configuration that references missing resources.
+	drift := []string{"wrong-ami", "wrong-keypair", "wrong-sg", "wrong-instance-type", "lc-changed"}
+	unlaunchable := []string{
+		"lc-ami-unavailable", "lc-keypair-unavailable", "lc-sg-unavailable",
+		"launch-ami-unavailable", "launch-keypair-unavailable", "launch-sg-unavailable",
+	}
 	c := NewCatalog()
 	c.MustAdd(Action{
 		Name:        "rollback-launch-config",
 		Description: "Point the ASG back at the operator-intended launch configuration, or the pre-upgrade one when the intended configuration references unavailable resources.",
 		Class:       ClassConfig,
-		Causes: []string{
-			"wrong-ami", "wrong-keypair", "wrong-sg", "wrong-instance-type",
-			"lc-changed",
-			"lc-ami-unavailable", "lc-keypair-unavailable", "lc-sg-unavailable",
-			"launch-ami-unavailable", "launch-keypair-unavailable", "launch-sg-unavailable",
-		},
-		Run: runRollbackLaunchConfig,
+		Causes:      slices.Concat(drift, unlaunchable),
+		Run:         runRollbackLaunchConfig,
 	})
 	c.MustAdd(Action{
 		Name:        "replace-instance",
 		Description: "Terminate (without decrementing capacity) every live instance not launched from the ASG's current launch configuration so the reconciler relaunches it correctly.",
 		Class:       ClassConfig,
-		Causes: []string{
-			"wrong-ami", "wrong-keypair", "wrong-sg", "wrong-instance-type",
-			"lc-changed",
-		},
-		Run: runReplaceInstance,
+		Causes:      drift,
+		Run:         runReplaceInstance,
 	})
 	c.MustAdd(Action{
 		Name:        "reregister-with-elb",
@@ -87,14 +87,8 @@ func DefaultCatalog() *Catalog {
 		Name:        "retry-failed-step",
 		Description: "Re-run the failed process step of the sporadic operation once the environment fault has been repaired.",
 		Class:       ClassOperation,
-		Causes: []string{
-			"wrong-ami", "wrong-keypair", "wrong-sg", "wrong-instance-type",
-			"lc-changed",
-			"lc-ami-unavailable", "lc-keypair-unavailable", "lc-sg-unavailable",
-			"launch-ami-unavailable", "launch-keypair-unavailable", "launch-sg-unavailable",
-			"instance-not-registered",
-		},
-		Run: runRetryFailedStep,
+		Causes:      slices.Concat(drift, unlaunchable, []string{"instance-not-registered"}),
+		Run:         runRetryFailedStep,
 	})
 	c.MustAdd(Action{
 		Name:        "abort-operation",

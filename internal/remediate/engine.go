@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +42,7 @@ func (s State) Terminal() bool {
 }
 
 // Remediation is one admitted (action, confirmed-cause) pairing and its
-// audit trail.
+// audit trail: the form the engine's readers (REST, Export) receive.
 type Remediation struct {
 	// ID is engine-unique ("rm-7").
 	ID string `json:"id"`
@@ -73,10 +73,6 @@ type Remediation struct {
 	// ids (0 when the operation has no recorder ring).
 	ActionEntry  uint64 `json:"actionEntry,omitempty"`
 	OutcomeEntry uint64 `json:"outcomeEntry,omitempty"`
-
-	action *Action
-	target Target
-	fl     *flight.Op
 }
 
 // Trigger describes one confirmed cause offered to the engine.
@@ -107,26 +103,52 @@ var (
 )
 
 // Engine admits remediations for confirmed causes under a policy and
-// executes them, keeping the append-only audit trail.
+// executes them, keeping the append-only audit trail in one ledger per
+// operation.
 type Engine struct {
 	catalog *Catalog
 	policy  Policy
 	clk     clock.Clock
 
-	mu    sync.Mutex
-	seq   uint64
-	byID  map[string]*Remediation
-	byKey map[string]*Remediation
-	byOp  map[string][]*Remediation
-	// revs counts ledger writes per operation (see Revision); every
-	// write to a record in byOp bumps its operation's count under mu.
-	revs map[string]*OpRevision
+	// mu guards seq, ops, ids, every ledger's list and every record's
+	// fields that change after admission. Revision counters move under it.
+	mu  sync.Mutex
+	seq uint64
+	ops map[string]*ledger
+	ids map[uint64]*record // every live record by sequence number
 
 	// attrs shares the audit entries' attrs maps: they hold only what
 	// the action, its mode, the cause and the outcome determine (the
 	// remediation id is in each entry's message), so the remediations of
 	// one cause cite one map per entry.
 	attrs flight.AttrTable
+}
+
+// ledger is one operation's records in admission order and its write counter.
+type ledger struct {
+	rev        OpRevision
+	head, tail *record
+}
+
+// record is one admitted remediation. Its ID and IdempotencyKey
+// (operation|action|base) are rendered from seq and base when it is read.
+// Dedup compares the (action, base) pair; a triggered record holds the
+// catalog's own strings, so no key is built.
+type record struct {
+	Remediation
+	seq  uint64
+	base string
+	// parents holds the audit entries' parent lists inline: [0] the cause
+	// entry (the action entry's parent), [1] the action entry (the outcome's).
+	parents [2]uint64
+
+	led  *ledger
+	next *record
+	act  *Action // nil for an imported action this catalog lacks
+	// target and fl are cleared once the record is terminal or dropped while
+	// pending: the entries' Parents point into it and may outlive Drop.
+	target Target
+	fl     *flight.Op
 }
 
 // NewEngine builds an engine over a catalog and policy. A nil catalog
@@ -138,15 +160,7 @@ func NewEngine(cat *Catalog, policy Policy, clk clock.Clock) *Engine {
 	if clk == nil {
 		clk = clock.Wall
 	}
-	return &Engine{
-		catalog: cat,
-		policy:  policy,
-		clk:     clk,
-		byID:    make(map[string]*Remediation),
-		byKey:   make(map[string]*Remediation),
-		byOp:    make(map[string][]*Remediation),
-		revs:    make(map[string]*OpRevision),
-	}
+	return &Engine{catalog: cat, policy: policy, clk: clk, ops: make(map[string]*ledger), ids: make(map[uint64]*record)}
 }
 
 // OpRevision counts the ledger writes of one operation: every
@@ -163,131 +177,149 @@ func (r *OpRevision) Load() uint64 {
 	return r.n.Load()
 }
 
-// Revision returns the operation's ledger-write counter, creating it on
-// first use. It changes whenever what Export returns for the operation
-// may have. Drop forgets it: a counter already handed out stays with
-// its holder, and a later write to the operation starts a fresh one.
+// Revision returns the operation's ledger-write counter, creating the
+// operation's ledger on first use. It changes whenever what Export
+// returns for the operation may have. Drop forgets it: a counter already
+// handed out stays with its holder, and a later write to the operation
+// starts a fresh one.
 func (e *Engine) Revision(operation string) *OpRevision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.revLocked(operation)
+	return &e.ledgerLocked(operation).rev
 }
 
-// bumpLocked counts one ledger write of the operation; e.mu must be held.
-func (e *Engine) bumpLocked(operation string) { e.revLocked(operation).n.Add(1) }
-
-func (e *Engine) revLocked(operation string) *OpRevision {
-	r := e.revs[operation]
-	if r == nil {
-		r = &OpRevision{}
-		e.revs[operation] = r
+// ledgerLocked returns the operation's ledger, creating it; e.mu must be
+// held.
+func (e *Engine) ledgerLocked(operation string) *ledger {
+	l := e.ops[operation]
+	if l == nil {
+		l = &ledger{}
+		e.ops[operation] = l
 	}
-	return r
+	return l
+}
+
+// admitLocked appends r to its operation's ledger and the id index and
+// counts the write, or reports false if the ledger holds r's (action, base)
+// pair. r keeps a free non-zero seq, else takes the next; e.mu must be held.
+func (e *Engine) admitLocked(r *record) bool {
+	l := e.ledgerLocked(r.Operation)
+	for o := l.head; o != nil; o = o.next {
+		if o.Action == r.Action && o.base == r.base {
+			return false
+		}
+	}
+	switch {
+	case r.seq == 0 || e.ids[r.seq] != nil:
+		e.seq++
+		r.seq = e.seq
+	case r.seq > e.seq:
+		e.seq = r.seq
+	}
+	if l.tail == nil {
+		l.head = r
+	} else {
+		l.tail.next = r
+	}
+	l.tail, r.led = r, l
+	e.ids[r.seq] = r
+	l.rev.n.Add(1)
+	return true
 }
 
 // Catalog returns the engine's action catalog.
 func (e *Engine) Catalog() *Catalog { return e.catalog }
 
-// Policy returns the engine's policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // Trigger admits remediations for one confirmed cause: every bound
 // action whose class mode is not off gets a remediation — executed
 // immediately (auto), held (approve), or recorded-only (dry-run) — unless
-// its idempotency key already fired for this operation. Returns the
-// remediations admitted by THIS call (re-fires return nil).
-func (e *Engine) Trigger(ctx context.Context, tr Trigger) []Remediation {
-	var admitted []*Remediation
-	for _, b := range e.catalog.BindingsFor(tr.CauseNode) {
+// its idempotency key already fired for this operation. It returns how
+// many remediations this call admitted (0 for a re-fire); List reads
+// them.
+func (e *Engine) Trigger(ctx context.Context, tr Trigger) int {
+	binds := e.catalog.BindingsFor(tr.CauseNode)
+	var slab []record // the records this call admits, one allocation
+	admitted := 0
+	for i, b := range binds {
 		mode := e.policy.ModeFor(b.Action.Class)
 		if mode == ModeOff {
 			continue
 		}
-		key := tr.Operation + "|" + b.Action.Name + "|" + b.Base
-		e.mu.Lock()
-		if _, dup := e.byKey[key]; dup {
-			e.mu.Unlock()
-			mDeduped.Inc()
-			continue
+		if slab == nil {
+			slab = make([]record, len(binds)-i)
 		}
-		e.seq++
-		r := &Remediation{
-			ID:             "rm-" + strconv.FormatUint(e.seq, 10),
-			Operation:      tr.Operation,
-			Action:         b.Action.Name,
-			Class:          b.Action.Class,
-			Mode:           mode,
-			CauseNode:      tr.CauseNode,
-			CausePath:      tr.CausePath,
-			IdempotencyKey: key,
-			State:          StatePending,
-			CreatedAt:      e.clk.Now(),
-			action:         b.Action,
-			target:         tr.Target,
-			fl:             tr.Flight,
+		r := &slab[admitted]
+		*r = record{
+			Remediation: Remediation{
+				Operation: tr.Operation, Action: b.Action.Name, Class: b.Action.Class, Mode: mode,
+				CauseNode: tr.CauseNode, CausePath: tr.CausePath, State: StatePending,
+			},
+			base: b.Base, parents: [2]uint64{tr.CauseEntry}, act: b.Action, target: tr.Target, fl: tr.Flight,
 		}
 		r.target.StepID = tr.StepID
 		if mode == ModeAuto {
 			r.State = StateExecuting
 		}
-		e.byKey[key] = r
-		e.byID[r.ID] = r
-		e.byOp[tr.Operation] = append(e.byOp[tr.Operation], r)
+		e.mu.Lock()
+		if !e.admitLocked(r) {
+			e.mu.Unlock()
+			mDeduped.Inc()
+			continue
+		}
+		r.CreatedAt = e.clk.Now()
 		// The audit entry is recorded in the same critical section that
 		// publishes the record, so no ledger read sees the record without
 		// the entry id.
 		r.ActionEntry = r.fl.Record(flight.Entry{
 			Kind:    flight.KindRemediationAction,
-			Parents: flight.Parents(tr.CauseEntry),
-			Message: "remediation " + r.ID + ": " + r.Action + " (" + string(mode) + ") for cause " + tr.CauseNode,
+			Parents: r.parentList(0),
+			Message: message(r.seq, r.Action, " (", string(mode), ") for cause ", tr.CauseNode),
 			Attrs: e.attrs.Get("action", r.Action, "class", r.Class, "mode", string(mode),
 				"cause", tr.CauseNode, "path", tr.CausePath),
 		})
-		e.bumpLocked(tr.Operation)
+		r.parents[1] = r.ActionEntry
 		e.mu.Unlock()
+		admitted++
 		switch mode {
 		case ModeDryRun:
-			e.finish(r, StateDryRun, "dry-run: "+r.action.Description, nil)
+			e.finish(r, StateDryRun, b.Action.dryRun, nil)
 		case ModeAuto:
 			e.run(ctx, r)
 		default: // ModeApprove: stays pending until Approve.
 			mTriggered.With(string(StatePending)).Inc()
 		}
-		admitted = append(admitted, r)
 	}
-	out := make([]Remediation, len(admitted))
-	for i, r := range admitted {
-		out[i] = e.snapshot(r)
-	}
-	return out
+	return admitted
 }
 
 // Approve executes a pending remediation. A double approve returns
 // ErrNotPending; an unknown or garbage-collected id ErrNotFound.
 func (e *Engine) Approve(ctx context.Context, id string) (Remediation, error) {
 	e.mu.Lock()
-	r, ok := e.byID[id]
-	if !ok {
+	r := e.ids[seqOf(id)]
+	if r == nil {
 		e.mu.Unlock()
 		return Remediation{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	if r.State != StatePending {
-		state := r.State
+		rm := r.render()
 		e.mu.Unlock()
-		return e.snapshot(r), fmt.Errorf("%w: %s is %s", ErrNotPending, id, state)
+		return rm, fmt.Errorf("%w: %s is %s", ErrNotPending, id, rm.State)
 	}
 	r.State = StateExecuting
-	e.bumpLocked(r.Operation)
+	r.led.rev.n.Add(1)
 	e.mu.Unlock()
 	e.run(ctx, r)
-	return e.snapshot(r), nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return r.render(), nil
 }
 
 // run executes the action and records the outcome. The caller must have
 // transitioned the remediation to StateExecuting, which guarantees a
 // single executor.
-func (e *Engine) run(ctx context.Context, r *Remediation) {
-	detail, err := r.action.Run(ctx, &r.target)
+func (e *Engine) run(ctx context.Context, r *record) {
+	detail, err := r.act.Run(ctx, &r.target)
 	switch {
 	case err == nil:
 		e.finish(r, StateExecuted, detail, nil)
@@ -300,9 +332,9 @@ func (e *Engine) run(ctx context.Context, r *Remediation) {
 
 // finish commits a terminal state and appends the remediation.outcome
 // audit entry chained to the action entry, in one critical section.
-func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
+func (e *Engine) finish(r *record, state State, detail string, err error) {
 	mTriggered.With(string(state)).Inc()
-	msg := "remediation " + r.ID + ": " + r.Action + " " + string(state)
+	msg := message(r.seq, r.Action, " ", string(state))
 	var errText string
 	if err != nil {
 		errText = err.Error()
@@ -317,22 +349,51 @@ func (e *Engine) finish(r *Remediation, state State, detail string, err error) {
 	r.ResolvedAt = e.clk.Now()
 	r.OutcomeEntry = r.fl.Record(flight.Entry{
 		Kind:    flight.KindRemediationOutcome,
-		Parents: flight.Parents(r.ActionEntry),
+		Parents: r.parentList(1),
 		Message: msg,
 		Attrs:   attrs,
 	})
-	e.bumpLocked(r.Operation)
+	r.target, r.fl = Target{}, nil
+	r.led.rev.n.Add(1)
 }
 
-// Get returns one remediation by id.
-func (e *Engine) Get(id string) (Remediation, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, ok := e.byID[id]
-	if !ok {
-		return Remediation{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+// message renders an audit entry's message, "remediation rm-<seq>: "
+// followed by parts, in one allocation while it fits the stack buffer.
+func message(seq uint64, parts ...string) string {
+	b := append(make([]byte, 0, 128), "remediation rm-"...)
+	b = append(strconv.AppendUint(b, seq, 10), ": "...)
+	for _, p := range parts {
+		b = append(b, p...)
 	}
-	return *r, nil
+	return string(b)
+}
+
+// parentList returns the inline parent list at i: the one id, or nil when
+// there is none.
+func (r *record) parentList(i int) []uint64 {
+	if r.parents[i] == 0 {
+		return nil
+	}
+	return r.parents[i : i+1 : i+1]
+}
+
+// render returns the record as its readers see it; e.mu must be held.
+func (r *record) render() Remediation {
+	rm := r.Remediation
+	rm.ID = "rm-" + strconv.FormatUint(r.seq, 10)
+	rm.IdempotencyKey = rm.Operation + "|" + rm.Action + "|" + r.base
+	return rm
+}
+
+// seqOf parses a canonical "rm-N" id (N ≥ 1, no leading zero, so rendering
+// N gives the id back). Any other id gives 0, which no record holds.
+func seqOf(id string) uint64 {
+	digits, ok := strings.CutPrefix(id, "rm-")
+	if !ok || digits == "" || digits[0] == '0' {
+		return 0
+	}
+	n, _ := strconv.ParseUint(digits, 10, 64) // 0 on a syntax or range error
+	return n
 }
 
 // List returns the remediations admitted for one operation, in admission
@@ -340,25 +401,12 @@ func (e *Engine) Get(id string) (Remediation, error) {
 func (e *Engine) List(operation string) []Remediation {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs := e.byOp[operation]
-	out := make([]Remediation, len(rs))
-	for i, r := range rs {
-		out[i] = *r
+	out := []Remediation{}
+	if l := e.ops[operation]; l != nil {
+		for r := l.head; r != nil; r = r.next {
+			out = append(out, r.render())
+		}
 	}
-	return out
-}
-
-// All returns every remediation, sorted by id sequence.
-func (e *Engine) All() []Remediation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Remediation, 0, len(e.byID))
-	for _, r := range e.byID {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].CreatedAt.Before(out[j].CreatedAt) || (out[i].CreatedAt.Equal(out[j].CreatedAt) && out[i].ID < out[j].ID)
-	})
 	return out
 }
 
@@ -368,17 +416,15 @@ func (e *Engine) All() []Remediation {
 func (e *Engine) Drop(operation string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range e.byOp[operation] {
-		delete(e.byID, r.ID)
-		delete(e.byKey, r.IdempotencyKey)
+	l := e.ops[operation]
+	if l == nil {
+		return
 	}
-	delete(e.byOp, operation)
-	delete(e.revs, operation)
-}
-
-// snapshot returns a locked copy for callers outside the engine.
-func (e *Engine) snapshot(r *Remediation) Remediation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return *r
+	for r := l.head; r != nil; r = r.next {
+		delete(e.ids, r.seq)
+		if r.State == StatePending {
+			r.target, r.fl = Target{}, nil
+		}
+	}
+	delete(e.ops, operation)
 }

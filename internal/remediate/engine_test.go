@@ -37,17 +37,19 @@ func TestTriggerIdempotentRefire(t *testing.T) {
 	var runs atomic.Int32
 	eng := NewEngine(countingCatalog(t, &runs), Policy{Default: ModeAuto}, clock.Wall)
 	tr := Trigger{Operation: "op-1", CauseNode: "wrong-ami", CausePath: "p:a/b"}
-	first := eng.Trigger(context.Background(), tr)
-	if len(first) != 1 || first[0].State != StateExecuted {
+	if n := eng.Trigger(context.Background(), tr); n != 1 {
+		t.Fatalf("first trigger admitted %d remediations", n)
+	}
+	if first := eng.List("op-1"); first[0].State != StateExecuted {
 		t.Fatalf("first trigger = %+v", first)
 	}
 	// A re-diagnosed cause — same operation, same action, same base — must
 	// not double-fire, even via a suffixed node id from another plan.
-	if again := eng.Trigger(context.Background(), tr); len(again) != 0 {
-		t.Fatalf("re-fire admitted %d remediations", len(again))
+	if n := eng.Trigger(context.Background(), tr); n != 0 {
+		t.Fatalf("re-fire admitted %d remediations", n)
 	}
 	tr.CauseNode = "wrong-ami-elb"
-	if again := eng.Trigger(context.Background(), tr); len(again) != 0 {
+	if n := eng.Trigger(context.Background(), tr); n != 0 {
 		t.Fatalf("suffixed re-fire admitted remediations")
 	}
 	if got := runs.Load(); got != 1 {
@@ -58,8 +60,8 @@ func TestTriggerIdempotentRefire(t *testing.T) {
 	}
 	// A different operation with the same cause fires independently.
 	tr2 := Trigger{Operation: "op-2", CauseNode: "wrong-ami"}
-	if rs := eng.Trigger(context.Background(), tr2); len(rs) != 1 {
-		t.Fatalf("second operation admitted %d remediations", len(rs))
+	if n := eng.Trigger(context.Background(), tr2); n != 1 {
+		t.Fatalf("second operation admitted %d remediations", n)
 	}
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("action ran %d times across two operations, want 2", got)
@@ -69,7 +71,8 @@ func TestTriggerIdempotentRefire(t *testing.T) {
 func TestApproveDoubleApprove(t *testing.T) {
 	var runs atomic.Int32
 	eng := NewEngine(countingCatalog(t, &runs), Policy{Default: ModeApprove}, clock.Wall)
-	rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+	eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+	rs := eng.List("op-1")
 	if len(rs) != 1 || rs[0].State != StatePending {
 		t.Fatalf("trigger = %+v", rs)
 	}
@@ -94,7 +97,8 @@ func TestApproveDoubleApprove(t *testing.T) {
 func TestApproveAfterOperationGC(t *testing.T) {
 	var runs atomic.Int32
 	eng := NewEngine(countingCatalog(t, &runs), Policy{Default: ModeApprove}, clock.Wall)
-	rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+	eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+	rs := eng.List("op-1")
 	eng.Drop("op-1")
 	if _, err := eng.Approve(context.Background(), rs[0].ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("approve after GC err = %v, want ErrNotFound", err)
@@ -107,8 +111,8 @@ func TestApproveAfterOperationGC(t *testing.T) {
 	}
 	// The idempotency key is released with the operation: a fresh session
 	// reusing the id can fire again.
-	if rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"}); len(rs) != 1 {
-		t.Fatalf("post-GC re-trigger admitted %d remediations", len(rs))
+	if n := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"}); n != 1 {
+		t.Fatalf("post-GC re-trigger admitted %d remediations", n)
 	}
 }
 
@@ -117,16 +121,14 @@ func TestUnknownRemediationNotFound(t *testing.T) {
 	if _, err := eng.Approve(context.Background(), "rm-404"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
-	if _, err := eng.Get("rm-404"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get err = %v, want ErrNotFound", err)
-	}
 }
 
 func TestSkippedWithoutController(t *testing.T) {
 	eng := NewEngine(DefaultCatalog(), Policy{Default: ModeAuto}, clock.Wall)
 	// abort-operation needs a controller; without one the outcome is
 	// skipped, not failed.
-	rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "elb-unreachable"})
+	eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "elb-unreachable"})
+	rs := eng.List("op-1")
 	if len(rs) != 1 {
 		t.Fatalf("admitted %d remediations, want 1", len(rs))
 	}
@@ -191,7 +193,8 @@ func TestDryRunNeverMutatesCloud(t *testing.T) {
 		Cloud: cloud, ASGName: cluster.ASGName, ELBName: cluster.ELBName,
 		NewLCName: cluster.LCName, ClusterSize: 3,
 	}
-	rs := eng.Trigger(ctx, Trigger{Operation: "op-1", CauseNode: "wrong-ami", Target: target})
+	eng.Trigger(ctx, Trigger{Operation: "op-1", CauseNode: "wrong-ami", Target: target})
+	rs := eng.List("op-1")
 	if len(rs) == 0 {
 		t.Fatal("dry-run admitted no remediations")
 	}
@@ -265,10 +268,11 @@ func TestAuditTrailChainsToCause(t *testing.T) {
 
 	var runs atomic.Int32
 	eng := NewEngine(countingCatalog(t, &runs), Policy{Default: ModeAuto}, clk)
-	rs := eng.Trigger(context.Background(), Trigger{
+	eng.Trigger(context.Background(), Trigger{
 		Operation: "op-1", CauseNode: "wrong-ami", CausePath: "ft-asg-uses-ami:top/wrong-ami",
 		CauseEntry: causeID, Flight: op,
 	})
+	rs := eng.List("op-1")
 	if len(rs) != 1 {
 		t.Fatalf("admitted %d remediations", len(rs))
 	}
@@ -338,13 +342,16 @@ func TestSuggestedPolicyHoldsEscalations(t *testing.T) {
 }
 
 // TestRevisionMovesWithEveryLedgerWrite: an operation's revision moves
-// at admission (seen from inside the action), when an approval starts
-// the action (also seen from inside it), when the outcome lands, and on
-// import — so a snapshot taken at any of those points is resent.
+// exactly once per ledger write: at admission (seen from inside the
+// action), when an approval starts the action (also seen from inside
+// it), when the outcome lands, and per imported record and imported
+// outcome; a deduped trigger or import writes nothing. So a snapshot
+// taken at any of those points is resent.
 func TestRevisionMovesWithEveryLedgerWrite(t *testing.T) {
+	ctx := context.Background()
 	for _, mode := range []Mode{ModeAuto, ModeApprove} {
 		var rev *OpRevision
-		var before, inside uint64
+		var inside uint64
 		c := NewCatalog()
 		c.MustAdd(Action{
 			Name: "probe", Description: "probe", Class: ClassConfig, Causes: []string{"wrong-ami"},
@@ -355,31 +362,46 @@ func TestRevisionMovesWithEveryLedgerWrite(t *testing.T) {
 		})
 		eng := NewEngine(c, Policy{Default: mode}, clock.Wall)
 		rev = eng.Revision("op-1")
-		before = rev.Load()
-		rs := eng.Trigger(context.Background(), Trigger{Operation: "op-1", CauseNode: "wrong-ami"})
+		before := rev.Load()
+		tr := Trigger{Operation: "op-1", CauseNode: "wrong-ami"}
+		eng.Trigger(ctx, tr)
+		rs := eng.List("op-1")
 		if len(rs) != 1 {
 			t.Fatalf("%s: trigger admitted %d remediations", mode, len(rs))
 		}
 		if mode == ModeApprove {
-			if admitted := rev.Load(); admitted == before {
-				t.Fatalf("approve: admission did not move the revision")
+			if got := rev.Load(); got != before+1 {
+				t.Fatalf("approve: admission moved the revision %d → %d, want one write", before, got)
+			}
+			// A pending record whose action the adopting catalog lacks is
+			// imported, then finished as skipped: two writes.
+			bare := NewEngine(NewCatalog(), Policy{Default: mode}, clock.Wall)
+			if n := bare.Import(eng.Export("op-1"), Target{}, nil); n != 1 || bare.Revision("op-1").Load() != 2 {
+				t.Errorf("approve: orphaned import of %d record(s) moved the revision to %d, want 2",
+					n, bare.Revision("op-1").Load())
 			}
 			before = rev.Load()
-			if _, err := eng.Approve(context.Background(), rs[0].ID); err != nil {
+			if _, err := eng.Approve(ctx, rs[0].ID); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if inside == before {
-			t.Errorf("%s: the action ran at the revision read before it was admitted or approved", mode)
+		if inside != before+1 {
+			t.Errorf("%s: the action ran at revision %d, want one write past %d", mode, inside, before)
 		}
-		if rev.Load() == inside {
-			t.Errorf("%s: the outcome did not move the revision", mode)
+		if got := rev.Load(); got != inside+1 {
+			t.Errorf("%s: the outcome moved the revision %d → %d, want one write", mode, inside, got)
 		}
 		done := rev.Load()
+		if eng.Trigger(ctx, tr); rev.Load() != done {
+			t.Errorf("%s: a deduped trigger moved the revision", mode)
+		}
 		other := NewEngine(c, Policy{Default: mode}, clock.Wall)
 		imported := other.Revision("op-1")
-		if other.Import(eng.Export("op-1"), Target{}, nil) != 1 || imported.Load() == 0 {
-			t.Errorf("%s: import did not move the adopting engine's revision", mode)
+		if n := other.Import(eng.Export("op-1"), Target{}, nil); n != 1 || imported.Load() != 1 {
+			t.Errorf("%s: import of %d record(s) moved the adopting engine's revision to %d, want 1", mode, n, imported.Load())
+		}
+		if n := other.Import(eng.Export("op-1"), Target{}, nil); n != 0 || imported.Load() != 1 {
+			t.Errorf("%s: a repeated import imported %d and moved the revision to %d", mode, n, imported.Load())
 		}
 		if eng.Drop("op-1"); rev.Load() != done {
 			t.Errorf("%s: drop moved a handed-out revision", mode)

@@ -21,8 +21,8 @@ package remediate
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 )
 
 // Mode is the policy decision applied to a remediation action.
@@ -120,6 +120,9 @@ type Action struct {
 	// double-fires from re-diagnosed causes, but approve-mode actions
 	// can run long after the triggering diagnosis.
 	Run func(ctx context.Context, t *Target) (string, error) `json:"-"`
+
+	// dryRun is the dry-run outcome detail, built once by Catalog.Add.
+	dryRun string
 }
 
 // Binding is one resolved (action, cause-base) pair for a concrete
@@ -139,6 +142,11 @@ type Catalog struct {
 	actions []*Action
 	byName  map[string]*Action
 	manual  map[string]string // cause base id -> reason no action is bound
+
+	// bindings memoises BindingsFor per concrete node id ([]Binding).
+	// Node ids come from the registered plans, so it holds at most one
+	// entry per plan cause; Add clears it.
+	bindings sync.Map
 }
 
 // NewCatalog returns an empty catalog.
@@ -147,7 +155,8 @@ func NewCatalog() *Catalog {
 }
 
 // Add registers an action. Names must be unique and every action needs a
-// class, at least one cause binding, and a Run implementation.
+// class, at least one cause binding, and a Run implementation. Add must
+// not run concurrently with the catalog's readers.
 func (c *Catalog) Add(a Action) error {
 	if a.Name == "" || a.Class == "" || len(a.Causes) == 0 || a.Run == nil {
 		return fmt.Errorf("remediate: action needs name, class, causes and run (got %+v)", a.Name)
@@ -156,8 +165,10 @@ func (c *Catalog) Add(a Action) error {
 		return fmt.Errorf("remediate: duplicate action %q", a.Name)
 	}
 	cp := a
+	cp.dryRun = "dry-run: " + cp.Description
 	c.actions = append(c.actions, &cp)
 	c.byName[a.Name] = &cp
+	c.bindings = sync.Map{}
 	return nil
 }
 
@@ -207,8 +218,12 @@ func (c *Catalog) ManualReason(nodeID string) (string, bool) {
 
 // BindingsFor resolves the actions bound to a concrete cause node id, in
 // declaration order. Matching is prefix-aware: the catalog binds base
-// ids, compiled plans suffix shared-subtree causes.
+// ids, compiled plans suffix shared-subtree causes. The result is
+// resolved once per node id and shared: it must not be changed.
 func (c *Catalog) BindingsFor(nodeID string) []Binding {
+	if out, ok := c.bindings.Load(nodeID); ok {
+		return out.([]Binding)
+	}
 	var out []Binding
 	for _, a := range c.actions {
 		for _, base := range a.Causes {
@@ -218,22 +233,8 @@ func (c *Catalog) BindingsFor(nodeID string) []Binding {
 			}
 		}
 	}
-	return out
-}
-
-// CauseBases returns every cause base id bound by some action, sorted.
-func (c *Catalog) CauseBases() []string {
-	seen := make(map[string]bool)
-	for _, a := range c.actions {
-		for _, base := range a.Causes {
-			seen[base] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Strings(out)
+	out = out[:len(out):len(out)] // a caller's append must not write into the shared array
+	c.bindings.Store(nodeID, out)
 	return out
 }
 

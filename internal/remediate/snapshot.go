@@ -1,8 +1,6 @@
 package remediate
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"poddiagnosis/internal/obs/flight"
@@ -13,11 +11,8 @@ import (
 // adopting manager's engine, so a cause re-confirmed after handoff can
 // never fire the same action twice.
 
-// Export returns copies of one operation's remediation records for
-// snapshot transfer. It is List under a name that spells out the
-// contract: the copies are self-contained audit records (the
-// unexported action/target/ring bindings do not travel and are rebound
-// by Import).
+// Export returns one operation's records for snapshot transfer: List's
+// self-contained copies, which Import rebinds to an action, target and ring.
 func (e *Engine) Export(operation string) []Remediation {
 	return e.List(operation)
 }
@@ -39,40 +34,33 @@ func (e *Engine) Export(operation string) []Remediation {
 //     as skipped (there is nothing to approve into).
 //
 // Imported ids are kept when free so cross-member audit trails line
-// up, and the engine's sequence is advanced past every kept id.
-// Returns the number of records imported.
+// up, and the engine's sequence is advanced past every kept id; an id
+// that is taken, or is not of the "rm-N" form this package renders, is
+// minted afresh. A key not of the operation|action|base form is taken
+// whole as the base. Returns the number of records imported.
 func (e *Engine) Import(recs []Remediation, target Target, fl *flight.Op) int {
 	imported := 0
-	var interrupted, orphaned []*Remediation
+	var interrupted, orphaned []*record
 	for _, rec := range recs {
-		r := rec
-		r.action = e.catalog.Action(r.Action)
-		r.target = target
-		r.fl = fl
+		r := &record{Remediation: rec, act: e.catalog.Action(rec.Action), target: target, fl: fl}
+		r.parents[1] = rec.ActionEntry
+		r.base, _ = strings.CutPrefix(rec.IdempotencyKey, rec.Operation+"|"+rec.Action+"|")
+		r.seq = seqOf(rec.ID)
 		e.mu.Lock()
-		if _, dup := e.byKey[r.IdempotencyKey]; dup {
+		if !e.admitLocked(r) {
 			e.mu.Unlock()
 			mDeduped.Inc()
 			continue
 		}
-		if _, taken := e.byID[r.ID]; taken || r.ID == "" {
-			e.seq++
-			r.ID = fmt.Sprintf("rm-%d", e.seq)
-		} else if n := seqOf(r.ID); n > e.seq {
-			e.seq = n
-		}
-		e.byKey[r.IdempotencyKey] = &r
-		e.byID[r.ID] = &r
-		e.byOp[r.Operation] = append(e.byOp[r.Operation], &r)
-		e.bumpLocked(r.Operation)
-		e.mu.Unlock()
-		imported++
 		switch {
 		case r.State == StateExecuting:
-			interrupted = append(interrupted, &r)
-		case r.State == StatePending && r.action == nil:
-			orphaned = append(orphaned, &r)
+			interrupted = append(interrupted, r)
+		case r.State == StatePending && r.act == nil:
+			r.State = StateExecuting // Import finishes it; Approve must not run it
+			orphaned = append(orphaned, r)
 		}
+		e.mu.Unlock()
+		imported++
 	}
 	for _, r := range interrupted {
 		e.finish(r, StateFailed, "interrupted by federation handoff", nil)
@@ -81,13 +69,4 @@ func (e *Engine) Import(recs []Remediation, target Target, fl *flight.Op) int {
 		e.finish(r, StateSkipped, "skipped: action not in adopting catalog", nil)
 	}
 	return imported
-}
-
-// seqOf parses the numeric suffix of an "rm-N" id (0 when malformed).
-func seqOf(id string) uint64 {
-	n, err := strconv.ParseUint(strings.TrimPrefix(id, "rm-"), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }
