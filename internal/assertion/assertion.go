@@ -157,13 +157,13 @@ type Check struct {
 }
 
 // pass builds a passing result.
-func pass(checkID string, p Params, format string, args ...any) Result {
-	return Result{CheckID: checkID, Status: StatusPass, Params: p, Message: fmt.Sprintf(format, args...)}
+func pass(checkID string, p Params, msg string) Result {
+	return Result{CheckID: checkID, Status: StatusPass, Params: p, Message: msg}
 }
 
 // fail builds a failing result.
-func fail(checkID string, p Params, format string, args ...any) Result {
-	return Result{CheckID: checkID, Status: StatusFail, Params: p, Message: fmt.Sprintf(format, args...)}
+func fail(checkID string, p Params, msg string) Result {
+	return Result{CheckID: checkID, Status: StatusFail, Params: p, Message: msg}
 }
 
 // evalErr builds an inconclusive result.

@@ -59,19 +59,21 @@ func TestAssertionLineGolden(t *testing.T) {
 
 // evaluateAllocBudget is one failing asg-version-count evaluation on a
 // 2-instance cluster, published to a bus, as the benchmark's storm makes
-// it: measured 15, budget that plus 5%. The check makes 10 of them: the
+// it: measured 12, budget that plus 5%. The check makes 8 of them: the
 // instance list the cloud returns and the slices copied into each
-// instance (5), the failure message and its two boxed string arguments
-// (3), the give-up error (1) and the monitoring-plane context (1). The
-// evaluator makes 5: the span and its context (2), the log line's fields
-// map (2) and the line itself (1). The same evaluation made 34 while the
+// instance (5), the failure message (1), the give-up error (1) and the
+// monitoring-plane context (1). The evaluator makes 4: the span, which is
+// its own context (1), the log line's fields map (2) and the line itself
+// (1). The same evaluation made 15 while the failure message was a
+// fmt.Sprintf with two boxed string arguments (3 → 1) and the span's
+// context was a context.WithValue beside it (2 → 1), and 34 while the
 // line was built with fmt.Sprintf and time.Format beside a tag slice grown
 // per line (10 → 3), span attributes lived in a map and simDuration was
 // formatted at once (3), the give-up error was a fmt.Errorf over a fresh
 // error (5 → 1), the plane tag was boxed per read (1), the counter's two
 // labels were joined per lookup (1) and the instance list was sorted with
 // sort.Slice (3).
-const evaluateAllocBudget = 16
+const evaluateAllocBudget = 13
 
 func TestEvaluateAllocationBudget(t *testing.T) {
 	if raceEnabled {

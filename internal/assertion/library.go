@@ -2,7 +2,7 @@ package assertion
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,12 +71,12 @@ func configCheck(ctx context.Context, client *consistentapi.Client, p Params, ch
 	}
 	lc, ok, err := asgLCWhere(ctx, client, asgName, match)
 	if ok {
-		return pass(checkID, p, "%s", passMsg(lc))
+		return pass(checkID, p, passMsg(lc))
 	}
 	if err != nil && lc.Name == "" {
 		return evalErr(checkID, p, err)
 	}
-	return fail(checkID, p, "%s", failMsg(lc))
+	return fail(checkID, p, failMsg(lc))
 }
 
 // activityWindow parses the look-back window parameter, defaulting to 5
@@ -122,9 +122,9 @@ func libraryChecks() []Check {
 					return evalErr(CheckASGInstanceCount, p, err)
 				}
 				if ok {
-					return pass(CheckASGInstanceCount, p, "ASG %s has %d instances.", asgName, want)
+					return pass(CheckASGInstanceCount, p, "ASG "+asgName+" has "+strconv.Itoa(want)+" instances.")
 				}
-				return fail(CheckASGInstanceCount, p, "ASG %s has %d instances, want %d.", asgName, count(instances), want)
+				return fail(CheckASGInstanceCount, p, "ASG "+asgName+" has "+strconv.Itoa(count(instances))+" instances, want "+strconv.Itoa(want)+".")
 			},
 		},
 		{
@@ -160,10 +160,10 @@ func libraryChecks() []Check {
 					return evalErr(CheckASGVersionCount, p, err)
 				}
 				if ok {
-					return pass(CheckASGVersionCount, p, "ASG %s has %d instances with version %s.", asgName, want, version)
+					return pass(CheckASGVersionCount, p, "ASG "+asgName+" has "+strconv.Itoa(want)+" instances with version "+version+".")
 				}
-				return fail(CheckASGVersionCount, p, "ASG %s has %d instances with version %s, want %d.",
-					asgName, count(instances), version, want)
+				return fail(CheckASGVersionCount, p, "ASG "+asgName+" has "+strconv.Itoa(count(instances))+
+					" instances with version "+version+", want "+strconv.Itoa(want)+".")
 			},
 		},
 		{
@@ -178,10 +178,10 @@ func libraryChecks() []Check {
 				return configCheck(ctx, client, p, CheckASGUsesAMI,
 					func(lc simaws.LaunchConfig) bool { return lc.ImageID == ami },
 					func(simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a correct AMI.", asgName)
+						return "The ASG " + asgName + " is using a correct AMI."
 					},
 					func(lc simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a wrong AMI (%s, want %s).", asgName, lc.ImageID, ami)
+						return "The ASG " + asgName + " is using a wrong AMI (" + lc.ImageID + ", want " + ami + ")."
 					})
 			},
 		},
@@ -197,10 +197,10 @@ func libraryChecks() []Check {
 				return configCheck(ctx, client, p, CheckASGUsesKeyPair,
 					func(lc simaws.LaunchConfig) bool { return lc.KeyName == key },
 					func(simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a correct key pair.", asgName)
+						return "The ASG " + asgName + " is using a correct key pair."
 					},
 					func(lc simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a wrong key pair (%s, want %s).", asgName, lc.KeyName, key)
+						return "The ASG " + asgName + " is using a wrong key pair (" + lc.KeyName + ", want " + key + ")."
 					})
 			},
 		},
@@ -223,10 +223,10 @@ func libraryChecks() []Check {
 				}
 				return configCheck(ctx, client, p, CheckASGUsesSG, hasSG,
 					func(simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a correct security group.", asgName)
+						return "The ASG " + asgName + " is using a correct security group."
 					},
 					func(lc simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a wrong security group (%v, want %s).", asgName, lc.SecurityGroups, sg)
+						return "The ASG " + asgName + " is using a wrong security group ([" + strings.Join(lc.SecurityGroups, " ") + "], want " + sg + ")."
 					})
 			},
 		},
@@ -242,10 +242,10 @@ func libraryChecks() []Check {
 				return configCheck(ctx, client, p, CheckASGUsesType,
 					func(lc simaws.LaunchConfig) bool { return lc.InstanceType == typ },
 					func(simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a correct instance type.", asgName)
+						return "The ASG " + asgName + " is using a correct instance type."
 					},
 					func(lc simaws.LaunchConfig) string {
-						return fmt.Sprintf("The ASG %s is using a wrong instance type (%s, want %s).", asgName, lc.InstanceType, typ)
+						return "The ASG " + asgName + " is using a wrong instance type (" + lc.InstanceType + ", want " + typ + ")."
 					})
 			},
 		},
@@ -259,15 +259,15 @@ func libraryChecks() []Check {
 				}
 				img, _, err := client.DescribeImage(ctx, ami, nil)
 				if simaws.IsNotFound(err) {
-					return fail(CheckAMIAvailable, p, "The AMI %s does not exist.", ami)
+					return fail(CheckAMIAvailable, p, "The AMI "+ami+" does not exist.")
 				}
 				if err != nil {
 					return evalErr(CheckAMIAvailable, p, err)
 				}
 				if img.Available {
-					return pass(CheckAMIAvailable, p, "The AMI %s is available.", ami)
+					return pass(CheckAMIAvailable, p, "The AMI "+ami+" is available.")
 				}
-				return fail(CheckAMIAvailable, p, "The AMI %s is deregistered.", ami)
+				return fail(CheckAMIAvailable, p, "The AMI "+ami+" is deregistered.")
 			},
 		},
 		{
@@ -280,12 +280,12 @@ func libraryChecks() []Check {
 				}
 				_, _, err = client.DescribeKeyPair(ctx, key)
 				if simaws.IsNotFound(err) {
-					return fail(CheckKeyPairExists, p, "The key pair %s does not exist.", key)
+					return fail(CheckKeyPairExists, p, "The key pair "+key+" does not exist.")
 				}
 				if err != nil {
 					return evalErr(CheckKeyPairExists, p, err)
 				}
-				return pass(CheckKeyPairExists, p, "The key pair %s exists.", key)
+				return pass(CheckKeyPairExists, p, "The key pair "+key+" exists.")
 			},
 		},
 		{
@@ -298,12 +298,12 @@ func libraryChecks() []Check {
 				}
 				_, _, err = client.DescribeSecurityGroup(ctx, sg)
 				if simaws.IsNotFound(err) {
-					return fail(CheckSGExists, p, "The security group %s does not exist.", sg)
+					return fail(CheckSGExists, p, "The security group "+sg+" does not exist.")
 				}
 				if err != nil {
 					return evalErr(CheckSGExists, p, err)
 				}
-				return pass(CheckSGExists, p, "The security group %s exists.", sg)
+				return pass(CheckSGExists, p, "The security group "+sg+" exists.")
 			},
 		},
 		{
@@ -316,15 +316,15 @@ func libraryChecks() []Check {
 				}
 				lc, _, err := client.DescribeLaunchConfig(ctx, lcName, nil)
 				if simaws.IsNotFound(err) {
-					return fail(CheckLCExists, p, "The launch configuration %s does not exist.", lcName)
+					return fail(CheckLCExists, p, "The launch configuration "+lcName+" does not exist.")
 				}
 				if err != nil {
 					return evalErr(CheckLCExists, p, err)
 				}
 				if want, ok := p[ParamAMI]; ok && want != "" && lc.ImageID != want {
-					return fail(CheckLCExists, p, "The launch configuration %s uses AMI %s, want %s.", lcName, lc.ImageID, want)
+					return fail(CheckLCExists, p, "The launch configuration "+lcName+" uses AMI "+lc.ImageID+", want "+want+".")
 				}
-				return pass(CheckLCExists, p, "The launch configuration %s exists.", lcName)
+				return pass(CheckLCExists, p, "The launch configuration "+lcName+" exists.")
 			},
 		},
 		{
@@ -337,7 +337,7 @@ func libraryChecks() []Check {
 				}
 				_, _, err = client.DescribeELB(ctx, elb, nil)
 				if simaws.IsNotFound(err) {
-					return fail(CheckELBReachable, p, "The load balancer %s does not exist.", elb)
+					return fail(CheckELBReachable, p, "The load balancer "+elb+" does not exist.")
 				}
 				if simaws.ErrorCode(err) == simaws.ErrCodeServiceUnavailable {
 					return fail(CheckELBReachable, p, "The ELB service is unavailable.")
@@ -345,7 +345,7 @@ func libraryChecks() []Check {
 				if err != nil {
 					return evalErr(CheckELBReachable, p, err)
 				}
-				return pass(CheckELBReachable, p, "The load balancer %s is reachable.", elb)
+				return pass(CheckELBReachable, p, "The load balancer "+elb+" is reachable.")
 			},
 		},
 		{
@@ -367,15 +367,15 @@ func libraryChecks() []Check {
 				if simaws.IsNotFound(err) || simaws.ErrorCode(err) == simaws.ErrCodeServiceUnavailable {
 					// A missing or disrupted ELB definitively violates the
 					// registration expectation.
-					return fail(CheckELBInstanceCount, p, "The load balancer %s is unavailable: %v", elbName, err)
+					return fail(CheckELBInstanceCount, p, "The load balancer "+elbName+" is unavailable: "+err.Error())
 				}
 				if err != nil && elb.Name == "" {
 					return evalErr(CheckELBInstanceCount, p, err)
 				}
 				if ok {
-					return pass(CheckELBInstanceCount, p, "ELB %s has %d registered instances.", elbName, want)
+					return pass(CheckELBInstanceCount, p, "ELB "+elbName+" has "+strconv.Itoa(want)+" registered instances.")
 				}
-				return fail(CheckELBInstanceCount, p, "ELB %s has %d registered instances, want %d.", elbName, len(elb.Instances), want)
+				return fail(CheckELBInstanceCount, p, "ELB "+elbName+" has "+strconv.Itoa(len(elb.Instances))+" registered instances, want "+strconv.Itoa(want)+".")
 			},
 		},
 		{
@@ -402,9 +402,9 @@ func libraryChecks() []Check {
 					return evalErr(CheckInstanceRegistered, p, err)
 				}
 				if ok {
-					return pass(CheckInstanceRegistered, p, "Instance %s is registered with ELB %s.", id, elbName)
+					return pass(CheckInstanceRegistered, p, "Instance "+id+" is registered with ELB "+elbName+".")
 				}
-				return fail(CheckInstanceRegistered, p, "Instance %s is not registered with ELB %s.", id, elbName)
+				return fail(CheckInstanceRegistered, p, "Instance "+id+" is not registered with ELB "+elbName+".")
 			},
 		},
 		{
@@ -421,15 +421,15 @@ func libraryChecks() []Check {
 				}
 				inst, _, err := client.DescribeInstance(ctx, id, nil)
 				if simaws.IsNotFound(err) {
-					return fail(CheckInstanceVersion, p, "Instance %s does not exist.", id)
+					return fail(CheckInstanceVersion, p, "Instance "+id+" does not exist.")
 				}
 				if err != nil {
 					return evalErr(CheckInstanceVersion, p, err)
 				}
 				if inst.Version == version {
-					return pass(CheckInstanceVersion, p, "Instance %s runs version %s.", id, version)
+					return pass(CheckInstanceVersion, p, "Instance "+id+" runs version "+version+".")
 				}
-				return fail(CheckInstanceVersion, p, "Instance %s runs version %s, want %s.", id, inst.Version, version)
+				return fail(CheckInstanceVersion, p, "Instance "+id+" runs version "+inst.Version+", want "+version+".")
 			},
 		},
 		{
@@ -444,15 +444,15 @@ func libraryChecks() []Check {
 					return i.State == simaws.StateInService
 				})
 				if simaws.IsNotFound(err) {
-					return fail(CheckInstanceHealthy, p, "Instance %s does not exist.", id)
+					return fail(CheckInstanceHealthy, p, "Instance "+id+" does not exist.")
 				}
 				if err != nil && inst.ID == "" {
 					return evalErr(CheckInstanceHealthy, p, err)
 				}
 				if ok {
-					return pass(CheckInstanceHealthy, p, "Instance %s is in service.", id)
+					return pass(CheckInstanceHealthy, p, "Instance "+id+" is in service.")
 				}
-				return fail(CheckInstanceHealthy, p, "Instance %s is in state %s.", id, inst.State)
+				return fail(CheckInstanceHealthy, p, "Instance "+id+" is in state "+inst.State.String()+".")
 			},
 		},
 		{
@@ -512,9 +512,8 @@ func noExternalTerminationCheck() Check {
 					continue
 				}
 				if r.Principal == "operator" {
-					return fail(CheckNoExternalTermination, p,
-						"Instance %s was terminated outside the process at %s.",
-						r.Resource, r.At.Format("15:04:05"))
+					return fail(CheckNoExternalTermination, p, "Instance "+r.Resource+
+						" was terminated outside the process at "+r.At.Format("15:04:05")+".")
 				}
 			}
 			return pass(CheckNoExternalTermination, p, "No external instance termination in the audit trail.")
@@ -540,8 +539,8 @@ func activityCheck(ctx context.Context, client *consistentapi.Client, p Params, 
 			continue
 		}
 		if bad(a) {
-			return fail(checkID, p, "ASG %s has a recent %s: %s %s", asgName, what, a.Description, a.StatusMessage)
+			return fail(checkID, p, "ASG "+asgName+" has a recent "+what+": "+a.Description+" "+a.StatusMessage)
 		}
 	}
-	return pass(checkID, p, "ASG %s has no recent %s.", asgName, what)
+	return pass(checkID, p, "ASG "+asgName+" has no recent "+what+".")
 }

@@ -16,9 +16,24 @@ func ContextWithTimeout(parent context.Context, clk Clock, d time.Duration) (con
 	if d <= 0 {
 		return ctx, cancel
 	}
+	if w, ok := clk.(wallTimed); ok {
+		// Keeping the timer itself saves the Stop method value AfterFunc
+		// would allocate.
+		t := time.AfterFunc(w.toWall(d), cancel)
+		return ctx, func() {
+			t.Stop()
+			cancel()
+		}
+	}
 	stop := clk.AfterFunc(d, cancel)
 	return ctx, func() {
 		stop()
 		cancel()
 	}
+}
+
+// wallTimed is a Clock whose AfterFunc(d) is a wall-clock timer firing
+// after toWall(d).
+type wallTimed interface {
+	toWall(d time.Duration) time.Duration
 }

@@ -46,8 +46,10 @@ func TestContextWithTimeoutNonPositiveHasNoDeadline(t *testing.T) {
 
 // contextWithTimeoutAllocs is what one ContextWithTimeout call and its
 // cancel allocate: the cancelCtx and its CancelFunc (2), the wall timer
-// and its Stop method value (2), and the combined cancel closure (1).
-const contextWithTimeoutAllocs = 5
+// (1), and the cancel closure that stops it (1). The timer's Stop method
+// value (1) went when the scaled and real clocks began keeping the timer
+// itself.
+const contextWithTimeoutAllocs = 4
 
 // goroutineSlack bounds the goroutines unrelated to the code under test
 // that a goroutine count may catch exiting.

@@ -19,33 +19,56 @@ import (
 // Allocation budgets of one Engine.Diagnose on the request the benchmark's
 // diagnose_storm workload issues: asg-version-count failed at step7 on a
 // 2-instance cluster whose group points at a launch configuration with the
-// wrong AMI; three tests run, the third confirms wrong-ami. Measured 120
-// (sequential) and 148 (Workers=2) allocations; the budgets are those
-// plus 5%. They were 179 and 210 (measured 170 and 195) until each
-// evaluation stopped paying for bookkeeping beside its cloud reads. A
-// memory profile of the sequential walk shows what went:
-//   - 7 per assertion log line, 21 in all: fmt.Sprintf, its boxed
-//     arguments, time.Format and a tag slice grown per line; the line is
-//     now one strings.Builder and the tags are shared per step,
-//   - a map per span for the walk, the three tests and their three
-//     evaluations (14), and Duration.String for the simDuration
-//     attributes (4); spans keep attributes inline now,
-//   - per test deadline, a goroutine selecting on a timer channel fed by a
-//     closure, and the Done channel that select made the cancelCtx
-//     allocate; a clock timer whose callback cancels, and its stop
-//     function, replace them,
-//   - per failing read, fmt.Errorf's wrapper and a fresh "expectation not
-//     met" error (4 over the walk), now one small typed error around a
-//     sentinel,
-//   - per read, the boxed monitoring-plane tag (3), and per evaluation,
-//     the joined label key of the evaluation counter (3),
-//   - and the regrowth of the evidence entries' parent lists.
+// wrong AMI; three tests run, the third confirms wrong-ami. Measured 85
+// (sequential) and 88 (Workers=2) allocations; the budgets are those plus
+// 5%. A memory profile of the sequential walk names what is left per call:
+//   - per test, 19 (57 over the walk): the test's span and its
+//     evaluation's span (2), the deadline (4: the cancelCtx and its
+//     cancel, the wall timer, the closure that stops it), the shared-cache
+//     entry and its key (2), the rendered check parameters (1), the
+//     evidence message and its parent list (2), the monitoring-plane
+//     context (1), the describe copies (3: the group's balancer and
+//     instance lists, the launch configuration's security groups), the
+//     pass or fail message (1), and the evaluation's log line and its
+//     fields map (3),
+//   - per walk, 28: the walk's span (1), the diagnosis log lines (8) and
+//     their fields map (2), the Diagnosis, the run, the views and the
+//     entries (4), the plan walk's evidence message and parents (2),
+//     TestsRun (1), the claimed and excluded bitsets (2), the exclusions
+//     (2), the confirmed cause's description, slice, evidence message,
+//     parents and RootCauses entry (5) and the give-up error (1).
 //
-// When every run cloned its plans and every cloud read copied the
-// account, the same calls allocated 682 and 710.
+// Workers=2 adds the forked level's record and branch slab and the
+// closure its go statement starts (3).
+//
+// The budgets were 126 and 155 (measured 120 and 148) until a walk
+// stopped paying for scaffolding beside its tests:
+//   - the parallel fan-out allocated a sub-branch slice, an atomic, a
+//     WaitGroup and a branch and a closure per sibling at every level (25
+//     at Workers=2); siblings now write straight into the caller's branch
+//     until one goes to a goroutine, and a level's state is one record and
+//     one branch slab from then on,
+//   - a span and the context.WithValue carrying it (7 of the latter); the
+//     span is now its own context,
+//   - a ready channel per shared-cache entry (3); the entry's WaitGroup
+//     and a done flag replace it,
+//   - the run's test keys, first-test entries and TestsRun grown one at a
+//     time (8); they are sized for four tests,
+//   - pass and fail messages formatted twice through fmt.Sprintf with
+//     boxed arguments (11); they are concatenated once,
+//   - the Stop method value of each deadline's timer (3),
+//   - the group's scaling history, copied by each describe (3); the
+//     describe leaves it to DescribeScalingActivities.
+//
+// They were 179 and 210 (measured 170 and 195) until each evaluation
+// stopped paying for bookkeeping beside its cloud reads (assertion log
+// lines, span attribute maps, deadline goroutines, fmt.Errorf wrappers,
+// boxed plane tags and joined label keys), and when every run cloned its
+// plans and every cloud read copied the account, the same calls
+// allocated 682 and 710.
 const (
-	diagnoseAllocBudget         = 126
-	diagnoseAllocBudgetParallel = 155
+	diagnoseAllocBudget         = 89
+	diagnoseAllocBudgetParallel = 92
 )
 
 func TestDiagnoseAllocationBudget(t *testing.T) {

@@ -42,13 +42,16 @@ const (
 // sweeps expired entries while it already holds the lock.
 const sweepThreshold = 1024
 
-// entry is one cached (or in-flight) evaluation. ready is closed once res
-// is valid; at is stamped when the evaluation STARTS, so an entry's age
-// conservatively includes the evaluation latency itself.
+// entry is one cached (or in-flight) evaluation. done, guarded by the
+// cache's mu, is set once res is valid; callers that find the entry in
+// flight wait on wg, which the leader releases after setting done. at is
+// stamped when the evaluation STARTS, so an entry's age conservatively
+// includes the evaluation latency itself.
 type entry struct {
-	ready chan struct{}
-	res   assertion.Result
-	at    time.Time
+	wg   sync.WaitGroup
+	done bool
+	res  assertion.Result
+	at   time.Time
 }
 
 // SharedCache is a cross-run diagnosis test-result cache with single-flight
@@ -98,47 +101,45 @@ func (c *SharedCache) Do(key string, reserve func() bool, eval func() assertion.
 	c.mu.Lock()
 	c.sweepLocked()
 	if en, ok := c.entries[key]; ok {
-		select {
-		case <-en.ready:
-			if c.ttl > 0 && c.clk.Since(en.at) <= c.ttl {
-				c.mu.Unlock()
-				c.hits.Add(1)
-				mSharedCacheHits.Inc()
-				return en.res, OutcomeHit
-			}
-			// Older than the consistency window: evict and re-evaluate.
-			delete(c.entries, key)
-			c.evictions.Add(1)
-			mSharedCacheEvictions.Inc()
-		default:
+		if !en.done {
 			// In flight: wait for the leader's result.
 			c.mu.Unlock()
 			c.coalesced.Add(1)
 			mCoalesced.Inc()
-			<-en.ready
+			en.wg.Wait()
 			return en.res, OutcomeCoalesced
 		}
+		if c.ttl > 0 && c.clk.Since(en.at) <= c.ttl {
+			c.mu.Unlock()
+			c.hits.Add(1)
+			mSharedCacheHits.Inc()
+			return en.res, OutcomeHit
+		}
+		// Older than the consistency window: evict and re-evaluate.
+		delete(c.entries, key)
+		c.evictions.Add(1)
+		mSharedCacheEvictions.Inc()
 	}
 	if reserve != nil && !reserve() {
 		c.mu.Unlock()
 		return assertion.Result{}, OutcomeRejected
 	}
-	en := &entry{ready: make(chan struct{}), at: c.clk.Now()}
+	en := &entry{at: c.clk.Now()}
+	en.wg.Add(1)
 	c.entries[key] = en
 	c.mu.Unlock()
 
 	en.res = eval()
 	c.evals.Add(1)
-	if c.ttl <= 0 {
-		// No cross-time reuse permitted: drop the entry as soon as the
-		// waiters coalesced onto it can read the result.
-		c.mu.Lock()
-		if c.entries[key] == en {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
+	c.mu.Lock()
+	en.done = true
+	if c.ttl <= 0 && c.entries[key] == en {
+		// No cross-time reuse permitted: drop the entry; the waiters
+		// coalesced onto it already hold it.
+		delete(c.entries, key)
 	}
-	close(en.ready)
+	c.mu.Unlock()
+	en.wg.Done()
 	return en.res, OutcomeEvaluated
 }
 
@@ -157,15 +158,11 @@ func (c *SharedCache) sweepLocked() {
 	}
 	c.lastSweep = c.clk.Now()
 	for key, en := range c.entries {
-		select {
-		case <-en.ready:
-			if c.ttl <= 0 || c.clk.Since(en.at) > c.ttl {
-				delete(c.entries, key)
-				c.evictions.Add(1)
-				mSharedCacheEvictions.Inc()
-			}
-		default:
-			// In flight: keep.
+		// An entry in flight is kept.
+		if en.done && (c.ttl <= 0 || c.clk.Since(en.at) > c.ttl) {
+			delete(c.entries, key)
+			c.evictions.Add(1)
+			mSharedCacheEvictions.Inc()
 		}
 	}
 }

@@ -128,6 +128,76 @@ func TestSharedCacheCoalescesConcurrentCallers(t *testing.T) {
 	}
 }
 
+// Single flight without a channel: while the leader's evaluation blocks,
+// every other caller of the key joins the in-flight entry and reads the
+// leader's result once it is done. A sweep meanwhile keeps the entry
+// however old it is, and with no TTL the entry is gone once the leader
+// is done.
+func TestSharedCacheCoalescesWithoutChannel(t *testing.T) {
+	for _, ttl := range []time.Duration{0, time.Minute} {
+		clk := newManualClock()
+		c := NewSharedCache(clk, ttl)
+		var evals atomic.Int64
+		started, release := make(chan struct{}), make(chan struct{})
+		const n = 8
+		var wg sync.WaitGroup
+		outcomes := make([]Outcome, n)
+		results := make([]assertion.Result, n)
+		call := func(i int) {
+			defer wg.Done()
+			results[i], outcomes[i] = c.Do("k", nil, func() assertion.Result {
+				evals.Add(1)
+				close(started)
+				<-release
+				return passResult("leader")
+			})
+		}
+		wg.Add(n)
+		go call(0)
+		<-started
+		for i := 1; i < n; i++ {
+			go call(i)
+		}
+		for c.Stats().Coalesced < n-1 { // every joiner holds the entry
+			time.Sleep(time.Millisecond)
+		}
+		clk.Advance(2 * time.Minute)
+		c.mu.Lock()
+		c.sweepLocked()
+		_, kept := c.entries["k"]
+		c.mu.Unlock()
+		if !kept {
+			t.Fatalf("ttl %v: a sweep evicted the in-flight entry", ttl)
+		}
+		close(release)
+		wg.Wait()
+
+		if got := evals.Load(); got != 1 {
+			t.Fatalf("ttl %v: eval ran %d times, want 1", ttl, got)
+		}
+		for i := range outcomes {
+			want := OutcomeCoalesced
+			if i == 0 {
+				want = OutcomeEvaluated
+			}
+			if outcomes[i] != want || results[i].Message != "leader" {
+				t.Errorf("ttl %v: caller %d: outcome %v, result %q; want %v, %q", ttl, i, outcomes[i], results[i].Message, want, "leader")
+			}
+		}
+		st := c.Stats()
+		if st.Evaluations != 1 || st.Coalesced != n-1 || st.Evictions != 0 {
+			t.Errorf("ttl %v: stats = %+v", ttl, st)
+		}
+		wantSize := 1 // the finished entry stays for reuse
+		if ttl == 0 {
+			wantSize = 0
+		}
+		if st.Size != wantSize {
+			t.Errorf("ttl %v: %d entries after the evaluation, want %d", ttl, st.Size, wantSize)
+		}
+	}
+}
+
 // TTL freshness is inclusive at the consistency-window edge: an answer
 // exactly window-old is still one the cloud itself could have served.
 func TestSharedCacheTTLExpiryAtWindowEdge(t *testing.T) {

@@ -351,6 +351,10 @@ type run struct {
 	// tested remembers each tested node's first diagnosis.test evidence
 	// entry, by node id.
 	tested []testedNode
+	// keyBuf and testedBuf back testKeys and tested for the first
+	// walkTests tests.
+	keyBuf    [walkTests]string
+	testedBuf [walkTests]testedNode
 	// claimed marks plan nodes (by catalog-wide index, so distinct plans
 	// never collide) that some branch has already visited. Fan-in makes a
 	// node reachable from several parents; the first visitor claims it and
@@ -361,6 +365,11 @@ type run struct {
 
 	testsLeft atomic.Int64
 }
+
+// walkTests is how many tests a run's bookkeeping is sized for: a walk
+// that confirms a cause under its first preferred branch runs a handful
+// (the wrong-AMI walk runs three). Longer walks grow the slices.
+const walkTests = 4
 
 // testedNode links a node id to the evidence entry of its first test.
 type testedNode struct {
@@ -470,6 +479,10 @@ func (b *branch) suspect(r *run, n *diagplan.VNode) {
 }
 
 func (b *branch) absorb(c *branch) {
+	if len(b.causes)+len(b.suspects)+len(b.exclusions) == 0 {
+		*b = *c // nothing to merge into: take c's slices as they are
+		return
+	}
 	b.causes = append(b.causes, c.causes...)
 	b.suspects = append(b.suspects, c.suspects...)
 	b.exclusions = append(b.exclusions, c.exclusions...)
@@ -510,6 +523,7 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		attrs:   &e.attrs,
 		claimed: newBitset(e.cat.NodeCount()),
 	}
+	r.testKeys, r.tested = r.keyBuf[:0], r.testedBuf[:0]
 	r.testsLeft.Store(int64(e.opts.MaxTests))
 	if r.op != nil {
 		// Tie the walk's spans into the operation's trace and evidence
@@ -592,63 +606,82 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 // confirmed branch. Probability order is thus a preference in both
 // modes, and the committed result is identical; parallel walks merely
 // spend speculative tests (visible in TestsRun) to cut latency.
+//
+// Inline visits write straight into br until a sibling actually goes to a
+// goroutine; only then is the level's state allocated, for that sibling
+// and every later one.
 func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []*diagplan.VNode) {
-	if br.confirmed || len(targets) == 0 {
+	if br.confirmed {
 		return
 	}
-	if e.sem == nil {
-		for _, t := range targets {
+	var lv *level
+	for i, t := range targets {
+		if lv != nil && r.latch && int64(i-lv.first) > lv.skipAfter.Load() {
+			break
+		}
+		select {
+		case e.sem <- struct{}{}: // a nil semaphore never admits
+			if lv == nil {
+				lv = &level{e: e, ctx: ctx, r: r, targets: targets, first: i, subs: make([]branch, len(targets)-i)}
+				lv.skipAfter.Store(int64(len(lv.subs)))
+			}
+			lv.wg.Add(1)
+			go lv.fork(i - lv.first)
+		default:
+			if lv != nil {
+				lv.visit(i - lv.first)
+				continue
+			}
 			e.visit(ctx, r, br, t)
 			if br.confirmed {
 				return
 			}
 		}
+	}
+	if lv == nil {
 		return
 	}
-
-	subs := make([]*branch, len(targets))
-	// skipAfter is the lowest index whose branch has confirmed a root
-	// cause so far; the sequential walk would never visit siblings past
-	// it, so they are not even launched.
-	var skipAfter atomic.Int64
-	skipAfter.Store(int64(len(targets)))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		if r.latch && int64(i) > skipAfter.Load() {
-			break
-		}
-		sub := &branch{}
-		subs[i] = sub
-		visit := func(i int, t *diagplan.VNode, sub *branch) {
-			e.visit(ctx, r, sub, t)
-			if sub.confirmed {
-				for {
-					cur := skipAfter.Load()
-					if int64(i) >= cur || skipAfter.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
-			}
-		}
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, t *diagplan.VNode, sub *branch) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				visit(i, t, sub)
-			}(i, t, sub)
-		default:
-			visit(i, t, sub)
+	lv.wg.Wait()
+	for i := range lv.subs {
+		br.absorb(&lv.subs[i])
+		if br.confirmed {
+			return
 		}
 	}
-	wg.Wait()
-	for _, sub := range subs {
-		if sub == nil {
-			break
-		}
-		br.absorb(sub)
-		if br.confirmed {
+}
+
+// level is the fan-out state of one walkInto call from its first forked
+// sibling on: subs[j] is the branch of targets[first+j].
+type level struct {
+	e       *Engine
+	ctx     context.Context
+	r       *run
+	targets []*diagplan.VNode
+	first   int
+	subs    []branch
+	// skipAfter is the lowest j whose branch has confirmed a root cause so
+	// far; the sequential walk would never visit siblings past it, so they
+	// are not even launched.
+	skipAfter atomic.Int64
+	wg        sync.WaitGroup
+}
+
+// fork visits sibling j on its own goroutine, holding a semaphore slot.
+func (lv *level) fork(j int) {
+	defer lv.wg.Done()
+	defer func() { <-lv.e.sem }()
+	lv.visit(j)
+}
+
+func (lv *level) visit(j int) {
+	sub := &lv.subs[j]
+	lv.e.visit(lv.ctx, lv.r, sub, lv.targets[lv.first+j])
+	if !sub.confirmed {
+		return
+	}
+	for {
+		cur := lv.skipAfter.Load()
+		if int64(j) >= cur || lv.skipAfter.CompareAndSwap(cur, int64(j)) {
 			return
 		}
 	}
@@ -897,6 +930,9 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 		// Another goroutine of this run recorded the answer first.
 		r.mu.Unlock()
 		return prior, false
+	}
+	if r.diag.TestsRun == nil {
+		r.diag.TestsRun = make([]assertion.Result, 0, walkTests)
 	}
 	r.testKeys = append(r.testKeys, key)
 	r.diag.TestsRun = append(r.diag.TestsRun, res)

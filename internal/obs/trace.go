@@ -133,6 +133,22 @@ func NewTracer(capacity int) *Tracer {
 // ctxKey carries the current span through a context.
 type ctxKey struct{}
 
+// spanContext is the context StartSpan returns: the parent context and
+// the span in one allocation. It answers ctxKey itself and delegates
+// everything else, Done and the cancelCtx lookup of context.WithCancel
+// included, to the parent.
+type spanContext struct {
+	context.Context
+	span Span
+}
+
+func (c *spanContext) Value(key any) any {
+	if key == (ctxKey{}) {
+		return &c.span
+	}
+	return c.Context.Value(key)
+}
+
 // StartSpan opens a span named name as a child of the span carried by
 // ctx (if any) and returns a derived context carrying the new span. A nil
 // tracer returns a no-op span, so instrumentation never needs nil checks.
@@ -141,13 +157,14 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		return ctx, nil
 	}
 	id := t.ids.Add(1)
-	s := &Span{t: t, rec: spanRecord{spanID: id, traceID: id, name: name, start: clock.Wall.Now()}}
+	sc := &spanContext{Context: ctx, span: Span{t: t, rec: spanRecord{spanID: id, traceID: id, name: name, start: clock.Wall.Now()}}}
+	s := &sc.span
 	if parent, ok := ctx.Value(ctxKey{}).(*Span); ok && parent != nil {
 		// Span and trace ids are immutable after creation; no lock needed.
 		s.rec.parentID = parent.rec.spanID
 		s.rec.traceID = parent.rec.traceID
 	}
-	return context.WithValue(ctx, ctxKey{}, s), s
+	return sc, s
 }
 
 // SpanFromContext returns the span carried by ctx, or nil.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -115,6 +116,94 @@ func TestSpanAttrsDoNotAllocate(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("eight attributes: %.0f allocations, want 0", got)
+	}
+}
+
+// A span is its own context: opening one with a live tracer is one
+// allocation, the span and the context it is carried in together.
+func TestStartSpanAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	tr := NewTracer(16)
+	ctx, root := tr.StartSpan(context.Background(), "root")
+	defer root.End()
+	for i := 0; i < 16; i++ { // fill the ring: recording then copies in place
+		_, s := tr.StartSpan(ctx, "fill")
+		s.End()
+	}
+	got := testing.AllocsPerRun(100, func() {
+		_, s := tr.StartSpan(ctx, "child")
+		s.End()
+	})
+	if got != 1 {
+		t.Errorf("StartSpan + End: %.0f allocations, want 1", got)
+	}
+}
+
+// A context.WithCancel child of a span context must find the cancelCtx
+// above the span through Value and register with it, as it does under a
+// context.WithValue: a thousand such children start no goroutine, and
+// cancelling the parent still reaches every one.
+func TestCancelUnderSpanStartsNoGoroutine(t *testing.T) {
+	tr := NewTracer(16)
+	parent, cancelParent := context.WithCancel(context.Background())
+	defer cancelParent()
+	sctx, span := tr.StartSpan(parent, "s")
+	defer span.End()
+	before := runtime.NumGoroutine()
+	children := make([]context.Context, 0, 1000)
+	cancels := make([]context.CancelFunc, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		child, cancel := context.WithCancel(sctx)
+		children = append(children, child)
+		cancels = append(cancels, cancel)
+	}
+	// Allow for a few goroutines other tests left exiting, against the
+	// thousand a goroutine per child would add.
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Errorf("1000 cancellable children of a span: %d goroutines, was %d", after, before)
+	}
+	cancelParent()
+	for i, child := range children {
+		select {
+		case <-child.Done():
+		default:
+			t.Fatalf("child %d not cancelled with its span's parent", i)
+		}
+	}
+	for _, cancel := range cancels {
+		cancel()
+	}
+}
+
+// The span context answers for its span and passes everything else —
+// deadline, done channel, error and other values — through to its parent.
+func TestSpanContextDelegatesToParent(t *testing.T) {
+	type key struct{}
+	tr := NewTracer(16)
+	deadline := time.Now().Add(time.Hour)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), deadline)
+	sctx, span := tr.StartSpan(parent, "s")
+	defer span.End()
+	if got, ok := sctx.Deadline(); !ok || !got.Equal(deadline) {
+		t.Errorf("Deadline() = %v, %v; want %v, true", got, ok, deadline)
+	}
+	if sctx.Done() != parent.Done() {
+		t.Error("Done() is not the parent's channel")
+	}
+	if sctx.Value(key{}) != "v" {
+		t.Errorf("Value(parent key) = %v, want v", sctx.Value(key{}))
+	}
+	if SpanFromContext(sctx) != span {
+		t.Error("SpanFromContext does not return the span")
+	}
+	if sctx.Err() != nil {
+		t.Errorf("Err() = %v before cancel", sctx.Err())
+	}
+	cancel()
+	if sctx.Err() != context.Canceled {
+		t.Errorf("Err() = %v after the parent's cancel, want %v", sctx.Err(), context.Canceled)
 	}
 }
 

@@ -3,6 +3,7 @@ package simaws
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // CreateLaunchConfiguration registers a launch configuration. Referenced
@@ -96,7 +97,6 @@ func (c *Cloud) CreateAutoScalingGroup(ctx context.Context, asg ASG) error {
 	}
 	stored := copyASG(&asg)
 	stored.Instances = nil
-	stored.Activities = nil
 	c.asgs[asg.Name] = &stored
 	return nil
 }
@@ -239,11 +239,17 @@ func (c *Cloud) DescribeScalingActivities(ctx context.Context, name string) ([]A
 	if !ok {
 		return nil, newErr(op, ErrCodeASGNotFound, "auto scaling group %q not found", name)
 	}
-	return append([]Activity(nil), asg.Activities...), nil
+	out := slices.Clone(asg.Activities) // stored oldest first
+	slices.Reverse(out)
+	return out, nil
 }
 
-// addActivity prepends a scaling activity and publishes a cloud log line.
-// Caller must hold mu.
+// maxActivities bounds an ASG's retained scaling history.
+const maxActivities = 200
+
+// addActivity appends a scaling activity, dropping the oldest past
+// maxActivities in place, and publishes a cloud log line. Caller must hold
+// mu.
 func (c *Cloud) addActivity(asg *ASG, status ActivityStatus, description, cause, statusMessage string) {
 	act := Activity{
 		ID:            c.newID("act"),
@@ -254,11 +260,10 @@ func (c *Cloud) addActivity(asg *ASG, status ActivityStatus, description, cause,
 		StatusMessage: statusMessage,
 		StartTime:     c.now(),
 	}
-	asg.Activities = append([]Activity{act}, asg.Activities...)
-	const maxActivities = 200
-	if len(asg.Activities) > maxActivities {
-		asg.Activities = asg.Activities[:maxActivities]
+	if len(asg.Activities) == maxActivities {
+		asg.Activities = append(asg.Activities[:0], asg.Activities[1:]...)
 	}
+	asg.Activities = append(asg.Activities, act)
 	fields := map[string]string{"asgid": asg.Name, "status": string(status)}
 	c.publish(fmt.Sprintf("ASG %s activity: %s (%s) %s", asg.Name, description, status, statusMessage), fields)
 }

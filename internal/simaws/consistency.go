@@ -36,11 +36,15 @@ const maxSnapshotAge = 30 * time.Second
 // captureSnapshot deep-copies current state. Caller must hold mu.
 func (c *Cloud) captureSnapshot() snapshot {
 	return snapshot{at: c.now(), resources: resources{
-		images:    copyAll(c.images, copyImage),
-		keyPairs:  copyAll(c.keyPairs, func(v *KeyPair) KeyPair { return *v }),
-		sgs:       copyAll(c.sgs, copySG),
-		lcs:       copyAll(c.lcs, copyLC),
-		asgs:      copyAll(c.asgs, copyASG),
+		images:   copyAll(c.images, copyImage),
+		keyPairs: copyAll(c.keyPairs, func(v *KeyPair) KeyPair { return *v }),
+		sgs:      copyAll(c.sgs, copySG),
+		lcs:      copyAll(c.lcs, copyLC),
+		asgs: copyAll(c.asgs, func(v *ASG) ASG {
+			out := copyASG(v)
+			out.Activities = append([]Activity(nil), v.Activities...)
+			return out
+		}),
 		elbs:      copyAll(c.elbs, copyELB),
 		instances: copyAll(c.instances, copyInstance),
 	}}
@@ -114,11 +118,13 @@ func copyLC(v *LaunchConfig) LaunchConfig {
 	return out
 }
 
+// copyASG copies the group as a describe returns it: without its scaling
+// history, which DescribeScalingActivities serves.
 func copyASG(v *ASG) ASG {
 	out := *v
 	out.LoadBalancers = append([]string(nil), v.LoadBalancers...)
 	out.Instances = append([]string(nil), v.Instances...)
-	out.Activities = append([]Activity(nil), v.Activities...)
+	out.Activities = nil
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -251,6 +252,64 @@ func TestDescribeCostIndependentOfAccountSize(t *testing.T) {
 		t.Fatalf("allocs per describe grow with the account: ASG %v -> %v, LC %v -> %v", smallASG, largeASG, smallLC, largeLC)
 	}
 	t.Logf("allocs per read: DescribeAutoScalingGroup %v, DescribeLaunchConfiguration %v", largeASG, largeLC)
+}
+
+// TestDescribeCostIndependentOfActivityHistory: a describe copies the
+// group, not its scaling history, so it costs the same allocations and
+// bytes after 250 activities as after 1; DescribeScalingActivities still
+// serves the newest 200, newest first.
+func TestDescribeCostIndependentOfActivityHistory(t *testing.T) {
+	const runs = 100
+	measure := func(activities int) (allocs float64, bytes uint64, acts []Activity) {
+		c, _, f := steppedCloud(t, FastProfile(), 2)
+		for i := 0; i < activities; i++ {
+			if err := c.SetDesiredCapacity(f.ctx, f.asgName, 1+i%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		describe := func() {
+			if _, err := c.DescribeAutoScalingGroup(f.ctx, f.asgName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, describe)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			describe()
+		}
+		runtime.ReadMemStats(&after)
+		acts, err := c.DescribeScalingActivities(f.ctx, f.asgName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs, acts
+	}
+	one, oneBytes, _ := measure(1)
+	many, manyBytes, acts := measure(250)
+	if one != many {
+		t.Errorf("allocs per describe grow with the history: %v after 1 activity, %v after 250", one, many)
+	}
+	// A copied history of 200 activities would be tens of kilobytes; allow
+	// for the odd runtime allocation counted alongside.
+	if manyBytes > oneBytes+256 {
+		t.Errorf("bytes per describe grow with the history: %d after 1 activity, %d after 250", oneBytes, manyBytes)
+	}
+	if len(acts) != 200 {
+		t.Fatalf("DescribeScalingActivities returned %d activities, want the newest 200", len(acts))
+	}
+	// Activity i set the capacity to 1+i%3; the newest is activity 249.
+	for j, a := range acts {
+		want := fmt.Sprintf("Setting desired capacity to %d", 1+(249-j)%3)
+		if a.Description != want {
+			t.Fatalf("activity %d (newest first) = %q, want %q", j, a.Description, want)
+		}
+		// An id's first eight bytes are "act-" and a fixed-width counter.
+		if j > 0 && a.ID[:8] >= acts[j-1].ID[:8] {
+			t.Fatalf("activity %d (%s) is not older than activity %d (%s)", j, a.ID, j-1, acts[j-1].ID)
+		}
+	}
+	t.Logf("per DescribeAutoScalingGroup: %v allocations, %d bytes", many, manyBytes)
 }
 
 // TestWithPlaneMonitoringDoesNotBox: tagging a read with the monitoring

@@ -142,7 +142,9 @@ type ASG struct {
 	LoadBalancers []string `json:"loadBalancerNames"`
 	// Instances are the ids of member instances (live only).
 	Instances []string `json:"instances"`
-	// Activities is the scaling activity history, newest first.
+	// Activities is the scaling activity history, oldest first, as the
+	// cloud stores it; DescribeScalingActivities returns it newest first
+	// and DescribeAutoScalingGroup leaves it nil.
 	Activities []Activity `json:"-"`
 }
 
