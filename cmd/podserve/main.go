@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	podserve [-addr :8077] [-clusters N] [-size N] [-scale X] [-diag-workers N] [-chaos-profile NAME] [-trace-capacity N] [-pprof addr]
+//	podserve [-addr :8077] [-clusters N] [-size N] [-scale X] [-chaos-profile NAME] [-trace-capacity N] [-pprof addr]
 //	podserve -federation N ...          federated mode: N in-process members behind a routing front
 //	podserve -join URL -advertise URL   member mode: join the front at URL as a REST member
 //
@@ -19,7 +19,7 @@
 //	POST /assertions/evaluate    {"checkId": "...", "params": {...}}
 //	GET  /assertions/checks
 //	POST /diagnosis              {"assertionId": "...", "stepId": "...", "params": {...}}
-//	GET  /diagnosis/config       parallelism knob, budget, shared-cache stats
+//	GET  /diagnosis/config       test budget, shared-cache TTL and stats
 //	POST /operations             register a monitoring session
 //	GET  /operations             list sessions
 //	GET  /operations/{id}        one session's summary
@@ -76,7 +76,6 @@ import (
 	"poddiagnosis/internal/chaos"
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/core"
-	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/federate"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/obs"
@@ -92,19 +91,18 @@ func main() {
 
 func run() int {
 	var (
-		addr        = flag.String("addr", ":8077", "listen address")
-		clusters    = flag.Int("clusters", 3, "number of demo clusters upgrading under the shared manager")
-		size        = flag.Int("size", 4, "size of each backing demo cluster")
-		scale       = flag.Float64("scale", 60, "clock speed-up factor")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
-		diagWorkers = flag.Int("diag-workers", 0, "parallel fault-tree walk width per diagnosis (0 = worker-pool size, 1 = sequential)")
-		chaosName   = flag.String("chaos-profile", "", "self-chaos profile (off, light, lossy, storm, full)")
-		traceCap    = flag.Int("trace-capacity", 4096, "completed spans retained for GET /traces")
-		remMode     = flag.String("remediate-mode", "off", "closed-loop remediation policy: off, dry-run, approve or auto")
-		federation  = flag.Int("federation", 0, "run N in-process manager members behind a routing front (0 = single manager)")
-		joinURL     = flag.String("join", "", "run as a federation member of the front at this base URL")
-		memberID    = flag.String("member-id", "member-1", "federation identity in -join mode")
-		advertise   = flag.String("advertise", "", "this member's reachable base URL in -join mode (default derived from -addr)")
+		addr       = flag.String("addr", ":8077", "listen address")
+		clusters   = flag.Int("clusters", 3, "number of demo clusters upgrading under the shared manager")
+		size       = flag.Int("size", 4, "size of each backing demo cluster")
+		scale      = flag.Float64("scale", 60, "clock speed-up factor")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
+		chaosName  = flag.String("chaos-profile", "", "self-chaos profile (off, light, lossy, storm, full)")
+		traceCap   = flag.Int("trace-capacity", 4096, "completed spans retained for GET /traces")
+		remMode    = flag.String("remediate-mode", "off", "closed-loop remediation policy: off, dry-run, approve or auto")
+		federation = flag.Int("federation", 0, "run N in-process manager members behind a routing front (0 = single manager)")
+		joinURL    = flag.String("join", "", "run as a federation member of the front at this base URL")
+		memberID   = flag.String("member-id", "member-1", "federation identity in -join mode")
+		advertise  = flag.String("advertise", "", "this member's reachable base URL in -join mode (default derived from -addr)")
 	)
 	flag.Parse()
 	if *federation != 0 && *joinURL != "" {
@@ -160,9 +158,7 @@ func run() int {
 	newManager := func() (*core.Manager, error) {
 		m, err := core.NewManager(core.ManagerConfig{
 			Cloud: cloud, Bus: bus, Retention: 24 * time.Hour,
-			Diagnosis:   diagnosis.Options{Workers: *diagWorkers},
-			LogTap:      logTap,
-			ChaosLabel:  chaosLabel,
+			LogTap: logTap, ChaosLabel: chaosLabel,
 			Remediation: remediate.SuggestedPolicy(mode),
 		})
 		if err != nil {

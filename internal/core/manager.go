@@ -246,13 +246,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.ChaosLabel == "" {
 		cfg.ChaosLabel = "none"
 	}
-	if cfg.Diagnosis.Workers <= 0 {
-		// Diagnosis plan walks fan out to the same width as the manager
-		// pool unless explicitly tuned. The diagnosis engine bounds its own
-		// goroutines separately, so walks running ON pool workers cannot
-		// deadlock against pool capacity.
-		cfg.Diagnosis.Workers = cfg.Workers
-	}
 	if err := cfg.Plans.Validate(cfg.Registry); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,16 +14,17 @@ import (
 	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/logging"
+	"poddiagnosis/internal/obs/flight"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/simaws"
 	"poddiagnosis/internal/upgrade"
 )
 
-// Race-detector coverage for the tentpole: many concurrent Diagnose calls
-// through one Manager's engine, with parallel walks fanning out inside
-// each call and the shared cross-run cache deduplicating identical tests.
-// The cloud profile permits stale reads, so the cache TTL (bounded by the
+// Race-detector coverage for many concurrent Diagnose calls through one
+// Manager's engine, the shared cross-run cache deduplicating identical tests.
+// The cloud profile permits stale reads, so the cache TTL (the
 // consistency window) is non-zero and cross-run reuse actually happens.
 func TestConcurrentDiagnosesShareTestCache(t *testing.T) {
 	clk := clock.NewScaled(1200, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
@@ -39,8 +44,7 @@ func TestConcurrentDiagnosesShareTestCache(t *testing.T) {
 			MaxBackoff:     4 * time.Second,
 			CallTimeout:    30 * time.Second,
 		},
-		Workers:   8,
-		Diagnosis: diagnosis.Options{Workers: 8},
+		Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,13 +62,7 @@ func TestConcurrentDiagnosesShareTestCache(t *testing.T) {
 	}
 
 	eng := mgr.Diagnoser()
-	if got := eng.Options().Workers; got != 8 {
-		t.Fatalf("diagnosis workers = %d, want 8", got)
-	}
 	cache := eng.Cache()
-	if cache == nil {
-		t.Fatal("shared cache disabled by default")
-	}
 	if cache.TTL() <= 0 {
 		t.Fatalf("cache TTL = %v, want > 0 under a stale-read profile", cache.TTL())
 	}
@@ -74,17 +72,7 @@ func TestConcurrentDiagnosesShareTestCache(t *testing.T) {
 		Source:            diagnosis.SourceAssertion,
 		ProcessInstanceID: "pushing " + cluster.ASGName,
 		StepID:            process.StepNewReady,
-		Params: assertion.Params{
-			assertion.ParamASG:          cluster.ASGName,
-			assertion.ParamELB:          cluster.ELBName,
-			assertion.ParamAMI:          cluster.ImageID,
-			assertion.ParamKeyPair:      cluster.KeyName,
-			assertion.ParamSG:           cluster.SGName,
-			assertion.ParamInstanceType: "m1.small",
-			assertion.ParamVersion:      cluster.Version,
-			assertion.ParamWant:         "2",
-			assertion.ParamLC:           cluster.LCName,
-		},
+		Params:            clusterParams(cluster),
 	}
 
 	const n = 8
@@ -114,5 +102,137 @@ func TestConcurrentDiagnosesShareTestCache(t *testing.T) {
 	}
 	if st.Evaluations == 0 {
 		t.Errorf("no evaluations flowed through the shared cache: stats %+v", st)
+	}
+}
+
+// clusterParams are the diagnosis parameters of a healthy 2-instance
+// cluster.
+func clusterParams(cluster *upgrade.Cluster) assertion.Params {
+	return assertion.Params{
+		assertion.ParamASG:          cluster.ASGName,
+		assertion.ParamELB:          cluster.ELBName,
+		assertion.ParamAMI:          cluster.ImageID,
+		assertion.ParamKeyPair:      cluster.KeyName,
+		assertion.ParamSG:           cluster.SGName,
+		assertion.ParamInstanceType: "m1.small",
+		assertion.ParamVersion:      cluster.Version,
+		assertion.ParamWant:         "2",
+		assertion.ParamLC:           cluster.LCName,
+	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header.
+func goroutineID() string {
+	var buf [64]byte
+	header := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	return header[:strings.IndexByte(header, ' ')]
+}
+
+// A conformance-triggered diagnosis (no assertion id, so every plan of the
+// catalog is walked) on an engine configured as NewManager configures it
+// is the paper's walk: every diagnosis test runs on the goroutine that
+// called Diagnose, in the order the zero-Options engine visits the plans,
+// and repeating the walk reproduces the Diagnosis document, its tests
+// included, and the flight timeline exactly. Each repeat builds a fresh
+// manager (fresh breakers and shared cache) over one frozen cloud;
+// simulated timestamps are zeroed, since the scaled clock follows the wall.
+func TestConformanceWalkIsSequentialAndReproducible(t *testing.T) {
+	clk := clock.NewScaled(1000, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
+	profile := simaws.FastProfile()
+	profile.TickInterval = time.Second
+	cloud := simaws.New(clk, profile, simaws.WithSeed(44))
+	cloud.Start()
+	ctx := context.Background()
+	cluster, err := upgrade.Deploy(ctx, cloud, "cw", 2, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.WaitReady(ctx, cloud, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Freeze the account: every repeat reads the same state.
+	cloud.Stop()
+
+	// Every check reports the goroutine it ran on.
+	type call struct{ goroutine, check string }
+	var calls []call
+	reg := assertion.NewRegistry()
+	base := assertion.DefaultRegistry()
+	for _, id := range base.IDs() {
+		c, _ := base.Lookup(id)
+		eval := c.Eval
+		c.Eval = func(ctx context.Context, client *consistentapi.Client, p assertion.Params) assertion.Result {
+			calls = append(calls, call{goroutineID(), id})
+			return eval(ctx, client, p)
+		}
+		reg.Register(c)
+	}
+	req := diagnosis.Request{
+		Source:            diagnosis.SourceConformance,
+		ProcessInstanceID: "pushing " + cluster.ASGName,
+		StepID:            process.StepNewReady,
+		Detail:            "conformance unfit on line \"x\"",
+		Params:            clusterParams(cluster),
+	}
+	// walk diagnoses req once on eng and renders the Diagnosis document
+	// and the timeline messages of a fresh evidence ring.
+	walk := func(eng *diagnosis.Engine) (doc, timeline string, tests []string) {
+		ring := flight.NewRecorder(clk, 0)
+		op := ring.Op("op")
+		anchor := op.Record(flight.Entry{Kind: flight.KindLogEvent, Message: "trigger"})
+		d := eng.Diagnose(flight.WithParent(flight.NewContext(ctx, op), anchor), req)
+		d.StartedAt, d.Duration = time.Time{}, 0
+		for i := range d.TestsRun {
+			d.TestsRun[i].EvaluatedAt, d.TestsRun[i].Duration = time.Time{}, 0
+			tests = append(tests, d.TestsRun[i].CheckID)
+		}
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msgs []string
+		for _, e := range ring.Timeline("op").Entries {
+			msgs = append(msgs, e.Message)
+		}
+		return string(b), strings.Join(msgs, "\n"), tests
+	}
+
+	client := consistentapi.New(cloud, consistentapi.Config{MaxAttempts: 1})
+	paper := diagnosis.NewEngine(diagplan.DefaultCatalog(), assertion.NewEvaluator(client, reg, nil), nil, diagnosis.Options{})
+	calls = nil
+	_, _, planOrder := walk(paper)
+	if len(planOrder) < 2 {
+		t.Fatalf("conformance walk ran %d tests, want several", len(planOrder))
+	}
+
+	caller := goroutineID()
+	var firstDoc, firstTimeline string
+	for i := 0; i < 20; i++ {
+		bus := logging.NewBus()
+		mgr, err := NewManager(ManagerConfig{Cloud: cloud, Bus: bus, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = nil
+		doc, timeline, tests := walk(mgr.Diagnoser())
+		bus.Close()
+		for _, c := range calls {
+			if c.goroutine != caller {
+				t.Fatalf("repeat %d: test %s ran on goroutine %s, Diagnose was called on %s", i, c.check, c.goroutine, caller)
+			}
+		}
+		if !slices.Equal(tests, planOrder) {
+			t.Fatalf("repeat %d: tests %v, want plan order %v", i, tests, planOrder)
+		}
+		if i == 0 {
+			firstDoc, firstTimeline = doc, timeline
+			continue
+		}
+		if doc != firstDoc {
+			t.Fatalf("repeat %d: diagnosis differs\n got %s\nwant %s", i, doc, firstDoc)
+		}
+		if timeline != firstTimeline {
+			t.Fatalf("repeat %d: timeline differs\n got %s\nwant %s", i, timeline, firstTimeline)
+		}
 	}
 }

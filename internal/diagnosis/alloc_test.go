@@ -2,6 +2,7 @@ package diagnosis
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,12 +17,12 @@ import (
 	"poddiagnosis/internal/upgrade"
 )
 
-// Allocation budgets of one Engine.Diagnose on the request the benchmark's
+// Allocation budget of one Engine.Diagnose on the request the benchmark's
 // diagnose_storm workload issues: asg-version-count failed at step7 on a
 // 2-instance cluster whose group points at a launch configuration with the
 // wrong AMI; three tests run, the third confirms wrong-ami. Measured 85
-// (sequential) and 88 (Workers=2) allocations; the budgets are those plus
-// 5%. A memory profile of the sequential walk names what is left per call:
+// allocations; the budget is that plus 5%. A memory profile of the walk
+// names what is left per call:
 //   - per test, 19 (57 over the walk): the test's span and its
 //     evaluation's span (2), the deadline (4: the cancelCtx and its
 //     cancel, the wall timer, the closure that stops it), the shared-cache
@@ -38,16 +39,10 @@ import (
 //     (2), the confirmed cause's description, slice, evidence message,
 //     parents and RootCauses entry (5) and the give-up error (1).
 //
-// Workers=2 adds the forked level's record and branch slab and the
-// closure its go statement starts (3).
-//
-// The budgets were 126 and 155 (measured 120 and 148) until a walk
-// stopped paying for scaffolding beside its tests:
+// The budget was 126 (measured 120) until a walk stopped paying for
+// scaffolding beside its tests:
 //   - the parallel fan-out allocated a sub-branch slice, an atomic, a
-//     WaitGroup and a branch and a closure per sibling at every level (25
-//     at Workers=2); siblings now write straight into the caller's branch
-//     until one goes to a goroutine, and a level's state is one record and
-//     one branch slab from then on,
+//     WaitGroup and a branch and a closure per sibling at every level,
 //   - a span and the context.WithValue carrying it (7 of the latter); the
 //     span is now its own context,
 //   - a ready channel per shared-cache entry (3); the entry's WaitGroup
@@ -60,16 +55,12 @@ import (
 //   - the group's scaling history, copied by each describe (3); the
 //     describe leaves it to DescribeScalingActivities.
 //
-// They were 179 and 210 (measured 170 and 195) until each evaluation
-// stopped paying for bookkeeping beside its cloud reads (assertion log
-// lines, span attribute maps, deadline goroutines, fmt.Errorf wrappers,
-// boxed plane tags and joined label keys), and when every run cloned its
-// plans and every cloud read copied the account, the same calls
-// allocated 682 and 710.
-const (
-	diagnoseAllocBudget         = 89
-	diagnoseAllocBudgetParallel = 92
-)
+// It was 179 (measured 170) until each evaluation stopped paying for
+// bookkeeping beside its cloud reads (assertion log lines, span attribute
+// maps, deadline goroutines, fmt.Errorf wrappers, boxed plane tags and
+// joined label keys), and when every run cloned its plans and every cloud
+// read copied the account, the same call allocated 682.
+const diagnoseAllocBudget = 89
 
 func TestDiagnoseAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -93,34 +84,32 @@ func TestDiagnoseAllocationBudget(t *testing.T) {
 	stop()
 	ctx := context.Background()
 
-	for _, tc := range []struct {
-		name    string
-		workers int
-		budget  float64
-	}{
-		{"sequential", 1, diagnoseAllocBudget},
-		{"workers=2", 2, diagnoseAllocBudgetParallel},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bus := logging.NewBus()
-			defer bus.Close()
-			client := consistentapi.New(cloud, consistentapi.Config{MaxAttempts: 1})
-			eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), bus)
-			engine := NewEngine(diagplan.DefaultCatalog(), eval, bus, Options{Workers: tc.workers})
-			ring := flight.NewRecorder(clk, 0).Op("op")
-			anchor := ring.Record(flight.Entry{Kind: flight.KindLogEvent, Message: "trigger"})
-			dctx := flight.WithParent(flight.NewContext(ctx, ring), anchor)
-			var d *Diagnosis
-			got := testing.AllocsPerRun(50, func() { d = engine.Diagnose(dctx, req) })
-			if !d.HasCause("wrong-ami") || len(d.TestsRun) < 3 {
-				t.Fatalf("diagnosis %s after %d tests, want wrong-ami confirmed after 3", d.Conclusion, len(d.TestsRun))
-			}
-			t.Logf("%.0f allocations per diagnosis", got)
-			if got > tc.budget {
-				t.Errorf("%.0f allocations per diagnosis, budget %.0f", got, tc.budget)
-			}
-		})
-	}
+	// The walk runs on one goroutine; the subtest keeps the name it had
+	// when a Workers=2 case ran beside it.
+	t.Run("sequential", func(t *testing.T) {
+		bus := logging.NewBus()
+		defer bus.Close()
+		client := consistentapi.New(cloud, consistentapi.Config{MaxAttempts: 1})
+		eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), bus)
+		engine := NewEngine(diagplan.DefaultCatalog(), eval, bus, Options{})
+		ring := flight.NewRecorder(clk, 0).Op("op")
+		anchor := ring.Record(flight.Entry{Kind: flight.KindLogEvent, Message: "trigger"})
+		dctx := flight.WithParent(flight.NewContext(ctx, ring), anchor)
+		var d *Diagnosis
+		got := testing.AllocsPerRun(50, func() { d = engine.Diagnose(dctx, req) })
+		var tests []string
+		for _, res := range d.TestsRun {
+			tests = append(tests, res.CheckID)
+		}
+		want := []string{assertion.CheckASGUsesSG, assertion.CheckASGUsesKeyPair, assertion.CheckASGUsesAMI}
+		if !d.HasCause("wrong-ami") || !slices.Equal(tests, want) {
+			t.Fatalf("diagnosis %s after tests %v, want wrong-ami confirmed after %v", d.Conclusion, tests, want)
+		}
+		t.Logf("%.0f allocations per diagnosis", got)
+		if got > diagnoseAllocBudget {
+			t.Errorf("%.0f allocations per diagnosis, budget %d", got, diagnoseAllocBudget)
+		}
+	})
 }
 
 // wrongAMIRequest deploys a 2-instance cluster on the cloud, points its

@@ -14,8 +14,8 @@ import (
 )
 
 // benchScale compresses the simulated diagnosis-test latency; at 100x the
-// 200ms-sim slow check costs 2ms of wall clock, so sequential vs parallel
-// walk time differences dominate the measurement.
+// 200ms-sim slow check costs 2ms of wall clock, so the tests a walk runs
+// (rather than its bookkeeping) dominate the measurement.
 const benchScale = 100
 
 // benchWorkload builds a wide multi-plan workload: plans× leaves
@@ -42,7 +42,7 @@ func benchWorkload(plans, leaves int) []*diagplan.Plan {
 	return out
 }
 
-func newBenchEngine(b *testing.B, opts Options, profile simaws.Profile, plans []*diagplan.Plan) *Engine {
+func newBenchEngine(b *testing.B, profile simaws.Profile, plans []*diagplan.Plan) *Engine {
 	b.Helper()
 	clk := clock.NewScaled(benchScale, time.Date(2013, 11, 19, 11, 48, 0, 0, time.UTC))
 	cloud := simaws.New(clk, profile, simaws.WithSeed(7))
@@ -59,40 +59,35 @@ func newBenchEngine(b *testing.B, opts Options, profile simaws.Profile, plans []
 	for _, p := range plans {
 		cat.MustRegister(p)
 	}
-	return NewEngine(cat, assertion.NewEvaluator(client, reg, nil), nil, opts)
+	return NewEngine(cat, assertion.NewEvaluator(client, reg, nil), nil, Options{})
 }
 
-func runDiagnoseBench(b *testing.B, opts Options, profile simaws.Profile) {
-	e := newBenchEngine(b, opts, profile, benchWorkload(3, 8))
-	req := Request{AssertionID: "bench-assert", Source: SourceAssertion, Params: assertion.Params{}}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := e.Diagnose(ctx, req)
-		if d.Conclusion != ConclusionNone {
-			b.Fatalf("unexpected conclusion %s", d.Conclusion)
-		}
+// BenchmarkDiagnose walks the wide workload: 24 slow tests, one at a time.
+// Under FastProfile the cloud has no consistency window, so every run
+// evaluates every test; under a profile with a window, back-to-back runs
+// answer the tests from the shared cache.
+func BenchmarkDiagnose(b *testing.B) {
+	stale := simaws.FastProfile()
+	stale.StaleProb = 0.05
+	stale.StaleLag = clock.Fixed(10 * time.Second)
+	for _, bc := range []struct {
+		name    string
+		profile simaws.Profile
+	}{
+		{"fast", simaws.FastProfile()},
+		{"stale", stale},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := newBenchEngine(b, bc.profile, benchWorkload(3, 8))
+			req := Request{AssertionID: "bench-assert", Source: SourceAssertion, Params: assertion.Params{}}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := e.Diagnose(ctx, req)
+				if d.Conclusion != ConclusionNone {
+					b.Fatalf("unexpected conclusion %s", d.Conclusion)
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkDiagnoseSequential is the paper's one-test-at-a-time walk over
-// the wide workload; every one of the 24 slow tests runs back to back.
-func BenchmarkDiagnoseSequential(b *testing.B) {
-	runDiagnoseBench(b, Options{Workers: 1, DisableSharedCache: true}, simaws.FastProfile())
-}
-
-// BenchmarkDiagnoseParallel fans the same workload out across 8 walk
-// goroutines; acceptance asks for >= 2x lower wall time than sequential.
-func BenchmarkDiagnoseParallel(b *testing.B) {
-	runDiagnoseBench(b, Options{Workers: 8, DisableSharedCache: true}, simaws.FastProfile())
-}
-
-// BenchmarkDiagnoseParallelSharedCache adds the cross-run shared cache
-// under a profile whose consistency window is non-zero, so back-to-back
-// runs answer most tests from cache.
-func BenchmarkDiagnoseParallelSharedCache(b *testing.B) {
-	profile := simaws.FastProfile()
-	profile.StaleProb = 0.05
-	profile.StaleLag = clock.Fixed(10 * time.Second)
-	runDiagnoseBench(b, Options{Workers: 8}, profile)
 }

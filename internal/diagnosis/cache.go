@@ -57,8 +57,8 @@ type entry struct {
 // SharedCache is a cross-run diagnosis test-result cache with single-flight
 // deduplication: concurrent walks asking the same (checkID, params)
 // question run one evaluation, and completed answers are reused until
-// their TTL elapses. The TTL is bounded by the simulated cloud's eventual-
-// consistency window (see Engine), so a cached answer can never be staler
+// their TTL elapses. The engine's TTL is the simulated cloud's eventual-
+// consistency window (see NewEngine), so a cached answer can never be staler
 // than an answer the cloud itself might have served; with a zero TTL the
 // cache still coalesces concurrent identical evaluations but performs no
 // cross-time reuse. It is safe for concurrent use.

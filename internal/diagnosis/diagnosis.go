@@ -10,9 +10,10 @@
 // sub-graphs fan in from several parents, each visited at most once per
 // run. Test results are cached and reused across nodes — and, through a
 // shared single-flight cache bounded by the simulated cloud's eventual-
-// consistency window, across concurrent runs; sibling visits are ordered by
-// per-edge prior fault probability and may proceed in parallel on a bounded
-// worker pool while committing results in that same order.
+// consistency window, across concurrent runs. Like the paper's walk, one
+// diagnosis visits siblings in per-edge prior fault probability order, one
+// test at a time on the goroutine that called Diagnose, and stops at the
+// first confirmed cause.
 package diagnosis
 
 import (
@@ -21,8 +22,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"poddiagnosis/internal/assertion"
@@ -187,8 +186,7 @@ type Diagnosis struct {
 	PotentialFaults int `json:"potentialFaults"`
 	// Excluded is how many candidates were ruled out by passing tests.
 	Excluded int `json:"excluded"`
-	// TestsRun are the diagnosis test evaluations. Sequential walks
-	// record them in visit order; parallel walks in execution order.
+	// TestsRun are the diagnosis test evaluations, in visit order.
 	TestsRun []assertion.Result `json:"testsRun"`
 	// Conclusion classifies the outcome.
 	Conclusion Conclusion `json:"conclusion"`
@@ -227,40 +225,24 @@ type Options struct {
 	ContinueAfterConfirm bool
 	// MaxTests bounds the diagnosis tests per run. Zero means 64.
 	MaxTests int
-	// Workers bounds the goroutines one walk may fan out across
-	// independent sibling sub-graphs. Zero or one keeps the sequential
-	// paper walk. The committed Diagnosis is identical either way (see
-	// walkInto); parallelism only trades speculative tests for latency.
-	Workers int
-	// SharedCacheTTL caps cross-run reuse of test results in the shared
-	// cache. It is clamped to the simulated cloud's eventual-consistency
-	// window (a cached answer must never be staler than one the cloud
-	// itself might serve); zero means the full window.
-	SharedCacheTTL time.Duration
-	// DisableSharedCache turns off the cross-run shared cache; the
-	// per-run cache always remains.
-	DisableSharedCache bool
 	// TestTimeout bounds each diagnosis-test attempt in clock time (the
 	// deadline scales with a simulated clock). Zero means 30s.
 	TestTimeout time.Duration
-	// RunTimeout bounds a whole diagnosis walk in clock time. Zero means
-	// unbounded.
-	RunTimeout time.Duration
 	// Resilience tunes the retry/breaker executor guarding every
 	// diagnosis test (see package resilience).
 	Resilience resilience.Options
 }
 
 // Engine runs diagnoses. It is safe for concurrent use: per-run state
-// lives on the run, and the shared cross-run cache is concurrency-safe.
+// lives on the run, and the shared cross-run cache, the resilience
+// executor and the attrs table are concurrency-safe.
 type Engine struct {
 	cat   *diagplan.Catalog
 	eval  *assertion.Evaluator
 	bus   *logging.Bus // may be nil
 	clk   clock.Clock
 	opts  Options
-	sem   chan struct{} // bounds extra walk goroutines; nil = sequential
-	cache *SharedCache  // nil when disabled
+	cache *SharedCache
 	resil *resilience.Executor
 	// attrs shares the evidence entries' attrs maps: a run's entries
 	// carry plan nodes, checks, statuses and steps, which repeat across
@@ -278,39 +260,22 @@ func NewEngine(cat *diagplan.Catalog, eval *assertion.Evaluator, bus *logging.Bu
 	if opts.MaxTests <= 0 {
 		opts.MaxTests = 64
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
 	if opts.TestTimeout <= 0 {
 		opts.TestTimeout = 30 * time.Second
 	}
 	e := &Engine{cat: cat, eval: eval, bus: bus, clk: eval.Client().Clock(), opts: opts}
 	e.resil = resilience.NewExecutor(e.clk, opts.Resilience)
 	e.opts.Resilience = e.resil.Options()
-	if opts.Workers > 1 {
-		// The Diagnose goroutine itself always walks; the semaphore only
-		// admits the extra fan-out goroutines. Sessions run Diagnose on
-		// manager pool workers, so the walk must never block on pool
-		// capacity — walkInto falls back to inline visits when full.
-		e.sem = make(chan struct{}, opts.Workers-1)
-	}
-	if !opts.DisableSharedCache {
-		window := eval.Client().Cloud().ConsistencyWindow()
-		ttl := window
-		if opts.SharedCacheTTL > 0 && opts.SharedCacheTTL < window {
-			ttl = opts.SharedCacheTTL
-		}
-		e.opts.SharedCacheTTL = ttl
-		e.cache = NewSharedCache(e.clk, ttl)
-	}
+	// A cached answer must never be staler than one the cloud itself
+	// might serve: results are reusable for the consistency window.
+	e.cache = NewSharedCache(e.clk, eval.Client().Cloud().ConsistencyWindow())
 	return e
 }
 
-// Options returns the engine's effective configuration (defaults applied,
-// SharedCacheTTL clamped to the consistency window).
+// Options returns the engine's effective configuration (defaults applied).
 func (e *Engine) Options() Options { return e.opts }
 
-// Cache returns the shared cross-run test cache, or nil when disabled.
+// Cache returns the shared cross-run test cache.
 func (e *Engine) Cache() *SharedCache { return e.cache }
 
 // Resilience returns the retry/breaker executor guarding diagnosis tests.
@@ -323,10 +288,8 @@ func (e *Engine) Catalog() *diagplan.Catalog { return e.cat }
 // request to the compiled plans it walks. The plans themselves (views) are
 // immutable and shared with every other run; what a run owns is the
 // request parameters rendered into them on demand, the set of nodes it has
-// claimed, its test results and its budget. It is shared across the walk
-// goroutines of that one diagnosis: the budget is atomic, the per-run
-// cache, claim set, and TestsRun are guarded by mu, and everything else is
-// read-only after construction.
+// claimed, its test results, its budget and what the walk found, which
+// commit folds into the Diagnosis. Only the Diagnose goroutine touches it.
 type run struct {
 	req   Request
 	diag  *Diagnosis
@@ -344,7 +307,6 @@ type run struct {
 	// and fan-in parents.
 	views []*diagplan.View
 
-	mu sync.Mutex
 	// testKeys[i] is the cache key of diag.TestsRun[i]; the two slices
 	// together are the per-run result cache.
 	testKeys []string
@@ -356,14 +318,23 @@ type run struct {
 	keyBuf    [walkTests]string
 	testedBuf [walkTests]testedNode
 	// claimed marks plan nodes (by catalog-wide index, so distinct plans
-	// never collide) that some branch has already visited. Fan-in makes a
-	// node reachable from several parents; the first visitor claims it and
+	// never collide) that the walk has already visited. Fan-in makes a
+	// node reachable from several parents; the first visit claims it and
 	// later routes skip it, mirroring the DAG's "shared sub-graph,
 	// evaluated once" semantics. A node excluded by a passing parent test
 	// is NOT claimed — it stays reachable through its other parents.
 	claimed bitset
+	// testsLeft is what remains of the MaxTests budget.
+	testsLeft int
 
-	testsLeft atomic.Int64
+	// causes, suspects and exclusions are what the walk found, in visit
+	// order; commit folds them into the Diagnosis. confirmed is set when a
+	// root cause was confirmed and the stop-at-first-confirmation latch is
+	// on; it ends the walk.
+	causes     []Cause
+	suspects   []Cause
+	exclusions []exclusion
+	confirmed  bool
 }
 
 // walkTests is how many tests a run's bookkeeping is sized for: a walk
@@ -386,11 +357,8 @@ func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
 
-// claim marks the node visited, reporting whether this caller won the
-// claim (false: another branch already visited it).
+// claim marks the node visited, reporting whether it was unvisited.
 func (r *run) claim(n *diagplan.VNode) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.claimed.has(n.Index) {
 		return false
 	}
@@ -398,7 +366,7 @@ func (r *run) claim(n *diagplan.VNode) bool {
 	return true
 }
 
-// cached answers from the per-run result cache. Caller must hold mu.
+// cached answers from the per-run result cache.
 func (r *run) cached(key string) (assertion.Result, bool) {
 	for i, k := range r.testKeys {
 		if k == key {
@@ -428,15 +396,13 @@ func (r *run) recordTest(n *diagplan.VNode, status, key, value string, out *resi
 		Attrs: r.attrs.Get(key, value, "check", n.CheckID, "node", n.ID, "status", status,
 			labels[0], labels[1], labels[2], labels[3], labels[4], labels[5]),
 	})
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.testEntry(n.ID) == 0 {
 		r.tested = append(r.tested, testedNode{id: n.ID, entry: id})
 	}
 }
 
 // testEntry returns the evidence entry of the node's first test, 0 when it
-// has none. Caller must hold mu.
+// has none.
 func (r *run) testEntry(nodeID string) uint64 {
 	for _, t := range r.tested {
 		if t.id == nodeID {
@@ -448,47 +414,21 @@ func (r *run) testEntry(nodeID string) uint64 {
 
 // exclusion records a passing diagnosis test that rules out the cause
 // nodes reachable under a plan node. Counting and logging are deferred to
-// commit so the running n/m tallies come out in deterministic merge order
-// regardless of execution interleaving — and so causes shared by several
-// excluded parents (fan-in) are counted once.
+// commit, so causes shared by several excluded parents (fan-in) are
+// counted once.
 type exclusion struct {
 	node  *diagplan.VNode // its CausesUnder are what the pass rules out
 	res   assertion.Result
 	fresh bool
 }
 
-// branch accumulates the outcome of one sub-graph visit. Sibling branches
-// are merged back in probability order (walkInto), so the committed
-// Diagnosis is identical to the sequential walk's.
-type branch struct {
-	causes     []Cause
-	suspects   []Cause
-	exclusions []exclusion
-	// confirmed is set when a root cause was confirmed under this branch
-	// and the stop-at-first-confirmation latch is on; it prunes later
-	// siblings at merge time.
-	confirmed bool
+func (r *run) confirm(n *diagplan.VNode) {
+	r.causes = append(r.causes, Cause{NodeID: n.ID, Description: n.Description(r.req.Params), Confirmed: true})
+	r.confirmed = r.latch
 }
 
-func (b *branch) confirm(r *run, n *diagplan.VNode) {
-	b.causes = append(b.causes, Cause{NodeID: n.ID, Description: n.Description(r.req.Params), Confirmed: true})
-}
-
-func (b *branch) suspect(r *run, n *diagplan.VNode) {
-	b.suspects = append(b.suspects, Cause{NodeID: n.ID, Description: n.Description(r.req.Params)})
-}
-
-func (b *branch) absorb(c *branch) {
-	if len(b.causes)+len(b.suspects)+len(b.exclusions) == 0 {
-		*b = *c // nothing to merge into: take c's slices as they are
-		return
-	}
-	b.causes = append(b.causes, c.causes...)
-	b.suspects = append(b.suspects, c.suspects...)
-	b.exclusions = append(b.exclusions, c.exclusions...)
-	if c.confirmed {
-		b.confirmed = true
-	}
+func (r *run) suspect(n *diagplan.VNode) {
+	r.suspects = append(r.suspects, Cause{NodeID: n.ID, Description: n.Description(r.req.Params)})
 }
 
 // Diagnose executes one diagnosis for the request.
@@ -502,11 +442,6 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	span.SetAttr("step", req.StepID)
 	if req.AssertionID != "" {
 		span.SetAttr("assertion", req.AssertionID)
-	}
-	if e.opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = clock.ContextWithTimeout(ctx, e.clk, e.opts.RunTimeout)
-		defer cancel()
 	}
 	started := e.clk.Now()
 	d := &Diagnosis{Request: req, StartedAt: started, Degraded: req.Degraded, Confidence: 1}
@@ -524,7 +459,7 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		claimed: newBitset(e.cat.NodeCount()),
 	}
 	r.testKeys, r.tested = r.keyBuf[:0], r.testedBuf[:0]
-	r.testsLeft.Store(int64(e.opts.MaxTests))
+	r.testsLeft = e.opts.MaxTests
 	if r.op != nil {
 		// Tie the walk's spans into the operation's trace and evidence
 		// chain: the span carries the operation id (the /traces?op=
@@ -567,9 +502,8 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	e.log(req, "Performing on demand assertion checking: ", req.Detail, ". ",
 		strconv.Itoa(d.PotentialFaults), " potential faults in total...")
 
-	top := &branch{}
-	e.walkInto(ctx, r, top, entries)
-	e.commit(r, top)
+	e.walk(ctx, r, entries)
+	e.commit(r)
 
 	switch {
 	case len(d.RootCauses) > 0:
@@ -597,100 +531,21 @@ func (e *Engine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	return d
 }
 
-// walkInto visits the preference-ordered targets and merges the resulting
-// branches back into br IN THAT ORDER. Sequential mode (no semaphore)
-// visits in order and stops at the first confirmation, exactly the
-// paper's walk. Parallel mode fans siblings out across the semaphore —
-// falling back to inline visits when it is full, so progress never
-// depends on capacity — then discards everything merged after the first
-// confirmed branch. Probability order is thus a preference in both
-// modes, and the committed result is identical; parallel walks merely
-// spend speculative tests (visible in TestsRun) to cut latency.
-//
-// Inline visits write straight into br until a sibling actually goes to a
-// goroutine; only then is the level's state allocated, for that sibling
-// and every later one.
-func (e *Engine) walkInto(ctx context.Context, r *run, br *branch, targets []*diagplan.VNode) {
-	if br.confirmed {
-		return
-	}
-	var lv *level
-	for i, t := range targets {
-		if lv != nil && r.latch && int64(i-lv.first) > lv.skipAfter.Load() {
-			break
-		}
-		select {
-		case e.sem <- struct{}{}: // a nil semaphore never admits
-			if lv == nil {
-				lv = &level{e: e, ctx: ctx, r: r, targets: targets, first: i, subs: make([]branch, len(targets)-i)}
-				lv.skipAfter.Store(int64(len(lv.subs)))
-			}
-			lv.wg.Add(1)
-			go lv.fork(i - lv.first)
-		default:
-			if lv != nil {
-				lv.visit(i - lv.first)
-				continue
-			}
-			e.visit(ctx, r, br, t)
-			if br.confirmed {
-				return
-			}
-		}
-	}
-	if lv == nil {
-		return
-	}
-	lv.wg.Wait()
-	for i := range lv.subs {
-		br.absorb(&lv.subs[i])
-		if br.confirmed {
+// walk visits the preference-ordered targets one at a time and stops at
+// the first confirmation, exactly the paper's walk.
+func (e *Engine) walk(ctx context.Context, r *run, targets []*diagplan.VNode) {
+	for _, t := range targets {
+		if r.confirmed {
 			return
 		}
+		e.visit(ctx, r, t)
 	}
 }
 
-// level is the fan-out state of one walkInto call from its first forked
-// sibling on: subs[j] is the branch of targets[first+j].
-type level struct {
-	e       *Engine
-	ctx     context.Context
-	r       *run
-	targets []*diagplan.VNode
-	first   int
-	subs    []branch
-	// skipAfter is the lowest j whose branch has confirmed a root cause so
-	// far; the sequential walk would never visit siblings past it, so they
-	// are not even launched.
-	skipAfter atomic.Int64
-	wg        sync.WaitGroup
-}
-
-// fork visits sibling j on its own goroutine, holding a semaphore slot.
-func (lv *level) fork(j int) {
-	defer lv.wg.Done()
-	defer func() { <-lv.e.sem }()
-	lv.visit(j)
-}
-
-func (lv *level) visit(j int) {
-	sub := &lv.subs[j]
-	lv.e.visit(lv.ctx, lv.r, sub, lv.targets[lv.first+j])
-	if !sub.confirmed {
-		return
-	}
-	for {
-		cur := lv.skipAfter.Load()
-		if int64(j) >= cur || lv.skipAfter.CompareAndSwap(cur, int64(j)) {
-			return
-		}
-	}
-}
-
-// visit walks one plan node entry-down into br. A node already claimed by
-// another branch — a fan-in target whose shared sub-graph was evaluated
-// first through a different parent — is skipped.
-func (e *Engine) visit(ctx context.Context, r *run, br *branch, n *diagplan.VNode) {
+// visit walks one plan node entry-down. A node already claimed — a fan-in
+// target whose shared sub-graph was evaluated first through a different
+// parent — is skipped.
+func (e *Engine) visit(ctx context.Context, r *run, n *diagplan.VNode) {
 	if !r.claim(n) {
 		return
 	}
@@ -701,7 +556,7 @@ func (e *Engine) visit(ctx context.Context, r *run, br *branch, n *diagplan.VNod
 			// Error not present: exclude every cause reachable under this
 			// node. Tallying and the n/m exclusion log are deferred to
 			// commit, where fan-in shared causes are deduplicated.
-			br.exclusions = append(br.exclusions, exclusion{node: n, res: res, fresh: fresh})
+			r.exclusions = append(r.exclusions, exclusion{node: n, res: res, fresh: fresh})
 			return
 		case assertion.StatusError:
 			// Inconclusive: this node cannot be checked. A sink becomes a
@@ -711,7 +566,7 @@ func (e *Engine) visit(ctx context.Context, r *run, br *branch, n *diagplan.VNod
 				e.log(r.req, "Could not verify ", n.ID, ": ", res.Err)
 			}
 			if len(n.Children) == 0 {
-				br.suspect(r, n)
+				r.suspect(n)
 				return
 			}
 		case assertion.StatusFail:
@@ -719,31 +574,28 @@ func (e *Engine) visit(ctx context.Context, r *run, br *branch, n *diagplan.VNod
 				e.log(r.req, "Failed verification of ", n.ID, ": ", res.Message)
 			}
 			if n.Cause {
-				br.confirm(r, n)
-				if r.latch {
-					br.confirmed = true
-				}
+				r.confirm(n)
 				return
 			}
 		}
 	} else if n.Cause {
 		// Untestable cause under a present error: suspected only.
-		br.suspect(r, n)
+		r.suspect(n)
 		return
 	}
-	e.walkInto(ctx, r, br, n.Children)
+	e.walk(ctx, r, n.Children)
 }
 
-// commit folds the merged top-level branch into the Diagnosis on the
-// Diagnose goroutine: exclusions are tallied and logged in merge order —
-// each (plan, cause) pair counted once even when fan-in lets several
-// passing parents exclude the same shared cause — and causes and suspects
-// are deduplicated: catalog sub-graphs shared across plans carry id
-// suffixes, so identity is by node id or by instantiated description.
-func (e *Engine) commit(r *run, br *branch) {
+// commit folds what the walk found into the Diagnosis: exclusions are
+// tallied and logged in visit order — each (plan, cause) pair counted once
+// even when fan-in lets several passing parents exclude the same shared
+// cause — and causes and suspects are deduplicated: catalog sub-graphs
+// shared across plans carry id suffixes, so identity is by node id or by
+// instantiated description.
+func (e *Engine) commit(r *run) {
 	d := r.diag
 	var excluded bitset
-	for _, ex := range br.exclusions {
+	for _, ex := range r.exclusions {
 		if excluded == nil {
 			excluded = newBitset(e.cat.NodeCount())
 		}
@@ -758,13 +610,13 @@ func (e *Engine) commit(r *run, br *branch) {
 				strconv.Itoa(d.Excluded), "/", strconv.Itoa(d.PotentialFaults), " faults are excluded")
 		}
 	}
-	for _, c := range br.causes {
+	for _, c := range r.causes {
 		if !hasCause(d.RootCauses, c) {
 			c.EvidenceID, c.Path = r.recordCause(c, true)
 			d.RootCauses = append(d.RootCauses, c)
 		}
 	}
-	for _, c := range br.suspects {
+	for _, c := range r.suspects {
 		if !hasCause(d.Suspected, c) {
 			c.EvidenceID, c.Path = r.recordCause(c, false)
 			d.Suspected = append(d.Suspected, c)
@@ -777,9 +629,7 @@ func (e *Engine) commit(r *run, br *branch) {
 // not exclude) it. The entry cites the probability-preferred entry-to-
 // node path and, for fan-in causes, every parent that can reach the node
 // — the full DAG confirmation context. Recording happens at commit time,
-// never during the walk: parallel branches merged after the first
-// confirmation are discarded, and speculative causes must not leave
-// evidence behind.
+// so a cause's entry follows every test entry of the walk.
 func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string) {
 	// The citing plan is the first selected one that has a node of that id.
 	var n *diagplan.VNode
@@ -792,9 +642,7 @@ func (r *run) recordCause(c Cause, confirmed bool) (entryID uint64, path string)
 	if r.op == nil {
 		return 0, path
 	}
-	r.mu.Lock()
 	te := r.testEntry(c.NodeID)
-	r.mu.Unlock()
 	var parents string
 	if n != nil {
 		parents = n.Parents
@@ -838,10 +686,7 @@ func hasCause(list []Cause, c Cause) bool {
 func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion.Result, bool) {
 	params := n.TestParams(r.req.Params)
 	key := cacheKey(n.CheckID, params)
-	r.mu.Lock()
-	res, ok := r.cached(key)
-	r.mu.Unlock()
-	if ok {
+	if res, ok := r.cached(key); ok {
 		mCacheHits.Inc()
 		return res, false
 	}
@@ -853,15 +698,11 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 	}
 
 	reserve := func() bool {
-		for {
-			left := r.testsLeft.Load()
-			if left <= 0 {
-				return false
-			}
-			if r.testsLeft.CompareAndSwap(left, left-1) {
-				return true
-			}
+		if r.testsLeft <= 0 {
+			return false
 		}
+		r.testsLeft--
+		return true
 	}
 	// resOut escapes the closure so the evidence entry can carry the
 	// retry/breaker annotations; it is only written when this call runs
@@ -897,8 +738,8 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 			return resilience.VerdictFatal
 		})
 		if out.ShortCircuited && out.Attempts == 0 {
-			// The breaker opened between the precheck and here (a racing
-			// walk tripped it): the test never ran.
+			// The breaker opened between the precheck and here (a
+			// concurrent diagnosis tripped it): the test never ran.
 			res = unknownResult(n.CheckID, params)
 		}
 		resOut = out
@@ -907,14 +748,7 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 		return res
 	}
 
-	outcome := OutcomeEvaluated
-	if e.cache != nil {
-		res, outcome = e.cache.Do(key, reserve, evalFn)
-	} else if reserve() {
-		res = evalFn()
-	} else {
-		outcome = OutcomeRejected
-	}
+	res, outcome := e.cache.Do(key, reserve, evalFn)
 	if outcome == OutcomeRejected {
 		mBudgetExhausted.Inc()
 		r.recordTest(n, "error", "budget", "exhausted", nil)
@@ -925,18 +759,11 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 		res.Cached = true
 	}
 
-	r.mu.Lock()
-	if prior, ok := r.cached(key); ok {
-		// Another goroutine of this run recorded the answer first.
-		r.mu.Unlock()
-		return prior, false
-	}
 	if r.diag.TestsRun == nil {
 		r.diag.TestsRun = make([]assertion.Result, 0, walkTests)
 	}
 	r.testKeys = append(r.testKeys, key)
 	r.diag.TestsRun = append(r.diag.TestsRun, res)
-	r.mu.Unlock()
 	var labels *resilience.Outcome
 	if outcome == OutcomeEvaluated {
 		labels = &resOut

@@ -3,7 +3,6 @@ package diagnosis
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -142,49 +141,11 @@ func TestBudgetExhaustedSentinel(t *testing.T) {
 	}
 }
 
-// The parallel walk must commit exactly the sequential walk's result —
-// probability order stays a preference and the first-confirmation latch
-// holds across goroutines.
-func TestParallelWalkMatchesSequential(t *testing.T) {
-	e := newDiagEnv(t, 1, Options{})
-	wrongAMI, _ := e.cloud.RegisterImage(e.ctx, "rogue", "v9", nil)
-	_ = e.cloud.CreateLaunchConfiguration(e.ctx, simaws.LaunchConfig{
-		Name: "rogue-lc", ImageID: wrongAMI, KeyName: e.cluster.KeyName,
-		SecurityGroups: []string{e.cluster.SGName}, InstanceType: "m1.small",
-	})
-	_ = e.cloud.UpdateAutoScalingGroup(e.ctx, e.cluster.ASGName, "rogue-lc", -1, -1, -1)
-
-	seq := e.engine.Diagnose(e.ctx, e.request(process.StepNewReady))
-	par := NewEngine(diagplan.DefaultCatalog(), e.eval, e.bus, Options{Workers: 8}).
-		Diagnose(e.ctx, e.request(process.StepNewReady))
-
-	if par.Conclusion != seq.Conclusion {
-		t.Fatalf("conclusion: parallel %s vs sequential %s", par.Conclusion, seq.Conclusion)
-	}
-	if len(par.RootCauses) != len(seq.RootCauses) {
-		t.Fatalf("causes: parallel %+v vs sequential %+v", par.RootCauses, seq.RootCauses)
-	}
-	for i := range seq.RootCauses {
-		if par.RootCauses[i] != seq.RootCauses[i] {
-			t.Errorf("cause %d: parallel %+v vs sequential %+v", i, par.RootCauses[i], seq.RootCauses[i])
-		}
-	}
-	if par.Excluded != seq.Excluded {
-		t.Errorf("excluded: parallel %d vs sequential %d", par.Excluded, seq.Excluded)
-	}
-	if par.PotentialFaults != seq.PotentialFaults {
-		t.Errorf("potential: parallel %d vs sequential %d", par.PotentialFaults, seq.PotentialFaults)
-	}
-	// Speculation may run extra tests, never fewer than the budget allows.
-	if len(par.TestsRun) < len(seq.TestsRun) {
-		t.Errorf("parallel ran fewer tests (%d) than sequential (%d)", len(par.TestsRun), len(seq.TestsRun))
-	}
-}
-
-// Concurrent parallel walks on one engine must be race-clean (run with
+// Many Diagnose calls on one engine run concurrently, sharing its test
+// cache, breakers and attrs table: they must be race-clean (run with
 // -race) and agree on the conclusion for a fixed fault.
-func TestConcurrentParallelDiagnoses(t *testing.T) {
-	e := newDiagEnv(t, 1, Options{Workers: 4})
+func TestConcurrentDiagnosesOnOneEngine(t *testing.T) {
+	e := newDiagEnv(t, 1, Options{})
 	e.cloud.SetELBServiceDisruption(true)
 
 	const n = 6
@@ -240,73 +201,5 @@ func TestConcurrentCatalogsSharePlans(t *testing.T) {
 		if !d.HasCause("elb-unreachable") {
 			t.Errorf("diagnosis %d: causes %+v, want elb-unreachable", i, d.RootCauses)
 		}
-	}
-}
-
-// The fan-out pins which siblings a parallel walk runs on the storm's
-// request (asg-version-count failed at step7, wrong-ami): Workers 1 and 2
-// run exactly the sequential walk's three tests in its order — at
-// Workers=2 the lone top-level entry takes the only extra slot and every
-// deeper level runs inline — and Workers=8 speculates across the
-// remaining siblings but commits the sequential walk's result.
-func TestParallelWalkFanOutUnchanged(t *testing.T) {
-	clk := clock.NewScaled(1000, time.Date(2013, 11, 19, 11, 48, 0, 0, time.UTC))
-	profile := simaws.FastProfile()
-	profile.TickInterval = time.Second
-	cloud := simaws.New(clk, profile, simaws.WithSeed(1))
-	cloud.Start()
-	req := wrongAMIRequest(t, cloud)
-	cloud.Stop()
-
-	walk := func(workers int) *Diagnosis {
-		client := consistentapi.New(cloud, consistentapi.Config{MaxAttempts: 1})
-		eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-		return NewEngine(diagplan.DefaultCatalog(), eval, nil, Options{Workers: workers}).
-			Diagnose(context.Background(), req)
-	}
-	checks := func(d *Diagnosis) []string {
-		ids := make([]string, len(d.TestsRun))
-		for i, r := range d.TestsRun {
-			ids[i] = r.CheckID
-		}
-		return ids
-	}
-	sequential := []string{assertion.CheckASGUsesSG, assertion.CheckASGUsesKeyPair, assertion.CheckASGUsesAMI}
-	// Speculation at Workers=8 may add the remaining tests of the plan's
-	// first two levels.
-	speculative := map[string]bool{
-		assertion.CheckASGUsesType: true, assertion.CheckNoFailedLaunches: true,
-		assertion.CheckASGInstanceCount: true, assertion.CheckELBInstanceCount: true,
-	}
-	seq := walk(1)
-	for _, workers := range []int{1, 2, 8} {
-		d := walk(workers)
-		got := checks(d)
-		if workers <= 2 && !slices.Equal(got, sequential) {
-			t.Errorf("workers=%d: tests %v, want %v", workers, got, sequential)
-		}
-		if workers > 2 {
-			// Siblings run concurrently, so only the set is fixed: every
-			// sequential test once, plus speculative ones.
-			seen := make(map[string]bool, len(got))
-			for _, id := range got {
-				if seen[id] || !speculative[id] && !slices.Contains(sequential, id) {
-					t.Errorf("workers=%d: tests %v: unexpected or repeated %s", workers, got, id)
-				}
-				seen[id] = true
-			}
-			for _, id := range sequential {
-				if !seen[id] {
-					t.Errorf("workers=%d: tests %v lack %s", workers, got, id)
-				}
-			}
-		}
-		if !slices.Equal(d.RootCauses, seq.RootCauses) || d.Excluded != seq.Excluded || d.Conclusion != seq.Conclusion {
-			t.Errorf("workers=%d: causes %+v, excluded %d, %s; sequential %+v, %d, %s", workers,
-				d.RootCauses, d.Excluded, d.Conclusion, seq.RootCauses, seq.Excluded, seq.Conclusion)
-		}
-	}
-	if !seq.HasCause("wrong-ami") {
-		t.Fatalf("sequential walk: %s, want wrong-ami confirmed", seq.Conclusion)
 	}
 }

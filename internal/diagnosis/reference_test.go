@@ -15,8 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/clock"
@@ -40,10 +38,8 @@ type refTarget struct {
 	n *diagplan.Node
 }
 
-// run carries the mutable state of one diagnosis. It is shared across the
-// walk goroutines of that one diagnosis: the budget is atomic, the
-// per-run cache, claim set, and TestsRun are guarded by mu, and
-// everything else is read-only after construction.
+// run carries the mutable state of one diagnosis, walked on the goroutine
+// that called Diagnose.
 type refRun struct {
 	req   Request
 	diag  *Diagnosis
@@ -59,11 +55,10 @@ type refRun struct {
 	// parents.
 	plans []*diagplan.Plan
 
-	mu        sync.Mutex
-	local     map[string]assertion.Result // per-run result cache; guards diag.TestsRun too
+	local     map[string]assertion.Result // per-run result cache
 	testEntry map[string]uint64           // node id -> diagnosis.test evidence entry
 	// claimed marks plan nodes (by instantiated-node pointer, so distinct
-	// plans never collide) that some branch has already visited. Fan-in
+	// plans never collide) that the walk has already visited. Fan-in
 	// makes a node reachable from several parents; the first visitor
 	// claims it and later routes skip it, mirroring the DAG's "shared
 	// sub-graph, evaluated once" semantics. A node excluded by a passing
@@ -71,14 +66,12 @@ type refRun struct {
 	// parents.
 	claimed map[*diagplan.Node]bool
 
-	testsLeft atomic.Int64
+	testsLeft int
 }
 
-// claim marks the node visited, reporting whether this caller won the
-// claim (false: another branch already visited it).
+// claim marks the node visited, reporting whether this is its first
+// visit.
 func (r *refRun) claim(n *diagplan.Node) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.claimed[n] {
 		return false
 	}
@@ -102,18 +95,15 @@ func (r *refRun) recordTest(n *diagplan.Node, status string, attrs map[string]st
 		Message: fmt.Sprintf("test %s on %s: %s", n.CheckID, n.ID, status),
 		Attrs:   attrs,
 	})
-	r.mu.Lock()
 	if _, ok := r.testEntry[n.ID]; !ok {
 		r.testEntry[n.ID] = id
 	}
-	r.mu.Unlock()
 }
 
 // exclusion records a passing diagnosis test that rules out the cause
 // nodes reachable under a plan node. Counting and logging are deferred to
-// commit so the running n/m tallies come out in deterministic merge order
-// regardless of execution interleaving — and so causes shared by several
-// excluded parents (fan-in) are counted once.
+// commit so the running n/m tallies come out in visit order — and so
+// causes shared by several excluded parents (fan-in) are counted once.
 type refExclusion struct {
 	node   *diagplan.Node
 	planID string
@@ -122,16 +112,13 @@ type refExclusion struct {
 	fresh  bool
 }
 
-// branch accumulates the outcome of one sub-graph visit. Sibling branches
-// are merged back in probability order (walkInto), so the committed
-// Diagnosis is identical to the sequential walk's.
+// branch accumulates the outcome of the walk for commit.
 type refBranch struct {
 	causes     []Cause
 	suspects   []Cause
 	exclusions []refExclusion
-	// confirmed is set when a root cause was confirmed under this branch
-	// and the stop-at-first-confirmation latch is on; it prunes later
-	// siblings at merge time.
+	// confirmed is set when a root cause was confirmed and the
+	// stop-at-first-confirmation latch is on; it ends the walk.
 	confirmed bool
 }
 
@@ -141,15 +128,6 @@ func (b *refBranch) confirm(n *diagplan.Node) {
 
 func (b *refBranch) suspect(n *diagplan.Node) {
 	b.suspects = append(b.suspects, Cause{NodeID: n.ID, Description: n.Description})
-}
-
-func (b *refBranch) absorb(c *refBranch) {
-	b.causes = append(b.causes, c.causes...)
-	b.suspects = append(b.suspects, c.suspects...)
-	b.exclusions = append(b.exclusions, c.exclusions...)
-	if c.confirmed {
-		b.confirmed = true
-	}
 }
 
 // Diagnose executes one diagnosis for the request.
@@ -164,11 +142,6 @@ func (e refEngine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 	if req.AssertionID != "" {
 		span.SetAttr("assertion", req.AssertionID)
 	}
-	if e.opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = clock.ContextWithTimeout(ctx, e.clk, e.opts.RunTimeout)
-		defer cancel()
-	}
 	started := e.clk.Now()
 	d := &Diagnosis{Request: req, StartedAt: started, Degraded: req.Degraded, Confidence: 1}
 	if req.Degraded {
@@ -182,7 +155,7 @@ func (e refEngine) Diagnose(ctx context.Context, req Request) *Diagnosis {
 		testEntry: make(map[string]uint64),
 		claimed:   make(map[*diagplan.Node]bool),
 	}
-	r.testsLeft.Store(int64(e.opts.MaxTests))
+	r.testsLeft = e.opts.MaxTests
 	if r.op != nil {
 		// Tie the walk's spans into the operation's trace and evidence
 		// chain: the span carries the operation id (the /traces?op=
@@ -273,71 +246,14 @@ func (e refEngine) selectPlans(req Request) []*diagplan.Plan {
 	return e.cat.All()
 }
 
-// walkInto visits the preference-ordered targets and merges the resulting
-// branches back into br IN THAT ORDER. Sequential mode (no semaphore)
-// visits in order and stops at the first confirmation, exactly the
-// paper's walk. Parallel mode fans siblings out across the semaphore —
-// falling back to inline visits when it is full, so progress never
-// depends on capacity — then discards everything merged after the first
-// confirmed branch. Probability order is thus a preference in both
-// modes, and the committed result is identical; parallel walks merely
-// spend speculative tests (visible in TestsRun) to cut latency.
+// walkInto visits the preference-ordered targets in order into br and
+// stops at the first confirmation, exactly the paper's walk.
 func (e refEngine) walkInto(ctx context.Context, r *refRun, br *refBranch, targets []refTarget) {
 	if br.confirmed || len(targets) == 0 {
 		return
 	}
-	if e.sem == nil {
-		for _, t := range targets {
-			e.visit(ctx, r, br, t)
-			if br.confirmed {
-				return
-			}
-		}
-		return
-	}
-
-	subs := make([]*refBranch, len(targets))
-	// skipAfter is the lowest index whose branch has confirmed a root
-	// cause so far; the sequential walk would never visit siblings past
-	// it, so they are not even launched.
-	var skipAfter atomic.Int64
-	skipAfter.Store(int64(len(targets)))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		if r.latch && int64(i) > skipAfter.Load() {
-			break
-		}
-		sub := &refBranch{}
-		subs[i] = sub
-		visit := func(i int, t refTarget, sub *refBranch) {
-			e.visit(ctx, r, sub, t)
-			if sub.confirmed {
-				for {
-					cur := skipAfter.Load()
-					if int64(i) >= cur || skipAfter.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
-			}
-		}
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, t refTarget, sub *refBranch) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				visit(i, t, sub)
-			}(i, t, sub)
-		default:
-			visit(i, t, sub)
-		}
-	}
-	wg.Wait()
-	for _, sub := range subs {
-		if sub == nil {
-			break
-		}
-		br.absorb(sub)
+	for _, t := range targets {
+		e.visit(ctx, r, br, t)
 		if br.confirmed {
 			return
 		}
@@ -345,7 +261,7 @@ func (e refEngine) walkInto(ctx context.Context, r *refRun, br *refBranch, targe
 }
 
 // visit walks one (instantiated, pruned) plan node entry-down into br. A
-// node already claimed by another branch — a fan-in target whose shared
+// node already claimed — a fan-in target whose shared
 // sub-graph was evaluated first through a different parent — is skipped.
 func (e refEngine) visit(ctx context.Context, r *refRun, br *refBranch, t refTarget) {
 	p, n := t.p, t.n
@@ -399,8 +315,8 @@ func (e refEngine) visit(ctx context.Context, r *refRun, br *refBranch, t refTar
 	e.walkInto(ctx, r, br, next)
 }
 
-// commit folds the merged top-level branch into the Diagnosis on the
-// Diagnose goroutine: exclusions are tallied and logged in merge order —
+// commit folds the walk's branch into the Diagnosis: exclusions are
+// tallied and logged in visit order —
 // each (plan, cause) pair counted once even when fan-in lets several
 // passing parents exclude the same shared cause — and causes and suspects
 // are deduplicated: catalog sub-graphs shared across plans carry id
@@ -440,9 +356,7 @@ func (e refEngine) commit(r *refRun, br *refBranch) {
 // not exclude) it. The entry cites the probability-preferred entry-to-
 // node path and, for fan-in causes, every parent that can reach the node
 // — the full DAG confirmation context. Recording happens at commit time,
-// never during the walk: parallel branches merged after the first
-// confirmation are discarded, and speculative causes must not leave
-// evidence behind.
+// never during the walk.
 func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path string) {
 	for _, p := range r.plans {
 		if !refHas(p, c.NodeID) {
@@ -456,9 +370,7 @@ func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path stri
 	if r.op == nil {
 		return 0, path
 	}
-	r.mu.Lock()
 	te := r.testEntry[c.NodeID]
-	r.mu.Unlock()
 	attrs := map[string]string{
 		"node":      c.NodeID,
 		"confirmed": strconv.FormatBool(confirmed),
@@ -501,10 +413,7 @@ func (r *refRun) recordCause(c Cause, confirmed bool) (entryID uint64, path stri
 func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (assertion.Result, bool) {
 	params := r.req.Params.Merge(n.CheckParams)
 	key := refCacheKey(n.CheckID, params)
-	r.mu.Lock()
-	res, ok := r.local[key]
-	r.mu.Unlock()
-	if ok {
+	if res, ok := r.local[key]; ok {
 		mCacheHits.Inc()
 		return res, false
 	}
@@ -516,15 +425,11 @@ func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (asser
 	}
 
 	reserve := func() bool {
-		for {
-			left := r.testsLeft.Load()
-			if left <= 0 {
-				return false
-			}
-			if r.testsLeft.CompareAndSwap(left, left-1) {
-				return true
-			}
+		if r.testsLeft <= 0 {
+			return false
 		}
+		r.testsLeft--
+		return true
 	}
 	// resOut escapes the closure so the evidence entry can carry the
 	// retry/breaker annotations; it is only written when this call runs
@@ -570,14 +475,7 @@ func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (asser
 		return res
 	}
 
-	outcome := OutcomeEvaluated
-	if e.cache != nil {
-		res, outcome = e.cache.Do(key, reserve, evalFn)
-	} else if reserve() {
-		res = evalFn()
-	} else {
-		outcome = OutcomeRejected
-	}
+	res, outcome := e.cache.Do(key, reserve, evalFn)
 	if outcome == OutcomeRejected {
 		mBudgetExhausted.Inc()
 		r.recordTest(n, "error", map[string]string{"budget": "exhausted"})
@@ -588,15 +486,8 @@ func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (asser
 		res.Cached = true
 	}
 
-	r.mu.Lock()
-	if prior, ok := r.local[key]; ok {
-		// Another goroutine of this run recorded the answer first.
-		r.mu.Unlock()
-		return prior, false
-	}
 	r.local[key] = res
 	r.diag.TestsRun = append(r.diag.TestsRun, res)
-	r.mu.Unlock()
 	attrs := map[string]string{"cached": strconv.FormatBool(res.Cached)}
 	if outcome == OutcomeEvaluated {
 		l := resOut.LabelPairs()

@@ -341,18 +341,15 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 
 // DiagnosisConfig is the body of GET /diagnosis/config: the engine's
 // effective tuning plus live shared-cache statistics, so operators can see
-// the parallelism knob and cache behaviour without scraping /metrics.
+// the test budget and cache behaviour without scraping /metrics.
 type DiagnosisConfig struct {
-	// Workers is the fan-out bound for one fault-tree walk; 1 means the
-	// sequential paper walk.
-	Workers int `json:"workers"`
 	// MaxTests is the per-run diagnosis test budget.
 	MaxTests int `json:"maxTests"`
-	// SharedCacheTTL is the effective cross-run reuse window (clamped to
-	// the cloud's eventual-consistency window), as a duration string.
+	// SharedCacheTTL is the cross-run reuse window (the cloud's
+	// eventual-consistency window), as a duration string.
 	SharedCacheTTL string `json:"sharedCacheTtl"`
-	// SharedCache carries live cache counters; absent when disabled.
-	SharedCache *diagnosis.CacheStats `json:"sharedCache,omitempty"`
+	// SharedCache carries live cache counters.
+	SharedCache diagnosis.CacheStats `json:"sharedCache"`
 }
 
 func (s *Server) handleDiagnosisConfig(w http.ResponseWriter, r *http.Request) {
@@ -360,17 +357,12 @@ func (s *Server) handleDiagnosisConfig(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("diagnosis not configured"))
 		return
 	}
-	opts := s.diag.Options()
-	cfg := DiagnosisConfig{
-		Workers:        opts.Workers,
-		MaxTests:       opts.MaxTests,
-		SharedCacheTTL: opts.SharedCacheTTL.String(),
-	}
-	if c := s.diag.Cache(); c != nil {
-		stats := c.Stats()
-		cfg.SharedCache = &stats
-	}
-	writeJSON(w, http.StatusOK, cfg)
+	c := s.diag.Cache()
+	writeJSON(w, http.StatusOK, DiagnosisConfig{
+		MaxTests:       s.diag.Options().MaxTests,
+		SharedCacheTTL: c.TTL().String(),
+		SharedCache:    c.Stats(),
+	})
 }
 
 // ResilienceStatus is the body of GET /diagnosis/resilience: the retry
