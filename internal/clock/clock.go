@@ -57,8 +57,6 @@ func (Real) AfterFunc(d time.Duration, f func()) (stop func() bool) {
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
-func (Real) toWall(d time.Duration) time.Duration { return d }
-
 // Scaled is a Clock whose time advances scale times faster than the wall
 // clock. A duration d of scaled time corresponds to d/scale of wall time.
 // The zero value is not usable; construct with NewScaled.

@@ -83,7 +83,7 @@ func TestProcessEndCancelsTimers(t *testing.T) {
 }
 
 func TestDetectionCapBoundsRecording(t *testing.T) {
-	r := newRig(t, 2, func(c *ManagerConfig) { c.MaxDetections = 2 })
+	r := newRig(t, 2, nil, WithMaxDetections(2))
 	r.mgr.Start()
 	defer r.mgr.Stop()
 	// Flood with distinct conformance errors (distinct steps via fit

@@ -29,8 +29,9 @@ type rig struct {
 }
 
 // newRig deploys a size-n v1 cluster, registers a v2 AMI and builds (but
-// does not start) a manager watching the upcoming upgrade task.
-func newRig(t *testing.T, n int, mutate func(*ManagerConfig)) *rig {
+// does not start) a manager watching the upcoming upgrade task, with any
+// extra watch options.
+func newRig(t *testing.T, n int, mutate func(*ManagerConfig), opts ...WatchOption) *rig {
 	t.Helper()
 	_, bus, cloud := newSimCloud(t, 21, func(p *simaws.Profile) {
 		p.BootTime = clock.Dist{Mean: 60 * time.Second, StdDev: 10 * time.Second, Min: 40 * time.Second, Max: 110 * time.Second}
@@ -47,7 +48,7 @@ func newRig(t *testing.T, n int, mutate func(*ManagerConfig)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := mgr.Watch(x, MatchAnyInstance())
+	sess, err := mgr.Watch(x, append(opts, MatchAnyInstance())...)
 	if err != nil {
 		t.Fatal(err)
 	}

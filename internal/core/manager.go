@@ -63,6 +63,10 @@ const reorderMaxPending = 256
 // operations and gives the backlog gauges a stable label set.
 const numShards = 16
 
+// defaultMaxDetections caps recorded detections per session unless
+// WithMaxDetections overrides it.
+const defaultMaxDetections = 64
+
 // ManagerConfig assembles a Manager: the substrate shared by every
 // monitoring session. Per-operation knobs (expectation, assertion spec,
 // detection cap) live on Watch options instead.
@@ -95,10 +99,6 @@ type ManagerConfig struct {
 	DisableConformance bool
 	// DisableAssertions turns off assertion triggering (ablation A2).
 	DisableAssertions bool
-	// Diagnosis tunes the diagnosis engine.
-	Diagnosis diagnosis.Options
-	// MaxDetections caps recorded detections per session. Zero means 64.
-	MaxDetections int
 	// Workers sizes the shared worker pool for assertion evaluations and
 	// diagnoses. Defaults to runtime.GOMAXPROCS(0), minimum 2.
 	Workers int
@@ -225,9 +225,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.StepTimeoutSlack <= 0 {
 		cfg.StepTimeoutSlack = 1.6
 	}
-	if cfg.MaxDetections <= 0 {
-		cfg.MaxDetections = 64
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -287,7 +284,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		m.shards[i].owner = make(map[string]*Session)
 		m.shards[i].depthVec = mShardPending.With(strconv.Itoa(i))
 	}
-	m.diag = diagnosis.NewEngine(cfg.Plans, m.evaluator, cfg.Bus, cfg.Diagnosis)
+	m.diag = diagnosis.NewEngine(cfg.Plans, m.evaluator, cfg.Bus, diagnosis.Options{})
 	m.processor = pipeline.NewRouted(cfg.Model, m.store, m.route)
 	m.central = logstore.NewCentralProcessor(m.store, nil)
 	// The reorder/dedup buffer repairs the lossy shipping fabric in front
@@ -473,7 +470,7 @@ func WithAssertionSpec(text string) WatchOption {
 	return func(o *watchOptions) { o.specText = text }
 }
 
-// WithMaxDetections overrides the per-session detection cap.
+// WithMaxDetections overrides the per-session detection cap (64).
 func WithMaxDetections(n int) WatchOption {
 	return func(o *watchOptions) { o.maxDetections = n }
 }
@@ -546,7 +543,7 @@ func (m *Manager) newSession(x Expectation, o watchOptions) (*Session, error) {
 		spec:          spec,
 		specText:      o.specText,
 		checker:       conformance.NewChecker(m.cfg.Model),
-		maxDetections: defaultInt(o.maxDetections, m.cfg.MaxDetections),
+		maxDetections: defaultInt(o.maxDetections, defaultMaxDetections),
 		remCtl:        o.remCtl,
 		matchAny:      o.matchAny,
 		matchASG:      o.matchASG,

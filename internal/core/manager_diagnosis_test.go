@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,5 +235,105 @@ func TestConformanceWalkIsSequentialAndReproducible(t *testing.T) {
 		if timeline != firstTimeline {
 			t.Fatalf("repeat %d: timeline differs\n got %s\nwant %s", i, timeline, firstTimeline)
 		}
+	}
+}
+
+// timerCountingClock is a scaled clock that counts the timers armed on it.
+// It wraps the clock rather than embedding it, so every timer goes through
+// AfterFunc and is counted.
+type timerCountingClock struct {
+	inner *clock.Scaled
+	armed atomic.Int64
+}
+
+func (c *timerCountingClock) Now() time.Time { return c.inner.Now() }
+
+func (c *timerCountingClock) Sleep(ctx context.Context, d time.Duration) error {
+	return c.inner.Sleep(ctx, d)
+}
+
+func (c *timerCountingClock) AfterFunc(d time.Duration, f func()) func() bool {
+	c.armed.Add(1)
+	return c.inner.AfterFunc(d, f)
+}
+
+func (c *timerCountingClock) Since(t time.Time) time.Duration { return c.inner.Since(t) }
+
+// A diagnose_storm unit arms no clock timer: the step assertion and the
+// three diagnosis tests it triggers run under their caller's context, and
+// each cloud read is bounded by the consistent API's CallTimeout, a
+// deadline read off the clock. The unit is the session's own path: a
+// failing asg-version-count at step7 on a group whose launch configuration
+// carries the wrong AMI, diagnosed as wrong-ami after three tests.
+func TestEvaluationsArmNoClockTimer(t *testing.T) {
+	clk := &timerCountingClock{inner: clock.NewScaled(1000, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))}
+	bus := logging.NewBus()
+	defer bus.Close()
+	profile := simaws.FastProfile()
+	// clock.NewTicker scales only a *clock.Scaled: on the wrapper the
+	// period is wall time, and 1ms of it is 1s of simulated time.
+	profile.TickInterval = time.Millisecond
+	cloud := simaws.New(clk, profile, simaws.WithSeed(1), simaws.WithBus(bus))
+	cloud.Start()
+	ctx := context.Background()
+	cluster, err := upgrade.Deploy(ctx, cloud, "pm", 2, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.WaitReady(ctx, cloud, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	intended, err := cloud.RegisterImage(ctx, "pm-v2", "v2", upgrade.AppServices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := cloud.RegisterImage(ctx, "rogue", "v9", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cloud.CreateLaunchConfiguration(ctx, simaws.LaunchConfig{
+		Name: "rogue-lc", ImageID: rogue, KeyName: cluster.KeyName,
+		SecurityGroups: []string{cluster.SGName}, InstanceType: "m1.small",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cloud.UpdateAutoScalingGroup(ctx, cluster.ASGName, "rogue-lc", -1, -1, -1); err != nil {
+		t.Fatal(err)
+	}
+	// The reconciler's timers are not the unit's: count with it stopped.
+	cloud.Stop()
+
+	mgr, err := NewManager(ManagerConfig{
+		Cloud: cloud, Bus: bus, API: consistentapi.Config{MaxAttempts: 1}, DisableConformance: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := mgr.Watch(Expectation{ASGName: cluster.ASGName, ClusterSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := clusterParams(cluster)
+	params[assertion.ParamAMI] = intended
+	params[assertion.ParamVersion] = "v2"
+	params[assertion.ParamWant] = "1"
+	trig := assertion.Trigger{
+		Source: assertion.TriggerLog, ProcessInstanceID: "pushing " + cluster.ASGName, StepID: process.StepNewReady,
+	}
+
+	armed := clk.armed.Load()
+	sess.evaluateAndMaybeDiagnose(assertion.CheckASGVersionCount, params, trig, 0, clk.Now())
+	armed = clk.armed.Load() - armed
+
+	dets := sess.Detections()
+	if len(dets) != 1 || dets[0].Diagnosis == nil {
+		t.Fatalf("detections = %+v, want one diagnosed detection", dets)
+	}
+	d := dets[0].Diagnosis
+	if !d.HasCause("wrong-ami") || len(d.TestsRun) != 3 {
+		t.Fatalf("diagnosis %s after %d tests, want wrong-ami confirmed after 3", d.Conclusion, len(d.TestsRun))
+	}
+	if armed != 0 {
+		t.Errorf("the step assertion and its 3 diagnosis tests armed %d clock timers, want 0", armed)
 	}
 }

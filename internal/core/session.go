@@ -11,7 +11,6 @@ import (
 
 	"poddiagnosis/internal/assertion"
 	"poddiagnosis/internal/assertspec"
-	"poddiagnosis/internal/clock"
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/logging"
@@ -835,11 +834,7 @@ func (s *Session) stepBindings(node *process.Node, rec instance, ev logging.Even
 // origin is the trigger's source time for the detection-latency SLO.
 func (s *Session) evaluateAndMaybeDiagnose(checkID string, p assertion.Params,
 	trig assertion.Trigger, anchor uint64, origin time.Time) {
-	// Standalone evaluations get the same per-test clock deadline the
-	// diagnosis engine applies to its on-demand tests.
-	ctx, cancel := clock.ContextWithTimeout(context.Background(), s.mgr.clk, s.mgr.diag.Options().TestTimeout)
-	res := s.mgr.evaluator.Evaluate(ctx, checkID, p, trig)
-	cancel()
+	res := s.mgr.evaluator.Evaluate(context.Background(), checkID, p, trig)
 	if res.Passed() {
 		return
 	}

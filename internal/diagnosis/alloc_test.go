@@ -20,18 +20,16 @@ import (
 // Allocation budget of one Engine.Diagnose on the request the benchmark's
 // diagnose_storm workload issues: asg-version-count failed at step7 on a
 // 2-instance cluster whose group points at a launch configuration with the
-// wrong AMI; three tests run, the third confirms wrong-ami. Measured 85
+// wrong AMI; three tests run, the third confirms wrong-ami. Measured 73
 // allocations; the budget is that plus 5%. A memory profile of the walk
 // names what is left per call:
-//   - per test, 19 (57 over the walk): the test's span and its
-//     evaluation's span (2), the deadline (4: the cancelCtx and its
-//     cancel, the wall timer, the closure that stops it), the shared-cache
-//     entry and its key (2), the rendered check parameters (1), the
-//     evidence message and its parent list (2), the monitoring-plane
-//     context (1), the describe copies (3: the group's balancer and
-//     instance lists, the launch configuration's security groups), the
-//     pass or fail message (1), and the evaluation's log line and its
-//     fields map (3),
+//   - per test, 15 (45 over the walk): the test's span and its
+//     evaluation's span (2), the shared-cache entry and its key (2), the
+//     rendered check parameters (1), the evidence message and its parent
+//     list (2), the monitoring-plane context (1), the describe copies (3:
+//     the group's balancer and instance lists, the launch configuration's
+//     security groups), the pass or fail message (1), and the
+//     evaluation's log line and its fields map (3),
 //   - per walk, 28: the walk's span (1), the diagnosis log lines (8) and
 //     their fields map (2), the Diagnosis, the run, the views and the
 //     entries (4), the plan walk's evidence message and parents (2),
@@ -39,8 +37,13 @@ import (
 //     (2), the confirmed cause's description, slice, evidence message,
 //     parents and RootCauses entry (5) and the give-up error (1).
 //
-// The budget was 126 (measured 120) until a walk stopped paying for
-// scaffolding beside its tests:
+// The budget was 89 (measured 85) until a test ran under its caller's
+// context: each test's clock deadline cost 4 (12 over the walk), the
+// cancelCtx and its cancel, the wall timer and the closure that stopped
+// it. The consistent API's CallTimeout bounds each cloud read instead.
+//
+// It was 126 (measured 120) until a walk stopped paying for scaffolding
+// beside its tests:
 //   - the parallel fan-out allocated a sub-branch slice, an atomic, a
 //     WaitGroup and a branch and a closure per sibling at every level,
 //   - a span and the context.WithValue carrying it (7 of the latter); the
@@ -60,7 +63,7 @@ import (
 // maps, deadline goroutines, fmt.Errorf wrappers, boxed plane tags and
 // joined label keys), and when every run cloned its plans and every cloud
 // read copied the account, the same call allocated 682.
-const diagnoseAllocBudget = 89
+const diagnoseAllocBudget = 77
 
 func TestDiagnoseAllocationBudget(t *testing.T) {
 	if raceEnabled {

@@ -225,12 +225,6 @@ type Options struct {
 	ContinueAfterConfirm bool
 	// MaxTests bounds the diagnosis tests per run. Zero means 64.
 	MaxTests int
-	// TestTimeout bounds each diagnosis-test attempt in clock time (the
-	// deadline scales with a simulated clock). Zero means 30s.
-	TestTimeout time.Duration
-	// Resilience tunes the retry/breaker executor guarding every
-	// diagnosis test (see package resilience).
-	Resilience resilience.Options
 }
 
 // Engine runs diagnoses. It is safe for concurrent use: per-run state
@@ -260,12 +254,8 @@ func NewEngine(cat *diagplan.Catalog, eval *assertion.Evaluator, bus *logging.Bu
 	if opts.MaxTests <= 0 {
 		opts.MaxTests = 64
 	}
-	if opts.TestTimeout <= 0 {
-		opts.TestTimeout = 30 * time.Second
-	}
 	e := &Engine{cat: cat, eval: eval, bus: bus, clk: eval.Client().Clock(), opts: opts}
-	e.resil = resilience.NewExecutor(e.clk, opts.Resilience)
-	e.opts.Resilience = e.resil.Options()
+	e.resil = resilience.NewExecutor(e.clk)
 	// A cached answer must never be staler than one the cloud itself
 	// might serve: results are reusable for the consistency window.
 	e.cache = NewSharedCache(e.clk, eval.Client().Cloud().ConsistencyWindow())
@@ -719,9 +709,7 @@ func (e *Engine) test(ctx context.Context, r *run, n *diagplan.VNode) (assertion
 		e.log(r.req, "Verifying ", strings.TrimSuffix(n.Description(r.req.Params), "."))
 		var res assertion.Result
 		out := e.resil.Do(ctx, n.CheckID, func(ctx context.Context) resilience.Verdict {
-			tctx, cancel := clock.ContextWithTimeout(ctx, e.clk, e.opts.TestTimeout)
-			defer cancel()
-			res = e.eval.Evaluate(tctx, n.CheckID, params, assertion.Trigger{
+			res = e.eval.Evaluate(ctx, n.CheckID, params, assertion.Trigger{
 				Source:            assertion.TriggerOnDemand,
 				ProcessInstanceID: r.req.ProcessInstanceID,
 				StepID:            r.req.StepID,

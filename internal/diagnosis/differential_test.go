@@ -19,13 +19,6 @@ import (
 	"poddiagnosis/internal/simaws"
 )
 
-// walkClock is a manualClock whose timers never fire, so per-test
-// timeouts never cancel a test; only back-off sleeps move time, identically
-// on both sides of a comparison.
-type walkClock struct{ *manualClock }
-
-func (walkClock) AfterFunc(time.Duration, func()) func() bool { return func() bool { return true } }
-
 // differentialCatalog is the default catalog — the tree-compiled rolling-
 // upgrade plans plus the native blue/green and spot DAGs — extended with a
 // plan whose two parents reach one cause (and a second cause behind it, so
@@ -135,7 +128,9 @@ type side struct {
 
 func newSide(t *testing.T, cat *diagplan.Catalog, reg *assertion.Registry, sc map[string]behaviour, opts Options) *side {
 	t.Helper()
-	clk := walkClock{newManualClock()}
+	// Only back-off sleeps move the clock, identically on both sides of a
+	// comparison.
+	clk := newManualClock()
 	profile := simaws.FastProfile()
 	profile.StaleProb = 0.05 // a consistency window, so the shared cache reuses across runs
 	profile.StaleLag = clock.Fixed(10 * time.Second)

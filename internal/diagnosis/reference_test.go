@@ -446,9 +446,7 @@ func (e refEngine) test(ctx context.Context, r *refRun, n *diagplan.Node) (asser
 		e.log(r.req, "Verifying %s", strings.TrimSuffix(n.Description, "."))
 		var res assertion.Result
 		out := e.resil.Do(ctx, n.CheckID, func(ctx context.Context) resilience.Verdict {
-			tctx, cancel := clock.ContextWithTimeout(ctx, e.clk, e.opts.TestTimeout)
-			defer cancel()
-			res = e.eval.Evaluate(tctx, n.CheckID, params, assertion.Trigger{
+			res = e.eval.Evaluate(ctx, n.CheckID, params, assertion.Trigger{
 				Source:            assertion.TriggerOnDemand,
 				ProcessInstanceID: r.req.ProcessInstanceID,
 				StepID:            r.req.StepID,

@@ -14,17 +14,12 @@ import (
 // Config tunes the front's lease machine and placement.
 type Config struct {
 	// LeaseTTL is how long a renewal keeps a member healthy; at expiry
-	// it turns suspect. Defaults to 10s (simulated time).
+	// it turns suspect. Defaults to 10s (simulated time). The lease
+	// monitor checks every LeaseTTL/4.
 	LeaseTTL time.Duration
 	// DeadAfter is the grace past expiry before a suspect member is
 	// declared dead and failed over. Defaults to LeaseTTL.
 	DeadAfter time.Duration
-	// CheckInterval is the lease monitor cadence. Defaults to
-	// LeaseTTL/4.
-	CheckInterval time.Duration
-	// VirtualNodes is the per-member point count on the hash ring.
-	// Defaults to 64.
-	VirtualNodes int
 	// MaxRebalanceMoves bounds how many operations one join may pull
 	// onto the new member. Defaults to 4.
 	MaxRebalanceMoves int
@@ -40,12 +35,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = c.LeaseTTL
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = c.LeaseTTL / 4
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 	if c.MaxRebalanceMoves <= 0 {
 		c.MaxRebalanceMoves = 4
@@ -105,7 +94,7 @@ func NewFront(clk clock.Clock, cfg Config) *Front {
 		clk:     clk,
 		cfg:     cfg,
 		members: make(map[string]*memberEntry),
-		ring:    newRing(cfg.VirtualNodes),
+		ring:    newRing(),
 		ops:     make(map[string]*opEntry),
 		stop:    make(chan struct{}),
 	}
@@ -119,7 +108,7 @@ func (f *Front) Start() {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		ticker := clock.NewTicker(f.clk, f.cfg.CheckInterval)
+		ticker := clock.NewTicker(f.clk, f.cfg.LeaseTTL/4)
 		defer ticker.Stop()
 		for {
 			select {

@@ -6,15 +6,17 @@ import (
 	"strconv"
 )
 
+// ringReplicas is the per-member point count on the hash ring.
+const ringReplicas = 64
+
 // hashRing is a consistent-hash ring with virtual nodes. Each member
-// contributes replicas points ("id#i" hashed); an operation id lands
+// contributes ringReplicas points ("id#i" hashed); an operation id lands
 // on the first point at or after its own hash, and the successor walk
 // yields the failover order. Points sort by (hash, member) so ties are
 // deterministic regardless of join order.
 type hashRing struct {
-	replicas int
-	points   []ringPoint // sorted by (hash, member)
-	members  map[string]bool
+	points  []ringPoint // sorted by (hash, member)
+	members map[string]bool
 }
 
 type ringPoint struct {
@@ -22,11 +24,8 @@ type ringPoint struct {
 	member string
 }
 
-func newRing(replicas int) *hashRing {
-	if replicas <= 0 {
-		replicas = 64
-	}
-	return &hashRing{replicas: replicas, members: make(map[string]bool)}
+func newRing() *hashRing {
+	return &hashRing{members: make(map[string]bool)}
 }
 
 func ringHash(s string) uint32 {
@@ -40,7 +39,7 @@ func (r *hashRing) add(id string) {
 		return
 	}
 	r.members[id] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < ringReplicas; i++ {
 		r.points = append(r.points, ringPoint{ringHash(id + "#" + strconv.Itoa(i)), id})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

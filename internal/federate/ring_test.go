@@ -16,11 +16,11 @@ func ringKeys(n int) []string {
 // TestRingJoinOrderIrrelevant: ownership must depend only on the member
 // set, never on the order members joined in.
 func TestRingJoinOrderIrrelevant(t *testing.T) {
-	a := newRing(64)
+	a := newRing()
 	for _, m := range []string{"m1", "m2", "m3"} {
 		a.add(m)
 	}
-	b := newRing(64)
+	b := newRing()
 	for _, m := range []string{"m3", "m1", "m2"} {
 		b.add(m)
 	}
@@ -35,7 +35,7 @@ func TestRingJoinOrderIrrelevant(t *testing.T) {
 // key owned by a survivor — the consistent-hashing contract that keeps
 // failover from churning healthy members' operations.
 func TestRingRemovalOnlyMovesVictims(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	for _, m := range []string{"m1", "m2", "m3"} {
 		r.add(m)
 	}
@@ -60,7 +60,7 @@ func TestRingRemovalOnlyMovesVictims(t *testing.T) {
 // once, starting with the owner — the failover order placement relies
 // on.
 func TestRingSequence(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	members := map[string]bool{"m1": true, "m2": true, "m3": true, "m4": true}
 	for m := range members {
 		r.add(m)
@@ -86,7 +86,7 @@ func TestRingSequence(t *testing.T) {
 // TestRingSpread: with virtual nodes, no member of three should own a
 // wildly disproportionate share of keys.
 func TestRingSpread(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	for _, m := range []string{"m1", "m2", "m3"} {
 		r.add(m)
 	}

@@ -42,57 +42,28 @@ var (
 		"Retries charged against the shared retry budget.")
 )
 
-// Options tune an Executor. The zero value gets sensible defaults.
-type Options struct {
-	// MaxAttempts bounds the attempts of one call (first try included).
-	// Defaults to 3.
-	MaxAttempts int
-	// InitialBackoff is the first retry delay; it doubles per retry up to
-	// MaxBackoff, with full jitter. Defaults to 200ms / 5s.
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	// RetryBudget bounds total retries across all calls — a safety valve
-	// so a storm cannot multiply the monitoring plane's own API load.
-	// It refills fully every BudgetWindow. Defaults to 64 per 5 minutes.
-	RetryBudget  int
-	BudgetWindow time.Duration
-	// FailureThreshold is how many consecutive retryable-class failures
-	// open a test's breaker. Defaults to 3.
-	FailureThreshold int
-	// Cooldown is how long an open breaker waits before admitting one
-	// half-open probe. Defaults to 30s.
-	Cooldown time.Duration
-	// Seed fixes the jitter source for reproducible runs; 0 derives one.
-	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.InitialBackoff <= 0 {
-		o.InitialBackoff = 200 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 64
-	}
-	if o.BudgetWindow <= 0 {
-		o.BudgetWindow = 5 * time.Minute
-	}
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 30 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The executor's policy.
+const (
+	// maxAttempts bounds the attempts of one call (first try included).
+	maxAttempts = 3
+	// initialBackoff is the first retry delay; it doubles per retry up to
+	// maxBackoff, with full jitter.
+	initialBackoff = 200 * time.Millisecond
+	maxBackoff     = 5 * time.Second
+	// retryBudget bounds total retries across all calls — a safety valve
+	// so a storm cannot multiply the monitoring plane's own API load. It
+	// refills fully every budgetWindow.
+	retryBudget  = 64
+	budgetWindow = 5 * time.Minute
+	// failureThreshold is how many consecutive retryable-class failures
+	// open a test's breaker.
+	failureThreshold = 3
+	// cooldown is how long an open breaker waits before admitting one
+	// half-open probe.
+	cooldown = 30 * time.Second
+	// jitterSeed fixes the jitter source, so runs are reproducible.
+	jitterSeed = 1
+)
 
 // Verdict classifies one attempt of a guarded call.
 type Verdict int
@@ -177,8 +148,7 @@ func (o Outcome) LabelPairs() [6]string {
 // Executor runs calls under retry, budget and breaker policies. It is
 // safe for concurrent use.
 type Executor struct {
-	clk  clock.Clock
-	opts Options
+	clk clock.Clock
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -188,19 +158,14 @@ type Executor struct {
 }
 
 // NewExecutor returns an Executor on the given clock.
-func NewExecutor(clk clock.Clock, opts Options) *Executor {
-	opts = opts.withDefaults()
+func NewExecutor(clk clock.Clock) *Executor {
 	return &Executor{
 		clk:        clk,
-		opts:       opts,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
+		rng:        rand.New(rand.NewSource(jitterSeed)),
 		breakers:   make(map[string]*breaker),
-		budgetLeft: opts.RetryBudget,
+		budgetLeft: retryBudget,
 	}
 }
-
-// Options returns the executor's effective configuration.
-func (x *Executor) Options() Options { return x.opts }
 
 // Do runs call under the policies, keyed by the test's identity (breakers
 // are per key). The call is invoked with ctx and must honour its
@@ -212,7 +177,7 @@ func (x *Executor) Do(ctx context.Context, key string, call func(context.Context
 		return Outcome{ShortCircuited: true}
 	}
 	var out Outcome
-	backoff := x.opts.InitialBackoff
+	backoff := initialBackoff
 	for {
 		out.Attempts++
 		v := call(ctx)
@@ -228,15 +193,15 @@ func (x *Executor) Do(ctx context.Context, key string, call func(context.Context
 		}
 		// Retryable-class failure.
 		x.settle(key, false)
-		if out.Attempts >= x.opts.MaxAttempts || ctx.Err() != nil || !x.takeBudget() {
+		if out.Attempts >= maxAttempts || ctx.Err() != nil || !x.takeBudget() {
 			return out
 		}
 		if err := x.clk.Sleep(ctx, x.jitter(backoff)); err != nil {
 			return out
 		}
 		backoff *= 2
-		if backoff > x.opts.MaxBackoff {
-			backoff = x.opts.MaxBackoff
+		if backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 		if !x.admit(key) {
 			// The breaker opened on the failure we are retrying past (or a
@@ -261,7 +226,7 @@ func (x *Executor) Open(key string) bool {
 	if !ok {
 		return false
 	}
-	blocked := (br.state == BreakerOpen && x.clk.Since(br.openedAt) < x.opts.Cooldown) ||
+	blocked := (br.state == BreakerOpen && x.clk.Since(br.openedAt) < cooldown) ||
 		(br.state == BreakerHalfOpen && br.probing)
 	if blocked {
 		br.shorted++
@@ -280,7 +245,7 @@ func (x *Executor) admit(key string) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if x.clk.Since(br.openedAt) < x.opts.Cooldown {
+		if x.clk.Since(br.openedAt) < cooldown {
 			br.shorted++
 			return false
 		}
@@ -315,7 +280,7 @@ func (x *Executor) settle(key string, ok bool) {
 		return
 	}
 	br.failures++
-	if br.state == BreakerHalfOpen || br.failures >= x.opts.FailureThreshold {
+	if br.state == BreakerHalfOpen || br.failures >= failureThreshold {
 		if br.state != BreakerOpen {
 			br.state = BreakerOpen
 			mTransitions.With(string(BreakerOpen)).Inc()
@@ -350,9 +315,9 @@ func (x *Executor) takeBudget() bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	now := x.clk.Now()
-	if x.budgetReset.IsZero() || now.Sub(x.budgetReset) >= x.opts.BudgetWindow {
+	if x.budgetReset.IsZero() || now.Sub(x.budgetReset) >= budgetWindow {
 		x.budgetReset = now
-		x.budgetLeft = x.opts.RetryBudget
+		x.budgetLeft = retryBudget
 	}
 	if x.budgetLeft <= 0 {
 		return false
@@ -401,12 +366,12 @@ func (x *Executor) Snapshot() Status {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	st := Status{
-		MaxAttempts:      x.opts.MaxAttempts,
-		InitialBackoff:   x.opts.InitialBackoff,
-		MaxBackoff:       x.opts.MaxBackoff,
-		FailureThreshold: x.opts.FailureThreshold,
-		Cooldown:         x.opts.Cooldown,
-		RetryBudget:      x.opts.RetryBudget,
+		MaxAttempts:      maxAttempts,
+		InitialBackoff:   initialBackoff,
+		MaxBackoff:       maxBackoff,
+		FailureThreshold: failureThreshold,
+		Cooldown:         cooldown,
+		RetryBudget:      retryBudget,
 		BudgetRemaining:  x.budgetLeft,
 	}
 	for key, br := range x.breakers {

@@ -76,9 +76,24 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
+// fail is a call that always fails retryably.
+func fail(context.Context) Verdict { return VerdictRetryable }
+
+// openBreaker opens key's breaker: one call fails every attempt, and the
+// last attempt reaches the failure threshold.
+func openBreaker(t *testing.T, x *Executor, key string) {
+	t.Helper()
+	if out := x.Do(context.Background(), key, fail); out.Attempts != maxAttempts {
+		t.Fatalf("opening call: outcome = %+v, want %d attempts", out, maxAttempts)
+	}
+	if st := x.Snapshot(); st.Breakers[0].State != BreakerOpen {
+		t.Fatalf("breaker = %+v after %d failures", st.Breakers[0], failureThreshold)
+	}
+}
+
 func TestDoRetriesUntilOK(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{})
+	x := NewExecutor(clk)
 	calls := 0
 	out := x.Do(context.Background(), "check", func(context.Context) Verdict {
 		calls++
@@ -90,8 +105,9 @@ func TestDoRetriesUntilOK(t *testing.T) {
 	if out.Attempts != 3 || out.Retries != 2 || out.ShortCircuited {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if clk.Slept() == 0 {
-		t.Error("no backoff slept between retries")
+	// Two full-jitter back-offs: at most the initial delay, then double.
+	if slept := clk.Slept(); slept == 0 || slept > 3*initialBackoff {
+		t.Errorf("slept %v between retries, want (0, %v]", slept, 3*initialBackoff)
 	}
 	if st := x.Snapshot(); len(st.Breakers) != 1 || st.Breakers[0].State != BreakerClosed {
 		t.Errorf("breaker state = %+v", st.Breakers)
@@ -100,26 +116,39 @@ func TestDoRetriesUntilOK(t *testing.T) {
 
 func TestDoStopsAtMaxAttempts(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{MaxAttempts: 2, FailureThreshold: 100})
+	x := NewExecutor(clk)
 	calls := 0
 	out := x.Do(context.Background(), "check", func(context.Context) Verdict {
 		calls++
 		return VerdictRetryable
 	})
-	if calls != 2 || out.Attempts != 2 {
-		t.Fatalf("calls = %d, outcome = %+v", calls, out)
+	if calls != maxAttempts || out.Attempts != maxAttempts || out.Retries != maxAttempts-1 {
+		t.Fatalf("calls = %d, outcome = %+v, want %d attempts", calls, out, maxAttempts)
 	}
 }
 
 func TestBreakerOpensThenHalfOpenProbeCloses(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{MaxAttempts: 1, FailureThreshold: 3, Cooldown: 30 * time.Second})
-	fail := func(context.Context) Verdict { return VerdictRetryable }
-	for i := 0; i < 3; i++ {
-		x.Do(context.Background(), "check", fail)
+	x := NewExecutor(clk)
+	// Retryable failures one short of the threshold, then a fatal answer
+	// that ends the call without judging the breaker.
+	calls := 0
+	x.Do(context.Background(), "check", func(context.Context) Verdict {
+		if calls++; calls < failureThreshold {
+			return VerdictRetryable
+		}
+		return VerdictFatal
+	})
+	if st := x.Snapshot(); st.Breakers[0].State != BreakerClosed || st.Breakers[0].ConsecutiveFailures != failureThreshold-1 {
+		t.Fatalf("breaker = %+v below the threshold", st.Breakers[0])
+	}
+	// The next failure reaches it: the breaker opens, and the call's
+	// retry finds it open.
+	if out := x.Do(context.Background(), "check", fail); out.Attempts != 1 || !out.ShortCircuited {
+		t.Fatalf("outcome at the threshold = %+v", out)
 	}
 	if st := x.Snapshot(); st.Breakers[0].State != BreakerOpen {
-		t.Fatalf("breaker = %+v after threshold failures", st.Breakers[0])
+		t.Fatalf("breaker = %+v after %d failures", st.Breakers[0], failureThreshold)
 	}
 	// Open inside the cooldown: short-circuited without running the call.
 	out := x.Do(context.Background(), "check", fail)
@@ -129,8 +158,12 @@ func TestBreakerOpensThenHalfOpenProbeCloses(t *testing.T) {
 	if !x.Open("check") {
 		t.Error("Open = false during cooldown")
 	}
+	clk.Advance(cooldown - time.Second)
+	if !x.Open("check") {
+		t.Error("Open = false a second before the cooldown elapsed")
+	}
 	// After the cooldown a single probe is admitted; success closes.
-	clk.Advance(31 * time.Second)
+	clk.Advance(2 * time.Second)
 	if x.Open("check") {
 		t.Error("Open = true after cooldown elapsed")
 	}
@@ -145,12 +178,13 @@ func TestBreakerOpensThenHalfOpenProbeCloses(t *testing.T) {
 
 func TestHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{MaxAttempts: 1, FailureThreshold: 2, Cooldown: 10 * time.Second})
-	fail := func(context.Context) Verdict { return VerdictRetryable }
-	x.Do(context.Background(), "check", fail)
-	x.Do(context.Background(), "check", fail)
-	clk.Advance(11 * time.Second)
-	x.Do(context.Background(), "check", fail) // the probe fails
+	x := NewExecutor(clk)
+	openBreaker(t, x, "check")
+	clk.Advance(cooldown + time.Second)
+	// The probe fails, and its retry finds the breaker open again.
+	if out := x.Do(context.Background(), "check", fail); out.Attempts != 1 || !out.ShortCircuited {
+		t.Fatalf("probe outcome = %+v, want one attempt, then short-circuited", out)
+	}
 	st := x.Snapshot()
 	if st.Breakers[0].State != BreakerOpen {
 		t.Fatalf("breaker = %+v after failed probe", st.Breakers[0])
@@ -163,9 +197,9 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestOpenDoesNotConsumeProbeSlot(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{MaxAttempts: 1, FailureThreshold: 1, Cooldown: 10 * time.Second})
-	x.Do(context.Background(), "check", func(context.Context) Verdict { return VerdictRetryable })
-	clk.Advance(11 * time.Second)
+	x := NewExecutor(clk)
+	openBreaker(t, x, "check")
+	clk.Advance(cooldown + time.Second)
 	// Read-only checks after the cooldown never claim the half-open probe.
 	for i := 0; i < 3; i++ {
 		if x.Open("check") {
@@ -180,36 +214,55 @@ func TestOpenDoesNotConsumeProbeSlot(t *testing.T) {
 
 func TestFatalNeitherRetriesNorTrips(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{FailureThreshold: 1})
-	calls := 0
-	out := x.Do(context.Background(), "check", func(context.Context) Verdict {
-		calls++
-		return VerdictFatal
-	})
-	if calls != 1 || out.Attempts != 1 || out.Retries != 0 {
-		t.Fatalf("calls = %d, outcome = %+v", calls, out)
+	x := NewExecutor(clk)
+	// As many fatal calls as the failure threshold: none retries, and
+	// none counts toward opening the breaker.
+	for i := 0; i < failureThreshold; i++ {
+		calls := 0
+		out := x.Do(context.Background(), "check", func(context.Context) Verdict {
+			calls++
+			return VerdictFatal
+		})
+		if calls != 1 || out.Attempts != 1 || out.Retries != 0 {
+			t.Fatalf("call %d: calls = %d, outcome = %+v", i, calls, out)
+		}
 	}
-	if st := x.Snapshot(); st.Breakers[0].State != BreakerClosed {
-		t.Errorf("fatal verdict moved the breaker: %+v", st.Breakers[0])
+	if st := x.Snapshot(); st.Breakers[0].State != BreakerClosed || st.Breakers[0].ConsecutiveFailures != 0 {
+		t.Errorf("fatal verdicts moved the breaker: %+v", st.Breakers[0])
 	}
 }
 
 func TestRetryBudgetBoundsRetries(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{
-		MaxAttempts: 5, RetryBudget: 3, BudgetWindow: 5 * time.Minute,
-		FailureThreshold: 100,
-	})
+	x := NewExecutor(clk)
+	// Spend all but one retry of the budget on calls that succeed on
+	// their first retry, so no breaker moves.
+	for i := 0; i < retryBudget-1; i++ {
+		first := true
+		out := x.Do(context.Background(), "warm", func(context.Context) Verdict {
+			if first {
+				first = false
+				return VerdictRetryable
+			}
+			return VerdictOK
+		})
+		if out.Retries != 1 {
+			t.Fatalf("warm-up call %d: outcome = %+v, want one retry", i, out)
+		}
+	}
+	if st := x.Snapshot(); st.BudgetRemaining != 1 {
+		t.Fatalf("budget remaining = %d after %d retries, want 1", st.BudgetRemaining, retryBudget-1)
+	}
 	calls := 0
-	fail := func(context.Context) Verdict { calls++; return VerdictRetryable }
-	// First call: 1 try + 3 budgeted retries, then the budget is dry.
-	out := x.Do(context.Background(), "a", fail)
-	if out.Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4 (budget exhausted)", out.Attempts)
+	counted := func(context.Context) Verdict { calls++; return VerdictRetryable }
+	// 1 try + the last budgeted retry, then the budget is dry: the call
+	// stops short of maxAttempts.
+	if out := x.Do(context.Background(), "a", counted); out.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (budget exhausted)", out.Attempts)
 	}
 	// Budget dry: the next failing call gets no retries at all.
 	calls = 0
-	x.Do(context.Background(), "b", fail)
+	x.Do(context.Background(), "b", counted)
 	if calls != 1 {
 		t.Fatalf("calls = %d with dry budget, want 1", calls)
 	}
@@ -217,17 +270,17 @@ func TestRetryBudgetBoundsRetries(t *testing.T) {
 		t.Errorf("budget remaining = %d", st.BudgetRemaining)
 	}
 	// The window rolls over and the budget refills.
-	clk.Advance(6 * time.Minute)
+	clk.Advance(budgetWindow + time.Minute)
 	calls = 0
-	x.Do(context.Background(), "c", fail)
-	if calls <= 1 {
-		t.Fatalf("calls = %d after budget refill, want retries", calls)
+	x.Do(context.Background(), "c", counted)
+	if calls != maxAttempts {
+		t.Fatalf("calls = %d after budget refill, want %d", calls, maxAttempts)
 	}
 }
 
 func TestContextCancelStopsRetries(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{MaxAttempts: 10})
+	x := NewExecutor(clk)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	out := x.Do(ctx, "check", func(context.Context) Verdict {
@@ -242,7 +295,7 @@ func TestContextCancelStopsRetries(t *testing.T) {
 
 func TestSnapshotSorted(t *testing.T) {
 	clk := newManualClock()
-	x := NewExecutor(clk, Options{})
+	x := NewExecutor(clk)
 	ok := func(context.Context) Verdict { return VerdictOK }
 	for _, key := range []string{"zeta", "alpha", "mid"} {
 		x.Do(context.Background(), key, ok)
